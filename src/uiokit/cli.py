@@ -149,8 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="decide whether an unknown-input observer exists")
     sp.add_argument("--from-model", required=True, metavar="PATH",
                     help="model JSON file")
-    sp.add_argument("--seed", type=int, default=0,
-                    help="seed for the pencil completion draws")
     _add_numeric_flags(sp)
     sp.set_defaults(func=_cmd_check)
 
@@ -224,7 +222,7 @@ def _cmd_check(args) -> int:
     model = load_model(args.from_model, _tolerance(args))
     options = SynthesisOptions(tol=_tolerance(args),
                                schur_margin=args.schur_margin)
-    report = exists_uio(model, options, seed=args.seed)
+    report = exists_uio(model, options)
     print(format_report(report))
     return 0 if report.exists else 2
 

@@ -345,9 +345,8 @@ def compatible(window, blocks: DataBlocks,
     if min(Phi.shape) == 0:
         return bool(np.linalg.norm(w) <= tol.absolute_floor)
     U, s, _ = np.linalg.svd(Phi)
-    cut = max(max(Phi.shape) * tol.relative * (s[0] if s.size else 0.0),
-              tol.absolute_floor)
-    k = int(np.count_nonzero(s > cut)) if s.size else 0
+    cut = tol.cutoff(Phi.shape, s[0])
+    k = int(np.count_nonzero(s > cut))
     Q = U[:, :k]
     resid = np.linalg.norm(w - Q @ (Q.T @ w))
     return bool(resid <= cut * (1.0 + np.linalg.norm(w)) + tol.absolute_floor)

@@ -222,7 +222,7 @@ def run_demo(
     )
 
     # 1. Existence.
-    report = exists_uio(model, options, seed=seed)
+    report = exists_uio(model, options)
     checks.append((
         "existence",
         report.exists and report.agreement,

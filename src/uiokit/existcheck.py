@@ -8,14 +8,16 @@ two model-level conditions hold:
   (b) rank [[CE, F], [F, 0]] = rank(F) + r.
 
 Condition (a) quantifies over infinitely many points, so it is decided
-through a finite computation: complete the (n+p) x (n+r) pencil to a square
-one with p - r random constant columns, collect its finite generalized
-eigenvalues (the only points where the completed pencil can lose rank), and
-re-verify rank(P(z)) directly at each candidate with modulus >= 1 - margin.
-A rank drop of P itself shows up as a candidate for *every* completion, so
-false candidates are filtered by the direct check and two independently
-seeded completions must agree on the verdict.  With p < r the target rank
-n + r already exceeds the row count and the verdict is immediately false.
+through the invariant zeros of P, the only finite points where a pencil of
+normal rank n + r can lose rank.  They come from one deterministic
+orthogonal reduction (Emami-Naeini & Van Dooren 1982): the output rows
+that F does not reach pin part of the state to zero, so that part of the
+state and those rows are deflated, which lowers the rank of P(z) and its
+target by the same amount at every z.  Once F has full row rank, fewer
+than r remaining rows means P(z) is rank deficient everywhere; otherwise
+the remainder is square and its finite generalized eigenvalues are the
+zeros.  With p < r the target rank n + r already exceeds the row count and
+the verdict is immediately false.
 
 `exists_uio` combines both conditions and cross-checks them against the
 constructive design route; a disagreement is reported as an
@@ -43,43 +45,15 @@ __all__ = [
     "format_report",
 ]
 
-#: Relaxed relative rank threshold used only when re-verifying candidates:
-#: QZ returns candidate points with ~1e-12 error, which lifts the smallest
-#: singular value of P(z) at a true drop well above the eps-level default,
-#: while non-drop candidates stay orders of magnitude larger.
-CANDIDATE_RANK_RELATIVE = 1e-9
-
-#: Candidates with |z| beyond this multiple of the pencil's coefficient
-#: scale are numerically indistinguishable from the point at infinity: the
-#: zI block then dominates sigma_max so badly that the relative rank
-#: threshold swallows the constant columns, and the direct verification
-#: would "confirm" a drop that is purely an artifact of a near-zero beta
-#: from QZ.  Behaviour at infinity is exactly what condition (b) measures,
-#: so such candidates are excluded here and recorded in the evidence.
-#: The factor keeps three orders of magnitude between the largest verified
-#: modulus and the 1e-9 verification threshold.
-VERIFIABLE_MODULUS_FACTOR = 1e-3 / CANDIDATE_RANK_RELATIVE
+#: Relative rank cutoff of the zero reduction, against the norm of
+#: S = [[A, E], [C, F]].  Every step leaves rounding residue in the blocks
+#: it rotates, and an eps-level cutoff counts that residue as rank, which
+#: couples a hidden mode back to the outputs and loses its zero.
+ZERO_CUT_RELATIVE = 1e-9
 
 
 class NormalRankDeficient(ValueError):
     """P(z) is rank deficient almost everywhere; condition (a) is false."""
-
-
-def _pencil(model: StateSpaceModel) -> tuple[np.ndarray, np.ndarray]:
-    n, r = model.n, model.r
-    p = model.p
-    P0 = np.zeros((n + p, n + r))
-    P0[:n, :n] = -model.A
-    P0[:n, n:] = -model.E
-    P0[n:, :n] = model.C
-    P0[n:, n:] = model.F
-    P1 = np.zeros((n + p, n + r))
-    P1[:n, :n] = np.eye(n)
-    return P0, P1
-
-
-def _pencil_at(P0: np.ndarray, P1: np.ndarray, z: complex) -> np.ndarray:
-    return P0 + z * P1
 
 
 def _spectral_norm(M: np.ndarray) -> float:
@@ -117,36 +91,70 @@ def condition_b(
     }
 
 
-def _candidates(P0, P1, completion, seed_label: str) -> np.ndarray:
-    """Finite generalized eigenvalues of the completed pencil."""
-    M0 = np.hstack([P0, completion])
-    M1 = np.hstack([P1, np.zeros_like(completion)])
-    ev = scipy.linalg.eigvals(-M0, M1)
-    if np.isnan(ev).any() and not np.isfinite(ev).any():
-        raise NumericalFailure(
-            f"QZ returned no usable candidates for completion {seed_label}"
+def _range_basis(M: np.ndarray, cut: float) -> tuple[np.ndarray, int]:
+    """Orthogonal U whose first k columns span the range of M, and k."""
+    U, s, _ = np.linalg.svd(M)
+    return U, int(np.count_nonzero(s > cut))
+
+
+def _invariant_zeros(
+    model: StateSpaceModel, cut: float
+) -> tuple[np.ndarray, int]:
+    """Finite zeros and normal rank of P(z), by the zero reduction.
+
+    Raises:
+        NormalRankDeficient: when the normal rank is below n + r.
+    """
+    A, E, C, F = model.A, model.E, model.C, model.F
+    while True:
+        U, held = _range_basis(F, cut)
+        C, F = U.T @ C, U.T @ F
+        if held == F.shape[0]:
+            break
+        # Rows from `held` on see no disturbance: they pin the state part
+        # `fixed` to zero, and its state equations become outputs of the
+        # part kept.
+        V, k = _range_basis(C[held:].T, cut)
+        fixed, kept = V[:, :k], V[:, k:]
+        A, E, C, F = (
+            kept.T @ A @ kept,
+            kept.T @ E,
+            np.vstack([fixed.T @ A @ kept, C[:held] @ kept]),
+            np.vstack([fixed.T @ E, F[:held]]),
         )
-    return ev[np.isfinite(ev)]
+    rows = F.shape[0]
+    normal_rank = model.n + rows
+    if rows < model.r:
+        raise NormalRankDeficient(
+            f"normal rank of P(z) is {normal_rank} < {model.n + model.r}; "
+            "the pencil is rank deficient everywhere"
+        )
+    # F is now square and invertible, so the pencil has r infinite zeros.
+    # Deflate them: on the kernel K of [C, F] it reduces to
+    # z * K_x - [A, E] @ K, where K_x, the state rows of K, is invertible.
+    V, _ = _range_basis(np.hstack([C, F]).T, cut)
+    K = V[:, rows:]
+    zeros = scipy.linalg.eigvals(np.hstack([A, E]) @ K, K[:A.shape[0]])
+    return zeros[np.isfinite(zeros)], normal_rank
 
 
 def condition_a(
     model: StateSpaceModel,
     tol: RankTolerance = DEFAULT_TOL,
     margin: float = SCHUR_MARGIN,
-    seed: int = 0,
 ) -> tuple[bool, dict]:
     """Full rank of P(z) on and outside the unit circle.
 
-    Returns (verdict, evidence); evidence records the probe points, each
-    completion's candidates, and every verified rank drop.  Candidates with
-    modulus inside [1 - margin, 1 + margin] count as violations when they
-    verify, so boundary zeros fail conservatively.
+    Returns (verdict, evidence); evidence records the normal and target
+    ranks, the invariant zeros, and as ``drops`` those with modulus
+    >= 1 - margin.  Zeros within ``margin`` of the unit circle also appear
+    in ``boundary_drops``: boundary zeros fail conservatively.  The rank
+    cutoff is `ZERO_CUT_RELATIVE`, so ``tol`` contributes only its
+    absolute floor.
 
     Raises:
-        NormalRankDeficient: when P(z) is rank deficient at both random
-            probe points, i.e. almost everywhere (condition is then false
-            with that certificate).
-        NumericalFailure: when the two completions disagree on the verdict.
+        NormalRankDeficient: when P(z) is rank deficient at every z
+            (condition is then false with that certificate).
     """
     n, p, r = model.n, model.p, model.r
     target = n + r
@@ -155,71 +163,17 @@ def condition_a(
             "reason": f"p = {p} < r = {r}: rank {target} exceeds the "
                       f"{n + p} rows of P(z)",
         }
-    P0, P1 = _pencil(model)
-    rng = np.random.default_rng(seed)
-
-    # Normal-rank probe at two random points outside the unit circle.
-    probes = []
-    probe_ranks = []
-    for _ in range(2):
-        z = (1.5 + rng.uniform(0.0, 1.0)) * np.exp(2j * np.pi * rng.uniform())
-        probes.append(complex(z))
-        probe_ranks.append(rank(_pencil_at(P0, P1, z), tol))
-    if max(probe_ranks) < target:
-        raise NormalRankDeficient(
-            f"rank P(z) = {max(probe_ranks)} < {target} at random probe "
-            f"points {probes}; the pencil is rank deficient almost everywhere"
-        )
-
-    verify_tol = RankTolerance(relative=CANDIDATE_RANK_RELATIVE,
-                               absolute_floor=tol.absolute_floor)
-    far_cut = VERIFIABLE_MODULUS_FACTOR * (1.0 + np.linalg.norm(P0, 2))
-    per_seed = []
-    verdicts = []
-    for completion_seed in (seed, seed + 9973):
-        crng = np.random.default_rng(completion_seed)
-        cands = None
-        for retry in range(3):
-            completion = crng.standard_normal((n + p, p - r))
-            try:
-                cands = _candidates(P0, P1, completion, str(completion_seed))
-                break
-            except NumericalFailure:
-                if retry == 2:
-                    raise
-        drops = []
-        boundary = []
-        near_infinity = []
-        for z in cands:
-            if abs(z) < 1.0 - margin:
-                continue
-            if abs(z) > far_cut:
-                near_infinity.append(complex(z))
-                continue
-            if rank(_pencil_at(P0, P1, z), verify_tol) < target:
-                drops.append(complex(z))
-                if abs(abs(z) - 1.0) <= margin:
-                    boundary.append(complex(z))
-        per_seed.append({
-            "completion_seed": completion_seed,
-            "candidates": [complex(z) for z in cands],
-            "verified_drops": drops,
-            "boundary_drops": boundary,
-            "near_infinity_candidates": near_infinity,
-        })
-        verdicts.append(not drops)
-    if verdicts[0] != verdicts[1]:
-        raise NumericalFailure(
-            "pencil completions disagree on condition (a): "
-            f"{per_seed[0]['verified_drops']} vs {per_seed[1]['verified_drops']}"
-        )
-    evidence = {
-        "normal_rank_probes": probes,
-        "normal_rank": max(probe_ranks),
+    S = np.block([[model.A, model.E], [model.C, model.F]])
+    cut = RankTolerance(ZERO_CUT_RELATIVE, tol.absolute_floor).threshold(S)
+    zeros, normal_rank = _invariant_zeros(model, cut)
+    drops = [complex(z) for z in zeros if abs(z) >= 1.0 - margin]
+    return not drops, {
+        "normal_rank": normal_rank,
         "target_rank": target,
-        "completions": per_seed,
+        "zeros": [complex(z) for z in zeros],
+        "drops": drops,
+        "boundary_drops": [z for z in drops if abs(abs(z) - 1.0) <= margin],
     }
-    return verdicts[0], evidence
 
 
 @dataclass(frozen=True)
@@ -238,7 +192,6 @@ class ExistenceReport:
 def exists_uio(
     model: StateSpaceModel,
     options: SynthesisOptions | None = None,
-    seed: int = 0,
 ) -> ExistenceReport:
     """Decide observer existence and cross-check against the design route.
 
@@ -250,7 +203,7 @@ def exists_uio(
     require_valid(model, opt.tol)
     b_ok, b_ev = condition_b(model, opt.tol)
     try:
-        a_ok, a_ev = condition_a(model, opt.tol, opt.schur_margin, seed)
+        a_ok, a_ev = condition_a(model, opt.tol, opt.schur_margin)
     except NormalRankDeficient as exc:
         a_ok, a_ev = False, {"reason": str(exc)}
     exists = a_ok and b_ok
@@ -295,11 +248,7 @@ def format_report(report: ExistenceReport) -> str:
             f"required rank(F) + r = {b_ev['required']}"
         ))
     a_ev = report.evidence.get("a", {})
-    drops = {
-        complex(z)
-        for comp in a_ev.get("completions", [])
-        for z in comp.get("verified_drops", [])
-    }
+    drops = a_ev.get("drops", [])
     if drops:
         pts = ", ".join(f"{z:.6g}" for z in sorted(drops, key=abs))
         lines.insert(1, f"  rank drops on/outside the unit circle: {pts}")

@@ -89,14 +89,20 @@ class RankTolerance:
     relative: float = _EPS
     absolute_floor: float = 0.0
 
+    def cutoff(self, shape, sigma_max: float) -> float:
+        """Cutoff for singular values of a matrix of ``shape``.
+
+        ``sigma_max`` is its largest singular value.  Every rank decision
+        in the package goes through this rule.
+        """
+        return max(max(shape) * self.relative * sigma_max, self.absolute_floor)
+
     def threshold(self, M: np.ndarray) -> float:
         """Effective cutoff for singular values of ``M``."""
         M = np.asarray(M)
         if M.size == 0:
             return self.absolute_floor
-        sigma_max = float(np.linalg.norm(M, 2))
-        cut = max(M.shape) * self.relative * sigma_max
-        return max(cut, self.absolute_floor)
+        return self.cutoff(M.shape, float(np.linalg.norm(M, 2)))
 
 
 DEFAULT_TOL = RankTolerance()
@@ -129,10 +135,7 @@ def rank(M, tol: RankTolerance = DEFAULT_TOL) -> int:
     if min(M.shape) == 0:
         return 0
     s = np.linalg.svd(M, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    cut = max(max(M.shape) * tol.relative * s[0], tol.absolute_floor)
-    return int(np.count_nonzero(s > cut))
+    return _rank_from_singular_values(s, M.shape, tol)
 
 
 def right_null_basis(M, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
@@ -167,8 +170,7 @@ def left_null_basis(M, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
 def _rank_from_singular_values(s, shape, tol: RankTolerance) -> int:
     if len(s) == 0 or s[0] == 0.0:
         return 0
-    cut = max(max(shape) * tol.relative * s[0], tol.absolute_floor)
-    return int(np.count_nonzero(s > cut))
+    return int(np.count_nonzero(s > tol.cutoff(shape, s[0])))
 
 
 def left_inverse(M, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:

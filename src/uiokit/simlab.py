@@ -28,12 +28,6 @@ from .datalog import Uniform, _resolve_vector, resolve_policy
 from .plant import StateSpaceModel, UioRealization, require_valid, step
 
 __all__ = [
-    "ConvergenceStats", "RunTrace", "Uniform", "check_error_recursion",
-    "convergence_stats", "exact_observer_init", "render_trace", "run",
-    "save_trace",
-]
-
-__all__ = [
     "RunTrace",
     "ConvergenceStats",
     "run",

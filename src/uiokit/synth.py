@@ -167,8 +167,6 @@ class SynthesisOptions:
     gain: "riccati" (default, deterministic) or "place" (needs ``poles``).
     poles: requested A_uio eigenvalues for the "place" gain; must be a
         conjugation-closed Schur multiset.
-    kernel_style: "orthonormal" (default) or "reduced-echelon" for an
-        echelon-normalized annihilator (cosmetic; same row space).
     placement_seed: seed for the randomized output-combination step of
         multi-output pole placement.
     """
@@ -177,7 +175,6 @@ class SynthesisOptions:
     poles: tuple | None = None
     tol: RankTolerance = DEFAULT_TOL
     schur_margin: float = SCHUR_MARGIN
-    kernel_style: str = "orthonormal"
     placement_seed: int = 0
 
 
@@ -200,33 +197,10 @@ class SynthesisDiagnostics:
     residuals: dict = field(default_factory=dict)
 
 
-def _reduced_echelon(rows: np.ndarray, zero_cut: float) -> np.ndarray:
-    """Gauss-Jordan with partial pivoting; pivots normalized to 1."""
-    M = rows.copy()
-    k, w = M.shape
-    row = 0
-    for col in range(w):
-        if row >= k:
-            break
-        piv = row + int(np.argmax(np.abs(M[row:, col])))
-        if abs(M[piv, col]) <= zero_cut:
-            continue
-        M[[row, piv]] = M[[piv, row]]
-        M[row] = M[row] / M[row, col]
-        others = [i for i in range(k) if i != row]
-        if others:
-            M[others] = M[others] - np.outer(M[others, col], M[row])
-        row += 1
-    scale = max(1.0, float(np.abs(M).max()) if M.size else 1.0)
-    M[np.abs(M) <= zero_cut * scale] = 0.0
-    return M
-
-
 def kernel_representation(
     G,
     dims,
     tol: RankTolerance = DEFAULT_TOL,
-    style: str = "orthonormal",
 ) -> KernelRep:
     """Kernel representation of the behaviour spanned by the columns of G.
 
@@ -243,11 +217,6 @@ def kernel_representation(
             f"window matrix must have {2 * (n + m + p)} rows, got {G.shape}"
         )
     basis = left_null_basis(G, tol)
-    if style == "reduced-echelon":
-        zero_cut = max(max(basis.shape), 1) * tol.relative
-        basis = _reduced_echelon(basis, zero_cut)
-    elif style != "orthonormal":
-        raise ValueError(f"unknown kernel style {style!r}")
 
     # Rank of the V_f block, decided against G itself rather than the
     # computed basis: each kernel direction visible in the x+ coordinates
@@ -365,8 +334,7 @@ def design_from_model(
     opt = options or SynthesisOptions()
     require_valid(model, opt.tol)
     ker = kernel_representation(
-        consistency_matrix(model), (model.n, model.m, model.p),
-        opt.tol, opt.kernel_style,
+        consistency_matrix(model), (model.n, model.m, model.p), opt.tol
     )
     return synthesize(ker, opt)
 
@@ -387,7 +355,7 @@ def design_from_data(
             raise ValueError(
                 f"declared dims {tuple(dims[:3])} do not match data widths {have}"
             )
-    ker = kernel_representation(blocks.Phi, have, opt.tol, opt.kernel_style)
+    ker = kernel_representation(blocks.Phi, have, opt.tol)
     return synthesize(ker, opt)
 
 

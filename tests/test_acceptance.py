@@ -269,7 +269,7 @@ def test_criterion_8_rank_and_constructive_verdicts_agree():
     for idx in range(total):
         model = _corpus_model(idx)
         assert not validate(model), f"corpus model {idx} invalid"
-        report = exists_uio(model, seed=idx)
+        report = exists_uio(model)
         positives += report.exists
         if not report.agreement:
             disagreements.append(

@@ -57,17 +57,6 @@ def test_kernel_reproduces_bundled_annihilator_row_space(ref_kernel):
     assert np.max(rowspace_angles(ker.matrix(), ref_kernel)) < 1e-8
 
 
-def test_kernel_reduced_echelon_style(ref_model, ref_kernel):
-    Gamma = consistency_matrix(ref_model)
-    ker = kernel_representation(Gamma, DIMS, style="reduced-echelon")
-    Psi = ker.matrix()
-    assert np.max(np.abs(Psi @ Gamma)) < 1e-9
-    assert np.max(rowspace_angles(Psi, ref_kernel)) < 1e-8
-    for row in Psi:  # pivot-normalized rows
-        nz = np.nonzero(np.abs(row) > 1e-9)[0]
-        assert row[nz[0]] == pytest.approx(1.0)
-
-
 def test_kernel_rejects_wrong_row_count():
     with pytest.raises(ValueError, match="rows"):
         kernel_representation(np.eye(10), DIMS)
