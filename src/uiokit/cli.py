@@ -164,8 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="gain construction (default riccati)")
     sp.add_argument("--poles", metavar="P1,P2,...",
                     help="requested A_uio eigenvalues for --gain place")
-    sp.add_argument("--seed", type=int, default=0,
-                    help="seed for the randomized placement reduction")
     sp.add_argument("--out", metavar="PATH",
                     help="write the observer JSON here (default: stdout)")
     _add_numeric_flags(sp)
@@ -232,10 +230,8 @@ def _cmd_design(args) -> int:
     poles = _parse_poles(args.poles) if args.poles is not None else None
     if args.gain == "place" and poles is None:
         raise CliError("--gain place requires --poles")
-    options = SynthesisOptions(
-        gain=args.gain, poles=poles, tol=tol,
-        schur_margin=args.schur_margin, placement_seed=args.seed,
-    )
+    options = SynthesisOptions(gain=args.gain, poles=poles, tol=tol,
+                               schur_margin=args.schur_margin)
     if args.from_model is not None:
         model = load_model(args.from_model, tol)
         uio, diag = design_from_model(model, options)

@@ -344,7 +344,7 @@ def compatible(window, blocks: DataBlocks,
         )
     if min(Phi.shape) == 0:
         return bool(np.linalg.norm(w) <= tol.absolute_floor)
-    U, s, _ = np.linalg.svd(Phi)
+    U, s, _ = np.linalg.svd(Phi, full_matrices=False)
     cut = tol.cutoff(Phi.shape, s[0])
     k = int(np.count_nonzero(s > cut))
     Q = U[:, :k]

@@ -218,7 +218,6 @@ def run_demo(
     options = SynthesisOptions(
         gain=gain,
         poles=fx.poles if gain == "place" else None,
-        placement_seed=seed,
     )
 
     # 1. Existence.

@@ -217,7 +217,7 @@ def exists_uio(
     except NoUio as exc:
         constructive_ok = False
         detail = f"design refused: {exc}"
-    except (numkit.NotObservable, numkit.PlacementFailed, NumericalFailure) as exc:
+    except (numkit.NotObservable, NumericalFailure) as exc:
         constructive_ok = False
         detail = f"design failed numerically: {exc}"
     return ExistenceReport(

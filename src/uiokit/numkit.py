@@ -12,8 +12,10 @@ their own margin: an eigenvalue is "stable" only if its modulus stays below
 
 The gain constructors (`stabilizing_gain`, `place_poles`) build output
 injections L for a pair (Abar, Cbar), i.e. they shape the spectrum of
-Abar + L @ Cbar.  Both verify their own output and raise instead of
-returning an unchecked gain.
+Abar + L @ Cbar.  Neither takes a seed or an iteration budget: the Riccati
+gain comes from one generalized-eigenvalue DARE solve, and placement draws
+its output combinations from one fixed generator.  Both verify their own
+output and raise instead of returning an unchecked gain.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import linear_sum_assignment
 
 __all__ = [
     "RankTolerance",
@@ -53,6 +54,11 @@ _EPS = float(np.finfo(float).eps)
 #: treated as not (safely) stable.
 SCHUR_MARGIN = 1e-9
 
+#: Multi-output placement: random reductions tried before giving up, and the
+#: matching distance within which a placed spectrum counts as verified.
+PLACEMENT_ATTEMPTS = 30
+PLACEMENT_TOL = 1e-6
+
 
 class NumericalFailure(RuntimeError):
     """A numerical routine could not certify its own result."""
@@ -63,7 +69,11 @@ class ColumnRankDeficient(ValueError):
 
 
 class NotDetectable(ValueError):
-    """(Abar, Cbar) has an unstable mode invisible from Cbar."""
+    """(Abar, Cbar) has unstable modes invisible from Cbar, listed in ``modes``."""
+
+    def __init__(self, modes):
+        super().__init__(f"undetectable unstable modes: {modes}")
+        self.modes = list(modes)
 
 
 class NotObservable(ValueError):
@@ -162,7 +172,9 @@ def left_null_basis(M, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
     M = _as_2d(M)
     if M.shape[1] == 0:
         return np.eye(M.shape[0])
-    U, s, _ = np.linalg.svd(M)
+    # The full U is needed only when M is tall; a wide M (e.g. a long
+    # recorded-window matrix) would otherwise build a huge unused V'.
+    U, s, _ = np.linalg.svd(M, full_matrices=M.shape[0] > M.shape[1])
     k = _rank_from_singular_values(s, M.shape, tol)
     return U[:, k:].T.copy()
 
@@ -220,6 +232,9 @@ def eig_assignment_error(eigenvalues, targets) -> float:
         raise ValueError("eigenvalue multisets must have equal size")
     if a.size == 0:
         return 0.0
+    # Imported here: scipy.optimize roughly doubles the package import time.
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
@@ -278,24 +293,23 @@ def stabilizing_gain(
     Cbar,
     tol: RankTolerance = DEFAULT_TOL,
     margin: float = SCHUR_MARGIN,
-    rel_tol: float = 1e-10,
-    max_iter: int = 10000,
 ) -> np.ndarray:
     """Output-injection gain L making ``Abar + L @ Cbar`` Schur.
 
-    Iterates the discrete Riccati difference equation with unit weights,
+    Solves the filter-form discrete algebraic Riccati equation with unit
+    weights,
 
-        P+ = Abar P Abar' - K (Cbar P Abar') + I,
-        K  = Abar P Cbar' (Cbar P Cbar' + I)^-1,
+        P = Abar P Abar' - Abar P Cbar' (Cbar P Cbar' + I)^-1 Cbar P Abar' + I,
 
-    until the iterate's relative change drops below ``rel_tol``, then returns
-    ``L = -K``.  Detectability of (Abar, Cbar) guarantees convergence to the
-    stabilizing solution; it is checked up front via the PBH test.
+    in one call to `scipy.linalg.solve_discrete_are` (generalized-eigenvalue
+    method), and returns ``L = -Abar P Cbar' (Cbar P Cbar' + I)^-1``.
+    Detectability of (Abar, Cbar) guarantees a stabilizing solution; it is
+    checked up front via the PBH test.
 
     Raises:
-        NotDetectable: if the PBH test fails.
-        NumericalFailure: if the iteration hits ``max_iter`` or the final
-            closed loop is not Schur.
+        NotDetectable: if the PBH test fails; ``exc.modes`` lists the modes.
+        NumericalFailure: if the Riccati solve diverges or the final closed
+            loop is not Schur.
     """
     Abar = _as_2d(Abar)
     Cbar = _as_2d(Cbar)
@@ -303,45 +317,28 @@ def stabilizing_gain(
     q = Cbar.shape[0]
     bad = undetectable_modes(Abar, Cbar, tol, margin)
     if bad:
-        raise NotDetectable(f"undetectable unstable modes: {bad}")
+        raise NotDetectable(bad)
     if n == 0:
         return np.zeros((0, q))
     if q == 0:
         # Nothing to inject; detectability already proved Abar is Schur.
         return np.zeros((n, 0))
 
-    def _gain(P: np.ndarray) -> np.ndarray:
-        G = Cbar @ P @ Cbar.T + np.eye(q)
-        return np.linalg.solve(G.T, (Abar @ P @ Cbar.T).T).T
-
-    P = np.eye(n)
-    for _ in range(max_iter):
-        with np.errstate(over="ignore", invalid="ignore"):
-            K = _gain(P)
-            P_next = Abar @ P @ Abar.T - K @ (Cbar @ P @ Abar.T) + np.eye(n)
-            P_next = 0.5 * (P_next + P_next.T)
-            step = np.linalg.norm(P_next - P)
-            bound = rel_tol * (1.0 + np.linalg.norm(P_next))
-        if not (np.isfinite(P_next).all() and np.isfinite(bound)):
-            # The iterate (or already its Frobenius norm) has left float64
-            # range, so there is no bounded fixed point to converge to.
-            # This happens for pairs that are detectable only marginally
-            # (or fed in with absurd scales); fail loudly instead of letting
-            # inf <= inf pass as convergence or a downstream solve throw a
-            # bare LinAlgError.
-            raise NumericalFailure(
-                "Riccati iteration diverged (non-finite iterate); the pair "
-                "is not stabilizable by output injection at this scale"
-            )
-        if step <= bound:
-            P = P_next
-            break
-        P = P_next
-    else:
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            P = scipy.linalg.solve_discrete_are(Abar.T, Cbar.T, np.eye(n), np.eye(q))
+        finite = bool(np.isfinite(P).all())
+    except (np.linalg.LinAlgError, ValueError):
+        finite = False
+    if not finite:
+        # Pairs that are detectable only marginally (or fed in with absurd
+        # scales) have no bounded stabilizing solution in float64.
         raise NumericalFailure(
-            f"Riccati iteration did not converge within {max_iter} steps"
+            "Riccati equation diverged; the pair is not stabilizable by "
+            "output injection at this scale"
         )
-    L = -_gain(P)
+    G = Cbar @ P @ Cbar.T + np.eye(q)
+    L = -np.linalg.solve(G.T, (Abar @ P @ Cbar.T).T).T
     closed = spectrum(Abar + L @ Cbar, margin)
     if not closed.is_schur:
         raise NumericalFailure(
@@ -369,18 +366,17 @@ def place_poles(
     Cbar,
     poles,
     tol: RankTolerance = DEFAULT_TOL,
-    seed: int = 0,
-    max_attempts: int = 30,
-    verify_tol: float = 1e-6,
 ) -> np.ndarray:
     """Output-injection gain L placing the spectrum of ``Abar + L @ Cbar``.
 
     ``poles`` must be a conjugation-closed multiset of n values.  The
     single-output case uses Ackermann's formula.  The multi-output case
-    reduces to it through a random (seeded) output combination ``v' Cbar``,
-    optionally after a preliminary random injection to make the pair cyclic,
-    and retries with fresh draws until the placed spectrum verifies against
-    the request within ``verify_tol`` (optimal-assignment matching).
+    reduces to it through a random output combination ``v' Cbar``, optionally
+    after a preliminary random injection to make the pair cyclic, and tries
+    up to `PLACEMENT_ATTEMPTS` draws until the placed spectrum verifies
+    against the request within `PLACEMENT_TOL` (optimal-assignment
+    matching).  The draws come from a generator with the fixed seed 0, so
+    the result is deterministic.
 
     Raises:
         NotObservable: if the observability rank test fails.
@@ -403,7 +399,7 @@ def place_poles(
 
     def _verified(L: np.ndarray) -> bool:
         ev = np.linalg.eigvals(Abar + L @ Cbar)
-        return eig_assignment_error(ev, poles) <= verify_tol
+        return eig_assignment_error(ev, poles) <= PLACEMENT_TOL
 
     # L = 0 needs no observability at all; accept it whenever the spectrum
     # already matches (this also sidesteps the eps**(1/k) eigenvalue
@@ -421,11 +417,11 @@ def place_poles(
             return L
         raise PlacementFailed("single-output Ackermann gain failed verification")
 
-    rng = np.random.default_rng(seed)
-    for attempt in range(max_attempts):
+    rng = np.random.default_rng(0)
+    for attempt in range(PLACEMENT_ATTEMPTS):
         # First sweep leaves Abar untouched; later sweeps add a random
         # preliminary injection so non-cyclic Abar still reduces.
-        if attempt < max(1, max_attempts // 3):
+        if attempt < PLACEMENT_ATTEMPTS // 3:
             L0 = np.zeros((n, q))
         else:
             L0 = 0.5 * rng.standard_normal((n, q))
@@ -438,9 +434,7 @@ def place_poles(
         L = L0 + np.outer(l_col, v)
         if _verified(L):
             return L
-    raise PlacementFailed(
-        f"no verified gain after {max_attempts} attempts (seed {seed})"
-    )
+    raise PlacementFailed(f"no verified gain after {PLACEMENT_ATTEMPTS} attempts")
 
 
 def rowspace_angles(A, B) -> np.ndarray:

@@ -44,6 +44,7 @@ import numpy as np
 from .numkit import (
     DEFAULT_TOL,
     SCHUR_MARGIN,
+    NotDetectable,
     RankTolerance,
     SpectrumReport,
     left_inverse,
@@ -164,18 +165,19 @@ class KernelRep:
 class SynthesisOptions:
     """Knobs for `synthesize` and the two design entry points.
 
-    gain: "riccati" (default, deterministic) or "place" (needs ``poles``).
+    gain: "riccati" (default) or "place" (needs ``poles``).  Both are
+        deterministic; neither takes a seed.
     poles: requested A_uio eigenvalues for the "place" gain; must be a
         conjugation-closed Schur multiset.
-    placement_seed: seed for the randomized output-combination step of
-        multi-output pole placement.
+    tol: rank-decision policy for every stage.
+    schur_margin: stability margin for the detectability test and the
+        Schur verdicts.
     """
 
     gain: str = "riccati"
     poles: tuple | None = None
     tol: RankTolerance = DEFAULT_TOL
     schur_margin: float = SCHUR_MARGIN
-    placement_seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -244,9 +246,10 @@ def synthesize(
 
     Pipeline: check rank(V_f) = n; build Omega_bar (Moore-Penrose left
     inverse) and Delta_f (orthonormal left annihilator); form the pair
-    (A_bar, C_bar); check PBH detectability; compute the gain (Riccati or
-    pole placement with negated pole requests — see module docstring); read
-    off the observer matrices.
+    (A_bar, C_bar); compute the gain (Riccati or pole placement with negated
+    pole requests — see module docstring); read off the observer matrices.
+    PBH detectability is decided once: by `stabilizing_gain` itself on the
+    Riccati path, before `place_poles` on the placement path.
 
     Raises:
         NoUio: with cause VF_RANK_DEFICIENT or NOT_DETECTABLE.
@@ -272,30 +275,32 @@ def synthesize(
     A_bar = Omega_bar @ ker.V_p
     C_bar = Delta_f @ ker.V_p
 
-    bad = undetectable_modes(A_bar, C_bar, opt.tol, opt.schur_margin)
-    if bad:
+    try:
+        if opt.gain == "riccati":
+            L = stabilizing_gain(A_bar, C_bar, opt.tol, opt.schur_margin)
+        elif opt.gain == "place":
+            bad = undetectable_modes(A_bar, C_bar, opt.tol, opt.schur_margin)
+            if bad:
+                raise NotDetectable(bad)
+            if opt.poles is None:
+                raise ValueError('gain "place" needs a pole multiset in options.poles')
+            poles = np.atleast_1d(np.asarray(opt.poles, dtype=complex))
+            if poles.size and np.max(np.abs(poles)) >= 1.0 - opt.schur_margin:
+                raise ValueError(
+                    "requested poles must be strictly inside the unit circle"
+                )
+            # The caller requests eigenvalues of A_uio = -(A_bar + L C_bar);
+            # place the negated set so the request is what comes out.
+            L = place_poles(A_bar, C_bar, -poles, opt.tol)
+        else:
+            raise ValueError(f"unknown gain method {opt.gain!r}")
+    except NotDetectable as exc:
         raise NoUio(
             NOT_DETECTABLE,
-            f"(A_bar, C_bar) has undetectable unstable modes {bad}",
-            evidence={"undetectable_modes": bad,
+            f"(A_bar, C_bar) has undetectable unstable modes {exc.modes}",
+            evidence={"undetectable_modes": exc.modes,
                       "A_bar_eigenvalues": np.linalg.eigvals(A_bar).tolist()},
-        )
-
-    if opt.gain == "riccati":
-        L = stabilizing_gain(A_bar, C_bar, opt.tol, opt.schur_margin)
-    elif opt.gain == "place":
-        if opt.poles is None:
-            raise ValueError('gain "place" needs a pole multiset in options.poles')
-        poles = np.atleast_1d(np.asarray(opt.poles, dtype=complex))
-        if poles.size and np.max(np.abs(poles)) >= 1.0 - opt.schur_margin:
-            raise ValueError(
-                "requested poles must be strictly inside the unit circle"
-            )
-        # The caller requests eigenvalues of A_uio = -(A_bar + L C_bar);
-        # place the negated set so the request is what comes out.
-        L = place_poles(A_bar, C_bar, -poles, opt.tol, seed=opt.placement_seed)
-    else:
-        raise ValueError(f"unknown gain method {opt.gain!r}")
+        ) from exc
 
     Omega = Omega_bar + L @ Delta_f
     A_star = -(Omega @ ker.V_p)

@@ -1,10 +1,15 @@
 """Command-line interface: exit codes, file round-trips, output contract."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import uiokit
 from uiokit.cli import main
 from uiokit.datalog import load_trajectory
 from uiokit.demo import (
@@ -104,6 +109,11 @@ def test_design_rejects_unstable_poles(model_file, capsys):
     assert main(["design", "--from-model", model_file, "--gain", "place",
                  "--poles", "0,0,1.5"]) == 4
     assert "error:" in capsys.readouterr().err
+
+
+def test_design_takes_no_seed(model_file, capsys):
+    assert main(["design", "--from-model", model_file, "--seed", "0"]) == 4
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_design_counterexample_prints_certificate(
@@ -357,3 +367,16 @@ def test_no_command_exits_4(capsys):
 
 def test_unknown_command_exits_4(capsys):
     assert main(["frobnicate"]) == 4
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize roughly doubles the import time every CLI call pays.
+    src = str(Path(uiokit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    code = "import sys, uiokit.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from uiokit import numkit, synth
 from uiokit.datalog import Uniform, build_blocks, collect
 from uiokit.numkit import eig_assignment_error, rank, right_null_basis, rowspace_angles
 from uiokit.plant import StateSpaceModel, UioRealization, consistency_matrix
@@ -127,6 +128,41 @@ def test_synthesize_rejects_unstable_pole_request(ref_kernel):
     options = SynthesisOptions(gain="place", poles=(0.0, 0.0, 1.5))
     with pytest.raises(ValueError, match="pole"):
         synthesize(KernelRep.from_matrix(ref_kernel, DIMS), options)
+
+
+def test_riccati_synthesis_runs_one_detectability_test(ref_kernel, monkeypatch):
+    calls = []
+    original = numkit.undetectable_modes
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(numkit, "undetectable_modes", counting)
+    monkeypatch.setattr(synth, "undetectable_modes", counting)
+    synthesize(KernelRep.from_matrix(ref_kernel, DIMS))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "options",
+    [SynthesisOptions(), SynthesisOptions(gain="place", poles=(0.1, 0.2))],
+    ids=["riccati", "place"],
+)
+def test_undetectable_pair_is_refused_on_both_gain_paths(options):
+    # The mode at 2 never reaches the output and no disturbance hides it.
+    model = StateSpaceModel(
+        A=np.diag([0.5, 2.0]), B=np.ones((2, 1)),
+        C=np.array([[1.0, 0.0]]), D=np.zeros((1, 1)),
+        E=np.zeros((2, 0)), F=np.zeros((1, 0)),
+    )
+    with pytest.raises(NoUio) as exc_info:
+        design_from_model(model, options)
+    assert exc_info.value.cause == NOT_DETECTABLE
+    evidence = exc_info.value.evidence
+    assert set(evidence) == {"undetectable_modes", "A_bar_eigenvalues"}
+    assert len(evidence["undetectable_modes"]) == 1
+    assert abs(abs(evidence["undetectable_modes"][0]) - 2.0) < 1e-9
 
 
 # ------------------------------------------------------- design routes
