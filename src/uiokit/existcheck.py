@@ -9,15 +9,12 @@ two model-level conditions hold:
 
 Condition (a) quantifies over infinitely many points, so it is decided
 through the invariant zeros of P, the only finite points where a pencil of
-normal rank n + r can lose rank.  They come from one deterministic
-orthogonal reduction (Emami-Naeini & Van Dooren 1982): the output rows
-that F does not reach pin part of the state to zero, so that part of the
-state and those rows are deflated, which lowers the rank of P(z) and its
-target by the same amount at every z.  Once F has full row rank, fewer
-than r remaining rows means P(z) is rank deficient everywhere; otherwise
-the remainder is square and its finite generalized eigenvalues are the
-zeros.  With p < r the target rank n + r already exceeds the row count and
-the verdict is immediately false.
+normal rank n + r can lose rank.  They come from `numkit.invariant_zeros`,
+one deterministic orthogonal reduction (Emami-Naeini & Van Dooren 1982),
+the same one that decides detectability and observability on the design
+route.  When fewer than r rows of F survive the reduction, P(z) is rank
+deficient everywhere.  With p < r the target rank n + r already exceeds
+the row count and the verdict is immediately false.
 
 `exists_uio` combines both conditions and cross-checks them against the
 constructive design route; a disagreement is reported as an
@@ -29,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .numkit import DEFAULT_TOL, SCHUR_MARGIN, NumericalFailure, RankTolerance, rank
+from .numkit import (DEFAULT_TOL, SCHUR_MARGIN, NumericalFailure, RankTolerance,
+                     invariant_zeros, rank)
 from .plant import StateSpaceModel, require_valid
 from .synth import NoUio, SynthesisOptions, design_from_model
 from . import numkit
@@ -44,13 +41,6 @@ __all__ = [
     "exists_uio",
     "format_report",
 ]
-
-#: Relative rank cutoff of the zero reduction, against the norm of
-#: S = [[A, E], [C, F]].  Every step leaves rounding residue in the blocks
-#: it rotates, and an eps-level cutoff counts that residue as rank, which
-#: couples a hidden mode back to the outputs and loses its zero.
-ZERO_CUT_RELATIVE = 1e-9
-
 
 class NormalRankDeficient(ValueError):
     """P(z) is rank deficient almost everywhere; condition (a) is false."""
@@ -91,53 +81,6 @@ def condition_b(
     }
 
 
-def _range_basis(M: np.ndarray, cut: float) -> tuple[np.ndarray, int]:
-    """Orthogonal U whose first k columns span the range of M, and k."""
-    U, s, _ = np.linalg.svd(M)
-    return U, int(np.count_nonzero(s > cut))
-
-
-def _invariant_zeros(
-    model: StateSpaceModel, cut: float
-) -> tuple[np.ndarray, int]:
-    """Finite zeros and normal rank of P(z), by the zero reduction.
-
-    Raises:
-        NormalRankDeficient: when the normal rank is below n + r.
-    """
-    A, E, C, F = model.A, model.E, model.C, model.F
-    while True:
-        U, held = _range_basis(F, cut)
-        C, F = U.T @ C, U.T @ F
-        if held == F.shape[0]:
-            break
-        # Rows from `held` on see no disturbance: they pin the state part
-        # `fixed` to zero, and its state equations become outputs of the
-        # part kept.
-        V, k = _range_basis(C[held:].T, cut)
-        fixed, kept = V[:, :k], V[:, k:]
-        A, E, C, F = (
-            kept.T @ A @ kept,
-            kept.T @ E,
-            np.vstack([fixed.T @ A @ kept, C[:held] @ kept]),
-            np.vstack([fixed.T @ E, F[:held]]),
-        )
-    rows = F.shape[0]
-    normal_rank = model.n + rows
-    if rows < model.r:
-        raise NormalRankDeficient(
-            f"normal rank of P(z) is {normal_rank} < {model.n + model.r}; "
-            "the pencil is rank deficient everywhere"
-        )
-    # F is now square and invertible, so the pencil has r infinite zeros.
-    # Deflate them: on the kernel K of [C, F] it reduces to
-    # z * K_x - [A, E] @ K, where K_x, the state rows of K, is invertible.
-    V, _ = _range_basis(np.hstack([C, F]).T, cut)
-    K = V[:, rows:]
-    zeros = scipy.linalg.eigvals(np.hstack([A, E]) @ K, K[:A.shape[0]])
-    return zeros[np.isfinite(zeros)], normal_rank
-
-
 def condition_a(
     model: StateSpaceModel,
     tol: RankTolerance = DEFAULT_TOL,
@@ -149,7 +92,7 @@ def condition_a(
     ranks, the invariant zeros, and as ``drops`` those with modulus
     >= 1 - margin.  Zeros within ``margin`` of the unit circle also appear
     in ``boundary_drops``: boundary zeros fail conservatively.  The rank
-    cutoff is `ZERO_CUT_RELATIVE`, so ``tol`` contributes only its
+    cutoff is `numkit.ZERO_CUT_RELATIVE`, so ``tol`` contributes only its
     absolute floor.
 
     Raises:
@@ -163,9 +106,13 @@ def condition_a(
             "reason": f"p = {p} < r = {r}: rank {target} exceeds the "
                       f"{n + p} rows of P(z)",
         }
-    S = np.block([[model.A, model.E], [model.C, model.F]])
-    cut = RankTolerance(ZERO_CUT_RELATIVE, tol.absolute_floor).threshold(S)
-    zeros, normal_rank = _invariant_zeros(model, cut)
+    zeros, rows = invariant_zeros(model.A, model.E, model.C, model.F, tol)
+    normal_rank = n + rows
+    if rows < r:
+        raise NormalRankDeficient(
+            f"normal rank of P(z) is {normal_rank} < {target}; "
+            "the pencil is rank deficient everywhere"
+        )
     drops = [complex(z) for z in zeros if abs(z) >= 1.0 - margin]
     return not drops, {
         "normal_rank": normal_rank,

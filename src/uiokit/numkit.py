@@ -10,6 +10,11 @@ optionally floored by an absolute threshold.  Schur/stability decisions carry
 their own margin: an eigenvalue is "stable" only if its modulus stays below
 1 - margin.
 
+Where a pencil loses rank is decided once, by `invariant_zeros` with the
+fixed relative cutoff `ZERO_CUT_RELATIVE`: condition (a) of `existcheck`,
+and, with no disturbance, the unobservable modes that decide detectability
+(`undetectable_modes`) and observability (`place_poles`).
+
 The gain constructors (`stabilizing_gain`, `place_poles`) build output
 injections L for a pair (Abar, Cbar), i.e. they shape the spectrum of
 Abar + L @ Cbar.  Neither takes a seed or an iteration budget: the Riccati
@@ -41,7 +46,8 @@ __all__ = [
     "left_inverse",
     "spectrum",
     "eig_assignment_error",
-    "pbh_detectable",
+    "ZERO_CUT_RELATIVE",
+    "invariant_zeros",
     "undetectable_modes",
     "stabilizing_gain",
     "place_poles",
@@ -53,6 +59,12 @@ _EPS = float(np.finfo(float).eps)
 #: Default stability margin: eigenvalues with modulus >= 1 - SCHUR_MARGIN are
 #: treated as not (safely) stable.
 SCHUR_MARGIN = 1e-9
+
+#: Relative rank cutoff of the zero reduction, against the norm of
+#: S = [[A, E], [C, F]].  Every step leaves rounding residue in the blocks
+#: it rotates, and an eps-level cutoff counts that residue as rank, which
+#: couples a hidden mode back to the outputs and loses its zero.
+ZERO_CUT_RELATIVE = 1e-9
 
 #: Multi-output placement: random reductions tried before giving up, and the
 #: matching distance within which a placed spectrum counts as verified.
@@ -77,7 +89,7 @@ class NotDetectable(ValueError):
 
 
 class NotObservable(ValueError):
-    """(Abar, Cbar) fails the observability rank test."""
+    """(Abar, Cbar) has unobservable modes."""
 
 
 class PlacementFailed(NumericalFailure):
@@ -240,14 +252,54 @@ def eig_assignment_error(eigenvalues, targets) -> float:
     return float(cost[rows, cols].max())
 
 
-def _observability_matrix(Abar: np.ndarray, Cbar: np.ndarray) -> np.ndarray:
-    n = Abar.shape[0]
-    blocks = []
-    Ak = np.eye(n)
-    for _ in range(n):
-        blocks.append(Cbar @ Ak)
-        Ak = Ak @ Abar
-    return np.vstack(blocks) if blocks else np.zeros((0, n))
+def _range_basis(M: np.ndarray, cut: float) -> tuple[np.ndarray, int]:
+    """Orthogonal U whose first k columns span the range of M, and k."""
+    U, s, _ = np.linalg.svd(M)
+    return U, int(np.count_nonzero(s > cut))
+
+
+def invariant_zeros(
+    A, E, C, F, tol: RankTolerance = DEFAULT_TOL
+) -> tuple[np.ndarray, int]:
+    """Finite zeros of P(z) = [[z*I - A, -E], [C, F]], and the rows F keeps.
+
+    One orthogonal reduction (Emami-Naeini & Van Dooren 1982): the output
+    rows F does not reach pin part of the state to zero, and that part and
+    those rows are deflated until F has full row rank.  The rank cutoff is
+    `ZERO_CUT_RELATIVE` against S = [[A, E], [C, F]], floored by
+    ``tol.absolute_floor``.  P has normal rank n + rows; with rows below
+    the r columns of F it is rank deficient everywhere and no zeros are
+    returned.  With r = 0 the zeros are the unobservable modes of (A, C).
+    """
+    A, E, C, F = (_as_2d(M) for M in (A, E, C, F))
+    S = np.block([[A, E], [C, F]])
+    cut = RankTolerance(ZERO_CUT_RELATIVE, tol.absolute_floor).threshold(S)
+    while True:
+        U, held = _range_basis(F, cut)
+        C, F = U.T @ C, U.T @ F
+        if held == F.shape[0]:
+            break
+        # Rows from `held` on see no disturbance: they pin the state part
+        # `fixed` to zero, and its state equations become outputs of the
+        # part kept.
+        V, k = _range_basis(C[held:].T, cut)
+        fixed, kept = V[:, :k], V[:, k:]
+        A, E, C, F = (
+            kept.T @ A @ kept,
+            kept.T @ E,
+            np.vstack([fixed.T @ A @ kept, C[:held] @ kept]),
+            np.vstack([fixed.T @ E, F[:held]]),
+        )
+    rows = F.shape[0]
+    if rows < F.shape[1]:
+        return np.zeros(0, dtype=complex), rows
+    # F is now square and invertible, so the pencil has r infinite zeros.
+    # Deflate them: on the kernel K of [C, F] it reduces to
+    # z * K_x - [A, E] @ K, where K_x, the state rows of K, is invertible.
+    V, _ = _range_basis(np.hstack([C, F]).T, cut)
+    K = V[:, rows:]
+    zeros = scipy.linalg.eigvals(np.hstack([A, E]) @ K, K[:A.shape[0]])
+    return zeros[np.isfinite(zeros)], rows
 
 
 def undetectable_modes(
@@ -256,36 +308,20 @@ def undetectable_modes(
     tol: RankTolerance = DEFAULT_TOL,
     margin: float = SCHUR_MARGIN,
 ) -> list[complex]:
-    """Eigenvalues of Abar that defeat the PBH detectability test.
+    """Unobservable modes of (Abar, Cbar) with modulus >= 1 - margin.
 
-    An eigenvalue lam with ``|lam| >= 1 - margin`` is returned when
-    ``[lam*I - Abar; Cbar]`` drops below full column rank.
+    They are the zeros of `invariant_zeros` with no disturbance, so ``tol``
+    gives only the absolute floor, and a Cbar below
+    1e-9 * ||[Abar; Cbar]|| counts as zero, as in condition (a).
     """
     Abar = _as_2d(Abar)
     Cbar = _as_2d(Cbar)
     n = Abar.shape[0]
     if Abar.shape[1] != n or Cbar.shape[1] != n:
         raise ValueError("Abar must be square and Cbar must have n columns")
-    if n == 0:
-        return []
-    bad: list[complex] = []
-    for lam in np.linalg.eigvals(Abar):
-        if abs(lam) < 1.0 - margin:
-            continue
-        pencil = np.vstack([lam * np.eye(n) - Abar, Cbar.astype(complex)])
-        if rank(pencil, tol) < n:
-            bad.append(complex(lam))
-    return bad
-
-
-def pbh_detectable(
-    Abar,
-    Cbar,
-    tol: RankTolerance = DEFAULT_TOL,
-    margin: float = SCHUR_MARGIN,
-) -> bool:
-    """True iff every unstable mode of Abar is visible from Cbar (PBH test)."""
-    return not undetectable_modes(Abar, Cbar, tol, margin)
+    zeros, _ = invariant_zeros(Abar, np.zeros((n, 0)), Cbar,
+                               np.zeros((len(Cbar), 0)), tol)
+    return [complex(z) for z in zeros if abs(z) >= 1.0 - margin]
 
 
 def stabilizing_gain(
@@ -304,10 +340,10 @@ def stabilizing_gain(
     in one call to `scipy.linalg.solve_discrete_are` (generalized-eigenvalue
     method), and returns ``L = -Abar P Cbar' (Cbar P Cbar' + I)^-1``.
     Detectability of (Abar, Cbar) guarantees a stabilizing solution; it is
-    checked up front via the PBH test.
+    checked up front by `undetectable_modes`.
 
     Raises:
-        NotDetectable: if the PBH test fails; ``exc.modes`` lists the modes.
+        NotDetectable: for undetectable modes, listed in ``exc.modes``.
         NumericalFailure: if the Riccati solve diverges or the final closed
             loop is not Schur.
     """
@@ -349,16 +385,23 @@ def stabilizing_gain(
 
 
 def _ackermann(Abar: np.ndarray, c_row: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Single-output Ackermann gain: ``Abar + l @ c_row`` gets char poly coeffs."""
+    """Single-output Ackermann gain: ``Abar + l @ c_row`` gets char poly coeffs.
+
+    The gain is non-finite if (Abar, c_row) is unobservable or powers overflow.
+    """
     n = Abar.shape[0]
     phi = np.zeros((n, n))
     Ak = np.eye(n)
-    for a in coeffs[::-1]:
-        phi = phi + a * Ak
-        Ak = Ak @ Abar
-    obs = np.vstack([c_row @ np.linalg.matrix_power(Abar, i) for i in range(n)])
-    w = np.linalg.solve(obs, np.eye(n)[:, -1])
-    return -(phi @ w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in coeffs[::-1]:
+            phi = phi + a * Ak
+            Ak = Ak @ Abar
+        obs = np.vstack([c_row @ np.linalg.matrix_power(Abar, i) for i in range(n)])
+        try:
+            w = np.linalg.solve(obs, np.eye(n)[:, -1])
+        except np.linalg.LinAlgError:
+            return np.full(n, np.nan)
+        return -(phi @ w)
 
 
 def place_poles(
@@ -379,7 +422,7 @@ def place_poles(
     the result is deterministic.
 
     Raises:
-        NotObservable: if the observability rank test fails.
+        NotObservable: if (Abar, Cbar) has an unobservable mode.
         ValueError: if ``poles`` is not conjugation-closed or has wrong size.
         PlacementFailed: if no attempt produces a verified gain.
     """
@@ -398,7 +441,11 @@ def place_poles(
         return np.zeros((0, q))
 
     def _verified(L: np.ndarray) -> bool:
-        ev = np.linalg.eigvals(Abar + L @ Cbar)
+        with np.errstate(over="ignore", invalid="ignore"):
+            closed = Abar + L @ Cbar
+        if not np.isfinite(closed).all():
+            return False
+        ev = np.linalg.eigvals(closed)
         return eig_assignment_error(ev, poles) <= PLACEMENT_TOL
 
     # L = 0 needs no observability at all; accept it whenever the spectrum
@@ -408,8 +455,10 @@ def place_poles(
     if _verified(zero):
         return zero
 
-    if rank(_observability_matrix(Abar, Cbar), tol) < n:
-        raise NotObservable("observability matrix is rank deficient")
+    # margin 1 counts every mode as unstable: detectable becomes observable.
+    modes = undetectable_modes(Abar, Cbar, tol, margin=1.0)
+    if modes:
+        raise NotObservable(f"unobservable modes: {modes}")
 
     if q == 1:
         L = _ackermann(Abar, Cbar[0], coeffs).reshape(n, 1)
@@ -426,12 +475,8 @@ def place_poles(
         else:
             L0 = 0.5 * rng.standard_normal((n, q))
         v = rng.standard_normal(q)
-        A0 = Abar + L0 @ Cbar
-        c_row = v @ Cbar
-        if rank(_observability_matrix(A0, c_row.reshape(1, n)), tol) < n:
-            continue
-        l_col = _ackermann(A0, c_row, coeffs)
-        L = L0 + np.outer(l_col, v)
+        # A draw whose output combination misses a mode fails verification.
+        L = L0 + np.outer(_ackermann(Abar + L0 @ Cbar, v @ Cbar, coeffs), v)
         if _verified(L):
             return L
     raise PlacementFailed(f"no verified gain after {PLACEMENT_ATTEMPTS} attempts")

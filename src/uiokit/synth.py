@@ -223,7 +223,8 @@ def kernel_representation(
     # Rank of the V_f block, decided against G itself rather than the
     # computed basis: each kernel direction visible in the x+ coordinates
     # adds exactly one rank unit when the (scaled) x+ selectors are appended
-    # to G, so rank(V_f) = rank([G, S]) - rank(G).  A basis of the kernel of
+    # to G, so rank(V_f) = rank([G, S]) - rank(G), where rank(G) is the
+    # row count minus the kernel dimension.  A basis of the kernel of
     # a badly scaled G (unstable plants reach ~1e4 within a few samples) is
     # only accurate to eps * sigma_max / sigma_min_kept, and that leakage
     # can lift a truly deficient V_f block to full numerical rank; the
@@ -233,7 +234,8 @@ def kernel_representation(
     g_scale = float(np.linalg.norm(G, 2)) if G.size else 0.0
     if g_scale > 0.0:
         selector *= g_scale
-    rank_vf = rank(np.hstack([G, selector]), tol) - rank(G, tol) if n else 0
+    rank_g = G.shape[0] - basis.shape[0]
+    rank_vf = rank(np.hstack([G, selector]), tol) - rank_g if n else 0
 
     rep = KernelRep.from_matrix(basis, (n, m, p))
     return replace(rep, rank_V_f=rank_vf)
@@ -248,8 +250,9 @@ def synthesize(
     inverse) and Delta_f (orthonormal left annihilator); form the pair
     (A_bar, C_bar); compute the gain (Riccati or pole placement with negated
     pole requests — see module docstring); read off the observer matrices.
-    PBH detectability is decided once: by `stabilizing_gain` itself on the
-    Riccati path, before `place_poles` on the placement path.
+    Detectability is decided once: by `stabilizing_gain` itself on the
+    Riccati path, by `undetectable_modes` before `place_poles` on the
+    placement path.
 
     Raises:
         NoUio: with cause VF_RANK_DEFICIENT or NOT_DETECTABLE.

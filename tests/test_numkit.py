@@ -9,16 +9,17 @@ from uiokit.numkit import (
     NotDetectable,
     NotObservable,
     NumericalFailure,
+    PlacementFailed,
     eig_assignment_error,
     left_inverse,
     left_null_basis,
-    pbh_detectable,
     place_poles,
     rank,
     right_null_basis,
     rowspace_angles,
     spectrum,
     stabilizing_gain,
+    undetectable_modes,
 )
 from uiokit.synth import KernelRep
 
@@ -164,16 +165,41 @@ def test_eig_assignment_error_is_permutation_invariant():
 
 
 def test_pbh_schur_matrix_needs_no_output():
-    assert pbh_detectable(np.diag([0.5, -0.3]), np.zeros((1, 2)))
+    assert undetectable_modes(np.diag([0.5, -0.3]), np.zeros((1, 2))) == []
 
 
 def test_pbh_unstable_unobserved_mode():
-    assert not pbh_detectable(np.array([[2.0]]), np.zeros((1, 1)))
+    modes = undetectable_modes(np.array([[2.0]]), np.zeros((1, 1)))
+    assert len(modes) == 1 and abs(modes[0] - 2.0) < 1e-12
 
 
 def test_pbh_bundled_pair(ref_intermediates):
-    assert pbh_detectable(ref_intermediates["A_bar"],
-                          ref_intermediates["C_bar"])
+    assert undetectable_modes(ref_intermediates["A_bar"],
+                              ref_intermediates["C_bar"]) == []
+
+
+def _hidden_mode_pair(seed, n=40, q=5):
+    # Mode 1.3 in a random orthogonal basis: the last state of the block
+    # form is driven only by itself and never reaches the output.
+    rng = np.random.default_rng(seed)
+    A = 0.35 * rng.standard_normal((n, n))
+    A[:, -1] = 0.0
+    A[-1, -1] = 1.3
+    C = rng.standard_normal((q, n))
+    C[:, -1] = 0.0
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return Q @ A @ Q.T, C @ Q.T
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_hidden_unstable_mode_in_rotated_basis(seed):
+    A, C = _hidden_mode_pair(seed)
+    modes = undetectable_modes(A, C)
+    assert len(modes) == 1
+    assert abs(modes[0] - 1.3) < 1e-6
+    with pytest.raises(NotDetectable) as exc_info:
+        stabilizing_gain(A, C)
+    assert len(exc_info.value.modes) == 1
 
 
 # ---------------------------------------------------- stabilizing gain
@@ -209,17 +235,18 @@ def test_stabilizing_gain_weakly_observed_unit_mode():
 
 
 def test_stabilizing_gain_requires_detectability():
-    with pytest.raises(NotDetectable):
-        stabilizing_gain(np.array([[2.0]]), np.zeros((1, 1)))
+    # An output map below the zero cut at A's scale sees nothing.
+    for c in (0.0, 1e-200):
+        with pytest.raises(NotDetectable):
+            stabilizing_gain(np.array([[2.0]]), np.array([[c]]))
 
 
 def test_stabilizing_gain_reports_divergence():
-    # A pair that clears the PBH test only through a vanishing output map
-    # cannot actually be stabilized in float64: the Riccati iterate blows
-    # up.  That must surface as a NumericalFailure with a message, never
-    # as a bare linear-algebra crash from a downstream solve.
+    # A detectable pair at an absurd scale has no Riccati solution in
+    # float64.  That must surface as a NumericalFailure with a message,
+    # never as a bare linear-algebra crash from a downstream solve.
     with pytest.raises(NumericalFailure, match="diverged"):
-        stabilizing_gain(np.array([[2.0]]), np.array([[1e-200]]))
+        stabilizing_gain(np.array([[1e80]]), np.array([[1e72]]))
 
 
 @pytest.mark.parametrize("seed", range(100))
@@ -262,6 +289,23 @@ def test_place_poles_bundled_pair(ref_intermediates):
 def test_place_poles_unobservable_pair():
     with pytest.raises(NotObservable):
         place_poles(np.diag([1.0, 2.0]), np.array([[1.0, 0.0]]), [0.1, 0.2])
+
+
+def test_place_poles_large_observable_pair_is_not_called_unobservable():
+    # Powers of this A span ~150 decades, so an observability matrix built
+    # from them looks rank deficient; the pair is observable all the same.
+    # NotObservable or a bare LinAlgError escaping fails the test.
+    rng = np.random.default_rng(0)
+    n = 60
+    A = 40.0 * rng.standard_normal((n, n))
+    C = rng.standard_normal((1, n))
+    poles = np.linspace(-0.5, 0.5, n)
+    try:
+        L = place_poles(A, C, poles)
+    except PlacementFailed:
+        return  # Ackermann's formula itself may not survive this scale
+    got = np.linalg.eigvals(A + L @ C)
+    assert eig_assignment_error(got, poles.astype(complex)) < 1e-6
 
 
 @pytest.mark.parametrize("seed", range(100))
