@@ -22,19 +22,19 @@ reported together with a warning instead.
 
 File format: delimited text with header ``t,x_1..x_n,u_1..u_m,y_1..y_p``
 plus optional ``d_1..d_r`` columns, one row per sample, t ascending from 0,
-values printed with 12 significant digits.
+values printed as shortest round-trip decimals (``repr`` of the float), so
+loading a file gives back the recorded samples bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .numkit import DEFAULT_TOL, RankTolerance, rank
-from .plant import StateSpaceModel, require_valid, step
+from .plant import StateSpaceModel, _simulate, require_valid
 
 __all__ = [
     "Uniform",
@@ -204,13 +204,7 @@ def collect(
     u_seq = resolve_policy(input_policy, T, model.m, rng, "input sequence")
     d_seq = resolve_policy(disturbance_policy, T, model.r, rng,
                            "disturbance sequence")
-    x_seq = np.zeros((T, model.n))
-    y_seq = np.zeros((T, model.p))
-    x = x0
-    for t in range(T):
-        x_seq[t] = x
-        x_next, y_seq[t] = step(model, x, u_seq[t], d_seq[t])
-        x = x_next
+    x_seq, y_seq = _simulate(model, x0, u_seq, d_seq)
     return HistoricalData(x=x_seq, u=u_seq, y=y_seq, d=d_seq)
 
 
@@ -355,13 +349,25 @@ def compatible(window, blocks: DataBlocks,
 # --------------------------------------------------------------------------
 # Trajectory files.
 
-def _cell(v) -> str:
-    # Shortest decimal string that parses back to the identical float.  The
-    # file is the data of record for the synthesis route, and the kernel
-    # computation is only meaningful when reading a file back reproduces the
-    # recorded samples bit for bit; 12-digit rounding would lift the trailing
-    # singular values of the block matrix and destroy its rank structure.
-    return repr(float(v))
+def _render_rows(header: list[str], blocks) -> str:
+    """CSV text: the header, then one line per sample t holding t and row t
+    of the time-major ``blocks`` side by side.
+
+    Values are written with ``repr``: the shortest decimal string that parses
+    back to the identical float.  The file is the data of record for the
+    synthesis route, and the kernel computation is only meaningful when
+    reading a file back reproduces the recorded samples bit for bit; 12-digit
+    rounding would lift the trailing singular values of the block matrix and
+    destroy its rank structure.  No field needs CSV quoting, so the text
+    equals what ``csv.writer`` writes.  Rows go through ``tolist()`` one at
+    a time: the whole matrix as Python floats would take four times its
+    memory.
+    """
+    lines = [",".join(header)]
+    for t, row in enumerate(np.hstack(blocks)):
+        lines.append(",".join([str(t), *map(repr, row.tolist())]))
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _header(n: int, m: int, p: int, r: int | None) -> list[str]:
@@ -384,18 +390,8 @@ def render_trajectory(data: HistoricalData) -> str:
     """Trajectory file contents as a string (used by file and stdout paths)."""
     n, m, p = data.x.shape[1], data.u.shape[1], data.y.shape[1]
     r = data.d.shape[1] if data.d is not None else None
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_header(n, m, p, r))
-    for t in range(data.T):
-        row = [str(t)]
-        row += [_cell(v) for v in data.x[t]]
-        row += [_cell(v) for v in data.u[t]]
-        row += [_cell(v) for v in data.y[t]]
-        if r is not None:
-            row += [_cell(v) for v in data.d[t]]
-        writer.writerow(row)
-    return buf.getvalue()
+    blocks = [data.x, data.u, data.y] + ([data.d] if r is not None else [])
+    return _render_rows(_header(n, m, p, r), blocks)
 
 
 def _split_header(fields: list[str]) -> tuple[int, int, int, int | None]:
@@ -439,30 +435,33 @@ def load_trajectory(path) -> HistoricalData:
         raise TrajectoryFormatError("empty trajectory file")
     n, m, p, r = _split_header(rows[0])
     width = 1 + n + m + p + (r or 0)
-    T = len(rows) - 1
-    if T < 1:
+    body = rows[1:]
+    if not body:
         raise TrajectoryFormatError("no data rows")
-    x = np.zeros((T, n))
-    u = np.zeros((T, m))
-    y = np.zeros((T, p))
-    d = np.zeros((T, r)) if r is not None else None
-    for t, row in enumerate(rows[1:]):
+    for t, row in enumerate(body):
         if len(row) != width:
             raise TrajectoryFormatError(
                 f"row {t}: expected {width} fields, got {len(row)}"
             )
-        try:
-            vals = [float(v) for v in row]
-        except ValueError as exc:
-            raise TrajectoryFormatError(f"row {t}: non-numeric field") from exc
-        if int(vals[0]) != t or vals[0] != int(vals[0]):
-            raise TrajectoryFormatError(
-                f"row {t}: t must ascend from 0, got {row[0]!r}"
-            )
-        ofs = 1
-        x[t] = vals[ofs:ofs + n]; ofs += n
-        u[t] = vals[ofs:ofs + m]; ofs += m
-        y[t] = vals[ofs:ofs + p]; ofs += p
-        if d is not None:
-            d[t] = vals[ofs:ofs + r]
-    return HistoricalData(x=x, u=u, y=y, d=d)
+    # One conversion for the whole body; it parses each field as float() does.
+    try:
+        vals = np.array(body, dtype=float)
+    except ValueError:
+        for t, row in enumerate(body):
+            try:
+                np.array(row, dtype=float)
+            except ValueError as exc:
+                raise TrajectoryFormatError(
+                    f"row {t}: non-numeric field"
+                ) from exc
+        raise
+    bad_t = np.flatnonzero(vals[:, 0] != np.arange(len(body)))
+    if bad_t.size:
+        t = int(bad_t[0])
+        raise TrajectoryFormatError(
+            f"row {t}: t must ascend from 0, got {body[t][0]!r}"
+        )
+    # Copies keep each block contiguous and let the parsed body go.
+    x, u, y, d = (b.copy() for b in
+                  np.split(vals[:, 1:], [n, n + m, n + m + p], axis=1))
+    return HistoricalData(x=x, u=u, y=y, d=d if r is not None else None)

@@ -181,14 +181,19 @@ def left_null_basis(M, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
     Returns a ``(rows - rank) x rows`` matrix N with orthonormal rows and
     ``N @ M ~= 0``.  A zero-column input yields the identity.
     """
+    return _left_null_svd(M, tol)[0]
+
+
+def _left_null_svd(M, tol: RankTolerance) -> tuple[np.ndarray, np.ndarray]:
+    """`left_null_basis` of M together with the singular values of M."""
     M = _as_2d(M)
     if M.shape[1] == 0:
-        return np.eye(M.shape[0])
+        return np.eye(M.shape[0]), np.zeros(0)
     # The full U is needed only when M is tall; a wide M (e.g. a long
     # recorded-window matrix) would otherwise build a huge unused V'.
     U, s, _ = np.linalg.svd(M, full_matrices=M.shape[0] > M.shape[1])
     k = _rank_from_singular_values(s, M.shape, tol)
-    return U[:, k:].T.copy()
+    return U[:, k:].T.copy(), s
 
 
 def _rank_from_singular_values(s, shape, tol: RankTolerance) -> int:
@@ -244,12 +249,45 @@ def eig_assignment_error(eigenvalues, targets) -> float:
         raise ValueError("eigenvalue multisets must have equal size")
     if a.size == 0:
         return 0.0
-    # Imported here: scipy.optimize roughly doubles the package import time.
-    from scipy.optimize import linear_sum_assignment
-
     cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    if not np.isfinite(cost).all():
+        raise ValueError("eigenvalues must be finite")
+    return float(cost[_min_cost_matching(cost), np.arange(a.size)].max())
+
+
+def _min_cost_matching(cost: np.ndarray) -> np.ndarray:
+    """Row matched to each column by a minimum-sum perfect matching.
+
+    Shortest augmenting paths with dual potentials (the Hungarian method),
+    O(n^3) for a square, finite ``cost``.  Index 0 of the work arrays is a
+    virtual column that holds the row being inserted.
+    """
+    n = cost.shape[0]
+    u = np.zeros(n + 1)                 # row potentials, rows 1..n
+    v = np.zeros(n + 1)                 # column potentials
+    owner = np.zeros(n + 1, dtype=int)  # row matched to each column, 0: none
+    way = np.zeros(n + 1, dtype=int)    # previous column on the shortest path
+    for i in range(1, n + 1):
+        owner[0] = i
+        j = 0
+        slack = np.full(n + 1, np.inf)
+        done = np.zeros(n + 1, dtype=bool)
+        while owner[j]:
+            done[j] = True
+            reduced = cost[owner[j] - 1] - u[owner[j]] - v[1:]
+            closer = ~done[1:] & (reduced < slack[1:])
+            slack[1:][closer] = reduced[closer]
+            way[1:][closer] = j
+            nxt = 1 + int(np.argmin(np.where(done[1:], np.inf, slack[1:])))
+            delta = slack[nxt]
+            u[owner[done]] += delta
+            v[done] -= delta
+            slack[~done] -= delta
+            j = nxt
+        while j:
+            owner[j] = owner[way[j]]
+            j = way[j]
+    return owner[1:] - 1
 
 
 def _range_basis(M: np.ndarray, cut: float) -> tuple[np.ndarray, int]:

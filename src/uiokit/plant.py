@@ -15,6 +15,11 @@ no effect at all and should be removed first (see `reduce_disturbance`).
 every stacked one-step window (x, x+, u, u+, y, y+) the plant can generate;
 it is the bridge between the model-based and the data-based design routes.
 
+`step` advances one sample with full input checks.  Whole horizons
+(`datalog.collect`, `simlab.run`) go through one private state recursion
+instead, x(t+1) = A x(t) + w(t) with w formed for every t in one matrix
+product, and validate their inputs once.
+
 An observer produced by the design pipeline is packaged as
 `UioRealization`; its recursion and output map read
 
@@ -209,6 +214,34 @@ def step(model: StateSpaceModel, x, u, d) -> tuple[np.ndarray, np.ndarray]:
     x_next = model.A @ x + model.B @ u + model.E @ d
     y = model.C @ x + model.D @ u + model.F @ d
     return x_next, y
+
+
+def _recursion(A: np.ndarray, x0: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """States x(0), ..., x(T-1) of x(t+1) = A x(t) + w(t), time-major.
+
+    Row t of ``W`` (shape (T, n)) is w(t); its last row would only feed
+    x(T) and is unused.  Nothing is validated: callers check shapes once.
+    """
+    X = np.empty_like(W)
+    X[0] = x0
+    X[1:] = W[:-1]
+    rows = list(X)
+    for prev, nxt in zip(rows, rows[1:]):
+        nxt += A @ prev
+    return X
+
+
+def _simulate(model: StateSpaceModel, x0: np.ndarray, u: np.ndarray,
+              d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Time-major states and outputs driven by input u and disturbance d.
+
+    The whole-array form of `step`: w = B u + E d for every t in one matrix
+    product, one `_recursion` for x, and y = C x + D u + F d in one more.
+    """
+    W = np.hstack([u, d]) @ np.hstack([model.B, model.E]).T
+    x = _recursion(model.A, x0, W)
+    y = np.hstack([x, u, d]) @ np.hstack([model.C, model.D, model.F]).T
+    return x, y
 
 
 def consistency_matrix(model: StateSpaceModel) -> np.ndarray:

@@ -1,12 +1,12 @@
 """Closed-loop simulation of a plant/observer pair and error-trace analysis.
 
-`run` advances plant and observer side by side:
+`run` simulates plant and observer over the whole horizon:
 
+    x(t+1)   = A x(t) + B u(t) + E d(t)
     y(t)     = C x(t) + D u(t) + F d(t)
+    z(t+1)   = A_uio z(t) + B_u u(t) + B_y y(t)
     x_hat(t) = z(t) + D_u u(t) + D_y y(t)
     e(t)     = x(t) - x_hat(t)
-    z(t+1)   = A_uio z(t) + B_u u(t) + B_y y(t)
-    x(t+1)   = A x(t) + B u(t) + E d(t)
 
 For a true acceptor the error obeys e(t+1) = A_uio e(t) exactly, whatever
 the disturbance does — `check_error_recursion` measures exactly that
@@ -18,14 +18,25 @@ columns.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .datalog import Uniform, _resolve_vector, resolve_policy
-from .plant import StateSpaceModel, UioRealization, require_valid, step
+from .datalog import (
+    Uniform,
+    _header,
+    _render_rows,
+    _resolve_vector,
+    resolve_policy,
+)
+from .plant import (
+    StateSpaceModel,
+    UioRealization,
+    _recursion,
+    _simulate,
+    require_valid,
+    step,
+)
 
 __all__ = [
     "RunTrace",
@@ -84,6 +95,11 @@ def run(
     means zeros, `Uniform` draws from one generator seeded with ``seed``
     (draw order: x0, z0, input sequence, disturbance sequence), and explicit
     arrays are validated.  The observer state starts at z0 (default 0).
+
+    Plant and observer share the one state recursion of `plant`: the plant
+    states and outputs come first, then the observer's z(t+1) = A_uio z(t)
+    + w(t) with w = B_u u + B_y y for all t in one matrix product; x_hat and
+    e are whole-array products too.  Inputs are validated once, not per step.
     """
     require_valid(model)
     if (uio.n, uio.m, uio.p) != (model.n, model.m, model.p):
@@ -100,19 +116,10 @@ def run(
     d_seq = resolve_policy(disturbance_policy, T, model.r, rng,
                            "disturbance sequence")
 
-    x_seq = np.zeros((T, model.n))
-    y_seq = np.zeros((T, model.p))
-    z_seq = np.zeros((T, model.n))
-    xh_seq = np.zeros((T, model.n))
-    x, z = x0, z0
-    for t in range(T):
-        x_seq[t] = x
-        z_seq[t] = z
-        x_next, y = step(model, x, u_seq[t], d_seq[t])
-        y_seq[t] = y
-        xh_seq[t] = z + uio.D_u @ u_seq[t] + uio.D_y @ y
-        z = uio.A_uio @ z + uio.B_u @ u_seq[t] + uio.B_y @ y
-        x = x_next
+    x_seq, y_seq = _simulate(model, x0, u_seq, d_seq)
+    uy = np.hstack([u_seq, y_seq])
+    z_seq = _recursion(uio.A_uio, z0, uy @ np.hstack([uio.B_u, uio.B_y]).T)
+    xh_seq = z_seq + uy @ np.hstack([uio.D_u, uio.D_y]).T
     return RunTrace(
         x=x_seq, u=u_seq, d=d_seq, y=y_seq,
         z=z_seq, x_hat=xh_seq, e=x_seq - xh_seq,
@@ -177,27 +184,11 @@ def convergence_stats(trace: RunTrace) -> ConvergenceStats:
 
 def render_trace(trace: RunTrace) -> str:
     n = trace.x.shape[1]
-    m = trace.u.shape[1]
-    p = trace.y.shape[1]
-    r = trace.d.shape[1]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = (["t"]
-              + [f"x_{i + 1}" for i in range(n)]
-              + [f"u_{i + 1}" for i in range(m)]
-              + [f"y_{i + 1}" for i in range(p)]
-              + [f"d_{i + 1}" for i in range(r)]
-              + [f"z_{i + 1}" for i in range(n)]
-              + [f"xhat_{i + 1}" for i in range(n)]
-              + [f"e_{i + 1}" for i in range(n)])
-    writer.writerow(header)
-    for t in range(trace.T):
-        row = [str(t)]
-        for block in (trace.x, trace.u, trace.y, trace.d,
-                      trace.z, trace.x_hat, trace.e):
-            row += [repr(float(v)) for v in block[t]]
-        writer.writerow(row)
-    return buf.getvalue()
+    header = (_header(n, trace.u.shape[1], trace.y.shape[1], trace.d.shape[1])
+              + [f"{name}_{i + 1}" for name in ("z", "xhat", "e")
+                 for i in range(n)])
+    return _render_rows(header, (trace.x, trace.u, trace.y, trace.d,
+                                 trace.z, trace.x_hat, trace.e))
 
 
 def save_trace(path, trace: RunTrace) -> None:

@@ -47,6 +47,7 @@ from .numkit import (
     NotDetectable,
     RankTolerance,
     SpectrumReport,
+    _left_null_svd,
     left_inverse,
     left_null_basis,
     place_poles,
@@ -218,7 +219,7 @@ def kernel_representation(
         raise ValueError(
             f"window matrix must have {2 * (n + m + p)} rows, got {G.shape}"
         )
-    basis = left_null_basis(G, tol)
+    basis, sigma = _left_null_svd(G, tol)
 
     # Rank of the V_f block, decided against G itself rather than the
     # computed basis: each kernel direction visible in the x+ coordinates
@@ -231,7 +232,7 @@ def kernel_representation(
     # augmented-rank decision stays on the data's own scale.
     selector = np.zeros((G.shape[0], n))
     selector[n:2 * n, :] = np.eye(n)
-    g_scale = float(np.linalg.norm(G, 2)) if G.size else 0.0
+    g_scale = float(sigma[0]) if sigma.size else 0.0
     if g_scale > 0.0:
         selector *= g_scale
     rank_g = G.shape[0] - basis.shape[0]

@@ -1,5 +1,6 @@
 """Shared fixtures: the bundled example system and its companions."""
 
+import numpy as np
 import pytest
 
 from uiokit.demo import (
@@ -10,6 +11,7 @@ from uiokit.demo import (
     reference_model,
     reference_uio,
 )
+from uiokit.plant import StateSpaceModel
 
 
 @pytest.fixture(scope="session")
@@ -40,3 +42,31 @@ def no_uio_model():
 @pytest.fixture(scope="session")
 def stable_model():
     return convergence_model()
+
+
+def _rotated_hidden_mode(n, m, p, r, mode, seed) -> StateSpaceModel:
+    """Seeded random plant with a mode at ``mode`` hidden from C.
+
+    The mode's eigenvector lies in the kernel of C, and the whole plant is
+    expressed in a random orthogonal basis.  F is random for odd seeds and
+    zero for even ones.
+    """
+    rng = np.random.default_rng(seed)
+    A = (0.2, 0.35, 0.5)[seed % 3] * rng.standard_normal((n, n))
+    B = rng.standard_normal((n, m))
+    C = rng.standard_normal((p, n))
+    D = rng.standard_normal((p, m))
+    E = rng.standard_normal((n, r))
+    F = rng.standard_normal((p, r)) if seed % 2 else np.zeros((p, r))
+    A[:, 0] = 0.0
+    A[0, 0] = mode
+    C[:, 0] = 0.0
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return StateSpaceModel(A=Q @ A @ Q.T, B=Q @ B, C=C @ Q.T, D=D,
+                           E=Q @ E, F=F)
+
+
+@pytest.fixture(scope="session")
+def rotated_hidden_mode():
+    """The recipe ``(n, m, p, r, mode, seed) -> model`` of `_rotated_hidden_mode`."""
+    return _rotated_hidden_mode

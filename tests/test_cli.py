@@ -369,8 +369,9 @@ def test_unknown_command_exits_4(capsys):
     assert main(["frobnicate"]) == 4
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize roughly doubles the import time every CLI call pays.
+def test_cli_import_leaves_scipy_optimize_unloaded(model_file, tmp_path):
+    # scipy.optimize roughly doubles the import time every CLI call pays;
+    # neither the import nor a pole-placement design may load it.
     src = str(Path(uiokit.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -380,3 +381,11 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+    argv = ["design", "--from-model", model_file, "--gain", "place",
+            "--poles", "0,0,0.5", "--out", str(tmp_path / "uio.json")]
+    code = ("import sys; from uiokit.cli import main; "
+            f"rc = main({argv!r}); "
+            "print(rc, 'scipy.optimize' in sys.modules, file=sys.stderr)")
+    err = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stderr
+    assert err.strip().splitlines()[-1] == "0 False"

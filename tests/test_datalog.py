@@ -1,5 +1,8 @@
 """Trajectory recording, past/future blocks, excitation checks, files."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -51,6 +54,26 @@ def test_collect_obeys_the_plant(ref_model):
         x_next, y = step(ref_model, data.x[t], data.u[t], data.d[t])
         assert_allclose(data.x[t + 1], x_next, atol=1e-12)
         assert_allclose(data.y[t], y, atol=1e-12)
+
+
+def test_collect_matches_step_recursion_on_unstable_n40(rotated_hidden_mode):
+    # A mode at 1.3 hidden from C: x grows while y stays small.  Each signal
+    # is compared on the scale of the terms that form it.
+    model = rotated_hidden_mode(40, 8, 13, 4, 1.3, seed=3)
+    T = 60
+    data = collect(model, T, input_policy=Uniform(-4.0, 4.0),
+                   disturbance_policy=Uniform(-3.0, 3.0),
+                   x0=Uniform(-1.0, 1.0), seed=3)
+    out_gain = np.abs(np.hstack([model.C, model.D, model.F])).sum(1).max()
+    x = data.x[0]
+    for t in range(T):
+        x_next, y = step(model, x, data.u[t], data.d[t])
+        w = np.concatenate([x, data.u[t], data.d[t]])
+        assert_allclose(data.x[t], x, rtol=0, atol=1e-12 * np.abs(x).max())
+        assert_allclose(data.y[t], y, rtol=0,
+                        atol=1e-12 * out_gain * np.abs(w).max())
+        x = x_next
+    assert np.abs(data.x[-1]).max() > 1e4
 
 
 def test_collect_is_deterministic_per_seed(ref_model):
@@ -266,6 +289,27 @@ def test_render_is_deterministic(ref_model):
     assert render_trajectory(data) == render_trajectory(data)
 
 
+def _csv_writer_text(header, blocks):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for t in range(blocks[0].shape[0]):
+        writer.writerow([str(t)] + [repr(float(v)) for b in blocks for v in b[t]])
+    return buf.getvalue()
+
+
+def test_render_equals_csv_writer_text():
+    x = np.array([[0.1, -0.0], [1e22, 5e-324], [1.0 / 3.0, -2.5e-308]])
+    u = np.array([[1.0], [-1e-5], [123456789.125]])
+    y = np.array([[np.pi], [0.0], [-7.0]])
+    d = np.array([[2.0 ** -30], [1e300], [-0.5]])
+    header = ["t", "x_1", "x_2", "u_1", "y_1", "d_1"]
+    data = HistoricalData(x=x, u=u, y=y, d=d)
+    assert render_trajectory(data) == _csv_writer_text(header, [x, u, y, d])
+    measured = HistoricalData(x=x, u=u, y=y)
+    assert render_trajectory(measured) == _csv_writer_text(header[:-1], [x, u, y])
+
+
 def _write(tmp_path, text):
     path = tmp_path / "bad.csv"
     path.write_text(text, encoding="utf-8")
@@ -305,6 +349,19 @@ def test_load_rejects_ragged_row(tmp_path):
 def test_load_rejects_non_numeric_cell(tmp_path):
     path = _write(tmp_path, "t,x_1,u_1,y_1\n0,0,0,0\n1,a,0,0\n")
     with pytest.raises(TrajectoryFormatError):
+        load_trajectory(path)
+
+
+def test_load_rejects_non_finite_time(tmp_path):
+    for bad in ("nan", "inf"):
+        path = _write(tmp_path, f"t,x_1,u_1,y_1\n0,0,0,0\n{bad},0,0,0\n")
+        with pytest.raises(TrajectoryFormatError, match="ascend"):
+            load_trajectory(path)
+
+
+def test_load_reports_the_row_of_a_non_numeric_cell(tmp_path):
+    path = _write(tmp_path, "t,x_1,u_1,y_1\n0,0,0,0\n1,0,0,0\n2,0,x,0\n")
+    with pytest.raises(TrajectoryFormatError, match="row 2: non-numeric"):
         load_trajectory(path)
 
 

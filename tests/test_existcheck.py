@@ -24,28 +24,6 @@ def _scalar_hidden_mode(a: float) -> StateSpaceModel:
     )
 
 
-def _rotated_hidden_mode(n, m, p, r, mode, seed) -> StateSpaceModel:
-    """Seeded random plant with a mode at ``mode`` hidden from C.
-
-    The mode's eigenvector lies in the kernel of C, and the whole plant is
-    expressed in a random orthogonal basis.  F is random for odd seeds and
-    zero for even ones.
-    """
-    rng = np.random.default_rng(seed)
-    A = (0.2, 0.35, 0.5)[seed % 3] * rng.standard_normal((n, n))
-    B = rng.standard_normal((n, m))
-    C = rng.standard_normal((p, n))
-    D = rng.standard_normal((p, m))
-    E = rng.standard_normal((n, r))
-    F = rng.standard_normal((p, r)) if seed % 2 else np.zeros((p, r))
-    A[:, 0] = 0.0
-    A[0, 0] = mode
-    C[:, 0] = 0.0
-    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    return StateSpaceModel(A=Q @ A @ Q.T, B=Q @ B, C=C @ Q.T, D=D,
-                           E=Q @ E, F=F)
-
-
 # ---------------------------------------------------------- condition (b)
 
 
@@ -134,15 +112,15 @@ def test_condition_a_unstable_hidden_mode():
 
 
 @pytest.mark.parametrize("mode", [1.0, -1.0])
-def test_condition_a_hidden_mode_on_unit_circle_fails(mode):
-    ok, evidence = condition_a(_rotated_hidden_mode(4, 1, 2, 1, mode, seed=1))
+def test_condition_a_hidden_mode_on_unit_circle_fails(mode, rotated_hidden_mode):
+    ok, evidence = condition_a(rotated_hidden_mode(4, 1, 2, 1, mode, seed=1))
     assert not ok
     assert any(abs(z - mode) < 1e-9 for z in evidence["boundary_drops"])
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_condition_a_rotated_unstable_mode_at_n20(seed):
-    model = _rotated_hidden_mode(20, 4, 7, 2, 1.3, seed)
+def test_condition_a_rotated_unstable_mode_at_n20(seed, rotated_hidden_mode):
+    model = rotated_hidden_mode(20, 4, 7, 2, 1.3, seed)
     ok, evidence = condition_a(model)
     assert not ok
     assert any(abs(z - 1.3) < 1e-6 for z in evidence["drops"])

@@ -161,6 +161,32 @@ def test_eig_assignment_error_is_permutation_invariant():
     assert eig_assignment_error(got, np.array([0.0, 0.0, 0.4])) > 0.09
 
 
+def test_eig_assignment_error_matches_linear_sum_assignment():
+    from scipy.optimize import linear_sum_assignment
+
+    from uiokit.numkit import _min_cost_matching
+
+    rng = np.random.default_rng(11)
+    for trial in range(300):
+        n = 1 + trial % 24
+        a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        if trial % 3 == 0:
+            b[: n // 2] = b[0]   # a repeated target pole
+        cost = np.abs(a[:, None] - b[None, :])
+        rows, cols = linear_sum_assignment(cost)
+        matched = _min_cost_matching(cost)
+        assert sorted(matched) == list(range(n))
+        assert_allclose(cost[matched, np.arange(n)].sum(), cost[rows, cols].sum(),
+                        rtol=1e-12)
+        assert eig_assignment_error(a, b) == cost[rows, cols].max()
+
+
+def test_eig_assignment_error_rejects_non_finite_eigenvalues():
+    with pytest.raises(ValueError, match="finite"):
+        eig_assignment_error(np.array([np.nan, 0.0]), np.array([0.0, 0.5]))
+
+
 # --------------------------------------------------------------- PBH
 
 

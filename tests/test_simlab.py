@@ -1,11 +1,14 @@
 """Plant/observer co-simulation and the error-dynamics checks."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from uiokit.datalog import Uniform
-from uiokit.plant import StateSpaceModel, UioRealization
+from uiokit.plant import StateSpaceModel, UioRealization, step
 from uiokit.simlab import (
     RunTrace,
     check_error_recursion,
@@ -162,3 +165,57 @@ def test_trace_file_layout(tmp_path, ref_model, ref_observer):
     cell = lines[1].split(",")[1]
     assert float(cell) == trace.x[0, 0]
     assert render_trace(trace) == render_trace(trace)
+
+
+def test_trace_render_equals_csv_writer_text():
+    rng = np.random.default_rng(5)
+    blocks = [rng.standard_normal((4, k)) * 10.0 ** rng.integers(-30, 30, (4, k))
+              for k in (2, 1, 1, 1, 2, 2, 2)]
+    blocks[0][1, 0] = -0.0
+    trace = RunTrace(**dict(zip(("x", "u", "y", "d", "z", "x_hat", "e"),
+                                blocks)))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["t", "x_1", "x_2", "u_1", "y_1", "d_1", "z_1", "z_2",
+                     "xhat_1", "xhat_2", "e_1", "e_2"])
+    for t in range(4):
+        writer.writerow([str(t)] + [repr(float(v)) for b in blocks for v in b[t]])
+    assert render_trace(trace) == buf.getvalue()
+
+
+def test_run_matches_step_recursion_on_unstable_n40(rotated_hidden_mode):
+    # Plant with a hidden mode at 1.3 and an arbitrary (not acceptor)
+    # observer; each signal is compared on the scale of the terms that
+    # form it.
+    model = rotated_hidden_mode(40, 8, 13, 4, 1.3, seed=3)
+    rng = np.random.default_rng(3)
+    uio = UioRealization(
+        A_uio=0.1 * rng.standard_normal((40, 40)),
+        B_u=rng.standard_normal((40, 8)), B_y=rng.standard_normal((40, 13)),
+        D_u=rng.standard_normal((40, 8)), D_y=rng.standard_normal((40, 13)),
+    )
+    T = 60
+    trace = run(model, uio, T, input_policy=Uniform(-4.0, 4.0),
+                disturbance_policy=Uniform(-3.0, 3.0), x0=Uniform(-1.0, 1.0),
+                z0=Uniform(-1.0, 1.0), seed=3)
+
+    def close(got, want, gain, *terms):
+        scale = gain * max(np.abs(v).max() for v in terms)
+        assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+    y_gain = np.abs(np.hstack([model.C, model.D, model.F])).sum(1).max()
+    z_gain = np.abs(np.hstack([uio.A_uio, uio.B_u, uio.B_y])).sum(1).max()
+    xh_gain = 1.0 + np.abs(np.hstack([uio.D_u, uio.D_y])).sum(1).max()
+    x, z = trace.x[0], trace.z[0]
+    for t in range(T):
+        u, d = trace.u[t], trace.d[t]
+        x_next, y = step(model, x, u, d)
+        x_hat = z + uio.D_u @ u + uio.D_y @ y
+        close(trace.x[t], x, 1.0, x)
+        close(trace.y[t], y, y_gain, x, u, d)
+        close(trace.z[t], z, 1.0, z)
+        close(trace.x_hat[t], x_hat, xh_gain, z, u, y)
+        close(trace.e[t], x - x_hat, 1.0, x, x_hat)
+        z = uio.A_uio @ z + uio.B_u @ u + uio.B_y @ y
+        x = x_next
+    assert np.abs(trace.x[-1]).max() > 1e4
