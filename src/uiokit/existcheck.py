@@ -144,7 +144,9 @@ def exists_uio(
 
     The rank conditions are the authority; the constructive run (with the
     given synthesis options, Riccati gain by default) is recorded, and
-    ``agreement`` flags whether the two verdicts coincide.
+    ``agreement`` flags whether the two verdicts coincide.  The run counts
+    as a success only for an observer that passes `verify_uio`, which
+    `design_from_model` checks before it returns.
     """
     opt = options or SynthesisOptions()
     require_valid(model, opt.tol)

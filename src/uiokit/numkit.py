@@ -18,9 +18,10 @@ and, with no disturbance, the unobservable modes that decide detectability
 The gain constructors (`stabilizing_gain`, `place_poles`) build output
 injections L for a pair (Abar, Cbar), i.e. they shape the spectrum of
 Abar + L @ Cbar.  Neither takes a seed or an iteration budget: the Riccati
-gain comes from one generalized-eigenvalue DARE solve, and placement draws
-its output combinations from one fixed generator.  Both verify their own
-output and raise instead of returning an unchecked gain.
+gain comes from a structure-preserving doubling solve of the DARE, a few
+n x n solves and products that stop at float64 accuracy, and placement
+draws its output combinations from one fixed generator.  Both verify their
+own output and raise instead of returning an unchecked gain.
 """
 
 from __future__ import annotations
@@ -65,6 +66,10 @@ SCHUR_MARGIN = 1e-9
 #: it rotates, and an eps-level cutoff counts that residue as rank, which
 #: couples a hidden mode back to the outputs and loses its zero.
 ZERO_CUT_RELATIVE = 1e-9
+
+#: Doublings that shrink the slowest closed loop float64 can hold, spectral
+#: radius rho = 1 - eps, to eps: log2(log eps / log rho), about 58.
+_MAX_DOUBLINGS = int(np.ceil(np.log2(np.log(_EPS) / np.log1p(-_EPS))))
 
 #: Multi-output placement: random reductions tried before giving up, and the
 #: matching distance within which a placed spectrum counts as verified.
@@ -362,6 +367,50 @@ def undetectable_modes(
     return [complex(z) for z in zeros if abs(z) >= 1.0 - margin]
 
 
+def _finite(M: np.ndarray, what: str) -> np.ndarray:
+    """``M`` itself, or a "diverged" `NumericalFailure` naming ``what``."""
+    if not np.isfinite(M).all():
+        raise NumericalFailure(
+            f"Riccati equation diverged: {what} is not finite; the pair is "
+            "not stabilizable by output injection at this scale"
+        )
+    return M
+
+
+def _dare_doubling(Abar: np.ndarray, Cbar: np.ndarray) -> np.ndarray:
+    """Stabilizing solution P of the unit-weight filter DARE, by doubling.
+
+    The structure-preserving doubling algorithm (Chu, Fan, Lin & Wang 2004)
+    on the control-form data A = Abar', G = Cbar' Cbar, H = I: each step
+
+        W = I + G H,  A <- A W^-1 A,  G <- G + A W^-1 G A',
+        H <- H + A' H W^-1 A
+
+    squares the closed loop hidden in A, so H converges quadratically to P.
+    One LU of W serves both solves; G and H are kept symmetric.  W cannot
+    be singular: G and H are symmetric positive semidefinite, so every
+    eigenvalue of W is at least 1.  The iteration stops when a step changes
+    H by at most n * eps * ||H|| (1-norm); a non-finite iterate raises a
+    "diverged" `NumericalFailure`.
+    """
+    n = Abar.shape[0]
+    A, G, H = Abar.T, _finite(Cbar.T @ Cbar, "C' C"), np.eye(n)
+    for _ in range(_MAX_DOUBLINGS):
+        W = np.eye(n) + G @ H
+        WA, WG = np.hsplit(np.linalg.solve(W, np.hstack([A, G])), 2)
+        dH = A.T @ H @ WA
+        dH = (dH + dH.T) / 2
+        G = _finite(G + A @ WG @ A.T, "the doubling iterate")
+        G = (G + G.T) / 2
+        A = A @ WA
+        H = _finite(H + dH, "P")
+        if np.linalg.norm(dH, 1) <= n * _EPS * np.linalg.norm(H, 1):
+            return H
+    raise NumericalFailure(
+        f"Riccati doubling did not converge in {_MAX_DOUBLINGS} steps"
+    )
+
+
 def stabilizing_gain(
     Abar,
     Cbar,
@@ -375,15 +424,23 @@ def stabilizing_gain(
 
         P = Abar P Abar' - Abar P Cbar' (Cbar P Cbar' + I)^-1 Cbar P Abar' + I,
 
-    in one call to `scipy.linalg.solve_discrete_are` (generalized-eigenvalue
-    method), and returns ``L = -Abar P Cbar' (Cbar P Cbar' + I)^-1``.
-    Detectability of (Abar, Cbar) guarantees a stabilizing solution; it is
-    checked up front by `undetectable_modes`.
+    for its stabilizing solution by structure-preserving doubling
+    (`_dare_doubling`), and returns
+    ``L = -Abar P Cbar' (Cbar P Cbar' + I)^-1``.  Detectability of
+    (Abar, Cbar) guarantees that solution; it is checked up front by
+    `undetectable_modes`.  The doubling stops once a step changes P by at
+    most n * eps relative (1-norm).  It needs log2(log eps / log rho)
+    doublings for a closed-loop spectral radius rho, so the cap
+    `_MAX_DOUBLINGS` is that count for the slowest loop float64 can hold,
+    rho = 1 - eps.  Neither is a parameter.
 
     Raises:
         NotDetectable: for undetectable modes, listed in ``exc.modes``.
-        NumericalFailure: if the Riccati solve diverges or the final closed
-            loop is not Schur.
+        NumericalFailure: "Riccati equation diverged" when P, the gain or
+            any intermediate between them is not finite (the pair has no
+            bounded solution in float64 at its scale); also when the
+            doubling has not converged after `_MAX_DOUBLINGS` steps, or the
+            final closed loop is not Schur.
     """
     Abar = _as_2d(Abar)
     Cbar = _as_2d(Cbar)
@@ -398,22 +455,14 @@ def stabilizing_gain(
         # Nothing to inject; detectability already proved Abar is Schur.
         return np.zeros((n, 0))
 
-    try:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            P = scipy.linalg.solve_discrete_are(Abar.T, Cbar.T, np.eye(n), np.eye(q))
-        finite = bool(np.isfinite(P).all())
-    except (np.linalg.LinAlgError, ValueError):
-        finite = False
-    if not finite:
-        # Pairs that are detectable only marginally (or fed in with absurd
-        # scales) have no bounded stabilizing solution in float64.
-        raise NumericalFailure(
-            "Riccati equation diverged; the pair is not stabilizable by "
-            "output injection at this scale"
-        )
-    G = Cbar @ P @ Cbar.T + np.eye(q)
-    L = -np.linalg.solve(G.T, (Abar @ P @ Cbar.T).T).T
-    closed = spectrum(Abar + L @ Cbar, margin)
+    # Overflow anywhere from the Riccati solution to the closed loop means
+    # the pair has no bounded stabilizing solution in float64.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        P = _dare_doubling(Abar, Cbar)
+        S = _finite(Cbar @ P @ Cbar.T + np.eye(q), "C P C' + I")
+        L = _finite(-np.linalg.solve(S.T, (Abar @ P @ Cbar.T).T).T, "the gain")
+        loop = _finite(Abar + L @ Cbar, "the closed loop")
+    closed = spectrum(loop, margin)
     if not closed.is_schur:
         raise NumericalFailure(
             "Riccati gain failed verification: spectral radius "

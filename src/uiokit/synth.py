@@ -45,6 +45,7 @@ from .numkit import (
     DEFAULT_TOL,
     SCHUR_MARGIN,
     NotDetectable,
+    NumericalFailure,
     RankTolerance,
     SpectrumReport,
     _left_null_svd,
@@ -339,13 +340,30 @@ def synthesize(
 def design_from_model(
     model: StateSpaceModel, options: SynthesisOptions | None = None
 ) -> tuple[UioRealization, SynthesisDiagnostics]:
-    """Model route: kernel of the consistency matrix, then `synthesize`."""
+    """Model route: kernel of the consistency matrix, then `synthesize`.
+
+    The model is at hand, so the observer is certified against it with
+    `verify_uio` before it is returned.
+
+    Raises:
+        NumericalFailure: if the synthesized observer fails `verify_uio`,
+            with its failures in the message.
+        NoUio / NotObservable / PlacementFailed / ValueError: as
+            `synthesize`.
+    """
     opt = options or SynthesisOptions()
     require_valid(model, opt.tol)
     ker = kernel_representation(
         consistency_matrix(model), (model.n, model.m, model.p), opt.tol
     )
-    return synthesize(ker, opt)
+    uio, diag = synthesize(ker, opt)
+    check = verify_uio(model, uio, margin=opt.schur_margin)
+    if not check.is_uio:
+        raise NumericalFailure(
+            "model-route design failed verification: "
+            + "; ".join(check.failures)
+        )
+    return uio, diag
 
 
 def design_from_data(

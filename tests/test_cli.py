@@ -10,16 +10,21 @@ import numpy as np
 import pytest
 
 import uiokit
-from uiokit.cli import main
-from uiokit.datalog import load_trajectory
+from uiokit import cli
+from uiokit.cli import CliError, main
+from uiokit.datalog import (
+    MissingDisturbanceRecord,
+    TrajectoryFormatError,
+    load_trajectory,
+)
 from uiokit.demo import (
     DemoFixtures,
     default_fixtures,
     run_demo,
 )
-from uiokit.numkit import eig_assignment_error
-from uiokit.plant import StateSpaceModel, UioRealization, save_model
-from uiokit.synth import load_uio, save_uio, verify_uio
+from uiokit.numkit import NotObservable, NumericalFailure, eig_assignment_error
+from uiokit.plant import ModelFormatError, StateSpaceModel, UioRealization, save_model
+from uiokit.synth import NoUio, UioFormatError, load_uio, save_uio, verify_uio
 
 
 @pytest.fixture()
@@ -367,6 +372,32 @@ def test_no_command_exits_4(capsys):
 
 def test_unknown_command_exits_4(capsys):
     assert main(["frobnicate"]) == 4
+
+
+@pytest.mark.parametrize("exc, code", [
+    pytest.param(exc, code, id=type(exc).__name__) for exc, code in [
+        (CliError("usage"), 4),
+        (NoUio("Cause", "detail"), 2),
+        (ModelFormatError("model"), 4),
+        (TrajectoryFormatError("trajectory"), 4),
+        (UioFormatError("observer"), 4),
+        (MissingDisturbanceRecord("disturbance"), 4),
+        (NotObservable("observable"), 4),
+        (NumericalFailure("numerics"), 4),
+        (ValueError("value"), 4),
+        (OSError("os"), 4),
+    ]
+])
+def test_exception_from_a_subcommand_maps_to_its_exit_code(
+    exc, code, monkeypatch, capsys
+):
+    def raising(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_check", raising)
+    assert main(["check", "--from-model", "unused.json"]) == code
+    captured = capsys.readouterr()
+    assert str(exc) in captured.out + captured.err
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded(model_file, tmp_path):

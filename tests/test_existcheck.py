@@ -1,8 +1,11 @@
 """The two rank conditions for observer existence and their cross-check."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from uiokit import synth
 from uiokit.existcheck import (
     ExistenceReport,
     NormalRankDeficient,
@@ -11,7 +14,7 @@ from uiokit.existcheck import (
     exists_uio,
     format_report,
 )
-from uiokit.numkit import rank
+from uiokit.numkit import NumericalFailure, rank
 from uiokit.plant import StateSpaceModel
 
 
@@ -187,6 +190,27 @@ def test_exists_uio_bundled_model(ref_model):
     assert report.condition_a and report.condition_b
     assert report.constructive_succeeded
     assert report.agreement
+
+
+def test_exists_uio_counts_an_unverified_design_as_a_failure(
+    ref_model, monkeypatch
+):
+    # The model route certifies its observer; a corrupted one is a
+    # constructive failure, and the verdict and the design disagree.
+    synthesize = synth.synthesize
+
+    def corrupted(ker, options=None):
+        uio, diag = synthesize(ker, options)
+        return replace(uio, A_uio=uio.A_uio + 1e-3), diag
+
+    monkeypatch.setattr(synth, "synthesize", corrupted)
+    with pytest.raises(NumericalFailure, match="acc2 residual"):
+        synth.design_from_model(ref_model)
+    report = exists_uio(ref_model)
+    assert report.exists
+    assert not report.constructive_succeeded
+    assert not report.agreement
+    assert "failed verification" in report.constructive_detail
 
 
 def test_exists_uio_counterexample(no_uio_model):

@@ -20,8 +20,11 @@ from uiokit.numkit import (
     spectrum,
     stabilizing_gain,
     undetectable_modes,
+    _dare_doubling,
 )
 from uiokit.synth import KernelRep
+
+EPS = np.finfo(float).eps
 
 
 EF_COLUMN = np.array([[1.0], [0.0], [1.0], [1.0], [1.0]])  # stacked [E; F]
@@ -269,10 +272,70 @@ def test_stabilizing_gain_requires_detectability():
 
 def test_stabilizing_gain_reports_divergence():
     # A detectable pair at an absurd scale has no Riccati solution in
-    # float64.  That must surface as a NumericalFailure with a message,
-    # never as a bare linear-algebra crash from a downstream solve.
+    # float64: C'C alone overflows.  That must surface as a
+    # NumericalFailure with a message, never as a bare linear-algebra crash
+    # or a RuntimeWarning from a downstream step.
     with pytest.raises(NumericalFailure, match="diverged"):
-        stabilizing_gain(np.array([[1e80]]), np.array([[1e72]]))
+        stabilizing_gain(np.array([[1e200]]), np.array([[1e192]]))
+
+
+def test_stabilizing_gain_at_extreme_but_representable_scale():
+    # The stabilizing solution X ~ 1e16 + 1 and the closed loop
+    # 1e80 / (1 + 1e144 X) ~ 1e-80 are both representable, so the pair
+    # gets a gain.
+    A = np.array([[1e80]])
+    C = np.array([[1e72]])
+    L = stabilizing_gain(A, C)
+    assert spectrum(A + L @ C).is_schur
+
+
+@pytest.mark.parametrize("seed, n, q, scale", [
+    (0, 2, 1, 0.6), (1, 3, 1, 1.0), (2, 5, 2, 1.4), (3, 8, 4, 0.6),
+    (4, 12, 1, 1.0), (5, 17, 8, 1.4), (6, 23, 3, 0.6), (7, 30, 15, 1.0),
+    (8, 38, 5, 1.4), (9, 45, 22, 0.6), (10, 52, 1, 1.0), (11, 60, 30, 1.4),
+    # 29 unstable modes seen through one output: ||P|| ~ 3e8.
+    (11, 60, 1, 1.4),
+])
+def test_dare_doubling_matches_scipy_solver(seed, n, q, scale):
+    # Seeded random detectable pairs against the generalized-eigenvalue
+    # solver as an oracle.
+    rng = np.random.default_rng(seed)
+    A = scale * rng.standard_normal((n, n)) / np.sqrt(n)
+    C = rng.standard_normal((q, n))
+    _check_dare_solution(A, C)
+
+
+def test_dare_doubling_slow_weakly_observed_unit_mode():
+    # Closed loop ~ 0.9999, the slowest convergence in the suite; the exact
+    # solution is (1 + sqrt(1 + 4e8)) / 2.
+    P = _check_dare_solution(np.array([[1.0]]), np.array([[1e-4]]))
+    assert_allclose(P, [[(1 + np.sqrt(1 + 4e8)) / 2]], rtol=1e-11)
+
+
+def _dare_residual(A, C, P):
+    S = C @ P @ C.T + np.eye(len(C))
+    R = (A @ P @ A.T - A @ P @ C.T @ np.linalg.solve(S, C @ P @ A.T)
+         + np.eye(len(A)) - P)
+    return np.linalg.norm(R, 2)
+
+
+def _check_dare_solution(A, C):
+    from scipy.linalg import solve_discrete_are
+
+    n, q = len(A), len(C)
+    P = _dare_doubling(A, C)
+    oracle = solve_discrete_are(A.T, C.T, np.eye(n), np.eye(q))
+    assert_allclose(P, P.T, rtol=0, atol=n * EPS * np.linalg.norm(P, 2))
+    res, res_oracle = _dare_residual(A, C, P), _dare_residual(A, C, oracle)
+    scale, scale_oracle = np.linalg.norm(P, 2), np.linalg.norm(oracle, 2)
+    # Within a decade of the backward-stable oracle, or of rounding.
+    assert res / scale <= 10 * max(res_oracle / scale_oracle, n * EPS)
+    # The DARE's derivative at P is X -> X - F X F' with F the closed loop,
+    # and its inverse has 2-norm ||sum F^k F'^k|| <= ||P||, so to first
+    # order each solution lies within ||P|| * residual of the exact one.
+    assert (np.linalg.norm(P - oracle, 2)
+            <= 4 * max(scale, scale_oracle) * (res + res_oracle))
+    return P
 
 
 @pytest.mark.parametrize("seed", range(100))
