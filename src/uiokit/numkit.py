@@ -13,7 +13,10 @@ their own margin: an eigenvalue is "stable" only if its modulus stays below
 Where a pencil loses rank is decided once, by `invariant_zeros` with the
 fixed relative cutoff `ZERO_CUT_RELATIVE`: condition (a) of `existcheck`,
 and, with no disturbance, the unobservable modes that decide detectability
-(`undetectable_modes`) and observability (`place_poles`).
+(`undetectable_modes`) and observability (`place_poles`).  Its zeros are the
+eigenvalues of one n x n matrix, K_x^-1 [A, E] K (see `invariant_zeros`),
+so no generalized eigenvalue solver is needed: numpy is the only runtime
+dependency.
 
 The gain constructors (`stabilizing_gain`, `place_poles`) build output
 injections L for a pair (Abar, Cbar), i.e. they shape the spectrum of
@@ -29,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "RankTolerance",
@@ -231,14 +233,17 @@ def spectrum(M, margin: float = SCHUR_MARGIN) -> SpectrumReport:
     M = _as_2d(M)
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"spectrum needs a square matrix, got {M.shape}")
-    if M.shape[0] == 0:
-        return SpectrumReport(np.zeros(0, dtype=complex), 0.0, True, margin)
     try:
         ev = np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - very rare
         raise NumericalFailure(f"eigenvalue computation failed: {exc}") from exc
-    ev = np.sort_complex(ev)
-    radius = float(np.max(np.abs(ev)))
+    return _spectrum_report(ev, margin)
+
+
+def _spectrum_report(eigenvalues, margin: float) -> SpectrumReport:
+    """`SpectrumReport` of already computed eigenvalues."""
+    ev = np.sort_complex(np.asarray(eigenvalues, dtype=complex))
+    radius = float(np.max(np.abs(ev))) if ev.size else 0.0
     return SpectrumReport(ev, radius, radius < 1.0 - margin, margin)
 
 
@@ -313,6 +318,19 @@ def invariant_zeros(
     ``tol.absolute_floor``.  P has normal rank n + rows; with rows below
     the r columns of F it is rank deficient everywhere and no zeros are
     returned.  With r = 0 the zeros are the unobservable modes of (A, C).
+
+    Otherwise F is square and above the cut, and the pencil restricted to
+    an orthonormal basis K = [K_x; K_d] of ker [C, F] is z K_x - [A, E] K.
+    K_x is invertible: K_x v = 0 leaves F v_d = 0 and so v = 0.  The zeros
+    are therefore the eigenvalues of K_x^-1 [A, E] K, which is similar to
+    A - E F^-1 C.  Solving with K_x costs a factor cond(K_x) in accuracy,
+    relative to ||K_x^-1 [A, E] K|| <= ||[A, E]|| / sigma_min(K_x).  With
+    r = 0, K is square and orthogonal and this is an orthogonal similarity
+    of the reduced A.
+
+    Raises:
+        NumericalFailure: if that last solve or eigenvalue step fails or
+            yields a non-finite zero (one beyond the float64 range).
     """
     A, E, C, F = (_as_2d(M) for M in (A, E, C, F))
     S = np.block([[A, E], [C, F]])
@@ -341,8 +359,15 @@ def invariant_zeros(
     # z * K_x - [A, E] @ K, where K_x, the state rows of K, is invertible.
     V, _ = _range_basis(np.hstack([C, F]).T, cut)
     K = V[:, rows:]
-    zeros = scipy.linalg.eigvals(np.hstack([A, E]) @ K, K[:A.shape[0]])
-    return zeros[np.isfinite(zeros)], rows
+    try:
+        zeros = np.linalg.eigvals(
+            np.linalg.solve(K[:A.shape[0]], np.hstack([A, E]) @ K)
+        )
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"invariant zeros failed: {exc}") from exc
+    if not np.isfinite(zeros).all():
+        raise NumericalFailure("invariant zeros failed: a zero is not finite")
+    return zeros, rows
 
 
 def undetectable_modes(
@@ -442,6 +467,13 @@ def stabilizing_gain(
             doubling has not converged after `_MAX_DOUBLINGS` steps, or the
             final closed loop is not Schur.
     """
+    return _stabilizing_gain(Abar, Cbar, tol, margin)[0]
+
+
+def _stabilizing_gain(
+    Abar, Cbar, tol: RankTolerance, margin: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """`stabilizing_gain` and the verified eigenvalues of Abar + L Cbar."""
     Abar = _as_2d(Abar)
     Cbar = _as_2d(Cbar)
     n = Abar.shape[0]
@@ -450,10 +482,10 @@ def stabilizing_gain(
     if bad:
         raise NotDetectable(bad)
     if n == 0:
-        return np.zeros((0, q))
+        return np.zeros((0, q)), np.zeros(0, dtype=complex)
     if q == 0:
         # Nothing to inject; detectability already proved Abar is Schur.
-        return np.zeros((n, 0))
+        return np.zeros((n, 0)), np.linalg.eigvals(Abar)
 
     # Overflow anywhere from the Riccati solution to the closed loop means
     # the pair has no bounded stabilizing solution in float64.
@@ -468,7 +500,7 @@ def stabilizing_gain(
             "Riccati gain failed verification: spectral radius "
             f"{closed.spectral_radius:.6g}"
         )
-    return L
+    return L, closed.eigenvalues
 
 
 def _ackermann(Abar: np.ndarray, c_row: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -513,6 +545,13 @@ def place_poles(
         ValueError: if ``poles`` is not conjugation-closed or has wrong size.
         PlacementFailed: if no attempt produces a verified gain.
     """
+    return _place_poles(Abar, Cbar, poles, tol)[0]
+
+
+def _place_poles(
+    Abar, Cbar, poles, tol: RankTolerance
+) -> tuple[np.ndarray, np.ndarray]:
+    """`place_poles` and the verified eigenvalues of Abar + L Cbar."""
     Abar = _as_2d(Abar)
     Cbar = _as_2d(Cbar)
     n = Abar.shape[0]
@@ -525,22 +564,23 @@ def place_poles(
         raise ValueError("pole multiset must be closed under conjugation")
     coeffs = coeffs.real
     if n == 0:
-        return np.zeros((0, q))
+        return np.zeros((0, q)), np.zeros(0, dtype=complex)
 
-    def _verified(L: np.ndarray) -> bool:
+    def _placed(L: np.ndarray):
+        """Eigenvalues of Abar + L Cbar if they match ``poles``, else None."""
         with np.errstate(over="ignore", invalid="ignore"):
             closed = Abar + L @ Cbar
         if not np.isfinite(closed).all():
-            return False
+            return None
         ev = np.linalg.eigvals(closed)
-        return eig_assignment_error(ev, poles) <= PLACEMENT_TOL
+        return ev if eig_assignment_error(ev, poles) <= PLACEMENT_TOL else None
 
     # L = 0 needs no observability at all; accept it whenever the spectrum
     # already matches (this also sidesteps the eps**(1/k) eigenvalue
     # splitting of defective placed matrices).
     zero = np.zeros((n, q))
-    if _verified(zero):
-        return zero
+    if (ev := _placed(zero)) is not None:
+        return zero, ev
 
     # margin 1 counts every mode as unstable: detectable becomes observable.
     modes = undetectable_modes(Abar, Cbar, tol, margin=1.0)
@@ -549,8 +589,8 @@ def place_poles(
 
     if q == 1:
         L = _ackermann(Abar, Cbar[0], coeffs).reshape(n, 1)
-        if _verified(L):
-            return L
+        if (ev := _placed(L)) is not None:
+            return L, ev
         raise PlacementFailed("single-output Ackermann gain failed verification")
 
     rng = np.random.default_rng(0)
@@ -564,13 +604,35 @@ def place_poles(
         v = rng.standard_normal(q)
         # A draw whose output combination misses a mode fails verification.
         L = L0 + np.outer(_ackermann(Abar + L0 @ Cbar, v @ Cbar, coeffs), v)
-        if _verified(L):
-            return L
+        if (ev := _placed(L)) is not None:
+            return L, ev
     raise PlacementFailed(f"no verified gain after {PLACEMENT_ATTEMPTS} attempts")
 
 
+def _range_columns(M: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the range of M, as columns (default rank rule)."""
+    U, s, _ = np.linalg.svd(M, full_matrices=False)
+    return U[:, :_rank_from_singular_values(s, M.shape, DEFAULT_TOL)]
+
+
 def rowspace_angles(A, B) -> np.ndarray:
-    """Principal angles (radians) between the row spaces of two matrices."""
-    A = _as_2d(A)
-    B = _as_2d(B)
-    return scipy.linalg.subspace_angles(A.T, B.T)
+    """Principal angles (radians) between the row spaces of two matrices.
+
+    One angle per dimension of the smaller space, largest first.  With
+    orthonormal bases Qa and Qb of the row spaces as columns, Qb the
+    smaller, the cosines are the singular values of Qa' Qb and the sines
+    those of Qb - Qa Qa' Qb (Bjorck & Golub 1973).  Each angle is read from
+    its own sine when it is below pi/4 and from its cosine otherwise, so
+    angles near 0 and near pi/2 both keep full accuracy.
+    """
+    Qa, Qb = _range_columns(_as_2d(A).T), _range_columns(_as_2d(B).T)
+    if len(Qa) != len(Qb):
+        raise ValueError(f"row spaces live in R^{len(Qa)} and R^{len(Qb)}")
+    if Qa.shape[1] < Qb.shape[1]:
+        Qa, Qb = Qb, Qa
+    cross = Qa.T @ Qb
+    # Ascending cosines and descending sines both list the angles largest
+    # first, so entry i of each belongs to the same angle.
+    cos = np.clip(np.linalg.svd(cross, compute_uv=False)[::-1], 0.0, 1.0)
+    sin = np.clip(np.linalg.svd(Qb - Qa @ cross, compute_uv=False), 0.0, 1.0)
+    return np.where(cos ** 2 >= 0.5, np.arcsin(sin), np.arccos(cos))

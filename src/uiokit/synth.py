@@ -49,12 +49,13 @@ from .numkit import (
     RankTolerance,
     SpectrumReport,
     _left_null_svd,
+    _place_poles,
+    _spectrum_report,
+    _stabilizing_gain,
     left_inverse,
     left_null_basis,
-    place_poles,
     rank,
     spectrum,
-    stabilizing_gain,
     undetectable_modes,
 )
 from .plant import StateSpaceModel, UioRealization, consistency_matrix, require_valid
@@ -254,7 +255,9 @@ def synthesize(
     pole requests — see module docstring); read off the observer matrices.
     Detectability is decided once: by `stabilizing_gain` itself on the
     Riccati path, by `undetectable_modes` before `place_poles` on the
-    placement path.
+    placement path.  The reported spectrum is the one the gain stage
+    verified for A_bar + L @ C_bar, negated (A_uio = -(A_bar + L @ C_bar)
+    up to the ``sign_identity`` residual), so it is not computed twice.
 
     Raises:
         NoUio: with cause VF_RANK_DEFICIENT or NOT_DETECTABLE.
@@ -282,7 +285,8 @@ def synthesize(
 
     try:
         if opt.gain == "riccati":
-            L = stabilizing_gain(A_bar, C_bar, opt.tol, opt.schur_margin)
+            L, closed = _stabilizing_gain(A_bar, C_bar, opt.tol,
+                                          opt.schur_margin)
         elif opt.gain == "place":
             bad = undetectable_modes(A_bar, C_bar, opt.tol, opt.schur_margin)
             if bad:
@@ -296,7 +300,7 @@ def synthesize(
                 )
             # The caller requests eigenvalues of A_uio = -(A_bar + L C_bar);
             # place the negated set so the request is what comes out.
-            L = place_poles(A_bar, C_bar, -poles, opt.tol)
+            L, closed = _place_poles(A_bar, C_bar, -poles, opt.tol)
         else:
             raise ValueError(f"unknown gain method {opt.gain!r}")
     except NotDetectable as exc:
@@ -320,7 +324,7 @@ def synthesize(
         D_u=S4,
         D_y=S6,
     )
-    spec_report = spectrum(A_star, opt.schur_margin)
+    spec_report = _spectrum_report(-closed, opt.schur_margin)
     residuals = {
         "omega_identity": float(
             np.abs(Omega @ ker.V_f - np.eye(n)).max() if n else 0.0

@@ -420,3 +420,48 @@ def test_cli_import_leaves_scipy_optimize_unloaded(model_file, tmp_path):
     err = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stderr
     assert err.strip().splitlines()[-1] == "0 False"
+
+
+def _scipy_modules_after(code, env):
+    """Sorted scipy modules loaded by a fresh interpreter running ``code``."""
+    probe = (code + "\nimport sys; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'), file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stderr.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv", [
+    None,
+    ["check", "--from-model", "{model}"],
+    ["design", "--from-model", "{model}", "--out", "{dir}/riccati.json"],
+    ["design", "--from-model", "{model}", "--gain", "place",
+     "--poles", "0,0,0.5", "--out", "{dir}/place.json"],
+    ["collect", "--from-model", "{model}", "--T", "11", "--seed", "0",
+     "--out", "{dir}/fresh.csv"],
+    ["design", "--from-data", "{data}", "--dims", "3,1,2",
+     "--out", "{dir}/data.json"],
+    ["simulate", "--from-model", "{model}", "--uio", "{uio}", "--T", "12",
+     "--exact-init", "--out", "{dir}/trace.csv"],
+    ["demo-paper", "--gain", "place"],
+], ids=["import", "check", "design-riccati", "design-place", "collect",
+        "design-data", "simulate", "demo-paper"])
+def test_cli_runs_without_loading_scipy(argv, model_file, uio_file, tmp_path):
+    # numpy is the only runtime dependency: neither `import uiokit` nor any
+    # subcommand may load a scipy module (scipy is a test-only oracle).
+    src = str(Path(uiokit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    if argv is None:
+        assert _scipy_modules_after("import uiokit", env) == "[]"
+        return
+    data = tmp_path / "data.csv"
+    assert main(["collect", "--from-model", model_file, "--T", "11",
+                 "--seed", "0", "--out", str(data)]) == 0
+    argv = [a.format(model=model_file, uio=uio_file, data=data, dir=tmp_path)
+            for a in argv]
+    code = f"from uiokit.cli import main; assert main({argv!r}) == 0"
+    assert _scipy_modules_after(code, env) == "[]"

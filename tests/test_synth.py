@@ -165,6 +165,32 @@ def test_undetectable_pair_is_refused_on_both_gain_paths(options):
     assert abs(abs(evidence["undetectable_modes"][0]) - 2.0) < 1e-9
 
 
+@pytest.mark.parametrize("options", [SynthesisOptions(), PLACE],
+                         ids=["riccati", "place"])
+def test_model_route_takes_the_closed_loop_spectrum_twice(
+    ref_model, options, monkeypatch
+):
+    # Once in the gain stage's own check of A_bar + L C_bar and once in the
+    # independent verify_uio; synthesize reports the first one, negated.
+    eigvals = np.linalg.eigvals
+    seen = []
+
+    def recording(M):
+        seen.append(np.array(M))
+        return eigvals(M)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    uio, diag = design_from_model(ref_model, options)
+    monkeypatch.undo()
+    loops = [M for M in seen if M.shape == uio.A_uio.shape
+             and min(np.abs(M - uio.A_uio).max(),
+                     np.abs(M + uio.A_uio).max()) < 1e-12]
+    assert len(loops) == 2
+    gain_check = np.sort_complex(-eigvals(diag.A_bar + diag.L @ diag.C_bar))
+    assert np.array_equal(diag.spectrum.eigenvalues, gain_check)
+    assert diag.spectrum.is_schur
+
+
 # ------------------------------------------------------- design routes
 
 
