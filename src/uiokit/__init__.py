@@ -63,6 +63,7 @@ from .synth import (
     design_from_model,
     kernel_representation,
     load_uio,
+    model_kernel,
     save_uio,
     synthesize,
     verify_acceptor,
@@ -104,7 +105,7 @@ __all__ = [
     "pe_order", "compatible", "save_trajectory", "load_trajectory",
     # synth
     "KernelRep", "SynthesisOptions", "NoUio", "UioFormatError",
-    "kernel_representation", "synthesize", "design_from_model",
+    "kernel_representation", "model_kernel", "synthesize", "design_from_model",
     "design_from_data", "verify_acceptor", "verify_uio",
     "save_uio", "load_uio",
     # existcheck

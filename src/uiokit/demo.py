@@ -31,13 +31,14 @@ from . import simlab
 from .datalog import Uniform, build_blocks, collect, excitation_report
 from .existcheck import exists_uio
 from .numkit import eig_assignment_error, rowspace_angles, spectrum
-from .plant import StateSpaceModel, UioRealization, consistency_matrix
+from .plant import StateSpaceModel, UioRealization
 from .synth import (
     KernelRep,
     SynthesisOptions,
     design_from_data,
     design_from_model,
     kernel_representation,
+    model_kernel,
     synthesize,
     verify_acceptor,
     verify_uio,
@@ -230,9 +231,7 @@ def run_demo(
     ))
 
     # 2. Model-route kernel vs. bundled annihilator.
-    ker = kernel_representation(
-        consistency_matrix(model), (model.n, model.m, model.p)
-    )
+    ker = model_kernel(model)
     angles = rowspace_angles(ker.matrix(), fx.kernel_matrix)
     worst_angle = float(angles.max()) if angles.size else 0.0
     checks.append((

@@ -329,11 +329,14 @@ def invariant_zeros(
     of the reduced A.
 
     Raises:
-        NumericalFailure: if that last solve or eigenvalue step fails or
-            yields a non-finite zero (one beyond the float64 range).
+        NumericalFailure: if the pencil has a non-finite entry, or if that
+            last solve or eigenvalue step fails or yields a non-finite zero
+            (one beyond the float64 range).
     """
     A, E, C, F = (_as_2d(M) for M in (A, E, C, F))
     S = np.block([[A, E], [C, F]])
+    if not np.isfinite(S).all():
+        raise NumericalFailure("invariant zeros failed: the pencil is not finite")
     cut = RankTolerance(ZERO_CUT_RELATIVE, tol.absolute_floor).threshold(S)
     while True:
         U, held = _range_basis(F, cut)

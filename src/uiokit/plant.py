@@ -13,7 +13,8 @@ no effect at all and should be removed first (see `reduce_disturbance`).
 
 `consistency_matrix` assembles the matrix Gamma whose column space contains
 every stacked one-step window (x, x+, u, u+, y, y+) the plant can generate;
-it is the bridge between the model-based and the data-based design routes.
+it defines the behaviour both design routes annihilate.  No design path
+decomposes it: `synth.model_kernel` builds its left kernel in closed form.
 
 `step` advances one sample with full input checks.  Whole horizons
 (`datalog.collect`, `simlab.run`) go through one private state recursion
@@ -132,10 +133,15 @@ class UioRealization:
 def validate(model: StateSpaceModel, tol: RankTolerance = DEFAULT_TOL) -> list[str]:
     """Diagnose a model; returns a list of violations (empty means valid).
 
-    Checks dimension consistency of all six matrices and full column rank of
-    the stacked disturbance map [E; F].
+    Checks that all six matrices are finite and have consistent dimensions,
+    then full column rank of the stacked disturbance map [E; F]; the rank
+    is decided only for a model that passes the other checks.
     """
-    v: list[str] = []
+    v: list[str] = [
+        f"non-finite entries in {key}"
+        for key in ("A", "B", "C", "D", "E", "F")
+        if not np.isfinite(getattr(model, key)).all()
+    ]
     n, m, p, r = model.n, model.m, model.p, model.r
     if model.A.shape != (n, n):
         v.append(f"dimension mismatch: A must be square, got {model.A.shape}")
@@ -259,6 +265,8 @@ def consistency_matrix(model: StateSpaceModel) -> np.ndarray:
 
     Every window the plant can produce lies in Im(Gamma), and under the
     excitation assumption the recorded-window matrix spans exactly Im(Gamma).
+    It serves as the definition and as the test oracle of
+    `synth.model_kernel`, which builds its left kernel without it.
     """
     n, m, p, r = model.n, model.m, model.p, model.r
     A, B, C, D, E, F = model.A, model.B, model.C, model.D, model.E, model.F

@@ -6,13 +6,16 @@ representation of the plant's one-step behaviour: a full-row-rank matrix
     Psi = [V_p  V_f  W_p  W_f  R_p  R_f]
 
 whose kernel equals the span of the achievable stacked windows
-(x, x+, u, u+, y, y+).  The model route annihilates the consistency matrix
-Gamma, the data route annihilates the recorded-window matrix Phi; under the
-excitation assumption the two spans coincide, so the designs agree.
+(x, x+, u, u+, y, y+).  The model route (`model_kernel`) reads it off the
+left kernel of the small disturbance block [[E, 0], [F, 0], [CE, F]], which
+determines the left kernel of the consistency matrix Gamma in closed form;
+the data route (`kernel_representation`) annihilates the recorded-window
+matrix Phi.  Under the excitation assumption the two spans coincide, so
+the designs agree.
 
 Second, turn the kernel representation into an observer.  With
-Omega_bar a left inverse of V_f and Delta_f a maximal left annihilator of
-V_f, the pair
+Omega_bar the left inverse of V_f and Delta_f a maximal left annihilator of
+V_f, both from one SVD of V_f, the pair
 
     A_bar = Omega_bar @ V_p,    C_bar = Delta_f @ V_p
 
@@ -44,21 +47,22 @@ import numpy as np
 from .numkit import (
     DEFAULT_TOL,
     SCHUR_MARGIN,
+    ColumnRankDeficient,
     NotDetectable,
     NumericalFailure,
     RankTolerance,
     SpectrumReport,
     _left_null_svd,
     _place_poles,
+    _rank_from_singular_values,
     _spectrum_report,
     _stabilizing_gain,
-    left_inverse,
     left_null_basis,
     rank,
     spectrum,
     undetectable_modes,
 )
-from .plant import StateSpaceModel, UioRealization, consistency_matrix, require_valid
+from .plant import StateSpaceModel, UioRealization, require_valid
 
 __all__ = [
     "NoUio",
@@ -71,6 +75,7 @@ __all__ = [
     "UioVerification",
     "UioFormatError",
     "kernel_representation",
+    "model_kernel",
     "synthesize",
     "design_from_model",
     "design_from_data",
@@ -209,9 +214,9 @@ def kernel_representation(
 ) -> KernelRep:
     """Kernel representation of the behaviour spanned by the columns of G.
 
-    ``G`` is the window-generating matrix (consistency matrix on the model
-    route, recorded-window matrix Phi on the data route) with 2(n+m+p) rows;
-    ``dims`` is (n, m, p).  The result has k = 2(n+m+p) - rank(G) rows with
+    ``G`` is a window-generating matrix with 2(n+m+p) rows, the
+    recorded-window matrix Phi on the data route; ``dims`` is (n, m, p).
+    The result has k = 2(n+m+p) - rank(G) rows with
     full row rank and annihilates G.  k = 0 is legal (empty kernel); later
     synthesis stages then fail with NoUio.
     """
@@ -244,15 +249,56 @@ def kernel_representation(
     return replace(rep, rank_V_f=rank_vf)
 
 
+def model_kernel(
+    model: StateSpaceModel, tol: RankTolerance = DEFAULT_TOL
+) -> KernelRep:
+    """Kernel representation of the plant's one-step behaviour, from the model.
+
+    It spans the left kernel of `plant.consistency_matrix` without forming
+    that matrix.  Reading its column blocks (x, u, u+, d, d+), a row
+    [v_p, v_f, w_p, w_f, r_p, r_f] annihilates Gamma exactly when
+    z = [v_f, r_p, r_f] annihilates the disturbance block
+
+        M = [[E, 0], [F, 0], [CE, F]]     ((n + 2p) x 2r)
+
+    and the other three blocks are
+
+        v_p = -(v_f A + r_p C + r_f CA),  w_p = -(v_f B + r_p D + r_f CB),
+        w_f = -r_f D.
+
+    So one SVD of M gives the kernel, k = n + 2p - rank(M) rows.  The rows
+    are then orthonormalized by one thin QR; every row embeds its z, so
+    they keep full row rank.  ``rank_V_f`` is left None: V_f is a block of
+    z itself, and `synthesize` decides its rank from its own SVD.
+    """
+    require_valid(model, tol)
+    n, m, p, r = model.n, model.m, model.p, model.r
+    M = np.zeros((n + 2 * p, 2 * r))
+    M[:n, :r] = model.E
+    M[n:n + p, :r] = model.F
+    M[n + p:, :r] = model.C @ model.E
+    M[n + p:, r:] = model.F
+    Z = left_null_basis(M, tol)
+    Z_v, Z_p, Z_f = np.hsplit(Z, [n, n + p])
+    AB = np.hstack([model.A, model.B])
+    past = -(Z @ np.vstack([AB, np.hstack([model.C, model.D]), model.C @ AB]))
+    Psi = np.hstack([past[:, :n], Z_v, past[:, n:], -(Z_f @ model.D), Z_p, Z_f])
+    return KernelRep.from_matrix(np.linalg.qr(Psi.T)[0].T, (n, m, p))
+
+
 def synthesize(
     ker: KernelRep, options: SynthesisOptions | None = None
 ) -> tuple[UioRealization, SynthesisDiagnostics]:
     """Turn a kernel representation into a verified-stable observer.
 
-    Pipeline: check rank(V_f) = n; build Omega_bar (Moore-Penrose left
-    inverse) and Delta_f (orthonormal left annihilator); form the pair
-    (A_bar, C_bar); compute the gain (Riccati or pole placement with negated
-    pole requests — see module docstring); read off the observer matrices.
+    Pipeline: one full SVD V_f = U S V' gives rank(V_f), which must be n;
+    Omega_bar = V S^-1 U_1' (the Moore-Penrose left inverse) and
+    Delta_f = U_2' (an orthonormal left annihilator), with U = [U_1, U_2]
+    split after n columns.  Then form the pair (A_bar, C_bar), compute the
+    gain (Riccati or pole placement with negated pole requests — see module
+    docstring) and read off the observer matrices.  A ``ker.rank_V_f``
+    recorded at extraction time (the data route's decision against the
+    generating matrix) takes the place of the SVD rank in the NoUio test.
     Detectability is decided once: by `stabilizing_gain` itself on the
     Riccati path, by `undetectable_modes` before `place_poles` on the
     placement path.  The reported spectrum is the one the gain stage
@@ -261,6 +307,8 @@ def synthesize(
 
     Raises:
         NoUio: with cause VF_RANK_DEFICIENT or NOT_DETECTABLE.
+        ColumnRankDeficient: when ``ker.rank_V_f`` says n but the SVD of
+            V_f has fewer than n singular values above the cutoff.
         ValueError: for bad options (e.g. "place" without poles, or a
             requested pole multiset that is not Schur).
         NotObservable / PlacementFailed / NumericalFailure: propagated from
@@ -268,18 +316,21 @@ def synthesize(
     """
     opt = options or SynthesisOptions()
     n = ker.n
-    # prefer the data-aware rank decision recorded at extraction time
-    r_vf = ker.rank_V_f
-    if r_vf is None:
-        r_vf = rank(ker.V_f, opt.tol)
+    U, s, Vt = np.linalg.svd(ker.V_f)
+    svd_rank = _rank_from_singular_values(s, ker.V_f.shape, opt.tol)
+    r_vf = svd_rank if ker.rank_V_f is None else ker.rank_V_f
     if r_vf < n:
         raise NoUio(
             VF_RANK_DEFICIENT,
             f"rank(V_f) = {r_vf} < n = {n}",
             evidence={"rank_V_f": r_vf, "n": n, "k": ker.k},
         )
-    Omega_bar = left_inverse(ker.V_f, opt.tol)
-    Delta_f = left_null_basis(ker.V_f, opt.tol)
+    if svd_rank < n:
+        raise ColumnRankDeficient(
+            f"matrix of shape {ker.V_f.shape} has rank {svd_rank} < {n}"
+        )
+    Omega_bar = (Vt.T / s) @ U[:, :n].T
+    Delta_f = U[:, n:].T
     A_bar = Omega_bar @ ker.V_p
     C_bar = Delta_f @ ker.V_p
 
@@ -344,7 +395,7 @@ def synthesize(
 def design_from_model(
     model: StateSpaceModel, options: SynthesisOptions | None = None
 ) -> tuple[UioRealization, SynthesisDiagnostics]:
-    """Model route: kernel of the consistency matrix, then `synthesize`.
+    """Model route: `model_kernel` of the plant, then `synthesize`.
 
     The model is at hand, so the observer is certified against it with
     `verify_uio` before it is returned.
@@ -356,11 +407,7 @@ def design_from_model(
             `synthesize`.
     """
     opt = options or SynthesisOptions()
-    require_valid(model, opt.tol)
-    ker = kernel_representation(
-        consistency_matrix(model), (model.n, model.m, model.p), opt.tol
-    )
-    uio, diag = synthesize(ker, opt)
+    uio, diag = synthesize(model_kernel(model, opt.tol), opt)
     check = verify_uio(model, uio, margin=opt.schur_margin)
     if not check.is_uio:
         raise NumericalFailure(

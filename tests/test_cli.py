@@ -77,6 +77,21 @@ def test_check_malformed_json_exits_4(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "design"])
+def test_non_finite_model_exits_4_as_invalid(tmp_path, ref_model, command,
+                                             capsys):
+    # Python's json reads and writes NaN, so such a file loads as numbers.
+    doc = {key: getattr(ref_model, key).tolist()
+           for key in ("A", "B", "C", "D", "E", "F")}
+    doc["A"][0][0] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([command, "--from-model", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert "invalid model: non-finite entries in A" in err
+    assert "SVD did not converge" not in err
+
+
 # ----------------------------------------------------------------- design
 
 

@@ -299,6 +299,15 @@ def test_invariant_zeros_beyond_float_range_raise_numerical_failure():
         invariant_zeros([[0.0]], [[1e305]], [[1e305]], [[1e297]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_invariant_zeros_of_non_finite_pencil_raise_numerical_failure(bad):
+    # Without the up-front check the first SVD raises a bare LinAlgError.
+    with pytest.raises(NumericalFailure, match="not finite"):
+        invariant_zeros([[bad]], [[1.0]], [[1.0]], [[1.0]])
+    with pytest.raises(NumericalFailure, match="not finite"):
+        invariant_zeros([[0.5]], np.zeros((1, 0)), [[bad]], np.zeros((1, 0)))
+
+
 def test_invariant_zeros_failed_solve_is_numerical_failure(monkeypatch):
     def singular(a, b):
         raise np.linalg.LinAlgError("Singular matrix")

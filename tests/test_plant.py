@@ -64,6 +64,19 @@ def test_validate_flags_dimension_mismatch(ref_model):
     assert any("dimension mismatch" in msg for msg in messages)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validate_flags_non_finite_entries_matrix_by_matrix(ref_model, bad):
+    A = ref_model.A.copy()
+    F = ref_model.F.copy()
+    A[1, 2] = bad
+    F[0, 0] = bad
+    model = StateSpaceModel(A, ref_model.B, ref_model.C, ref_model.D,
+                            ref_model.E, F)
+    # Reported before, and instead of, any rank decision on [E; F].
+    assert validate(model) == ["non-finite entries in A",
+                               "non-finite entries in F"]
+
+
 def test_require_valid_raises_with_all_violations(ref_model):
     bad = StateSpaceModel(ref_model.A, np.zeros((2, 1)), ref_model.C,
                           ref_model.D, np.zeros((3, 1)), np.zeros((2, 1)))
@@ -285,6 +298,13 @@ def test_model_from_dict_rejects_invalid_model(ref_model):
     doc["E"] = [[0.0], [0.0], [0.0]]
     doc["F"] = [[0.0], [0.0]]
     with pytest.raises(ModelFormatError, match="rank"):
+        model_from_dict(doc)
+
+
+def test_model_from_dict_rejects_non_finite_model(ref_model):
+    doc = model_to_dict(ref_model)
+    doc["A"][0][0] = float("nan")
+    with pytest.raises(ModelFormatError, match="non-finite entries in A"):
         model_from_dict(doc)
 
 

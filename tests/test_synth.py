@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from uiokit import numkit, synth
+from uiokit import demo, numkit, synth
 from uiokit.datalog import Uniform, build_blocks, collect
 from uiokit.numkit import eig_assignment_error, rank, right_null_basis, rowspace_angles
 from uiokit.plant import StateSpaceModel, UioRealization, consistency_matrix
@@ -19,6 +19,7 @@ from uiokit.synth import (
     design_from_model,
     kernel_representation,
     load_uio,
+    model_kernel,
     save_uio,
     synthesize,
     uio_from_dict,
@@ -83,6 +84,72 @@ def test_kernel_records_scale_aware_future_rank(ref_model, no_uio_model):
     assert ker.rank_V_f == 3
     ker_no = kernel_representation(consistency_matrix(no_uio_model), DIMS)
     assert ker_no.rank_V_f == 2
+
+
+# (n, m, p, r, hidden mode, seed) for the `rotated_hidden_mode` recipe: even
+# seeds have F = 0, a mode at 1.3 leaves no observer, r = 0 has no
+# disturbance and p = 1 < r = 2 has too few outputs.
+_LADDER = [
+    (n, max(1, n // 5), p, r, mode, seed)
+    for n in (2, 5, 20, 60)
+    for seed in (0, 1)
+    for p, r, mode in ((max(2, n // 3), max(1, n // 10), 1.3),
+                       (max(2, n // 3), max(1, n // 10), 0.5),
+                       (max(2, n // 3), 0, 0.5),
+                       (1, 2, 0.5))
+]
+_DEMO_MODELS = ("reference_model", "counterexample_model", "convergence_model")
+
+
+@pytest.mark.parametrize(
+    "case", _LADDER + list(_DEMO_MODELS),
+    ids=[f"n{n}-m{m}-p{p}-r{r}-mode{mode}-s{seed}"
+         for n, m, p, r, mode, seed in _LADDER] + list(_DEMO_MODELS),
+)
+def test_model_kernel_matches_the_gamma_oracle(case, rotated_hidden_mode):
+    model = (getattr(demo, case)() if isinstance(case, str)
+             else rotated_hidden_mode(*case))
+    eps = np.finfo(float).eps
+    Gamma = consistency_matrix(model)
+    oracle = kernel_representation(Gamma, (model.n, model.m, model.p))
+    ker = model_kernel(model)
+    Psi = ker.matrix()
+    c = max(Psi.shape)
+    assert ker.k == oracle.k
+    assert rank(ker.V_f) == oracle.rank_V_f
+    assert np.abs(Psi @ Psi.T - np.eye(ker.k)).max() <= c * eps
+    g = np.linalg.svd(Gamma, compute_uv=False)
+    assert np.linalg.norm(Psi @ Gamma, 2) <= c * eps * g[0]
+    # Either basis is accurate to eps over the gap of Gamma's spectrum.
+    gap = g[rank(Gamma) - 1]
+    assert rowspace_angles(Psi, oracle.matrix()).max(initial=0.0) <= (
+        c * eps * g[0] / gap)
+
+    outcomes = []
+    for basis in (oracle, ker):
+        try:
+            outcomes.append(synthesize(basis))
+        except NoUio as exc:
+            outcomes.append(exc.cause)
+    if any(isinstance(o, str) for o in outcomes):
+        assert outcomes[0] == outcomes[1]
+        return
+    (uio_o, diag_o), (uio_k, diag_k) = outcomes
+    assert verify_uio(model, uio_o).is_uio and verify_uio(model, uio_k).is_uio
+    # The two bases differ by an orthogonal T that cancels from A_bar and
+    # from C_bar' C_bar, so those differ only by the left inverse's
+    # rounding, eps * cond(V_f).  The Riccati stage amplifies that by the
+    # conditioning of the closed loop; on this ladder the condition number
+    # of A_uio's eigenvector matrix bounds the amplification about
+    # tenfold.
+    norm = lambda M: np.linalg.norm(M, 2)
+    rel = 4 * max(ker.k, ker.n) * eps * np.linalg.cond(ker.V_f)
+    assert norm(diag_o.A_bar - diag_k.A_bar) <= rel * norm(diag_o.A_bar)
+    gram_o, gram_k = (d.C_bar.T @ d.C_bar for d in (diag_o, diag_k))
+    assert norm(gram_o - gram_k) <= rel * max(norm(gram_o), 1.0)
+    loop_cond = np.linalg.cond(np.linalg.eig(uio_k.A_uio)[1])
+    assert norm(uio_o.A_uio - uio_k.A_uio) <= (
+        rel * loop_cond * norm(uio_o.A_uio))
 
 
 # ------------------------------------------------------------ synthesize
@@ -189,6 +256,32 @@ def test_model_route_takes_the_closed_loop_spectrum_twice(
     gain_check = np.sort_complex(-eigvals(diag.A_bar + diag.L @ diag.C_bar))
     assert np.array_equal(diag.spectrum.eigenvalues, gain_check)
     assert diag.spectrum.is_schur
+
+
+@pytest.mark.parametrize("options", [SynthesisOptions(), PLACE],
+                         ids=["riccati", "place"])
+def test_model_route_decomposes_v_f_once_and_no_gamma_sized_matrix(
+    ref_model, options, monkeypatch
+):
+    # The kernel comes from the (n + 2p) x 2r disturbance block, and the
+    # rank, left inverse and annihilator of V_f from one SVD of V_f.
+    svd = np.linalg.svd
+    seen = []
+
+    def recording(M, *args, **kwargs):
+        seen.append(np.array(M))
+        return svd(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    _, diag = design_from_model(ref_model, options)
+    monkeypatch.undo()
+    n = ref_model.n
+    rows = 2 * (n + ref_model.m + ref_model.p)
+    assert seen and not [M.shape for M in seen if M.shape[0] == rows]
+    # V_f is the k x n matrix that Omega_bar inverts from the left.
+    v_f = [M for M in seen if M.shape == (diag.Omega_bar.shape[1], n)
+           and np.abs(diag.Omega_bar @ M - np.eye(n)).max() < 1e-12]
+    assert len(v_f) == 1
 
 
 # ------------------------------------------------------- design routes
