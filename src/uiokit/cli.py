@@ -126,13 +126,15 @@ def _tolerance(args) -> RankTolerance:
     return RankTolerance(relative=args.tol_rank)
 
 
-def _add_numeric_flags(sp) -> None:
+def _add_numeric_flags(sp, schur_margin: bool = True) -> None:
+    """--tol-rank, and --schur-margin where a verdict reads it."""
     sp.add_argument("--tol-rank", type=float, default=None, metavar="X",
                     help="relative rank tolerance (default: machine epsilon)")
-    sp.add_argument("--schur-margin", type=float, default=SCHUR_MARGIN,
-                    metavar="X",
-                    help="stability margin on the unit circle "
-                         f"(default {SCHUR_MARGIN:g})")
+    if schur_margin:
+        sp.add_argument("--schur-margin", type=float, default=SCHUR_MARGIN,
+                        metavar="X",
+                        help="stability margin on the unit circle "
+                             f"(default {SCHUR_MARGIN:g})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -183,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="uniform initial-state range (default -1,1)")
     sp.add_argument("--out", metavar="PATH",
                     help="trajectory file (default: stdout)")
-    _add_numeric_flags(sp)
+    _add_numeric_flags(sp, schur_margin=False)
     sp.set_defaults(func=_cmd_collect)
 
     sp = sub.add_parser("simulate",
@@ -200,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="start the observer so that e(0) = 0")
     sp.add_argument("--out", metavar="PATH",
                     help="write the extended trace file here")
-    _add_numeric_flags(sp)
+    _add_numeric_flags(sp, schur_margin=False)
     sp.set_defaults(func=_cmd_simulate)
 
     sp = sub.add_parser("demo-paper",

@@ -244,6 +244,8 @@ def build_blocks(data: HistoricalData, dims=None) -> DataBlocks:
 def assumption_holds(blocks: DataBlocks, tol: RankTolerance = DEFAULT_TOL) -> bool:
     """Excitation assumption: [X_p; U_p; U_f; D_p; D_f] has full row rank.
 
+    The verdict of `excitation_report`, which ranks that stack.
+
     Raises:
         MissingDisturbanceRecord: if the blocks carry no disturbance record —
             the stack cannot even be formed from measured data.
@@ -253,8 +255,7 @@ def assumption_holds(blocks: DataBlocks, tol: RankTolerance = DEFAULT_TOL) -> bo
             "the excitation assumption involves the recorded disturbance; "
             "this data has none"
         )
-    stack = np.vstack([blocks.X_p, blocks.U_p, blocks.U_f, blocks.D_p, blocks.D_f])
-    return rank(stack, tol) == stack.shape[0]
+    return excitation_report(blocks, tol).ok
 
 
 @dataclass(frozen=True)
@@ -271,26 +272,27 @@ class ExcitationReport:
 def excitation_report(
     blocks: DataBlocks, tol: RankTolerance = DEFAULT_TOL
 ) -> ExcitationReport:
-    """Run `assumption_holds` when possible, else the measured-data surrogate.
+    """Rank check of the excitation assumption, or of its surrogate.
 
-    The surrogate checks full row rank of [X_p; U_p; U_f] only; it is
-    necessary but not sufficient, which the message spells out.
+    With a recorded disturbance it checks the assumption, full row rank of
+    [X_p; U_p; U_f; D_p; D_f].  Without one it checks the measured-data
+    surrogate, full row rank of [X_p; U_p; U_f] only; that is necessary but
+    not sufficient, which the message spells out.
     """
-    if blocks.D_p is not None and blocks.D_f is not None:
-        stack = np.vstack(
-            [blocks.X_p, blocks.U_p, blocks.U_f, blocks.D_p, blocks.D_f]
-        )
-        got = rank(stack, tol)
-        ok = got == stack.shape[0]
+    recorded = blocks.D_p is not None and blocks.D_f is not None
+    parts = [blocks.X_p, blocks.U_p, blocks.U_f]
+    if recorded:
+        parts += [blocks.D_p, blocks.D_f]
+    stack = np.vstack(parts)
+    got = rank(stack, tol)
+    ok = got == stack.shape[0]
+    if recorded:
         return ExcitationReport(
             mode="assumption", ok=ok, rank=got, required=stack.shape[0],
             message="excitation assumption "
                     + ("holds" if ok else "FAILS")
                     + f" (rank {got} of {stack.shape[0]})",
         )
-    stack = np.vstack([blocks.X_p, blocks.U_p, blocks.U_f])
-    got = rank(stack, tol)
-    ok = got == stack.shape[0]
     return ExcitationReport(
         mode="surrogate", ok=ok, rank=got, required=stack.shape[0],
         message="warning: no disturbance record; the excitation assumption "
@@ -337,13 +339,13 @@ def compatible(window, blocks: DataBlocks,
             f"window must have length {Phi.shape[0]}, got {w.shape[0]}"
         )
     if min(Phi.shape) == 0:
-        return bool(np.linalg.norm(w) <= tol.absolute_floor)
+        return not w.any()
     U, s, _ = np.linalg.svd(Phi, full_matrices=False)
     cut = tol.cutoff(Phi.shape, s[0])
     k = int(np.count_nonzero(s > cut))
     Q = U[:, :k]
     resid = np.linalg.norm(w - Q @ (Q.T @ w))
-    return bool(resid <= cut * (1.0 + np.linalg.norm(w)) + tol.absolute_floor)
+    return bool(resid <= cut * (1.0 + np.linalg.norm(w)))
 
 
 # --------------------------------------------------------------------------

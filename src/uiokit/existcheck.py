@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkit import (DEFAULT_TOL, SCHUR_MARGIN, NumericalFailure, RankTolerance,
-                     invariant_zeros, rank)
+                     invariant_zeros)
 from .plant import StateSpaceModel, require_valid
 from .synth import NoUio, SynthesisOptions, design_from_model
 from . import numkit
@@ -55,11 +55,13 @@ def condition_b(
 ) -> tuple[bool, dict]:
     """rank [[CE, F], [F, 0]] == rank(F) + r, with the ranks as evidence.
 
-    The block's rank is decided with an absolute floor at the scale of the
-    inputs C, E, F: the product CE of an exactly-decoupled disturbance
-    direction computes to ~eps * ||C|| ||E|| rather than to zero, and a
-    purely relative threshold would count that residue as a full rank unit
-    (any nonzero matrix has full rank relative to its own largest entry).
+    Both ranks count the singular values above ``tol``'s relative cutoff and
+    above a floor at the scale of the inputs C, E, F,
+    4 * max(shape) * eps * (||C|| ||E|| + ||F||): the product CE of an
+    exactly-decoupled disturbance direction computes to ~eps * ||C|| ||E||
+    rather than to zero, and a purely relative threshold would count that
+    residue as a full rank unit (any nonzero matrix has full rank relative
+    to its own largest entry).
     """
     p, r = model.p, model.r
     M = np.zeros((2 * p, 2 * r))
@@ -69,10 +71,15 @@ def condition_b(
     scale = (_spectral_norm(model.C) * _spectral_norm(model.E)
              + _spectral_norm(model.F))
     floor = 4.0 * max(M.shape, default=1) * np.finfo(float).eps * scale
-    eff = RankTolerance(relative=tol.relative,
-                        absolute_floor=max(tol.absolute_floor, floor))
-    block_rank = rank(M, eff)
-    rank_F = rank(model.F, eff)
+
+    def floored_rank(X: np.ndarray) -> int:
+        if min(X.shape) == 0:
+            return 0
+        s = np.linalg.svd(X, compute_uv=False)
+        return int(np.count_nonzero(s > max(tol.cutoff(X.shape, s[0]), floor)))
+
+    block_rank = floored_rank(M)
+    rank_F = floored_rank(model.F)
     required = rank_F + r
     return block_rank == required, {
         "block_rank": block_rank,
@@ -82,9 +89,7 @@ def condition_b(
 
 
 def condition_a(
-    model: StateSpaceModel,
-    tol: RankTolerance = DEFAULT_TOL,
-    margin: float = SCHUR_MARGIN,
+    model: StateSpaceModel, margin: float = SCHUR_MARGIN
 ) -> tuple[bool, dict]:
     """Full rank of P(z) on and outside the unit circle.
 
@@ -92,8 +97,7 @@ def condition_a(
     ranks, the invariant zeros, and as ``drops`` those with modulus
     >= 1 - margin.  Zeros within ``margin`` of the unit circle also appear
     in ``boundary_drops``: boundary zeros fail conservatively.  The rank
-    cutoff is `numkit.ZERO_CUT_RELATIVE`, so ``tol`` contributes only its
-    absolute floor.
+    cutoff is `numkit.ZERO_CUT_RELATIVE`.
 
     Raises:
         NormalRankDeficient: when P(z) is rank deficient at every z
@@ -106,7 +110,7 @@ def condition_a(
             "reason": f"p = {p} < r = {r}: rank {target} exceeds the "
                       f"{n + p} rows of P(z)",
         }
-    zeros, rows = invariant_zeros(model.A, model.E, model.C, model.F, tol)
+    zeros, rows = invariant_zeros(model.A, model.E, model.C, model.F)
     normal_rank = n + rows
     if rows < r:
         raise NormalRankDeficient(
@@ -152,7 +156,7 @@ def exists_uio(
     require_valid(model, opt.tol)
     b_ok, b_ev = condition_b(model, opt.tol)
     try:
-        a_ok, a_ev = condition_a(model, opt.tol, opt.schur_margin)
+        a_ok, a_ev = condition_a(model, margin=opt.schur_margin)
     except NormalRankDeficient as exc:
         a_ok, a_ev = False, {"reason": str(exc)}
     exists = a_ok and b_ok

@@ -4,11 +4,10 @@ Every rank-sensitive decision in the package funnels through this module so
 that a single tolerance policy governs them all.  The policy mirrors the
 usual SVD cutoff: a singular value counts as nonzero when it exceeds
 
-    max(n_rows, n_cols) * relative * sigma_max
+    max(n_rows, n_cols) * relative * sigma_max.
 
-optionally floored by an absolute threshold.  Schur/stability decisions carry
-their own margin: an eigenvalue is "stable" only if its modulus stays below
-1 - margin.
+Schur/stability decisions carry their own margin: an eigenvalue is "stable"
+only if its modulus stays below 1 - margin.
 
 Where a pencil loses rank is decided once, by `invariant_zeros` with the
 fixed relative cutoff `ZERO_CUT_RELATIVE`: condition (a) of `existcheck`,
@@ -24,7 +23,8 @@ Abar + L @ Cbar.  Neither takes a seed or an iteration budget: the Riccati
 gain comes from a structure-preserving doubling solve of the DARE, a few
 n x n solves and products that stop at float64 accuracy, and placement
 draws its output combinations from one fixed generator.  Both verify their
-own output and raise instead of returning an unchecked gain.
+own output and raise instead of returning an unchecked gain; each returns
+the gain together with the eigenvalues of Abar + L @ Cbar it verified.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
     "rank",
     "right_null_basis",
     "left_null_basis",
-    "left_inverse",
     "spectrum",
     "eig_assignment_error",
     "ZERO_CUT_RELATIVE",
@@ -111,12 +110,9 @@ class RankTolerance:
         relative: multiplies ``max(shape) * sigma_max`` to form the cutoff.
             Defaults to machine epsilon, matching the conventional SVD rank
             threshold for noise-free data.
-        absolute_floor: lower bound on the cutoff, for data whose noise level
-            is known a priori.  Zero by default.
     """
 
     relative: float = _EPS
-    absolute_floor: float = 0.0
 
     def cutoff(self, shape, sigma_max: float) -> float:
         """Cutoff for singular values of a matrix of ``shape``.
@@ -124,13 +120,13 @@ class RankTolerance:
         ``sigma_max`` is its largest singular value.  Every rank decision
         in the package goes through this rule.
         """
-        return max(max(shape) * self.relative * sigma_max, self.absolute_floor)
+        return max(shape) * self.relative * sigma_max
 
     def threshold(self, M: np.ndarray) -> float:
         """Effective cutoff for singular values of ``M``."""
         M = np.asarray(M)
         if M.size == 0:
-            return self.absolute_floor
+            return 0.0
         return self.cutoff(M.shape, float(np.linalg.norm(M, 2)))
 
 
@@ -207,21 +203,6 @@ def _rank_from_singular_values(s, shape, tol: RankTolerance) -> int:
     if len(s) == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > tol.cutoff(shape, s[0])))
-
-
-def left_inverse(M, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose left inverse of a full-column-rank matrix.
-
-    Raises:
-        ColumnRankDeficient: if ``rank(M) < M.shape[1]``.
-    """
-    M = _as_2d(M)
-    r = rank(M, tol)
-    if r < M.shape[1]:
-        raise ColumnRankDeficient(
-            f"matrix of shape {M.shape} has rank {r} < {M.shape[1]}"
-        )
-    return np.linalg.pinv(M, rcond=max(M.shape) * tol.relative)
 
 
 def spectrum(M, margin: float = SCHUR_MARGIN) -> SpectrumReport:
@@ -306,18 +287,16 @@ def _range_basis(M: np.ndarray, cut: float) -> tuple[np.ndarray, int]:
     return U, int(np.count_nonzero(s > cut))
 
 
-def invariant_zeros(
-    A, E, C, F, tol: RankTolerance = DEFAULT_TOL
-) -> tuple[np.ndarray, int]:
+def invariant_zeros(A, E, C, F) -> tuple[np.ndarray, int]:
     """Finite zeros of P(z) = [[z*I - A, -E], [C, F]], and the rows F keeps.
 
     One orthogonal reduction (Emami-Naeini & Van Dooren 1982): the output
     rows F does not reach pin part of the state to zero, and that part and
     those rows are deflated until F has full row rank.  The rank cutoff is
-    `ZERO_CUT_RELATIVE` against S = [[A, E], [C, F]], floored by
-    ``tol.absolute_floor``.  P has normal rank n + rows; with rows below
-    the r columns of F it is rank deficient everywhere and no zeros are
-    returned.  With r = 0 the zeros are the unobservable modes of (A, C).
+    `ZERO_CUT_RELATIVE` against S = [[A, E], [C, F]].  P has normal rank
+    n + rows; with rows below the r columns of F it is rank deficient
+    everywhere and no zeros are returned.  With r = 0 the zeros are the
+    unobservable modes of (A, C).
 
     Otherwise F is square and above the cut, and the pencil restricted to
     an orthonormal basis K = [K_x; K_d] of ker [C, F] is z K_x - [A, E] K.
@@ -337,7 +316,7 @@ def invariant_zeros(
     S = np.block([[A, E], [C, F]])
     if not np.isfinite(S).all():
         raise NumericalFailure("invariant zeros failed: the pencil is not finite")
-    cut = RankTolerance(ZERO_CUT_RELATIVE, tol.absolute_floor).threshold(S)
+    cut = RankTolerance(ZERO_CUT_RELATIVE).threshold(S)
     while True:
         U, held = _range_basis(F, cut)
         C, F = U.T @ C, U.T @ F
@@ -374,16 +353,12 @@ def invariant_zeros(
 
 
 def undetectable_modes(
-    Abar,
-    Cbar,
-    tol: RankTolerance = DEFAULT_TOL,
-    margin: float = SCHUR_MARGIN,
+    Abar, Cbar, margin: float = SCHUR_MARGIN
 ) -> list[complex]:
     """Unobservable modes of (Abar, Cbar) with modulus >= 1 - margin.
 
-    They are the zeros of `invariant_zeros` with no disturbance, so ``tol``
-    gives only the absolute floor, and a Cbar below
-    1e-9 * ||[Abar; Cbar]|| counts as zero, as in condition (a).
+    They are the zeros of `invariant_zeros` with no disturbance, so a Cbar
+    below 1e-9 * ||[Abar; Cbar]|| counts as zero, as in condition (a).
     """
     Abar = _as_2d(Abar)
     Cbar = _as_2d(Cbar)
@@ -391,7 +366,7 @@ def undetectable_modes(
     if Abar.shape[1] != n or Cbar.shape[1] != n:
         raise ValueError("Abar must be square and Cbar must have n columns")
     zeros, _ = invariant_zeros(Abar, np.zeros((n, 0)), Cbar,
-                               np.zeros((len(Cbar), 0)), tol)
+                               np.zeros((len(Cbar), 0)))
     return [complex(z) for z in zeros if abs(z) >= 1.0 - margin]
 
 
@@ -440,11 +415,8 @@ def _dare_doubling(Abar: np.ndarray, Cbar: np.ndarray) -> np.ndarray:
 
 
 def stabilizing_gain(
-    Abar,
-    Cbar,
-    tol: RankTolerance = DEFAULT_TOL,
-    margin: float = SCHUR_MARGIN,
-) -> np.ndarray:
+    Abar, Cbar, margin: float = SCHUR_MARGIN
+) -> tuple[np.ndarray, np.ndarray]:
     """Output-injection gain L making ``Abar + L @ Cbar`` Schur.
 
     Solves the filter-form discrete algebraic Riccati equation with unit
@@ -454,7 +426,8 @@ def stabilizing_gain(
 
     for its stabilizing solution by structure-preserving doubling
     (`_dare_doubling`), and returns
-    ``L = -Abar P Cbar' (Cbar P Cbar' + I)^-1``.  Detectability of
+    ``L = -Abar P Cbar' (Cbar P Cbar' + I)^-1`` with the verified
+    eigenvalues of ``Abar + L @ Cbar``.  Detectability of
     (Abar, Cbar) guarantees that solution; it is checked up front by
     `undetectable_modes`.  The doubling stops once a step changes P by at
     most n * eps relative (1-norm).  It needs log2(log eps / log rho)
@@ -470,18 +443,11 @@ def stabilizing_gain(
             doubling has not converged after `_MAX_DOUBLINGS` steps, or the
             final closed loop is not Schur.
     """
-    return _stabilizing_gain(Abar, Cbar, tol, margin)[0]
-
-
-def _stabilizing_gain(
-    Abar, Cbar, tol: RankTolerance, margin: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """`stabilizing_gain` and the verified eigenvalues of Abar + L Cbar."""
     Abar = _as_2d(Abar)
     Cbar = _as_2d(Cbar)
     n = Abar.shape[0]
     q = Cbar.shape[0]
-    bad = undetectable_modes(Abar, Cbar, tol, margin)
+    bad = undetectable_modes(Abar, Cbar, margin=margin)
     if bad:
         raise NotDetectable(bad)
     if n == 0:
@@ -526,12 +492,7 @@ def _ackermann(Abar: np.ndarray, c_row: np.ndarray, coeffs: np.ndarray) -> np.nd
         return -(phi @ w)
 
 
-def place_poles(
-    Abar,
-    Cbar,
-    poles,
-    tol: RankTolerance = DEFAULT_TOL,
-) -> np.ndarray:
+def place_poles(Abar, Cbar, poles) -> tuple[np.ndarray, np.ndarray]:
     """Output-injection gain L placing the spectrum of ``Abar + L @ Cbar``.
 
     ``poles`` must be a conjugation-closed multiset of n values.  The
@@ -541,20 +502,14 @@ def place_poles(
     up to `PLACEMENT_ATTEMPTS` draws until the placed spectrum verifies
     against the request within `PLACEMENT_TOL` (optimal-assignment
     matching).  The draws come from a generator with the fixed seed 0, so
-    the result is deterministic.
+    the result is deterministic.  Returns L with the verified eigenvalues
+    of ``Abar + L @ Cbar``.
 
     Raises:
         NotObservable: if (Abar, Cbar) has an unobservable mode.
         ValueError: if ``poles`` is not conjugation-closed or has wrong size.
         PlacementFailed: if no attempt produces a verified gain.
     """
-    return _place_poles(Abar, Cbar, poles, tol)[0]
-
-
-def _place_poles(
-    Abar, Cbar, poles, tol: RankTolerance
-) -> tuple[np.ndarray, np.ndarray]:
-    """`place_poles` and the verified eigenvalues of Abar + L Cbar."""
     Abar = _as_2d(Abar)
     Cbar = _as_2d(Cbar)
     n = Abar.shape[0]
@@ -586,7 +541,7 @@ def _place_poles(
         return zero, ev
 
     # margin 1 counts every mode as unstable: detectable becomes observable.
-    modes = undetectable_modes(Abar, Cbar, tol, margin=1.0)
+    modes = undetectable_modes(Abar, Cbar, margin=1.0)
     if modes:
         raise NotObservable(f"unobservable modes: {modes}")
 

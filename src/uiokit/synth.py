@@ -53,13 +53,13 @@ from .numkit import (
     RankTolerance,
     SpectrumReport,
     _left_null_svd,
-    _place_poles,
     _rank_from_singular_values,
     _spectrum_report,
-    _stabilizing_gain,
     left_null_basis,
+    place_poles,
     rank,
     spectrum,
+    stabilizing_gain,
     undetectable_modes,
 )
 from .plant import StateSpaceModel, UioRealization, require_valid
@@ -177,7 +177,9 @@ class SynthesisOptions:
         deterministic; neither takes a seed.
     poles: requested A_uio eigenvalues for the "place" gain; must be a
         conjugation-closed Schur multiset.
-    tol: rank-decision policy for every stage.
+    tol: relative cutoff of the SVD rank decisions (kernel, rank(V_f),
+        condition (b)); the zero-based decisions of detectability and
+        condition (a) use the fixed `numkit.ZERO_CUT_RELATIVE`.
     schur_margin: stability margin for the detectability test and the
         Schur verdicts.
     """
@@ -336,10 +338,9 @@ def synthesize(
 
     try:
         if opt.gain == "riccati":
-            L, closed = _stabilizing_gain(A_bar, C_bar, opt.tol,
-                                          opt.schur_margin)
+            L, closed = stabilizing_gain(A_bar, C_bar, margin=opt.schur_margin)
         elif opt.gain == "place":
-            bad = undetectable_modes(A_bar, C_bar, opt.tol, opt.schur_margin)
+            bad = undetectable_modes(A_bar, C_bar, margin=opt.schur_margin)
             if bad:
                 raise NotDetectable(bad)
             if opt.poles is None:
@@ -351,7 +352,7 @@ def synthesize(
                 )
             # The caller requests eigenvalues of A_uio = -(A_bar + L C_bar);
             # place the negated set so the request is what comes out.
-            L, closed = _place_poles(A_bar, C_bar, -poles, opt.tol)
+            L, closed = place_poles(A_bar, C_bar, -poles)
         else:
             raise ValueError(f"unknown gain method {opt.gain!r}")
     except NotDetectable as exc:

@@ -92,6 +92,57 @@ def test_non_finite_model_exits_4_as_invalid(tmp_path, ref_model, command,
     assert "SVD did not converge" not in err
 
 
+# ---------------------------------------------------------- numeric flags
+
+
+def _no_input_model_file(tmp_path, A, C, E, F) -> str:
+    n, p = len(A), len(C)
+    path = tmp_path / "flags.json"
+    save_model(path, StateSpaceModel(A=A, B=np.zeros((n, 0)), C=C,
+                                     D=np.zeros((p, 0)), E=E, F=F))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["check", "design"])
+def test_schur_margin_reaches_the_verdict(tmp_path, command, capsys):
+    # The hidden mode 0.5 is stable, but not by the margin 0.6.
+    path = _no_input_model_file(tmp_path, [[0.5]], [[0.0]], [[0.0]], [[1.0]])
+    assert main([command, "--from-model", path]) == 0
+    capsys.readouterr()
+    assert main([command, "--from-model", path, "--schur-margin", "0.6"]) == 2
+    out = capsys.readouterr().out
+    assert ("observer exists: no" if command == "check"
+            else "NotDetectable") in out
+
+
+@pytest.mark.parametrize("command", ["check", "design"])
+def test_tol_rank_reaches_the_rank_decision(tmp_path, command, capsys):
+    # CE = diag(1, 1e-8): full rank at machine precision, rank 1 once
+    # singular values below 1e-6 of the largest count as zero.
+    path = _no_input_model_file(tmp_path, 0.5 * np.eye(2),
+                                np.diag([1.0, 1e-8]), np.eye(2),
+                                np.zeros((2, 2)))
+    assert main([command, "--from-model", path]) == 0
+    capsys.readouterr()
+    assert main([command, "--from-model", path, "--tol-rank", "1e-6"]) == 2
+    out = capsys.readouterr().out
+    if command == "check":
+        assert "rank of [[CE, F], [F, 0]] = 1" in out
+    else:
+        assert "rank(V_f) = 1 < n = 2" in out
+
+
+@pytest.mark.parametrize("command", ["collect", "simulate"])
+def test_schur_margin_is_refused_where_no_verdict_reads_it(
+        model_file, uio_file, command, capsys):
+    argv = [command, "--from-model", model_file, "--T", "5",
+            "--schur-margin", "0.3"]
+    if command == "simulate":
+        argv += ["--uio", uio_file]
+    assert main(argv) == 4
+    assert "--schur-margin" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------- design
 
 
