@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 from .numkit import (
     DEFAULT_TOL,
     SCHUR_MARGIN,
-    ColumnRankDeficient,
     NotDetectable,
     NotObservable,
     NumericalFailure,
@@ -42,10 +41,8 @@ from .plant import (
 from .datalog import (
     DataBlocks,
     HistoricalData,
-    MissingDisturbanceRecord,
     TrajectoryFormatError,
     Uniform,
-    assumption_holds,
     build_blocks,
     collect,
     compatible,
@@ -71,7 +68,6 @@ from .synth import (
 )
 from .existcheck import (
     ExistenceReport,
-    NormalRankDeficient,
     condition_a,
     condition_b,
     exists_uio,
@@ -91,7 +87,7 @@ __all__ = [
     "__version__",
     # numkit
     "DEFAULT_TOL", "SCHUR_MARGIN", "RankTolerance", "SpectrumReport",
-    "NumericalFailure", "ColumnRankDeficient", "NotDetectable",
+    "NumericalFailure", "NotDetectable",
     "NotObservable", "PlacementFailed",
     "rank", "spectrum", "stabilizing_gain", "place_poles",
     # plant
@@ -100,8 +96,8 @@ __all__ = [
     "save_model", "load_model",
     # datalog
     "HistoricalData", "DataBlocks", "Uniform",
-    "MissingDisturbanceRecord", "TrajectoryFormatError",
-    "collect", "build_blocks", "assumption_holds", "excitation_report",
+    "TrajectoryFormatError",
+    "collect", "build_blocks", "excitation_report",
     "pe_order", "compatible", "save_trajectory", "load_trajectory",
     # synth
     "KernelRep", "SynthesisOptions", "NoUio", "UioFormatError",
@@ -109,7 +105,7 @@ __all__ = [
     "design_from_data", "verify_acceptor", "verify_uio",
     "save_uio", "load_uio",
     # existcheck
-    "ExistenceReport", "NormalRankDeficient",
+    "ExistenceReport",
     "condition_a", "condition_b", "exists_uio", "format_report",
     # simlab
     "RunTrace", "run", "exact_observer_init", "check_error_recursion",

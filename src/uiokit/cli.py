@@ -20,8 +20,6 @@ import sys
 
 from . import __version__
 from .datalog import (
-    MissingDisturbanceRecord,
-    TrajectoryFormatError,
     Uniform,
     build_blocks,
     collect,
@@ -32,14 +30,8 @@ from .datalog import (
 )
 from .demo import run_demo
 from .existcheck import exists_uio, format_report
-from .numkit import (
-    DEFAULT_TOL,
-    SCHUR_MARGIN,
-    NotObservable,
-    NumericalFailure,
-    RankTolerance,
-)
-from .plant import ModelFormatError, load_model
+from .numkit import DEFAULT_TOL, SCHUR_MARGIN, NumericalFailure, RankTolerance
+from .plant import load_model
 from .simlab import (
     check_error_recursion,
     convergence_stats,
@@ -50,7 +42,6 @@ from .simlab import (
 from .synth import (
     NoUio,
     SynthesisOptions,
-    UioFormatError,
     design_from_data,
     design_from_model,
     load_uio,
@@ -243,7 +234,7 @@ def _cmd_design(args) -> int:
         blocks = build_blocks(data, dims)
         excitation = excitation_report(blocks, tol)
         print(excitation.message)
-        uio, diag = design_from_data(blocks, dims, options)
+        uio, diag = design_from_data(blocks, options)
     doc = uio_to_dict(uio, diag)
     eig_text = ", ".join(
         _fmt(ev.real) + (f"{ev.imag:+.12g}j" if ev.imag else "")
@@ -348,24 +339,16 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except NoUio as exc:
         print(f"no observer exists — {exc.cause}: {exc.detail}")
         if exc.evidence:
             print(f"certificate: {exc.evidence}")
         return 2
-    except (ModelFormatError, TrajectoryFormatError, UioFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (MissingDisturbanceRecord, NotObservable) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
+        # Every format and validation error of the library is a ValueError.
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

@@ -40,23 +40,17 @@ __all__ = [
     "Uniform",
     "HistoricalData",
     "DataBlocks",
-    "MissingDisturbanceRecord",
     "TrajectoryFormatError",
     "ExcitationReport",
     "resolve_policy",
     "collect",
     "build_blocks",
-    "assumption_holds",
     "excitation_report",
     "pe_order",
     "compatible",
     "save_trajectory",
     "load_trajectory",
 ]
-
-
-class MissingDisturbanceRecord(ValueError):
-    """The operation needs recorded disturbances and the data has none."""
 
 
 class TrajectoryFormatError(ValueError):
@@ -239,23 +233,6 @@ def build_blocks(data: HistoricalData, dims=None) -> DataBlocks:
         Y_p=data.y[:-1].T.copy(), Y_f=data.y[1:].T.copy(),
         **kw,
     )
-
-
-def assumption_holds(blocks: DataBlocks, tol: RankTolerance = DEFAULT_TOL) -> bool:
-    """Excitation assumption: [X_p; U_p; U_f; D_p; D_f] has full row rank.
-
-    The verdict of `excitation_report`, which ranks that stack.
-
-    Raises:
-        MissingDisturbanceRecord: if the blocks carry no disturbance record —
-            the stack cannot even be formed from measured data.
-    """
-    if blocks.D_p is None or blocks.D_f is None:
-        raise MissingDisturbanceRecord(
-            "the excitation assumption involves the recorded disturbance; "
-            "this data has none"
-        )
-    return excitation_report(blocks, tol).ok
 
 
 @dataclass(frozen=True)

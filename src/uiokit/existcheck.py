@@ -13,8 +13,9 @@ normal rank n + r can lose rank.  They come from `numkit.invariant_zeros`,
 one deterministic orthogonal reduction (Emami-Naeini & Van Dooren 1982),
 the same one that decides detectability and observability on the design
 route.  When fewer than r rows of F survive the reduction, P(z) is rank
-deficient everywhere.  With p < r the target rank n + r already exceeds
-the row count and the verdict is immediately false.
+deficient everywhere, and with p < r the target rank n + r already exceeds
+the row count; either way the verdict is false, with the reason as its
+evidence.
 
 `exists_uio` combines both conditions and cross-checks them against the
 constructive design route; a disagreement is reported as an
@@ -34,17 +35,12 @@ from .synth import NoUio, SynthesisOptions, design_from_model
 from . import numkit
 
 __all__ = [
-    "NormalRankDeficient",
     "ExistenceReport",
     "condition_a",
     "condition_b",
     "exists_uio",
     "format_report",
 ]
-
-class NormalRankDeficient(ValueError):
-    """P(z) is rank deficient almost everywhere; condition (a) is false."""
-
 
 def _spectral_norm(M: np.ndarray) -> float:
     return float(np.linalg.norm(M, 2)) if M.size else 0.0
@@ -97,11 +93,9 @@ def condition_a(
     ranks, the invariant zeros, and as ``drops`` those with modulus
     >= 1 - margin.  Zeros within ``margin`` of the unit circle also appear
     in ``boundary_drops``: boundary zeros fail conservatively.  The rank
-    cutoff is `numkit.ZERO_CUT_RELATIVE`.
-
-    Raises:
-        NormalRankDeficient: when P(z) is rank deficient at every z
-            (condition is then false with that certificate).
+    cutoff is `numkit.ZERO_CUT_RELATIVE`.  When P(z) is rank deficient at
+    every z (p < r, or a normal rank below n + r) the verdict is false and
+    the evidence is only a ``reason``.
     """
     n, p, r = model.n, model.p, model.r
     target = n + r
@@ -113,10 +107,10 @@ def condition_a(
     zeros, rows = invariant_zeros(model.A, model.E, model.C, model.F)
     normal_rank = n + rows
     if rows < r:
-        raise NormalRankDeficient(
-            f"normal rank of P(z) is {normal_rank} < {target}; "
-            "the pencil is rank deficient everywhere"
-        )
+        return False, {
+            "reason": f"normal rank of P(z) is {normal_rank} < {target}; "
+                      "the pencil is rank deficient everywhere",
+        }
     drops = [complex(z) for z in zeros if abs(z) >= 1.0 - margin]
     return not drops, {
         "normal_rank": normal_rank,
@@ -155,10 +149,7 @@ def exists_uio(
     opt = options or SynthesisOptions()
     require_valid(model, opt.tol)
     b_ok, b_ev = condition_b(model, opt.tol)
-    try:
-        a_ok, a_ev = condition_a(model, margin=opt.schur_margin)
-    except NormalRankDeficient as exc:
-        a_ok, a_ev = False, {"reason": str(exc)}
+    a_ok, a_ev = condition_a(model, margin=opt.schur_margin)
     exists = a_ok and b_ok
     try:
         uio, diag = design_from_model(model, opt)

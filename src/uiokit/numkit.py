@@ -39,12 +39,10 @@ __all__ = [
     "SCHUR_MARGIN",
     "SpectrumReport",
     "NumericalFailure",
-    "ColumnRankDeficient",
     "NotDetectable",
     "NotObservable",
     "PlacementFailed",
     "rank",
-    "right_null_basis",
     "left_null_basis",
     "spectrum",
     "eig_assignment_error",
@@ -80,10 +78,6 @@ PLACEMENT_TOL = 1e-6
 
 class NumericalFailure(RuntimeError):
     """A numerical routine could not certify its own result."""
-
-
-class ColumnRankDeficient(ValueError):
-    """A matrix expected to have full column rank does not."""
 
 
 class NotDetectable(ValueError):
@@ -161,21 +155,6 @@ def rank(M, tol: RankTolerance = DEFAULT_TOL) -> int:
         return 0
     s = np.linalg.svd(M, compute_uv=False)
     return _rank_from_singular_values(s, M.shape, tol)
-
-
-def right_null_basis(M, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the right kernel, as columns.
-
-    Returns a ``cols x (cols - rank)`` matrix Q with orthonormal columns and
-    ``M @ Q ~= 0``.  For a full-column-rank input the result has zero width.
-    """
-    M = _as_2d(M)
-    if M.shape[0] == 0:
-        # No constraints: the kernel is everything.
-        return np.eye(M.shape[1])
-    _, s, Vt = np.linalg.svd(M)
-    k = _rank_from_singular_values(s, M.shape, tol)
-    return Vt[k:].T.copy()
 
 
 def left_null_basis(M, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:

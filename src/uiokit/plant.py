@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import DEFAULT_TOL, RankTolerance, left_null_basis, rank
+from .numkit import DEFAULT_TOL, RankTolerance, rank
 
 __all__ = [
     "StateSpaceModel",
@@ -44,7 +44,6 @@ __all__ = [
     "validate",
     "require_valid",
     "reduce_disturbance",
-    "mla_ef",
     "step",
     "consistency_matrix",
     "model_to_dict",
@@ -195,15 +194,6 @@ def reduce_disturbance(
         A=model.A, B=model.B, C=model.C, D=model.D,
         E=U_k[:n], F=U_k[n:], name=model.name,
     )
-
-
-def mla_ef(model: StateSpaceModel, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
-    """Maximal left annihilator of [E; F]: orthonormal rows N, N @ [E; F] = 0.
-
-    Shape is ``(n + p - rank) x (n + p)``; with no disturbance channels the
-    annihilator is the full identity.
-    """
-    return left_null_basis(np.vstack([model.E, model.F]), tol)
 
 
 def step(model: StateSpaceModel, x, u, d) -> tuple[np.ndarray, np.ndarray]:

@@ -47,7 +47,6 @@ import numpy as np
 from .numkit import (
     DEFAULT_TOL,
     SCHUR_MARGIN,
-    ColumnRankDeficient,
     NotDetectable,
     NumericalFailure,
     RankTolerance,
@@ -176,7 +175,7 @@ class SynthesisOptions:
     gain: "riccati" (default) or "place" (needs ``poles``).  Both are
         deterministic; neither takes a seed.
     poles: requested A_uio eigenvalues for the "place" gain; must be a
-        conjugation-closed Schur multiset.
+        conjugation-closed Schur multiset, and must be None for "riccati".
     tol: relative cutoff of the SVD rank decisions (kernel, rank(V_f),
         condition (b)); the zero-based decisions of detectability and
         condition (a) use the fixed `numkit.ZERO_CUT_RELATIVE`.
@@ -309,10 +308,10 @@ def synthesize(
 
     Raises:
         NoUio: with cause VF_RANK_DEFICIENT or NOT_DETECTABLE.
-        ColumnRankDeficient: when ``ker.rank_V_f`` says n but the SVD of
-            V_f has fewer than n singular values above the cutoff.
-        ValueError: for bad options (e.g. "place" without poles, or a
-            requested pole multiset that is not Schur).
+        NumericalFailure: when ``ker.rank_V_f`` says n but the SVD of V_f
+            has fewer than n singular values above the cutoff.
+        ValueError: for bad options ("place" without poles, "riccati" with
+            poles, or a requested pole multiset that is not Schur).
         NotObservable / PlacementFailed / NumericalFailure: propagated from
             the gain stage.
     """
@@ -328,7 +327,7 @@ def synthesize(
             evidence={"rank_V_f": r_vf, "n": n, "k": ker.k},
         )
     if svd_rank < n:
-        raise ColumnRankDeficient(
+        raise NumericalFailure(
             f"matrix of shape {ker.V_f.shape} has rank {svd_rank} < {n}"
         )
     Omega_bar = (Vt.T / s) @ U[:, :n].T
@@ -338,6 +337,9 @@ def synthesize(
 
     try:
         if opt.gain == "riccati":
+            if opt.poles is not None:
+                raise ValueError('gain "riccati" takes no poles; '
+                                 'pole requests need gain "place"')
             L, closed = stabilizing_gain(A_bar, C_bar, margin=opt.schur_margin)
         elif opt.gain == "place":
             bad = undetectable_modes(A_bar, C_bar, margin=opt.schur_margin)
@@ -419,22 +421,15 @@ def design_from_model(
 
 
 def design_from_data(
-    blocks, dims=None, options: SynthesisOptions | None = None
+    blocks, options: SynthesisOptions | None = None
 ) -> tuple[UioRealization, SynthesisDiagnostics]:
     """Data route: kernel of the recorded-window matrix, then `synthesize`.
 
-    ``blocks`` is a `datalog.DataBlocks`; ``dims`` optionally cross-checks
-    (n, m, p) against the recorded widths.
+    ``blocks`` is a `datalog.DataBlocks`; `datalog.build_blocks` is where
+    declared dimensions are checked against the recorded widths.
     """
     opt = options or SynthesisOptions()
-    have = (blocks.n, blocks.m, blocks.p)
-    if dims is not None:
-        dims = tuple(int(v) for v in dims)
-        if tuple(dims[:3]) != have:
-            raise ValueError(
-                f"declared dims {tuple(dims[:3])} do not match data widths {have}"
-            )
-    ker = kernel_representation(blocks.Phi, have, opt.tol)
+    ker = kernel_representation(blocks.Phi, (blocks.n, blocks.m, blocks.p), opt.tol)
     return synthesize(ker, opt)
 
 
@@ -572,6 +567,8 @@ def uio_from_dict(doc: dict) -> UioRealization:
             raise UioFormatError(f'field "{key}" is not numeric') from exc
         if arr.ndim != 2:
             raise UioFormatError(f'field "{key}" must be an array of arrays')
+        if not np.isfinite(arr).all():
+            raise UioFormatError(f'field "{key}" has non-finite entries')
         mats[key] = arr
     n = mats["A_uio"].shape[0]
     if mats["A_uio"].shape != (n, n):

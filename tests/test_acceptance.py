@@ -9,7 +9,7 @@ they can be reproduced.
 
 import numpy as np
 
-from uiokit.datalog import Uniform, assumption_holds, build_blocks, collect
+from uiokit.datalog import Uniform, build_blocks, collect, excitation_report
 from uiokit.existcheck import exists_uio
 from uiokit.numkit import eig_assignment_error, rank, rowspace_angles
 from uiokit.plant import StateSpaceModel, consistency_matrix, validate
@@ -109,9 +109,9 @@ def test_criterion_5_data_route_matches_model_route(ref_model):
                    disturbance_policy=Uniform(-3, 3), x0=Uniform(-1, 1),
                    seed=0)
     blocks = build_blocks(data, (3, 1, 2, 1))
-    excited = assumption_holds(blocks)
+    excited = excitation_report(blocks).ok
     options = SynthesisOptions()  # riccati: deterministic on both routes
-    uio_d, diag_d = design_from_data(blocks, (3, 1, 2, 1), options)
+    uio_d, diag_d = design_from_data(blocks, options)
     uio_m, diag_m = design_from_model(ref_model, options)
     spec_gap = eig_assignment_error(
         diag_d.spectrum.eigenvalues, diag_m.spectrum.eigenvalues
@@ -182,7 +182,7 @@ def test_criterion_7_counterexample_three_way_agreement(no_uio_model):
                    disturbance_policy=Uniform(-3, 3), x0=Uniform(-1, 1),
                    seed=0)
     blocks = build_blocks(data)
-    excited = assumption_holds(blocks)
+    excited = excitation_report(blocks).ok
     data_refuses = False
     try:
         design_from_data(blocks)

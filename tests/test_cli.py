@@ -12,11 +12,7 @@ import pytest
 import uiokit
 from uiokit import cli
 from uiokit.cli import CliError, main
-from uiokit.datalog import (
-    MissingDisturbanceRecord,
-    TrajectoryFormatError,
-    load_trajectory,
-)
+from uiokit.datalog import TrajectoryFormatError, load_trajectory
 from uiokit.demo import (
     DemoFixtures,
     default_fixtures,
@@ -132,6 +128,15 @@ def test_tol_rank_reaches_the_rank_decision(tmp_path, command, capsys):
         assert "rank(V_f) = 1 < n = 2" in out
 
 
+def test_check_pencil_rank_deficient_everywhere_exits_2(tmp_path, capsys):
+    # F = 0 and C = 0: no row of P(z) sees the disturbance at any z.
+    path = _no_input_model_file(tmp_path, [[0.5]], [[0.0]], [[1.0]], [[0.0]])
+    assert main(["check", "--from-model", path]) == 2
+    out = capsys.readouterr().out
+    assert "the pencil is rank deficient everywhere" in out
+    assert "observer exists: no" in out
+
+
 @pytest.mark.parametrize("command", ["collect", "simulate"])
 def test_schur_margin_is_refused_where_no_verdict_reads_it(
         model_file, uio_file, command, capsys):
@@ -168,6 +173,14 @@ def test_design_place_requires_poles(model_file, capsys):
     assert main(["design", "--from-model", model_file,
                  "--gain", "place"]) == 4
     assert "--poles" in capsys.readouterr().err
+
+
+def test_design_riccati_refuses_poles(tmp_path, model_file, capsys):
+    out = tmp_path / "uio.json"
+    assert main(["design", "--from-model", model_file,
+                 "--poles", "0,0,0.5", "--out", str(out)]) == 4
+    assert "takes no poles" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_design_rejects_bad_pole_token(model_file, capsys):
@@ -368,6 +381,19 @@ def test_simulate_flags_non_acceptor(tmp_path, model_file, uio_file, capsys):
     assert "not an acceptor" in out
 
 
+def test_simulate_non_finite_observer_exits_4(
+        tmp_path, model_file, uio_file, capsys):
+    doc = json.loads(Path(uio_file).read_text(encoding="utf-8"))
+    doc["A_uio"][0][0] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["simulate", "--from-model", model_file,
+                 "--uio", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert 'field "A_uio" has non-finite entries' in captured.err
+    assert "final error norm" not in captured.out
+
+
 def test_simulate_dims_mismatch_exits_4(tmp_path, model_file, capsys):
     small = UioRealization(np.zeros((2, 2)), np.zeros((2, 1)),
                            np.zeros((2, 2)), np.zeros((2, 1)),
@@ -447,7 +473,6 @@ def test_unknown_command_exits_4(capsys):
         (ModelFormatError("model"), 4),
         (TrajectoryFormatError("trajectory"), 4),
         (UioFormatError("observer"), 4),
-        (MissingDisturbanceRecord("disturbance"), 4),
         (NotObservable("observable"), 4),
         (NumericalFailure("numerics"), 4),
         (ValueError("value"), 4),

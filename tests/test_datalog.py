@@ -9,10 +9,8 @@ from numpy.testing import assert_allclose
 
 from uiokit.datalog import (
     HistoricalData,
-    MissingDisturbanceRecord,
     TrajectoryFormatError,
     Uniform,
-    assumption_holds,
     build_blocks,
     collect,
     compatible,
@@ -143,7 +141,6 @@ def test_blocks_reject_wrong_declared_dims(ref_model):
 
 def test_assumption_holds_on_bundled_run(ref_model):
     blocks = build_blocks(_bundled_run(ref_model))
-    assert assumption_holds(blocks)
     report = excitation_report(blocks)
     assert report.mode == "assumption"
     assert report.ok
@@ -152,21 +149,23 @@ def test_assumption_holds_on_bundled_run(ref_model):
 
 def test_assumption_fails_for_zero_data(ref_model):
     blocks = build_blocks(collect(ref_model, 11))
-    assert not assumption_holds(blocks)
+    report = excitation_report(blocks)
+    assert report.mode == "assumption"
+    assert not report.ok
 
 
 def test_assumption_fails_with_too_few_columns(ref_model):
     # 6 columns cannot carry a rank-7 stack
     blocks = build_blocks(_bundled_run(ref_model, T=7))
-    assert not assumption_holds(blocks)
+    report = excitation_report(blocks)
+    assert report.mode == "assumption"
+    assert not report.ok
 
 
 def test_assumption_requires_disturbance_record(ref_model):
     data = _bundled_run(ref_model)
     measured = HistoricalData(x=data.x, u=data.u, y=data.y)
     blocks = build_blocks(measured)
-    with pytest.raises(MissingDisturbanceRecord):
-        assumption_holds(blocks)
     report = excitation_report(blocks)
     assert report.mode == "surrogate"
     assert "unverifiable" in report.message

@@ -8,7 +8,6 @@ import pytest
 from uiokit import synth
 from uiokit.existcheck import (
     ExistenceReport,
-    NormalRankDeficient,
     condition_a,
     condition_b,
     exists_uio,
@@ -141,8 +140,12 @@ def test_condition_a_normal_rank_deficiency_is_raised():
         C=np.zeros((1, 1)), D=np.zeros((1, 0)),
         E=np.array([[1.0]]), F=np.zeros((1, 1)),
     )
-    with pytest.raises(NormalRankDeficient):
-        condition_a(model)
+    ok, evidence = condition_a(model)
+    assert not ok
+    assert evidence == {
+        "reason": "normal rank of P(z) is 1 < 2; "
+                  "the pencil is rank deficient everywhere",
+    }
 
 
 def test_condition_a_more_disturbances_than_outputs():

@@ -17,7 +17,6 @@ from uiokit.numkit import (
     left_null_basis,
     place_poles,
     rank,
-    right_null_basis,
     rowspace_angles,
     spectrum,
     stabilizing_gain,
@@ -49,21 +48,10 @@ def test_rank_single_disturbance_column():
 # ------------------------------------------------------- null bases
 
 
-def test_right_null_basis_of_row_sum():
-    N = right_null_basis(np.array([[1.0, 1.0]]))
-    assert N.shape == (2, 1)
-    direction = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    assert_allclose(abs(float(direction @ N[:, 0])), 1.0, atol=1e-12)
-
-
-def test_right_null_basis_trivial_kernel():
-    assert right_null_basis(np.eye(2)).shape == (2, 0)
-
-
 def test_right_null_basis_of_bundled_annihilator(ref_kernel, ref_model):
     from uiokit.plant import consistency_matrix
 
-    G = right_null_basis(ref_kernel)
+    G = left_null_basis(ref_kernel.T).T
     assert G.shape == (12, 7)
     assert_allclose(G.T @ G, np.eye(7), atol=1e-12)
     assert np.max(np.abs(ref_kernel @ G)) < 1e-12
@@ -83,6 +71,11 @@ def test_left_null_basis_full_row_rank_is_empty():
     assert left_null_basis(np.array([[1.0, 0.0], [0.0, 1.0]])).shape == (0, 2)
 
 
+def test_left_null_basis_of_zero_columns_is_identity():
+    # A plant with no disturbance channels: [E; F] annihilates nothing.
+    assert_array_equal(left_null_basis(np.zeros((5, 0))), np.eye(5))
+
+
 def test_left_null_basis_of_disturbance_stack():
     W = left_null_basis(EF_COLUMN)
     assert W.shape == (4, 5)
@@ -100,7 +93,7 @@ def test_null_basis_dimension_and_annihilation(seed):
         M[rows - 1] = M[0] if rows > 1 else 0.0
     k = rank(M)
     W = left_null_basis(M)
-    N = right_null_basis(M)
+    N = left_null_basis(M.T).T
     assert W.shape[0] == rows - k
     assert N.shape[1] == cols - k
     sigma_max = np.linalg.norm(M, 2)

@@ -10,7 +10,6 @@ from uiokit.plant import (
     StateSpaceModel,
     consistency_matrix,
     load_model,
-    mla_ef,
     model_from_dict,
     model_to_dict,
     reduce_disturbance,
@@ -125,38 +124,6 @@ def test_reduce_disturbance_is_idempotent(seed):
     twice = reduce_disturbance(once)
     assert_allclose(once.E, twice.E)
     assert_allclose(once.F, twice.F)
-
-
-# -------------------------------------------------------------- mla_ef
-
-
-def test_mla_ef_without_disturbance_is_identity():
-    model = StateSpaceModel(
-        A=np.zeros((3, 3)), B=np.zeros((3, 1)),
-        C=np.zeros((2, 3)), D=np.zeros((2, 1)),
-        E=np.zeros((3, 0)), F=np.zeros((2, 0)),
-    )
-    assert_allclose(mla_ef(model), np.eye(5), atol=1e-14)
-
-
-def test_mla_ef_annilihates_first_coordinate():
-    model = StateSpaceModel(
-        A=np.zeros((2, 2)), B=np.zeros((2, 0)),
-        C=np.zeros((1, 2)), D=np.zeros((1, 0)),
-        E=np.array([[1.0], [0.0]]), F=np.zeros((1, 1)),
-    )
-    W = mla_ef(model)
-    assert W.shape == (2, 3)
-    assert np.max(np.abs(W[:, 0])) < 1e-12
-    assert_allclose(W @ W.T, np.eye(2), atol=1e-12)
-
-
-def test_mla_ef_bundled_model(ref_model):
-    W = mla_ef(ref_model)
-    assert W.shape == (4, 5)
-    stacked = np.vstack([ref_model.E, ref_model.F])
-    assert np.max(np.abs(W @ stacked)) < 1e-10
-    assert_allclose(W @ W.T, np.eye(4), atol=1e-12)
 
 
 # ---------------------------------------------------------------- step

@@ -1,12 +1,20 @@
 """Kernel representations, the synthesis pipeline, and the verifiers."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from uiokit import demo, numkit, synth
 from uiokit.datalog import Uniform, build_blocks, collect
-from uiokit.numkit import eig_assignment_error, rank, right_null_basis, rowspace_angles
+from uiokit.numkit import (
+    NumericalFailure,
+    eig_assignment_error,
+    left_null_basis,
+    rank,
+    rowspace_angles,
+)
 from uiokit.plant import StateSpaceModel, UioRealization, consistency_matrix
 from uiokit.synth import (
     NOT_DETECTABLE,
@@ -53,7 +61,7 @@ def test_kernel_of_consistency_matrix(ref_model, ref_kernel):
 
 def test_kernel_reproduces_bundled_annihilator_row_space(ref_kernel):
     # feed the orthogonal complement of the bundled annihilator back in
-    G = right_null_basis(ref_kernel)
+    G = left_null_basis(ref_kernel.T).T
     ker = kernel_representation(G, DIMS)
     assert ker.k == 5
     assert np.max(rowspace_angles(ker.matrix(), ref_kernel)) < 1e-8
@@ -184,6 +192,14 @@ def test_synthesize_requires_full_rank_future_block(ref_kernel):
     assert exc_info.value.evidence["rank_V_f"] == 2
 
 
+def test_synthesize_vf_rank_disagreement_is_a_numerical_failure(no_uio_model):
+    # The extraction-time rank says n = 3, the SVD of V_f finds 2: the
+    # contradiction is a typed refusal, not a bare ValueError.
+    ker = kernel_representation(consistency_matrix(no_uio_model), DIMS)
+    with pytest.raises(NumericalFailure, match="has rank 2 < 3"):
+        synthesize(replace(ker, rank_V_f=3))
+
+
 def test_synthesize_empty_kernel_is_refused():
     ker = kernel_representation(np.eye(12), DIMS)
     with pytest.raises(NoUio) as exc_info:
@@ -194,6 +210,12 @@ def test_synthesize_empty_kernel_is_refused():
 def test_synthesize_rejects_unstable_pole_request(ref_kernel):
     options = SynthesisOptions(gain="place", poles=(0.0, 0.0, 1.5))
     with pytest.raises(ValueError, match="pole"):
+        synthesize(KernelRep.from_matrix(ref_kernel, DIMS), options)
+
+
+def test_riccati_gain_refuses_a_pole_request(ref_kernel):
+    options = SynthesisOptions(poles=(0.0, 0.0, 0.5))
+    with pytest.raises(ValueError, match='"riccati" takes no poles'):
         synthesize(KernelRep.from_matrix(ref_kernel, DIMS), options)
 
 
@@ -322,7 +344,7 @@ def test_design_from_data_bundled(ref_model):
                    disturbance_policy=Uniform(-3, 3), x0=Uniform(-1, 1),
                    seed=0)
     blocks = build_blocks(data)
-    uio, _ = design_from_data(blocks, dims=(3, 1, 2), options=PLACE)
+    uio, _ = design_from_data(blocks, options=PLACE)
     assert verify_uio(ref_model, uio).is_uio
 
 
@@ -495,6 +517,15 @@ def test_uio_from_dict_rejects_missing_and_malformed():
         uio_from_dict(bad)
     with pytest.raises(UioFormatError):
         uio_from_dict([1, 2])
+
+
+@pytest.mark.parametrize("key, value", [("A_uio", float("nan")),
+                                        ("D_y", float("-inf"))])
+def test_uio_from_dict_rejects_non_finite_entries(key, value):
+    doc = {name: [[0.0]] for name in ("A_uio", "B_u", "B_y", "D_u", "D_y")}
+    doc[key] = [[value]]
+    with pytest.raises(UioFormatError, match=f'"{key}" has non-finite'):
+        uio_from_dict(doc)
 
 
 def test_load_uio_rejects_broken_json(tmp_path):
