@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
@@ -75,6 +76,8 @@ def _parse_pair(text: str, flag: str) -> tuple[float, float]:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise CliError(f"{flag} expects numbers, got {text!r}") from exc
+    if not math.isfinite(hi - lo):
+        raise CliError(f"{flag}: bounds and width must be finite, got {text!r}")
     if lo > hi:
         raise CliError(f"{flag}: empty range [{lo}, {hi}]")
     return lo, hi
@@ -109,22 +112,47 @@ def _parse_poles(text: str) -> tuple[complex, ...]:
     return tuple(poles)
 
 
+def _fraction(text: str, low_open: bool) -> float:
+    """A float in [0, 1), or in (0, 1) when ``low_open``; argparse names the flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expects a number, got {text!r}") from None
+    if not (0.0 < value < 1.0 if low_open else 0.0 <= value < 1.0):
+        raise argparse.ArgumentTypeError(
+            f"must lie in {'(' if low_open else '['}0, 1), got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expects an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
+    return value
+
+
 def _tolerance(args) -> RankTolerance:
     if args.tol_rank is None:
         return DEFAULT_TOL
-    if args.tol_rank <= 0:
-        raise CliError("--tol-rank must be positive")
     return RankTolerance(relative=args.tol_rank)
 
 
 def _add_numeric_flags(sp, schur_margin: bool = True) -> None:
     """--tol-rank, and --schur-margin where a verdict reads it."""
-    sp.add_argument("--tol-rank", type=float, default=None, metavar="X",
-                    help="relative rank tolerance (default: machine epsilon)")
+    sp.add_argument("--tol-rank", type=lambda text: _fraction(text, True),
+                    default=None, metavar="X",
+                    help="relative rank tolerance in (0, 1) "
+                         "(default: machine epsilon)")
     if schur_margin:
-        sp.add_argument("--schur-margin", type=float, default=SCHUR_MARGIN,
-                        metavar="X",
-                        help="stability margin on the unit circle "
+        sp.add_argument("--schur-margin",
+                        type=lambda text: _fraction(text, False),
+                        default=SCHUR_MARGIN, metavar="X",
+                        help="stability margin on the unit circle, in [0, 1) "
                              f"(default {SCHUR_MARGIN:g})")
 
 
@@ -167,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--from-model", required=True, metavar="PATH")
     sp.add_argument("--T", type=int, required=True,
                     help="number of samples (at least 2)")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--u-range", default="-4,4", metavar="LO,HI",
                     help="uniform input range (default -4,4)")
     sp.add_argument("--d-range", default="-3,3", metavar="LO,HI",
@@ -185,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--uio", required=True, metavar="PATH",
                     help="observer JSON file")
     sp.add_argument("--T", type=int, default=50)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--u-range", default="-1,1", metavar="LO,HI")
     sp.add_argument("--d-range", default="-1,1", metavar="LO,HI")
     sp.add_argument("--x0-range", default="-1,1", metavar="LO,HI")
@@ -199,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("demo-paper",
                         help="replay the bundled reference example end to end")
     sp.add_argument("--gain", choices=("place", "riccati"), default="place")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--T", type=int, default=12,
                     help="simulation horizon of the demonstration run")
     sp.add_argument("--out", metavar="PATH",

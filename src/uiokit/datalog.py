@@ -29,6 +29,7 @@ loading a file gives back the recorded samples bit for bit.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,12 +60,20 @@ class TrajectoryFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Uniform:
-    """Independent uniform(low, high) draws for every entry of a signal."""
+    """Independent uniform(low, high) draws for every entry of a signal.
+
+    Both bounds and the width high - low must be finite floats.
+    """
 
     low: float
     high: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(float(self.high) - float(self.low)):
+            raise ValueError(
+                f"range [{self.low}, {self.high}] needs finite bounds and a "
+                "finite width"
+            )
         if not self.low <= self.high:
             raise ValueError(f"empty range [{self.low}, {self.high}]")
 
@@ -439,6 +448,13 @@ def load_trajectory(path) -> HistoricalData:
         t = int(bad_t[0])
         raise TrajectoryFormatError(
             f"row {t}: t must ascend from 0, got {body[t][0]!r}"
+        )
+    finite = np.isfinite(vals)
+    if not finite.all():
+        t, col = (int(i) for i in np.argwhere(~finite)[0])
+        raise TrajectoryFormatError(
+            f"row {t}, column {rows[0][col].strip()!r}: non-finite sample "
+            f"{body[t][col]!r}"
         )
     # Copies keep each block contiguous and let the parsed body go.
     x, u, y, d = (b.copy() for b in

@@ -24,14 +24,15 @@ internal-consistency alarm rather than silently reconciled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .numkit import (DEFAULT_TOL, SCHUR_MARGIN, NumericalFailure, RankTolerance,
                      invariant_zeros)
-from .plant import StateSpaceModel, require_valid
-from .synth import NoUio, SynthesisOptions, design_from_model
+from .plant import StateSpaceModel, UioRealization, require_valid
+from .synth import (NoUio, SynthesisDiagnostics, SynthesisOptions,
+                    design_from_model)
 from . import numkit
 
 __all__ = [
@@ -123,7 +124,12 @@ def condition_a(
 
 @dataclass(frozen=True)
 class ExistenceReport:
-    """Joint verdict of both rank conditions plus the constructive cross-check."""
+    """Joint verdict of both rank conditions plus the constructive cross-check.
+
+    ``uio`` and ``diagnostics`` are the certified observer and its synthesis
+    diagnostics from the constructive run, None when that run refused, so a
+    caller that wants the verdict and the observer designs once.
+    """
 
     condition_a: bool
     condition_b: bool
@@ -132,6 +138,9 @@ class ExistenceReport:
     constructive_succeeded: bool
     constructive_detail: str
     agreement: bool
+    uio: UioRealization | None = field(default=None, compare=False, repr=False)
+    diagnostics: SynthesisDiagnostics | None = field(
+        default=None, compare=False, repr=False)
 
 
 def exists_uio(
@@ -143,27 +152,27 @@ def exists_uio(
     The rank conditions are the authority; the constructive run (with the
     given synthesis options, Riccati gain by default) is recorded, and
     ``agreement`` flags whether the two verdicts coincide.  The run counts
-    as a success only for an observer that passes `verify_uio`, which
-    `design_from_model` checks before it returns.
+    as a success only for an observer that passes the `verify_uio` test,
+    which `design_from_model` applies before it returns; that observer and
+    its diagnostics are kept in the report.
     """
     opt = options or SynthesisOptions()
     require_valid(model, opt.tol)
     b_ok, b_ev = condition_b(model, opt.tol)
     a_ok, a_ev = condition_a(model, margin=opt.schur_margin)
     exists = a_ok and b_ok
+    uio = diag = None
     try:
         uio, diag = design_from_model(model, opt)
-        constructive_ok = True
         detail = (
             "design succeeded (spectral radius "
             f"{diag.spectrum.spectral_radius:.6g})"
         )
     except NoUio as exc:
-        constructive_ok = False
         detail = f"design refused: {exc}"
     except (numkit.NotObservable, NumericalFailure) as exc:
-        constructive_ok = False
         detail = f"design failed numerically: {exc}"
+    constructive_ok = uio is not None
     return ExistenceReport(
         condition_a=a_ok,
         condition_b=b_ok,
@@ -172,6 +181,8 @@ def exists_uio(
         constructive_succeeded=constructive_ok,
         constructive_detail=detail,
         agreement=exists == constructive_ok,
+        uio=uio,
+        diagnostics=diag,
     )
 
 

@@ -24,7 +24,8 @@ gain comes from a structure-preserving doubling solve of the DARE, a few
 n x n solves and products that stop at float64 accuracy, and placement
 draws its output combinations from one fixed generator.  Both verify their
 own output and raise instead of returning an unchecked gain; each returns
-the gain together with the eigenvalues of Abar + L @ Cbar it verified.
+the gain, the closed loop Abar + L @ Cbar it verified and that loop's
+eigenvalues, so a caller can use the very array whose spectrum was checked.
 """
 
 from __future__ import annotations
@@ -395,7 +396,7 @@ def _dare_doubling(Abar: np.ndarray, Cbar: np.ndarray) -> np.ndarray:
 
 def stabilizing_gain(
     Abar, Cbar, margin: float = SCHUR_MARGIN
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Output-injection gain L making ``Abar + L @ Cbar`` Schur.
 
     Solves the filter-form discrete algebraic Riccati equation with unit
@@ -405,8 +406,8 @@ def stabilizing_gain(
 
     for its stabilizing solution by structure-preserving doubling
     (`_dare_doubling`), and returns
-    ``L = -Abar P Cbar' (Cbar P Cbar' + I)^-1`` with the verified
-    eigenvalues of ``Abar + L @ Cbar``.  Detectability of
+    ``L = -Abar P Cbar' (Cbar P Cbar' + I)^-1``, the closed loop
+    ``Abar + L @ Cbar`` and its verified eigenvalues.  Detectability of
     (Abar, Cbar) guarantees that solution; it is checked up front by
     `undetectable_modes`.  The doubling stops once a step changes P by at
     most n * eps relative (1-norm).  It needs log2(log eps / log rho)
@@ -430,10 +431,10 @@ def stabilizing_gain(
     if bad:
         raise NotDetectable(bad)
     if n == 0:
-        return np.zeros((0, q)), np.zeros(0, dtype=complex)
+        return np.zeros((0, q)), np.zeros((0, 0)), np.zeros(0, dtype=complex)
     if q == 0:
         # Nothing to inject; detectability already proved Abar is Schur.
-        return np.zeros((n, 0)), np.linalg.eigvals(Abar)
+        return np.zeros((n, 0)), Abar.copy(), np.linalg.eigvals(Abar)
 
     # Overflow anywhere from the Riccati solution to the closed loop means
     # the pair has no bounded stabilizing solution in float64.
@@ -448,7 +449,7 @@ def stabilizing_gain(
             "Riccati gain failed verification: spectral radius "
             f"{closed.spectral_radius:.6g}"
         )
-    return L, closed.eigenvalues
+    return L, loop, closed.eigenvalues
 
 
 def _ackermann(Abar: np.ndarray, c_row: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -471,7 +472,7 @@ def _ackermann(Abar: np.ndarray, c_row: np.ndarray, coeffs: np.ndarray) -> np.nd
         return -(phi @ w)
 
 
-def place_poles(Abar, Cbar, poles) -> tuple[np.ndarray, np.ndarray]:
+def place_poles(Abar, Cbar, poles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Output-injection gain L placing the spectrum of ``Abar + L @ Cbar``.
 
     ``poles`` must be a conjugation-closed multiset of n values.  The
@@ -481,8 +482,8 @@ def place_poles(Abar, Cbar, poles) -> tuple[np.ndarray, np.ndarray]:
     up to `PLACEMENT_ATTEMPTS` draws until the placed spectrum verifies
     against the request within `PLACEMENT_TOL` (optimal-assignment
     matching).  The draws come from a generator with the fixed seed 0, so
-    the result is deterministic.  Returns L with the verified eigenvalues
-    of ``Abar + L @ Cbar``.
+    the result is deterministic.  Returns L, the closed loop
+    ``Abar + L @ Cbar`` and its verified eigenvalues.
 
     Raises:
         NotObservable: if (Abar, Cbar) has an unobservable mode.
@@ -501,23 +502,24 @@ def place_poles(Abar, Cbar, poles) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("pole multiset must be closed under conjugation")
     coeffs = coeffs.real
     if n == 0:
-        return np.zeros((0, q)), np.zeros(0, dtype=complex)
+        return np.zeros((0, q)), np.zeros((0, 0)), np.zeros(0, dtype=complex)
 
     def _placed(L: np.ndarray):
-        """Eigenvalues of Abar + L Cbar if they match ``poles``, else None."""
+        """(L, Abar + L Cbar, eigenvalues) if they match ``poles``, else None."""
         with np.errstate(over="ignore", invalid="ignore"):
             closed = Abar + L @ Cbar
         if not np.isfinite(closed).all():
             return None
         ev = np.linalg.eigvals(closed)
-        return ev if eig_assignment_error(ev, poles) <= PLACEMENT_TOL else None
+        if eig_assignment_error(ev, poles) <= PLACEMENT_TOL:
+            return L, closed, ev
+        return None
 
     # L = 0 needs no observability at all; accept it whenever the spectrum
     # already matches (this also sidesteps the eps**(1/k) eigenvalue
     # splitting of defective placed matrices).
-    zero = np.zeros((n, q))
-    if (ev := _placed(zero)) is not None:
-        return zero, ev
+    if (placed := _placed(np.zeros((n, q)))) is not None:
+        return placed
 
     # margin 1 counts every mode as unstable: detectable becomes observable.
     modes = undetectable_modes(Abar, Cbar, margin=1.0)
@@ -526,8 +528,8 @@ def place_poles(Abar, Cbar, poles) -> tuple[np.ndarray, np.ndarray]:
 
     if q == 1:
         L = _ackermann(Abar, Cbar[0], coeffs).reshape(n, 1)
-        if (ev := _placed(L)) is not None:
-            return L, ev
+        if (placed := _placed(L)) is not None:
+            return placed
         raise PlacementFailed("single-output Ackermann gain failed verification")
 
     rng = np.random.default_rng(0)
@@ -541,8 +543,8 @@ def place_poles(Abar, Cbar, poles) -> tuple[np.ndarray, np.ndarray]:
         v = rng.standard_normal(q)
         # A draw whose output combination misses a mode fails verification.
         L = L0 + np.outer(_ackermann(Abar + L0 @ Cbar, v @ Cbar, coeffs), v)
-        if (ev := _placed(L)) is not None:
-            return L, ev
+        if (placed := _placed(L)) is not None:
+            return placed
     raise PlacementFailed(f"no verified gain after {PLACEMENT_ATTEMPTS} attempts")
 
 

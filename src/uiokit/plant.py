@@ -233,10 +233,20 @@ def _simulate(model: StateSpaceModel, x0: np.ndarray, u: np.ndarray,
 
     The whole-array form of `step`: w = B u + E d for every t in one matrix
     product, one `_recursion` for x, and y = C x + D u + F d in one more.
+    A run that leaves the float64 range raises ValueError naming the first
+    sample that is not finite.
     """
-    W = np.hstack([u, d]) @ np.hstack([model.B, model.E]).T
-    x = _recursion(model.A, x0, W)
-    y = np.hstack([x, u, d]) @ np.hstack([model.C, model.D, model.F]).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = np.hstack([u, d]) @ np.hstack([model.B, model.E]).T
+        x = _recursion(model.A, x0, W)
+        y = np.hstack([x, u, d]) @ np.hstack([model.C, model.D, model.F]).T
+    finite = np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1)
+    if not finite.all():
+        raise ValueError(
+            f"simulating the plant overflowed at sample {np.argmin(finite)}: "
+            "the signals leave the float64 range; shrink the ranges or the "
+            "horizon"
+        )
     return x, y
 
 

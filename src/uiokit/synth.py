@@ -22,19 +22,25 @@ V_f, both from one SVD of V_f, the pair
 is detectable exactly when an observer exists for this kernel; any gain L
 with A_bar + L @ C_bar Schur yields, via Omega = Omega_bar + L @ Delta_f,
 
-    A_uio = -(Omega @ V_p)            D_u = -(Omega @ W_f)
+    A_uio = -(A_bar + L @ C_bar)      D_u = -(Omega @ W_f)
     B_u   = S3 + A_uio @ D_u          D_y = -(Omega @ R_f)
     B_y   = S5 + A_uio @ D_y
 
-with S3 = -(Omega @ W_p), S5 = -(Omega @ R_p).  Note the sign convention:
-the gain stage shapes the spectrum of A_bar + L @ C_bar, whose *negative*
-becomes A_uio — `synthesize` therefore negates requested pole locations
-internally, so the poles a caller asks for are the eigenvalues the returned
-A_uio actually has.
+with S3 = -(Omega @ W_p), S5 = -(Omega @ R_p).  In exact arithmetic
+A_uio = -(Omega @ V_p); the emitted A_uio is the negated closed-loop array
+the gain stage returned after verifying its spectrum, so the reported
+spectrum belongs to the emitted matrix itself, and the ``sign_identity``
+residual max |Omega @ V_p - (A_bar + L @ C_bar)| guards the Omega-derived
+blocks.  Note the sign convention: the gain stage shapes the spectrum of
+A_bar + L @ C_bar, whose *negative* becomes A_uio — `synthesize` therefore
+negates requested pole locations internally, so the poles a caller asks
+for are the eigenvalues the returned A_uio actually has.
 
 `verify_acceptor` / `verify_uio` check candidate observers against a model
 through the three acceptor identities (unknown-input rejection, recursion
-consistency, known-input feedthrough) plus the Schur requirement.
+consistency, known-input feedthrough) plus the Schur requirement.  The
+model route certifies its own designs with the acceptor identities and the
+spectrum the gain stage verified, so no eigenvalue problem is solved twice.
 """
 
 from __future__ import annotations
@@ -302,9 +308,10 @@ def synthesize(
     generating matrix) takes the place of the SVD rank in the NoUio test.
     Detectability is decided once: by `stabilizing_gain` itself on the
     Riccati path, by `undetectable_modes` before `place_poles` on the
-    placement path.  The reported spectrum is the one the gain stage
-    verified for A_bar + L @ C_bar, negated (A_uio = -(A_bar + L @ C_bar)
-    up to the ``sign_identity`` residual), so it is not computed twice.
+    placement path.  A_uio is the negation of the closed-loop array
+    A_bar + L @ C_bar that the gain stage returned with its verified
+    eigenvalues, and the reported spectrum is those eigenvalues negated:
+    the spectrum of the emitted A_uio, computed once.
 
     Raises:
         NoUio: with cause VF_RANK_DEFICIENT or NOT_DETECTABLE.
@@ -340,7 +347,8 @@ def synthesize(
             if opt.poles is not None:
                 raise ValueError('gain "riccati" takes no poles; '
                                  'pole requests need gain "place"')
-            L, closed = stabilizing_gain(A_bar, C_bar, margin=opt.schur_margin)
+            L, loop, closed = stabilizing_gain(A_bar, C_bar,
+                                               margin=opt.schur_margin)
         elif opt.gain == "place":
             bad = undetectable_modes(A_bar, C_bar, margin=opt.schur_margin)
             if bad:
@@ -348,13 +356,13 @@ def synthesize(
             if opt.poles is None:
                 raise ValueError('gain "place" needs a pole multiset in options.poles')
             poles = np.atleast_1d(np.asarray(opt.poles, dtype=complex))
-            if poles.size and np.max(np.abs(poles)) >= 1.0 - opt.schur_margin:
+            if not (np.abs(poles) < 1.0 - opt.schur_margin).all():
                 raise ValueError(
                     "requested poles must be strictly inside the unit circle"
                 )
             # The caller requests eigenvalues of A_uio = -(A_bar + L C_bar);
             # place the negated set so the request is what comes out.
-            L, closed = place_poles(A_bar, C_bar, -poles)
+            L, loop, closed = place_poles(A_bar, C_bar, -poles)
         else:
             raise ValueError(f"unknown gain method {opt.gain!r}")
     except NotDetectable as exc:
@@ -366,15 +374,15 @@ def synthesize(
         ) from exc
 
     Omega = Omega_bar + L @ Delta_f
-    A_star = -(Omega @ ker.V_p)
+    A_uio = -loop
     S3 = -(Omega @ ker.W_p)
     S4 = -(Omega @ ker.W_f)
     S5 = -(Omega @ ker.R_p)
     S6 = -(Omega @ ker.R_f)
     uio = UioRealization(
-        A_uio=A_star,
-        B_u=S3 + A_star @ S4,
-        B_y=S5 + A_star @ S6,
+        A_uio=A_uio,
+        B_u=S3 + A_uio @ S4,
+        B_y=S5 + A_uio @ S6,
         D_u=S4,
         D_y=S6,
     )
@@ -384,7 +392,7 @@ def synthesize(
             np.abs(Omega @ ker.V_f - np.eye(n)).max() if n else 0.0
         ),
         "sign_identity": float(
-            np.abs(A_star + (A_bar + L @ C_bar)).max() if n else 0.0
+            np.abs(Omega @ ker.V_p - loop).max() if n else 0.0
         ),
     }
     diag = SynthesisDiagnostics(
@@ -400,22 +408,24 @@ def design_from_model(
 ) -> tuple[UioRealization, SynthesisDiagnostics]:
     """Model route: `model_kernel` of the plant, then `synthesize`.
 
-    The model is at hand, so the observer is certified against it with
-    `verify_uio` before it is returned.
+    The model is at hand, so the observer is certified against it before
+    it is returned: by the three acceptor identities of `verify_acceptor`,
+    and by the Schur verdict of ``diag.spectrum``, which is the spectrum of
+    the emitted A_uio (see `synthesize`).  That is the `verify_uio` test,
+    with the same failure wording, without a second eigenvalue solve.
 
     Raises:
-        NumericalFailure: if the synthesized observer fails `verify_uio`,
-            with its failures in the message.
+        NumericalFailure: if the synthesized observer fails that test, with
+            its failures in the message.
         NoUio / NotObservable / PlacementFailed / ValueError: as
             `synthesize`.
     """
     opt = options or SynthesisOptions()
     uio, diag = synthesize(model_kernel(model, opt.tol), opt)
-    check = verify_uio(model, uio, margin=opt.schur_margin)
-    if not check.is_uio:
+    failures = _failures(verify_acceptor(model, uio), diag.spectrum)
+    if failures:
         raise NumericalFailure(
-            "model-route design failed verification: "
-            + "; ".join(check.failures)
+            "model-route design failed verification: " + "; ".join(failures)
         )
     return uio, diag
 
@@ -513,21 +523,27 @@ def verify_uio(
     """Acceptor check plus Schur check; reports every failure by name."""
     acc = verify_acceptor(model, uio, tol)
     spec_report = spectrum(uio.A_uio, margin)
+    failures = _failures(acc, spec_report)
+    return UioVerification(
+        acceptor=acc,
+        spectrum=spec_report,
+        is_uio=not failures,
+        failures=tuple(failures),
+    )
+
+
+def _failures(acc: AcceptorReport, spec_report: SpectrumReport) -> list[str]:
+    """The `verify_uio` failure lines for an acceptor report and a spectrum."""
     failures = [
-        f"{name} residual {value:.3e} exceeds {tol:.1e}"
+        f"{name} residual {value:.3e} exceeds {acc.tol:.1e}"
         for name, value in acc.residuals.items()
-        if value >= tol
+        if value >= acc.tol
     ]
     if not spec_report.is_schur:
         failures.append(
             f"A_uio is not Schur: spectral radius {spec_report.spectral_radius:.6g}"
         )
-    return UioVerification(
-        acceptor=acc,
-        spectrum=spec_report,
-        is_uio=acc.is_acceptor and spec_report.is_schur,
-        failures=tuple(failures),
-    )
+    return failures
 
 
 # --------------------------------------------------------------------------

@@ -128,6 +128,52 @@ def test_tol_rank_reaches_the_rank_decision(tmp_path, command, capsys):
         assert "rank(V_f) = 1 < n = 2" in out
 
 
+@pytest.mark.parametrize("command, value", [
+    ("check", "nan"), ("check", "1"), ("design", "-1"), ("design", "inf"),
+])
+def test_schur_margin_outside_the_unit_interval_exits_4(
+        model_file, command, value, capsys):
+    # With margin -1 the Schur test would read |z| < 2 and pass a pole at
+    # 1.5; with NaN every verdict comparison is false.
+    argv = [command, "--from-model", model_file, f"--schur-margin={value}"]
+    if command == "design":
+        argv += ["--gain", "place", "--poles", "0,0,1.5"]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert "--schur-margin" in captured.err
+    assert "observer exists" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["check", "design"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "1"])
+def test_tol_rank_must_be_a_relative_tolerance(model_file, command, value,
+                                              capsys):
+    assert main([command, "--from-model", model_file,
+                 f"--tol-rank={value}"]) == 4
+    err = capsys.readouterr().err
+    assert "--tol-rank" in err
+    assert "rank-deficient" not in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--u-range", "-inf,inf"), ("--d-range", "-1e308,1e308"),
+    ("--x0-range", "nan,1"),
+])
+def test_collect_refuses_non_finite_ranges(model_file, flag, value, capsys):
+    assert main(["collect", "--from-model", model_file, "--T", "5",
+                 f"{flag}={value}"]) == 4
+    err = capsys.readouterr().err
+    assert flag in err and "finite" in err
+
+
+def test_collect_refuses_a_run_that_overflows(model_file, capsys):
+    assert main(["collect", "--from-model", model_file, "--T", "5",
+                 "--u-range=1e308,1e308"]) == 4
+    err = capsys.readouterr().err
+    assert "overflowed" in err
+    assert "SVD did not converge" not in err
+
+
 def test_check_pencil_rank_deficient_everywhere_exits_2(tmp_path, capsys):
     # F = 0 and C = 0: no row of P(z) sees the disturbance at any z.
     path = _no_input_model_file(tmp_path, [[0.5]], [[0.0]], [[1.0]], [[0.0]])
@@ -276,6 +322,24 @@ def test_design_dims_mismatch_exits_4(tmp_path, model_file, capsys):
     assert main(["design", "--from-data", str(traj),
                  "--dims", "2,1,2"]) == 4
     assert "dims" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_design_from_data_with_non_finite_sample_exits_4(
+        tmp_path, model_file, bad, capsys):
+    traj = tmp_path / "traj.csv"
+    assert main(["collect", "--from-model", model_file, "--T", "11",
+                 "--out", str(traj)]) == 0
+    lines = traj.read_text(encoding="utf-8").splitlines()
+    fields = lines[4].split(",")
+    fields[2] = bad
+    lines[4] = ",".join(fields)
+    traj.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["design", "--from-data", str(traj)]) == 4
+    err = capsys.readouterr().err
+    assert "row 3, column 'x_2'" in err
+    assert "SVD did not converge" not in err
 
 
 def test_design_rejects_model_and_data_together(model_file, capsys):

@@ -367,3 +367,19 @@ def test_load_reports_the_row_of_a_non_numeric_cell(tmp_path):
 def test_uniform_rejects_inverted_range():
     with pytest.raises(ValueError):
         Uniform(1.0, -1.0)
+
+
+@pytest.mark.parametrize("low, high", [
+    (-np.inf, np.inf), (0.0, np.inf), (np.nan, 1.0), (-1e308, 1e308),
+])
+def test_uniform_rejects_non_finite_bounds_and_width(low, high):
+    with pytest.raises(ValueError, match="finite"):
+        Uniform(low, high)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+def test_load_rejects_non_finite_sample_by_row_and_column(tmp_path, bad):
+    path = _write(tmp_path, f"t,x_1,u_1,y_1\n0,0,0,0\n1,0,0,{bad}\n")
+    with pytest.raises(TrajectoryFormatError,
+                       match=f"row 1, column 'y_1': non-finite sample '{bad}'"):
+        load_trajectory(path)

@@ -1,6 +1,6 @@
 """The two rank conditions for observer existence and their cross-check."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -214,6 +214,7 @@ def test_exists_uio_counts_an_unverified_design_as_a_failure(
     assert not report.constructive_succeeded
     assert not report.agreement
     assert "failed verification" in report.constructive_detail
+    assert report.uio is None and report.diagnostics is None
 
 
 def test_exists_uio_counterexample(no_uio_model):
@@ -222,6 +223,29 @@ def test_exists_uio_counterexample(no_uio_model):
     assert not report.condition_b
     assert not report.constructive_succeeded
     assert report.agreement
+    assert report.uio is None and report.diagnostics is None
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    if hasattr(a, "__dataclass_fields__"):
+        return all(_same(getattr(a, f.name), getattr(b, f.name))
+                   for f in fields(a))
+    return a == b
+
+
+@pytest.mark.parametrize("options", [
+    synth.SynthesisOptions(),
+    synth.SynthesisOptions(gain="place", poles=(0.0, 0.0, 0.5)),
+], ids=["riccati", "place"])
+def test_exists_uio_keeps_the_certified_observer(ref_model, options):
+    report = exists_uio(ref_model, options)
+    uio, diag = synth.design_from_model(ref_model, options)
+    assert report.constructive_succeeded
+    assert _same(report.uio, uio)
+    assert _same(report.diagnostics, diag)
+    assert synth.verify_uio(ref_model, report.uio).is_uio
 
 
 def test_exists_uio_classical_detectable_case():

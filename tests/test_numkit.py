@@ -329,11 +329,13 @@ def test_hidden_unstable_mode_in_rotated_basis(seed):
 
 
 def _gain(construct, A, C, *args):
-    """L from a gain constructor; its eigenvalues must be those of A + L C."""
-    L, eigenvalues = construct(A, C, *args)
+    """L from a gain constructor, which also returns the loop A + L C it
+    verified and that loop's eigenvalues."""
+    L, loop, eigenvalues = construct(A, C, *args)
     closed = np.asarray(A, dtype=float) + L @ np.asarray(C, dtype=float)
+    assert_array_equal(loop, closed)
     assert_array_equal(np.sort_complex(eigenvalues),
-                       np.sort_complex(np.linalg.eigvals(closed)))
+                       np.sort_complex(np.linalg.eigvals(loop)))
     return L
 
 

@@ -208,9 +208,10 @@ def test_synthesize_empty_kernel_is_refused():
 
 
 def test_synthesize_rejects_unstable_pole_request(ref_kernel):
-    options = SynthesisOptions(gain="place", poles=(0.0, 0.0, 1.5))
-    with pytest.raises(ValueError, match="pole"):
-        synthesize(KernelRep.from_matrix(ref_kernel, DIMS), options)
+    for pole in (1.5, float("nan")):
+        options = SynthesisOptions(gain="place", poles=(0.0, 0.0, pole))
+        with pytest.raises(ValueError, match="pole"):
+            synthesize(KernelRep.from_matrix(ref_kernel, DIMS), options)
 
 
 def test_riccati_gain_refuses_a_pole_request(ref_kernel):
@@ -256,28 +257,68 @@ def test_undetectable_pair_is_refused_on_both_gain_paths(options):
 
 @pytest.mark.parametrize("options", [SynthesisOptions(), PLACE],
                          ids=["riccati", "place"])
-def test_model_route_takes_the_closed_loop_spectrum_twice(
+def test_model_route_takes_the_closed_loop_spectrum_once(
     ref_model, options, monkeypatch
 ):
-    # Once in the gain stage's own check of A_bar + L C_bar and once in the
-    # independent verify_uio; synthesize reports the first one, negated.
-    eigvals = np.linalg.eigvals
+    # The gain stage verifies the spectrum of A_bar + L C_bar and hands the
+    # loop back; A_uio is that very array negated, so the model route's
+    # certificate needs no second eigenvalue solve.
     seen = []
 
-    def recording(M):
-        seen.append(np.array(M))
-        return eigvals(M)
+    def recording(solver):
+        def solve(M, *args, **kwargs):
+            seen.append(np.array(M))
+            return solver(M, *args, **kwargs)
+        return solve
 
-    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    monkeypatch.setattr(np.linalg, "eigvals", recording(np.linalg.eigvals))
+    monkeypatch.setattr(np.linalg, "eig", recording(np.linalg.eig))
     uio, diag = design_from_model(ref_model, options)
     monkeypatch.undo()
     loops = [M for M in seen if M.shape == uio.A_uio.shape
              and min(np.abs(M - uio.A_uio).max(),
                      np.abs(M + uio.A_uio).max()) < 1e-12]
-    assert len(loops) == 2
-    gain_check = np.sort_complex(-eigvals(diag.A_bar + diag.L @ diag.C_bar))
-    assert np.array_equal(diag.spectrum.eigenvalues, gain_check)
+    assert len(loops) == 1
+    assert np.array_equal(uio.A_uio, -loops[0])
+    assert np.array_equal(diag.spectrum.eigenvalues,
+                          np.sort_complex(-np.linalg.eigvals(loops[0])))
     assert diag.spectrum.is_schur
+
+
+def _corpus_plant(n, seed, rotated_hidden_mode):
+    """Random plant with (m, p, r) ~ (n/5, n/3, n/10); every third seed
+    hides an unstable mode at 1.3 from C, so no observer exists."""
+    m, p, r = max(1, round(n / 5)), max(1, round(n / 3)), max(1, round(n / 10))
+    if seed % 3 == 0:
+        return rotated_hidden_mode(n, m, p, r, 1.3, seed)
+    rng = np.random.default_rng(seed)
+    F = rng.standard_normal((p, r)) if seed % 2 else np.zeros((p, r))
+    return StateSpaceModel(
+        A=(0.2, 0.35, 0.5)[seed % 3] * rng.standard_normal((n, n)),
+        B=rng.standard_normal((n, m)), C=rng.standard_normal((p, n)),
+        D=rng.standard_normal((p, m)), E=rng.standard_normal((n, r)), F=F,
+    )
+
+
+@pytest.mark.parametrize("n", [8, 20, 60])
+@pytest.mark.parametrize("seed", range(6))
+def test_model_route_designs_verify_and_report_their_own_spectrum(
+        n, seed, rotated_hidden_mode):
+    model = _corpus_plant(n, seed, rotated_hidden_mode)
+    gains = [SynthesisOptions()]
+    if n == 8:  # Ackermann placement runs out of accuracy by n = 20
+        gains.append(SynthesisOptions(
+            gain="place", poles=tuple(np.linspace(-0.6, 0.6, n))))
+    for options in gains:
+        if seed % 3 == 0:
+            with pytest.raises(NoUio):
+                design_from_model(model, options)
+            continue
+        uio, diag = design_from_model(model, options)
+        check = verify_uio(model, uio)
+        assert check.is_uio, check.failures
+        assert check.spectrum.spectral_radius == pytest.approx(
+            diag.spectrum.spectral_radius, rel=1e-12)
 
 
 @pytest.mark.parametrize("options", [SynthesisOptions(), PLACE],
