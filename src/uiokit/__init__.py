@@ -33,7 +33,6 @@ from .plant import (
     UioRealization,
     consistency_matrix,
     load_model,
-    reduce_disturbance,
     save_model,
     step,
     validate,
@@ -45,10 +44,8 @@ from .datalog import (
     Uniform,
     build_blocks,
     collect,
-    compatible,
     excitation_report,
     load_trajectory,
-    pe_order,
     save_trajectory,
 )
 from .synth import (
@@ -92,13 +89,12 @@ __all__ = [
     "rank", "spectrum", "stabilizing_gain", "place_poles",
     # plant
     "StateSpaceModel", "UioRealization", "ModelFormatError",
-    "validate", "step", "consistency_matrix", "reduce_disturbance",
-    "save_model", "load_model",
+    "validate", "step", "consistency_matrix", "save_model", "load_model",
     # datalog
     "HistoricalData", "DataBlocks", "Uniform",
     "TrajectoryFormatError",
     "collect", "build_blocks", "excitation_report",
-    "pe_order", "compatible", "save_trajectory", "load_trajectory",
+    "save_trajectory", "load_trajectory",
     # synth
     "KernelRep", "SynthesisOptions", "NoUio", "UioFormatError",
     "kernel_representation", "model_kernel", "synthesize", "design_from_model",

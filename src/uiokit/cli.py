@@ -8,15 +8,16 @@ Subcommands:
     demo-paper replay the bundled reference example end to end
 
 Exit codes: 0 success; 1 demonstration check failure; 2 no observer exists
-(with a certificate on stdout); 4 I/O, format, or validation errors.  All
-numeric output uses 12 significant digits.
+(with a certificate on stdout); 4 I/O, format, or validation errors,
+numerical failures (a trajectory that fails the excitation check among
+them), and running out of memory.  All numeric output uses 12 significant
+digits.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import __version__
@@ -68,19 +69,23 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _parse_pair(text: str, flag: str) -> tuple[float, float]:
+def _parse_pair(text: str, flag: str) -> Uniform:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
         raise CliError(f"{flag} expects LO,HI, got {text!r}")
     try:
-        lo, hi = float(parts[0]), float(parts[1])
+        return Uniform(float(parts[0]), float(parts[1]))
     except ValueError as exc:
-        raise CliError(f"{flag} expects numbers, got {text!r}") from exc
-    if not math.isfinite(hi - lo):
-        raise CliError(f"{flag}: bounds and width must be finite, got {text!r}")
-    if lo > hi:
-        raise CliError(f"{flag}: empty range [{lo}, {hi}]")
-    return lo, hi
+        raise CliError(f"{flag}: {exc}") from exc
+
+
+def _draws(args) -> dict:
+    """The input, disturbance and initial-state draws of collect and simulate."""
+    return {
+        "input_policy": _parse_pair(args.u_range, "--u-range"),
+        "disturbance_policy": _parse_pair(args.d_range, "--d-range"),
+        "x0": _parse_pair(args.x0_range, "--x0-range"),
+    }
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -282,16 +287,7 @@ def _cmd_collect(args) -> int:
     model = load_model(args.from_model, _tolerance(args))
     if args.T < 2:
         raise CliError("--T must be at least 2 (one window needs two samples)")
-    u_lo, u_hi = _parse_pair(args.u_range, "--u-range")
-    d_lo, d_hi = _parse_pair(args.d_range, "--d-range")
-    x_lo, x_hi = _parse_pair(args.x0_range, "--x0-range")
-    data = collect(
-        model, args.T,
-        input_policy=Uniform(u_lo, u_hi),
-        disturbance_policy=Uniform(d_lo, d_hi),
-        x0=Uniform(x_lo, x_hi),
-        seed=args.seed,
-    )
+    data = collect(model, args.T, **_draws(args), seed=args.seed)
     excitation = excitation_report(build_blocks(data), _tolerance(args))
     if args.out:
         save_trajectory(args.out, data)
@@ -309,16 +305,7 @@ def _cmd_simulate(args) -> int:
     uio = load_uio(args.uio)
     if args.T < 1:
         raise CliError("--T must be at least 1")
-    u_lo, u_hi = _parse_pair(args.u_range, "--u-range")
-    d_lo, d_hi = _parse_pair(args.d_range, "--d-range")
-    x_lo, x_hi = _parse_pair(args.x0_range, "--x0-range")
-    trace = run(
-        model, uio, args.T,
-        input_policy=Uniform(u_lo, u_hi),
-        disturbance_policy=Uniform(d_lo, d_hi),
-        x0=Uniform(x_lo, x_hi),
-        seed=args.seed,
-    )
+    trace = run(model, uio, args.T, **_draws(args), seed=args.seed)
     if args.exact_init:
         z0 = exact_observer_init(model, uio, trace.x[0], trace.u[0], trace.d[0])
         trace = run(
@@ -378,6 +365,9 @@ def main(argv=None) -> int:
     except (CliError, ValueError, OSError) as exc:
         # Every format and validation error of the library is a ValueError.
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError:
+        print("error: out of memory; shrink --T or the model", file=sys.stderr)
         return 4
 
 

@@ -18,12 +18,16 @@ assumption under which Im(Phi) captures the whole plant behaviour is:
 
 That stack involves the *unmeasured* disturbance, so it is only checkable on
 synthetic data; for ingested logs a weaker surrogate on (X_p, U_p, U_f) is
-reported together with a warning instead.
+reported together with a warning instead.  The surrogate stack is a row
+subset of the assumption stack, so a surrogate FAIL proves the assumption
+fails too; `synth.design_from_data` refuses data that fails either check.
 
 File format: delimited text with header ``t,x_1..x_n,u_1..u_m,y_1..y_p``
 plus optional ``d_1..d_r`` columns, one row per sample, t ascending from 0,
 values printed as shortest round-trip decimals (``repr`` of the float), so
-loading a file gives back the recorded samples bit for bit.
+loading a file gives back the recorded samples bit for bit.  The header is
+defined once, by the writer; the reader accepts exactly the headers the
+writer produces.
 """
 
 from __future__ import annotations
@@ -47,8 +51,6 @@ __all__ = [
     "collect",
     "build_blocks",
     "excitation_report",
-    "pe_order",
-    "compatible",
     "save_trajectory",
     "load_trajectory",
 ]
@@ -288,52 +290,6 @@ def excitation_report(
     )
 
 
-def pe_order(signal, order: int, tol: RankTolerance = DEFAULT_TOL) -> bool:
-    """Persistency of excitation of a signal up to the given order.
-
-    ``signal`` is (L, q) time-major (1-D input is treated as q = 1).  True
-    iff the depth-``order`` block Hankel matrix has full row rank q*order.
-    """
-    s = np.asarray(signal, dtype=float)
-    if s.ndim == 1:
-        s = s.reshape(-1, 1)
-    if s.ndim != 2:
-        raise ValueError("signal must be 1-D or 2-D (time-major)")
-    L, q = s.shape
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if L < order:
-        raise ValueError(f"signal of length {L} is too short for order {order}")
-    cols = L - order + 1
-    H = np.zeros((q * order, cols))
-    for i in range(order):
-        H[i * q:(i + 1) * q] = s[i:i + cols].T
-    return rank(H, tol) == q * order
-
-
-def compatible(window, blocks: DataBlocks,
-               tol: RankTolerance = DEFAULT_TOL) -> bool:
-    """Is a stacked window (x, x+, u, u+, y, y+) explainable by the data?
-
-    Projects the window onto Im(Phi) and accepts when the projection
-    residual is below the rank threshold of Phi, scaled by the window size.
-    """
-    w = np.asarray(window, dtype=float).reshape(-1)
-    Phi = blocks.Phi
-    if w.shape[0] != Phi.shape[0]:
-        raise ValueError(
-            f"window must have length {Phi.shape[0]}, got {w.shape[0]}"
-        )
-    if min(Phi.shape) == 0:
-        return not w.any()
-    U, s, _ = np.linalg.svd(Phi, full_matrices=False)
-    cut = tol.cutoff(Phi.shape, s[0])
-    k = int(np.count_nonzero(s > cut))
-    Q = U[:, :k]
-    resid = np.linalg.norm(w - Q @ (Q.T @ w))
-    return bool(resid <= cut * (1.0 + np.linalg.norm(w)))
-
-
 # --------------------------------------------------------------------------
 # Trajectory files.
 
@@ -383,35 +339,22 @@ def render_trajectory(data: HistoricalData) -> str:
 
 
 def _split_header(fields: list[str]) -> tuple[int, int, int, int | None]:
+    """Signal widths of a header, which must be exactly what `_header` writes."""
     names = [f.strip() for f in fields]
     if not names or names[0] != "t":
         raise TrajectoryFormatError('first column must be "t"')
-    counts = {"x": 0, "u": 0, "y": 0, "d": 0}
-    order = ["x", "u", "y", "d"]
-    pos = 0
-    for name in names[1:]:
-        if "_" not in name:
-            raise TrajectoryFormatError(f"unexpected column {name!r}")
-        base, _, idx = name.partition("_")
-        while pos < len(order) and base != order[pos]:
-            pos += 1
-        if pos >= len(order):
-            raise TrajectoryFormatError(
-                f"column {name!r} out of order (expected t,x_*,u_*,y_*,d_*)"
-            )
-        counts[base] += 1
-        if idx != str(counts[base]):
-            raise TrajectoryFormatError(
-                f"column {name!r} breaks the 1..k numbering of {base}_*"
-            )
-    if counts["y"] == 0:
+    n, m, p, r = (sum(name.startswith(f"{base}_") for name in names)
+                  for base in "xuyd")
+    if p == 0:
         raise TrajectoryFormatError("trajectory must contain y_* columns")
-    return (
-        counts["x"],
-        counts["u"],
-        counts["y"],
-        counts["d"] if counts["d"] > 0 else None,
-    )
+    expected = _header(n, m, p, r or None)
+    for col, name in enumerate(names):
+        if col >= len(expected) or name != expected[col]:
+            raise TrajectoryFormatError(
+                f"unexpected column {name!r} at position {col}: the header "
+                "must read t,x_1..x_n,u_1..u_m,y_1..y_p[,d_1..d_r]"
+            )
+    return n, m, p, r or None
 
 
 def load_trajectory(path) -> HistoricalData:

@@ -6,10 +6,10 @@ input u and an unknown disturbance d that enters both equations:
     x(t+1) = A x(t) + B u(t) + E d(t)
     y(t)   = C x(t) + D u(t) + F d(t)
 
-with x in R^n, u in R^m, y in R^p, d in R^r.  A model is *valid* when all
-dimensions are consistent and the stacked disturbance map [E; F] has full
-column rank r — a rank-deficient stack means some disturbance direction has
-no effect at all and should be removed first (see `reduce_disturbance`).
+with x in R^n, u in R^m, y in R^p, d in R^r.  A model is *valid* when its
+entries are finite, its dimensions are consistent and the stacked
+disturbance map [E; F] has full column rank r; `validate` refuses a
+rank-deficient [E; F].
 
 `consistency_matrix` assembles the matrix Gamma whose column space contains
 every stacked one-step window (x, x+, u, u+, y, y+) the plant can generate;
@@ -43,7 +43,6 @@ __all__ = [
     "ModelFormatError",
     "validate",
     "require_valid",
-    "reduce_disturbance",
     "step",
     "consistency_matrix",
     "model_to_dict",
@@ -169,31 +168,6 @@ def require_valid(model: StateSpaceModel, tol: RankTolerance = DEFAULT_TOL) -> N
     violations = validate(model, tol)
     if violations:
         raise ValueError("invalid model: " + "; ".join(violations))
-
-
-def reduce_disturbance(
-    model: StateSpaceModel, tol: RankTolerance = DEFAULT_TOL
-) -> StateSpaceModel:
-    """Compress [E; F] to a full-column-rank spanning set.
-
-    Returns the model unchanged when the stack already has full column rank
-    (hence the map is idempotent).  Otherwise the disturbance channels are
-    replaced by an orthonormal basis of Im [E; F]; the new r equals the rank.
-    """
-    n = model.n
-    stacked = np.vstack([model.E, model.F])
-    k = rank(stacked, tol)
-    if k == model.r:
-        return model
-    if k == 0:
-        U_k = np.zeros((stacked.shape[0], 0))
-    else:
-        U, _, _ = np.linalg.svd(stacked)
-        U_k = U[:, :k]
-    return StateSpaceModel(
-        A=model.A, B=model.B, C=model.C, D=model.D,
-        E=U_k[:n], F=U_k[n:], name=model.name,
-    )
 
 
 def step(model: StateSpaceModel, x, u, d) -> tuple[np.ndarray, np.ndarray]:

@@ -166,7 +166,9 @@ def convergence_stats(trace: RunTrace) -> ConvergenceStats:
     ||e|| <= 1e-14 are ignored as exact zeros.  With fewer than two usable
     tail samples the decay rate is undefined and reported as None.
     """
-    norms = np.linalg.norm(trace.e, axis=1)
+    # hypot scales as it goes, so a finite error whose square would
+    # overflow still has a finite norm.
+    norms = np.hypot.reduce(trace.e, axis=1)
     final = float(norms[-1]) if norms.size else 0.0
     t_all = np.arange(trace.T)
     keep = (norms > ZERO_ERROR_FLOOR) & (t_all >= trace.T // 2)

@@ -11,7 +11,8 @@ left kernel of the small disturbance block [[E, 0], [F, 0], [CE, F]], which
 determines the left kernel of the consistency matrix Gamma in closed form;
 the data route (`kernel_representation`) annihilates the recorded-window
 matrix Phi.  Under the excitation assumption the two spans coincide, so
-the designs agree.
+the designs agree; `design_from_data` refuses data that fails the
+excitation check of `datalog.excitation_report`.
 
 Second, turn the kernel representation into an observer.  With
 Omega_bar the left inverse of V_f and Delta_f a maximal left annihilator of
@@ -22,16 +23,15 @@ V_f, both from one SVD of V_f, the pair
 is detectable exactly when an observer exists for this kernel; any gain L
 with A_bar + L @ C_bar Schur yields, via Omega = Omega_bar + L @ Delta_f,
 
-    A_uio = -(A_bar + L @ C_bar)      D_u = -(Omega @ W_f)
-    B_u   = S3 + A_uio @ D_u          D_y = -(Omega @ R_f)
-    B_y   = S5 + A_uio @ D_y
+    A_uio = -(A_bar + L @ C_bar)
+    D_u = -(Omega @ W_f),      B_u = A_uio @ D_u - Omega @ W_p
+    D_y = -(Omega @ R_f),      B_y = A_uio @ D_y - Omega @ R_p
 
-with S3 = -(Omega @ W_p), S5 = -(Omega @ R_p).  In exact arithmetic
-A_uio = -(Omega @ V_p); the emitted A_uio is the negated closed-loop array
-the gain stage returned after verifying its spectrum, so the reported
-spectrum belongs to the emitted matrix itself, and the ``sign_identity``
-residual max |Omega @ V_p - (A_bar + L @ C_bar)| guards the Omega-derived
-blocks.  Note the sign convention: the gain stage shapes the spectrum of
+In exact arithmetic A_uio = -(Omega @ V_p); the emitted A_uio is the
+negated closed-loop array the gain stage returned after verifying its
+spectrum, so the reported spectrum belongs to the emitted matrix itself,
+and the ``sign_identity`` residual max |Omega @ V_p - (A_bar + L @ C_bar)|
+guards the Omega-derived blocks.  Note the sign convention: the gain stage shapes the spectrum of
 A_bar + L @ C_bar, whose *negative* becomes A_uio — `synthesize` therefore
 negates requested pole locations internally, so the poles a caller asks
 for are the eigenvalues the returned A_uio actually has.
@@ -50,6 +50,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .datalog import excitation_report
 from .numkit import (
     DEFAULT_TOL,
     SCHUR_MARGIN,
@@ -204,11 +205,6 @@ class SynthesisDiagnostics:
     A_bar: np.ndarray
     C_bar: np.ndarray
     L: np.ndarray
-    Omega: np.ndarray
-    S3: np.ndarray
-    S4: np.ndarray
-    S5: np.ndarray
-    S6: np.ndarray
     gain: str
     spectrum: SpectrumReport
     residuals: dict = field(default_factory=dict)
@@ -375,16 +371,14 @@ def synthesize(
 
     Omega = Omega_bar + L @ Delta_f
     A_uio = -loop
-    S3 = -(Omega @ ker.W_p)
-    S4 = -(Omega @ ker.W_f)
-    S5 = -(Omega @ ker.R_p)
-    S6 = -(Omega @ ker.R_f)
+    D_u = -(Omega @ ker.W_f)
+    D_y = -(Omega @ ker.R_f)
     uio = UioRealization(
         A_uio=A_uio,
-        B_u=S3 + A_uio @ S4,
-        B_y=S5 + A_uio @ S6,
-        D_u=S4,
-        D_y=S6,
+        B_u=A_uio @ D_u - Omega @ ker.W_p,
+        B_y=A_uio @ D_y - Omega @ ker.R_p,
+        D_u=D_u,
+        D_y=D_y,
     )
     spec_report = _spectrum_report(-closed, opt.schur_margin)
     residuals = {
@@ -397,8 +391,7 @@ def synthesize(
     }
     diag = SynthesisDiagnostics(
         Omega_bar=Omega_bar, Delta_f=Delta_f, A_bar=A_bar, C_bar=C_bar,
-        L=L, Omega=Omega, S3=S3, S4=S4, S5=S5, S6=S6,
-        gain=opt.gain, spectrum=spec_report, residuals=residuals,
+        L=L, gain=opt.gain, spectrum=spec_report, residuals=residuals,
     )
     return uio, diag
 
@@ -436,9 +429,22 @@ def design_from_data(
     """Data route: kernel of the recorded-window matrix, then `synthesize`.
 
     ``blocks`` is a `datalog.DataBlocks`; `datalog.build_blocks` is where
-    declared dimensions are checked against the recorded widths.
+    declared dimensions are checked against the recorded widths.  Data that
+    fails `datalog.excitation_report` is refused: in "assumption" mode the
+    check is the data theorem's own hypothesis, and in "surrogate" mode
+    (no disturbance record) a failure on the row subset [X_p; U_p; U_f]
+    proves the assumption fails too.  A surrogate PASS is only necessary,
+    so that design goes ahead and the report's warning stands.
+
+    Raises:
+        NumericalFailure: when the excitation check fails, with its message.
+        NoUio / NotObservable / PlacementFailed / ValueError: as
+            `synthesize`.
     """
     opt = options or SynthesisOptions()
+    excitation = excitation_report(blocks, opt.tol)
+    if not excitation.ok:
+        raise NumericalFailure("data route refused: " + excitation.message)
     ker = kernel_representation(blocks.Phi, (blocks.n, blocks.m, blocks.p), opt.tol)
     return synthesize(ker, opt)
 

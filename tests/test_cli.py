@@ -294,25 +294,21 @@ def test_design_from_measured_data_warns_but_designs(
 
 def test_design_from_zero_data_matches_zero_plant(
         tmp_path, model_file, capsys):
-    # an all-zero record is consistent with the zero plant, so the data
-    # route may legitimately return an observer for *that* system — it must
-    # flag the excitation failure and the result must verify against the
-    # only model the data supports
+    # an all-zero record fails the excitation check, so the data route
+    # refuses it (exit 4) after printing the FAIL line, and writes nothing
     traj = tmp_path / "zero.csv"
     assert main(["collect", "--from-model", model_file, "--T", "11",
                  "--u-range", "0,0", "--d-range", "0,0",
                  "--x0-range", "0,0", "--out", str(traj)]) == 0
+    capsys.readouterr()
     out_path = tmp_path / "zero_uio.json"
     rc = main(["design", "--from-data", str(traj), "--out", str(out_path)])
-    out = capsys.readouterr().out
-    assert "FAILS" in out
-    assert rc in (0, 2)
-    if rc == 0:
-        zero_model = StateSpaceModel(
-            A=np.zeros((3, 3)), B=np.zeros((3, 1)), C=np.zeros((2, 3)),
-            D=np.zeros((2, 1)), E=np.zeros((3, 0)), F=np.zeros((2, 0)),
-        )
-        assert verify_uio(zero_model, load_uio(str(out_path))).is_uio
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert "excitation assumption FAILS" in captured.out
+    assert "numerical failure: data route refused: excitation assumption " \
+        "FAILS" in captured.err
+    assert not out_path.exists()
 
 
 def test_design_dims_mismatch_exits_4(tmp_path, model_file, capsys):
@@ -386,6 +382,24 @@ def test_collect_bad_range_exits_4(model_file, capsys):
     assert main(["collect", "--from-model", model_file, "--T", "5",
                  "--u-range", "4,-4"]) == 4
     assert "empty range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["collect", "simulate"])
+@pytest.mark.parametrize("flag, value, text", [
+    ("--u-range", "4,-4", "empty range"),
+    ("--d-range", "0,inf", "finite"),
+    ("--x0-range", "1,x", "could not convert"),
+    ("--x0-range", "1", "expects LO,HI"),
+])
+def test_range_errors_name_the_flag(model_file, uio_file, command, flag,
+                                    value, text, capsys):
+    base = {"collect": ["collect", "--from-model", model_file, "--T", "5"],
+            "simulate": ["simulate", "--from-model", model_file, "--uio",
+                         uio_file, "--T", "5"]}[command]
+    capsys.readouterr()
+    assert main(base + [f"{flag}={value}"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}") and text in err
 
 
 def test_collect_is_deterministic(tmp_path, model_file):
@@ -467,6 +481,35 @@ def test_simulate_dims_mismatch_exits_4(tmp_path, model_file, capsys):
     assert main(["simulate", "--from-model", model_file,
                  "--uio", str(path)]) == 4
     assert "dims" in capsys.readouterr().err
+
+
+def test_simulate_error_norm_survives_squares_that_overflow(
+        model_file, uio_file, capsys):
+    # |e| ~ 1e306 is finite but its square is not; pytest turns numpy's
+    # overflow RuntimeWarning into an error, so a leak fails here too.
+    capsys.readouterr()
+    assert main(["simulate", "--from-model", model_file, "--uio", uio_file,
+                 "--T", "3", "--x0-range=1e306,1e306"]) == 0
+    out = capsys.readouterr().out
+    norm = float(out.split("final error norm: ")[1].split()[0])
+    rate = float(out.split("fitted log-decay rate: ")[1].split()[0])
+    assert 1e305 < norm < np.inf and np.isfinite(rate)
+
+
+def test_out_of_memory_exits_4(model_file, uio_file, monkeypatch, capsys):
+    # numpy raises a MemoryError subclass when an array cannot be allocated
+    # (e.g. simulate --T 1000000000000); whether a real huge T fails at once
+    # depends on the host's overcommit policy, so the error is injected.
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(cli, "run", exhausted)
+    capsys.readouterr()
+    assert main(["simulate", "--from-model", model_file, "--uio", uio_file,
+                 "--T", "1000000000000"]) == 4
+    out, err = capsys.readouterr()
+    assert err.startswith("error: out of memory")
+    assert "Traceback" not in out + err and "Unable to allocate" not in err
 
 
 def test_simulate_trace_is_deterministic(tmp_path, model_file, uio_file):

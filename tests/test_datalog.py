@@ -13,10 +13,8 @@ from uiokit.datalog import (
     Uniform,
     build_blocks,
     collect,
-    compatible,
     excitation_report,
     load_trajectory,
-    pe_order,
     render_trajectory,
     save_trajectory,
 )
@@ -180,78 +178,6 @@ def test_phi_image_matches_consistency_image(ref_model):
     assert rank(np.hstack([blocks.Phi, Gamma])) == 7
 
 
-# ------------------------------------------------------------- pe_order
-
-
-def test_pe_order_constant_signal():
-    signal = np.full(8, 3.0)
-    assert pe_order(signal, 1)
-    assert not pe_order(signal, 2)
-
-
-def test_pe_order_impulse():
-    # an impulse at the start fills only the Hankel corner (rank 1), while
-    # one in the middle of a length-9 record makes the depth-5 Hankel the
-    # anti-diagonal identity (rank 5)
-    start = np.zeros(9)
-    start[0] = 1.0
-    assert pe_order(start, 1)
-    assert not pe_order(start, 2)
-    centered = np.zeros(9)
-    centered[4] = 1.0
-    assert pe_order(centered, 5)
-
-
-def test_pe_order_seeded_uniform():
-    rng = np.random.default_rng(0)
-    signal = rng.uniform(-4.0, 4.0, size=11)
-    assert pe_order(signal, 5)
-
-
-def test_pe_order_rejects_short_signal():
-    with pytest.raises(ValueError):
-        pe_order(np.ones(3), 4)
-
-
-# ----------------------------------------------------------- compatible
-
-
-def test_phi_columns_are_compatible(ref_model):
-    blocks = build_blocks(_bundled_run(ref_model))
-    for j in range(blocks.columns):
-        assert compatible(blocks.Phi[:, j], blocks)
-
-
-def test_zero_window_is_compatible(ref_model):
-    blocks = build_blocks(_bundled_run(ref_model))
-    assert compatible(np.zeros(12), blocks)
-
-
-def test_fresh_model_window_is_compatible(ref_model):
-    blocks = build_blocks(_bundled_run(ref_model))
-    rng = np.random.default_rng(42)
-    x = rng.normal(size=3)
-    u, u_next = rng.normal(size=1), rng.normal(size=1)
-    d, d_next = rng.normal(size=1), rng.normal(size=1)
-    x_next, y = step(ref_model, x, u, d)
-    y_next = ref_model.C @ x_next + ref_model.D @ u_next + ref_model.F @ d_next
-    w = np.concatenate([x, x_next, u, u_next, y, y_next])
-    assert compatible(w, blocks)
-
-
-def test_window_outside_the_image_is_rejected(ref_model):
-    blocks = build_blocks(_bundled_run(ref_model))
-    # a left-annihilator row is orthogonal to Im(Phi) by construction
-    w = left_null_basis(blocks.Phi)[0]
-    assert not compatible(w, blocks)
-
-
-def test_compatible_rejects_wrong_window_length(ref_model):
-    blocks = build_blocks(_bundled_run(ref_model))
-    with pytest.raises(ValueError):
-        compatible(np.zeros(11), blocks)
-
-
 # ------------------------------------------------------------ file I/O
 
 
@@ -331,6 +257,40 @@ def test_load_rejects_gapped_numbering(tmp_path):
     path = _write(tmp_path, "t,x_1,x_3,u_1,y_1\n0,0,0,0,0\n1,0,0,0,0\n")
     with pytest.raises(TrajectoryFormatError):
         load_trajectory(path)
+
+
+@pytest.mark.parametrize("header, column", [
+    ("t,x_1,u_1,v_1,y_1", "'v_1' at position 3"),
+    ("t,x_1,x_1,u_1,y_1", "'x_1' at position 2"),
+    ("t,x_1,u_1,d_1,y_1", "'d_1' at position 3"),
+    ("t,x_1,u_1", None),
+])
+def test_load_rejects_headers_the_writer_never_writes(tmp_path, header,
+                                                      column):
+    width = header.count(",") + 1
+    body = "".join(",".join([str(t)] + ["0"] * (width - 1)) + "\n"
+                   for t in range(2))
+    path = _write(tmp_path, header + "\n" + body)
+    match = "y_\\* columns" if column is None else f"unexpected column {column}"
+    with pytest.raises(TrajectoryFormatError, match=match):
+        load_trajectory(path)
+
+
+@pytest.mark.parametrize("n, m, p, r", [
+    (3, 1, 2, None), (3, 1, 2, 0), (3, 1, 2, 2), (2, 0, 1, 1), (2, 0, 1, None),
+])
+def test_every_written_header_reads_back_to_its_widths(tmp_path, n, m, p, r):
+    rng = np.random.default_rng(0)
+    data = HistoricalData(
+        x=rng.normal(size=(4, n)), u=rng.normal(size=(4, m)),
+        y=rng.normal(size=(4, p)),
+        d=None if r is None else rng.normal(size=(4, r)),
+    )
+    path = tmp_path / "run.csv"
+    save_trajectory(path, data)
+    loaded = load_trajectory(path)
+    assert (loaded.x.shape[1], loaded.u.shape[1], loaded.y.shape[1]) == (n, m, p)
+    assert (None if loaded.d is None else loaded.d.shape[1]) == (r or None)
 
 
 def test_load_rejects_non_ascending_time(tmp_path):

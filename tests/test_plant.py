@@ -12,7 +12,6 @@ from uiokit.plant import (
     load_model,
     model_from_dict,
     model_to_dict,
-    reduce_disturbance,
     require_valid,
     save_model,
     step,
@@ -81,49 +80,6 @@ def test_require_valid_raises_with_all_violations(ref_model):
                           ref_model.D, np.zeros((3, 1)), np.zeros((2, 1)))
     with pytest.raises(ValueError, match="dimension mismatch"):
         require_valid(bad)
-
-
-# ------------------------------------------------- reduce_disturbance
-
-
-def test_reduce_disturbance_keeps_minimal_model(ref_model):
-    reduced = reduce_disturbance(ref_model)
-    assert reduced.r == 1
-    assert_allclose(reduced.E, ref_model.E)
-    assert_allclose(reduced.F, ref_model.F)
-
-
-def test_reduce_disturbance_compresses_duplicated_column():
-    model = StateSpaceModel(
-        A=np.zeros((2, 2)), B=np.zeros((2, 0)),
-        C=np.zeros((1, 2)), D=np.zeros((1, 0)),
-        E=np.array([[1.0, 1.0], [0.0, 0.0]]), F=np.zeros((1, 2)),
-    )
-    reduced = reduce_disturbance(model)
-    assert reduced.r == 1
-    col = np.vstack([reduced.E, reduced.F])[:, 0]
-    assert_allclose(np.abs(col), np.array([1.0, 0.0, 0.0]), atol=1e-12)
-
-
-def test_reduce_disturbance_drops_zero_disturbance():
-    model = StateSpaceModel(
-        A=np.zeros((2, 2)), B=np.zeros((2, 1)),
-        C=np.eye(2), D=np.zeros((2, 1)),
-        E=np.zeros((2, 1)), F=np.zeros((2, 1)),
-    )
-    reduced = reduce_disturbance(model)
-    assert reduced.r == 0
-    assert reduced.E.shape == (2, 0)
-    assert validate(reduced) == []
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_reduce_disturbance_is_idempotent(seed):
-    model = _random_model(seed)
-    once = reduce_disturbance(model)
-    twice = reduce_disturbance(once)
-    assert_allclose(once.E, twice.E)
-    assert_allclose(once.F, twice.F)
 
 
 # ---------------------------------------------------------------- step
