@@ -7,6 +7,13 @@ Subcommands:
     simulate   run a plant/observer pair and report error statistics
     demo-paper replay the bundled reference example end to end
 
+Every flag that takes a value, other than a file path or a choice, has an
+argparse ``type`` that returns the finished library value (a `Uniform`, a
+`RankTolerance`, a tuple of dims or poles, a bounded integer) and makes the
+library's own check, so a bad value is refused while the command line is
+parsed, as ``error: argument --FLAG: <message>``.  A design request that
+`SynthesisOptions` refuses exits 4 with the library's message.
+
 Exit codes: 0 success; 1 demonstration check failure; 2 no observer exists
 (with a certificate on stdout); 4 I/O, format, or validation errors,
 numerical failures (a trajectory that fails the excitation check among
@@ -69,96 +76,86 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _parse_pair(text: str, flag: str) -> Uniform:
-    parts = [p.strip() for p in text.split(",")]
+def _flag(parse):
+    """The argparse ``type`` of a flag: ``parse`` turns the text into the
+    library value, and its ValueError becomes argparse's
+    ``argument --FLAG: <message>``.
+    """
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
+def _at_least(low: int):
+    """A parser of integers no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+def _range(text: str) -> Uniform:
+    parts = text.split(",")
     if len(parts) != 2:
-        raise CliError(f"{flag} expects LO,HI, got {text!r}")
-    try:
-        return Uniform(float(parts[0]), float(parts[1]))
-    except ValueError as exc:
-        raise CliError(f"{flag}: {exc}") from exc
+        raise ValueError(f"expects LO,HI, got {text!r}")
+    return Uniform(float(parts[0]), float(parts[1]))
 
 
-def _draws(args) -> dict:
-    """The input, disturbance and initial-state draws of collect and simulate."""
-    return {
-        "input_policy": _parse_pair(args.u_range, "--u-range"),
-        "disturbance_policy": _parse_pair(args.d_range, "--d-range"),
-        "x0": _parse_pair(args.x0_range, "--x0-range"),
-    }
-
-
-def _parse_dims(text: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in text.split(",")]
+def _dims(text: str) -> tuple[int, ...]:
+    parts = text.split(",")
     if len(parts) not in (3, 4):
-        raise CliError(f"--dims expects n,m,p or n,m,p,r, got {text!r}")
-    try:
-        dims = tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise CliError(f"--dims expects integers, got {text!r}") from exc
+        raise ValueError(f"expects n,m,p or n,m,p,r, got {text!r}")
+    dims = tuple(int(p) for p in parts)
     if any(v < 0 for v in dims):
-        raise CliError("--dims entries must be nonnegative")
+        raise ValueError(f"entries must be nonnegative, got {text!r}")
     return dims
 
 
-def _parse_poles(text: str) -> tuple[complex, ...]:
-    poles = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            value = complex(token)
-        except ValueError as exc:
-            raise CliError(f"--poles: cannot parse {token!r}") from exc
-        poles.append(value)
+def _poles(text: str) -> tuple[complex, ...]:
+    poles = tuple(complex(token) for token in text.split(",") if token.strip())
     if not poles:
-        raise CliError("--poles: empty pole list")
-    return tuple(poles)
-
-
-def _fraction(text: str, low_open: bool) -> float:
-    """A float in [0, 1), or in (0, 1) when ``low_open``; argparse names the flag."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expects a number, got {text!r}") from None
-    if not (0.0 < value < 1.0 if low_open else 0.0 <= value < 1.0):
-        raise argparse.ArgumentTypeError(
-            f"must lie in {'(' if low_open else '['}0, 1), got {text!r}")
-    return value
-
-
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expects an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
-    return value
-
-
-def _tolerance(args) -> RankTolerance:
-    if args.tol_rank is None:
-        return DEFAULT_TOL
-    return RankTolerance(relative=args.tol_rank)
+        raise ValueError("empty pole list")
+    return poles
 
 
 def _add_numeric_flags(sp, schur_margin: bool = True) -> None:
     """--tol-rank, and --schur-margin where a verdict reads it."""
-    sp.add_argument("--tol-rank", type=lambda text: _fraction(text, True),
-                    default=None, metavar="X",
+    sp.add_argument("--tol-rank", dest="tol",
+                    type=_flag(lambda text: RankTolerance(float(text))),
+                    default=DEFAULT_TOL, metavar="X",
                     help="relative rank tolerance in (0, 1) "
                          "(default: machine epsilon)")
     if schur_margin:
-        sp.add_argument("--schur-margin",
-                        type=lambda text: _fraction(text, False),
-                        default=SCHUR_MARGIN, metavar="X",
-                        help="stability margin on the unit circle, in [0, 1) "
-                             f"(default {SCHUR_MARGIN:g})")
+        sp.add_argument(
+            "--schur-margin", default=SCHUR_MARGIN, metavar="X",
+            type=_flag(lambda text: SynthesisOptions(
+                schur_margin=float(text)).schur_margin),
+            help="stability margin on the unit circle, in [0, 1) "
+                 f"(default {SCHUR_MARGIN:g})")
+
+
+def _draws(args) -> dict:
+    """The draws of collect and simulate, keyed as the library takes them."""
+    return {key: getattr(args, key)
+            for key in ("input_policy", "disturbance_policy", "x0", "seed")}
+
+
+def _add_draw_flags(sp, u_range: str, d_range: str) -> None:
+    """--seed and the input, disturbance and initial-state ranges of
+    collect and simulate, stored under the keywords the library takes."""
+    sp.add_argument("--seed", type=_flag(_at_least(0)), default=0)
+    for flag, dest, default, what in (
+            ("--u-range", "input_policy", u_range, "input"),
+            ("--d-range", "disturbance_policy", d_range, "disturbance"),
+            ("--x0-range", "x0", "-1,1", "initial-state")):
+        sp.add_argument(flag, dest=dest, type=_flag(_range), default=default,
+                        metavar="LO,HI",
+                        help=f"uniform {what} range (default {default})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,11 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--from-model", metavar="PATH", help="model JSON file")
     src.add_argument("--from-data", metavar="PATH",
                      help="trajectory file with x, u, y columns")
-    sp.add_argument("--dims", metavar="n,m,p[,r]",
+    sp.add_argument("--dims", type=_flag(_dims), metavar="n,m,p[,r]",
                     help="declared dimensions, cross-checked against the data")
     sp.add_argument("--gain", choices=("riccati", "place"), default="riccati",
                     help="gain construction (default riccati)")
-    sp.add_argument("--poles", metavar="P1,P2,...",
+    sp.add_argument("--poles", type=_flag(_poles), metavar="P1,P2,...",
                     help="requested A_uio eigenvalues for --gain place")
     sp.add_argument("--out", metavar="PATH",
                     help="write the observer JSON here (default: stdout)")
@@ -198,15 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("collect",
                         help="simulate a model and record a trajectory")
     sp.add_argument("--from-model", required=True, metavar="PATH")
-    sp.add_argument("--T", type=int, required=True,
+    sp.add_argument("--T", type=_flag(_at_least(2)), required=True,
                     help="number of samples (at least 2)")
-    sp.add_argument("--seed", type=_seed, default=0)
-    sp.add_argument("--u-range", default="-4,4", metavar="LO,HI",
-                    help="uniform input range (default -4,4)")
-    sp.add_argument("--d-range", default="-3,3", metavar="LO,HI",
-                    help="uniform disturbance range (default -3,3)")
-    sp.add_argument("--x0-range", default="-1,1", metavar="LO,HI",
-                    help="uniform initial-state range (default -1,1)")
+    _add_draw_flags(sp, "-4,4", "-3,3")
     sp.add_argument("--out", metavar="PATH",
                     help="trajectory file (default: stdout)")
     _add_numeric_flags(sp, schur_margin=False)
@@ -217,11 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--from-model", required=True, metavar="PATH")
     sp.add_argument("--uio", required=True, metavar="PATH",
                     help="observer JSON file")
-    sp.add_argument("--T", type=int, default=50)
-    sp.add_argument("--seed", type=_seed, default=0)
-    sp.add_argument("--u-range", default="-1,1", metavar="LO,HI")
-    sp.add_argument("--d-range", default="-1,1", metavar="LO,HI")
-    sp.add_argument("--x0-range", default="-1,1", metavar="LO,HI")
+    sp.add_argument("--T", type=_flag(_at_least(1)), default=50)
+    _add_draw_flags(sp, "-1,1", "-1,1")
     sp.add_argument("--exact-init", action="store_true",
                     help="start the observer so that e(0) = 0")
     sp.add_argument("--out", metavar="PATH",
@@ -232,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("demo-paper",
                         help="replay the bundled reference example end to end")
     sp.add_argument("--gain", choices=("place", "riccati"), default="place")
-    sp.add_argument("--seed", type=_seed, default=0)
-    sp.add_argument("--T", type=int, default=12,
+    sp.add_argument("--seed", type=_flag(_at_least(0)), default=0)
+    sp.add_argument("--T", type=_flag(_at_least(1)), default=12,
                     help="simulation horizon of the demonstration run")
     sp.add_argument("--out", metavar="PATH",
                     help="write the demonstration trace file here")
@@ -243,29 +231,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_check(args) -> int:
-    model = load_model(args.from_model, _tolerance(args))
-    options = SynthesisOptions(tol=_tolerance(args),
-                               schur_margin=args.schur_margin)
+    model = load_model(args.from_model, args.tol)
+    options = SynthesisOptions(tol=args.tol, schur_margin=args.schur_margin)
     report = exists_uio(model, options)
     print(format_report(report))
     return 0 if report.exists else 2
 
 
 def _cmd_design(args) -> int:
-    tol = _tolerance(args)
-    poles = _parse_poles(args.poles) if args.poles is not None else None
-    if args.gain == "place" and poles is None:
-        raise CliError("--gain place requires --poles")
-    options = SynthesisOptions(gain=args.gain, poles=poles, tol=tol,
+    options = SynthesisOptions(gain=args.gain, poles=args.poles, tol=args.tol,
                                schur_margin=args.schur_margin)
     if args.from_model is not None:
-        model = load_model(args.from_model, tol)
+        model = load_model(args.from_model, args.tol)
         uio, diag = design_from_model(model, options)
     else:
-        data = load_trajectory(args.from_data)
-        dims = _parse_dims(args.dims) if args.dims is not None else None
-        blocks = build_blocks(data, dims)
-        excitation = excitation_report(blocks, tol)
+        blocks = build_blocks(load_trajectory(args.from_data), args.dims)
+        excitation = excitation_report(blocks, args.tol)
         print(excitation.message)
         uio, diag = design_from_data(blocks, options)
     doc = uio_to_dict(uio, diag)
@@ -284,11 +265,9 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_collect(args) -> int:
-    model = load_model(args.from_model, _tolerance(args))
-    if args.T < 2:
-        raise CliError("--T must be at least 2 (one window needs two samples)")
-    data = collect(model, args.T, **_draws(args), seed=args.seed)
-    excitation = excitation_report(build_blocks(data), _tolerance(args))
+    model = load_model(args.from_model, args.tol)
+    data = collect(model, args.T, **_draws(args))
+    excitation = excitation_report(build_blocks(data), args.tol)
     if args.out:
         save_trajectory(args.out, data)
         print(f"wrote {data.T} samples to {args.out}")
@@ -300,12 +279,9 @@ def _cmd_collect(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    tol = _tolerance(args)
-    model = load_model(args.from_model, tol)
+    model = load_model(args.from_model, args.tol)
     uio = load_uio(args.uio)
-    if args.T < 1:
-        raise CliError("--T must be at least 1")
-    trace = run(model, uio, args.T, **_draws(args), seed=args.seed)
+    trace = run(model, uio, args.T, **_draws(args))
     if args.exact_init:
         z0 = exact_observer_init(model, uio, trace.x[0], trace.u[0], trace.d[0])
         trace = run(

@@ -264,30 +264,29 @@ def excitation_report(
 
     With a recorded disturbance it checks the assumption, full row rank of
     [X_p; U_p; U_f; D_p; D_f].  Without one it checks the measured-data
-    surrogate, full row rank of [X_p; U_p; U_f] only; that is necessary but
-    not sufficient, which the message spells out.
+    surrogate, full row rank of [X_p; U_p; U_f] only.  The surrogate is
+    necessary but not sufficient: a PASS carries a warning that the
+    assumption stays unverified, and a FAIL says that the assumption fails.
     """
     recorded = blocks.D_p is not None and blocks.D_f is not None
     parts = [blocks.X_p, blocks.U_p, blocks.U_f]
     if recorded:
         parts += [blocks.D_p, blocks.D_f]
     stack = np.vstack(parts)
-    got = rank(stack, tol)
-    ok = got == stack.shape[0]
+    got, required = rank(stack, tol), stack.shape[0]
+    ok = got == required
     if recorded:
-        return ExcitationReport(
-            mode="assumption", ok=ok, rank=got, required=stack.shape[0],
-            message="excitation assumption "
-                    + ("holds" if ok else "FAILS")
-                    + f" (rank {got} of {stack.shape[0]})",
-        )
-    return ExcitationReport(
-        mode="surrogate", ok=ok, rank=got, required=stack.shape[0],
-        message="warning: no disturbance record; the excitation assumption "
-                "is unverifiable from measured data. Surrogate rank check on "
-                f"[X_p; U_p; U_f] {'passes' if ok else 'FAILS'} "
-                f"(rank {got} of {stack.shape[0]}).",
-    )
+        message = (f"excitation assumption {'holds' if ok else 'FAILS'} "
+                   f"(rank {got} of {required})")
+    elif ok:
+        message = ("warning: no disturbance record; the excitation assumption "
+                   "is unverifiable from measured data. Surrogate rank check "
+                   f"on [X_p; U_p; U_f] passes (rank {got} of {required}).")
+    else:
+        message = (f"surrogate rank check on [X_p; U_p; U_f] FAILS (rank {got} "
+                   f"of {required}), so the excitation assumption fails")
+    return ExcitationReport(mode="assumption" if recorded else "surrogate",
+                            ok=ok, rank=got, required=required, message=message)
 
 
 # --------------------------------------------------------------------------

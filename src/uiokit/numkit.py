@@ -104,10 +104,18 @@ class RankTolerance:
     Attributes:
         relative: multiplies ``max(shape) * sigma_max`` to form the cutoff.
             Defaults to machine epsilon, matching the conventional SVD rank
-            threshold for noise-free data.
+            threshold for noise-free data.  Construction refuses a value
+            outside (0, 1), or NaN: at 0 or below every singular value
+            counts as rank, and at 1 or above none does.
     """
 
     relative: float = _EPS
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.relative < 1.0:
+            raise ValueError(
+                f"relative rank tolerance must lie in (0, 1), got {self.relative!r}"
+            )
 
     def cutoff(self, shape, sigma_max: float) -> float:
         """Cutoff for singular values of a matrix of ``shape``.

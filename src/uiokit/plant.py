@@ -7,9 +7,9 @@ input u and an unknown disturbance d that enters both equations:
     y(t)   = C x(t) + D u(t) + F d(t)
 
 with x in R^n, u in R^m, y in R^p, d in R^r.  A model is *valid* when its
-entries are finite, its dimensions are consistent and the stacked
-disturbance map [E; F] has full column rank r; `validate` refuses a
-rank-deficient [E; F].
+entries are finite, its dimensions are consistent, no product of two of
+its matrices overflows and the stacked disturbance map [E; F] has full
+column rank r; `validate` refuses a rank-deficient [E; F].
 
 `consistency_matrix` assembles the matrix Gamma whose column space contains
 every stacked one-step window (x, x+, u, u+, y, y+) the plant can generate;
@@ -19,18 +19,25 @@ decomposes it: `synth.model_kernel` builds its left kernel in closed form.
 `step` advances one sample with full input checks.  Whole horizons
 (`datalog.collect`, `simlab.run`) go through one private state recursion
 instead, x(t+1) = A x(t) + w(t) with w formed for every t in one matrix
-product, and validate their inputs once.
+product, and validate their inputs once.  Plant and observer recursions
+share one overflow guard, which names the first sample that leaves the
+float64 range.
 
 An observer produced by the design pipeline is packaged as
 `UioRealization`; its recursion and output map read
 
     z(t+1)  = A_uio z(t) + B_u u(t) + B_y y(t)
     x_hat(t) = z(t) + D_u u(t) + D_y y(t).
+
+Model and observer files are JSON matrix documents with one reader and one
+loader here; each format adds only its own checks (`validate` for models,
+finiteness and shapes in `synth.uio_from_dict` for observers).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +61,10 @@ __all__ = [
 
 class ModelFormatError(ValueError):
     """A model file could not be parsed into a valid model."""
+
+
+_MODEL_KEYS = ("A", "B", "C", "D", "E", "F")
+_UIO_KEYS = ("A_uio", "B_u", "B_y", "D_u", "D_y")
 
 
 def _matrix(value, what: str) -> np.ndarray:
@@ -81,7 +92,7 @@ class StateSpaceModel:
     name: str | None = None
 
     def __post_init__(self) -> None:
-        for attr in ("A", "B", "C", "D", "E", "F"):
+        for attr in _MODEL_KEYS:
             object.__setattr__(self, attr, _matrix(getattr(self, attr), attr))
 
     @property
@@ -112,7 +123,7 @@ class UioRealization:
     D_y: np.ndarray
 
     def __post_init__(self) -> None:
-        for attr in ("A_uio", "B_u", "B_y", "D_u", "D_y"):
+        for attr in _UIO_KEYS:
             object.__setattr__(self, attr, _matrix(getattr(self, attr), attr))
 
     @property
@@ -132,27 +143,33 @@ def validate(model: StateSpaceModel, tol: RankTolerance = DEFAULT_TOL) -> list[s
     """Diagnose a model; returns a list of violations (empty means valid).
 
     Checks that all six matrices are finite and have consistent dimensions,
-    then full column rank of the stacked disturbance map [E; F]; the rank
-    is decided only for a model that passes the other checks.
+    that the squared Frobenius norm of [[A, B, E], [C, D, F]] is finite, so
+    that no product of two blocks (CA, CB, CE, ...) overflows, then full
+    column rank of the stacked disturbance map [E; F]; the rank is decided
+    only for a model that passes the other checks.
     """
     v: list[str] = [
         f"non-finite entries in {key}"
-        for key in ("A", "B", "C", "D", "E", "F")
+        for key in _MODEL_KEYS
         if not np.isfinite(getattr(model, key)).all()
     ]
     n, m, p, r = model.n, model.m, model.p, model.r
-    if model.A.shape != (n, n):
-        v.append(f"dimension mismatch: A must be square, got {model.A.shape}")
-    if model.B.shape != (n, m):
-        v.append(f"dimension mismatch: B must have {n} rows, got {model.B.shape}")
-    if model.C.shape != (p, n):
-        v.append(f"dimension mismatch: C must have {n} columns, got {model.C.shape}")
-    if model.D.shape != (p, m):
-        v.append(f"dimension mismatch: D must be {p}x{m}, got {model.D.shape}")
-    if model.E.shape != (n, r):
-        v.append(f"dimension mismatch: E must have {n} rows, got {model.E.shape}")
-    if model.F.shape != (p, r):
-        v.append(f"dimension mismatch: F must be {p}x{r}, got {model.F.shape}")
+    shapes = {"A": (n, n), "B": (n, m), "C": (p, n), "D": (p, m), "E": (n, r),
+              "F": (p, r)}
+    v += [f"dimension mismatch: {key} must be {rows}x{cols}, "
+          f"got {getattr(model, key).shape}"
+          for key, (rows, cols) in shapes.items()
+          if getattr(model, key).shape != (rows, cols)]
+    if not v:
+        with np.errstate(over="ignore"):
+            square = sum(float(np.vdot(M, M)) for M in
+                         (getattr(model, key) for key in _MODEL_KEYS))
+        if not math.isfinite(square):
+            v.append(
+                "entries too large: the squared Frobenius norm of "
+                "[[A, B, E], [C, D, F]] overflows, and so can products such "
+                "as CA and CE; rescale the model"
+            )
     if not v and r > 0:
         stacked = np.vstack([model.E, model.F])
         got = rank(stacked, tol)
@@ -190,7 +207,8 @@ def _recursion(A: np.ndarray, x0: np.ndarray, W: np.ndarray) -> np.ndarray:
     """States x(0), ..., x(T-1) of x(t+1) = A x(t) + w(t), time-major.
 
     Row t of ``W`` (shape (T, n)) is w(t); its last row would only feed
-    x(T) and is unused.  Nothing is validated: callers check shapes once.
+    x(T) and is unused.  Nothing is validated: callers check shapes once
+    and the result with `_require_finite`.
     """
     X = np.empty_like(W)
     X[0] = x0
@@ -201,26 +219,36 @@ def _recursion(A: np.ndarray, x0: np.ndarray, W: np.ndarray) -> np.ndarray:
     return X
 
 
+def _require_finite(what: str, *signals: np.ndarray) -> None:
+    """Raise ValueError naming the first sample at which one of the
+    time-major ``signals`` simulated for ``what`` left the float64 range.
+
+    Callers compute the signals under ``np.errstate(over="ignore",
+    invalid="ignore")`` and call this once, so an overflow is refused by
+    name instead of printing numpy warnings and NaN statistics.
+    """
+    finite = np.logical_and.reduce([np.isfinite(s).all(axis=1) for s in signals])
+    if not finite.all():
+        raise ValueError(
+            f"simulating {what} overflowed at sample {np.argmin(finite)}: "
+            "the signals leave the float64 range; shrink the ranges or the "
+            "horizon"
+        )
+
+
 def _simulate(model: StateSpaceModel, x0: np.ndarray, u: np.ndarray,
               d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Time-major states and outputs driven by input u and disturbance d.
 
     The whole-array form of `step`: w = B u + E d for every t in one matrix
     product, one `_recursion` for x, and y = C x + D u + F d in one more.
-    A run that leaves the float64 range raises ValueError naming the first
-    sample that is not finite.
+    A run that leaves the float64 range is refused by `_require_finite`.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         W = np.hstack([u, d]) @ np.hstack([model.B, model.E]).T
         x = _recursion(model.A, x0, W)
         y = np.hstack([x, u, d]) @ np.hstack([model.C, model.D, model.F]).T
-    finite = np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1)
-    if not finite.all():
-        raise ValueError(
-            f"simulating the plant overflowed at sample {np.argmin(finite)}: "
-            "the signals leave the float64 range; shrink the ranges or the "
-            "horizon"
-        )
+    _require_finite("the plant", x, y)
     return x, y
 
 
@@ -277,48 +305,55 @@ def model_to_dict(model: StateSpaceModel) -> dict:
     doc: dict = {}
     if model.name is not None:
         doc["name"] = model.name
-    for key in ("A", "B", "C", "D", "E", "F"):
+    for key in _MODEL_KEYS:
         doc[key] = getattr(model, key).tolist()
     return doc
 
 
-def _rows_to_matrix(rows, key: str, n_rows: int | None = None) -> np.ndarray:
-    if not isinstance(rows, list) or any(not isinstance(rw, list) for rw in rows):
-        raise ModelFormatError(f'field "{key}" must be an array of arrays')
-    widths = {len(rw) for rw in rows}
-    if len(widths) > 1:
-        raise ModelFormatError(f'field "{key}" has ragged rows')
-    width = widths.pop() if widths else 0
+def _matrix_fields(doc, keys, what: str, error: type) -> dict:
+    """The fields ``keys`` of a parsed JSON matrix document as float arrays.
+
+    The one reader of model and observer files.  It refuses, with
+    ``error``, a document that is not an object, a missing field, a field
+    that is not an array of arrays, ragged rows and entries that are not
+    JSON numbers; every other check belongs to the format that calls it.
+    """
+    if not isinstance(doc, dict):
+        raise error(f"{what} document must be a JSON object")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise error(f"missing fields: {', '.join(missing)}")
+    fields = {}
+    for key in keys:
+        rows = doc[key]
+        if not isinstance(rows, list) or any(not isinstance(rw, list) for rw in rows):
+            raise error(f'field "{key}" must be an array of arrays')
+        if len({len(rw) for rw in rows}) > 1:
+            raise error(f'field "{key}" has ragged rows')
+        if any(type(v) not in (int, float) for rw in rows for v in rw):
+            raise error(f'field "{key}" has non-numeric entries')
+        try:
+            fields[key] = np.array(rows, dtype=float).reshape(
+                len(rows), len(rows[0]) if rows else 0)
+        except OverflowError:
+            raise error(f'field "{key}" has an integer beyond the float64 '
+                        "range") from None
+    return fields
+
+
+def _load_json(path, error: type):
+    """The parsed JSON document in ``path``; ``error`` if it is not JSON."""
     try:
-        arr = np.asarray(rows, dtype=float).reshape(len(rows), width)
-    except (TypeError, ValueError) as exc:
-        raise ModelFormatError(f'field "{key}" has non-numeric entries') from exc
-    if n_rows is not None and arr.shape[0] != n_rows:
-        raise ModelFormatError(
-            f'field "{key}" must have {n_rows} rows, got {arr.shape[0]}'
-        )
-    return arr
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise error(f"not valid JSON: {exc}") from exc
 
 
 def model_from_dict(doc: dict, tol: RankTolerance = DEFAULT_TOL) -> StateSpaceModel:
     """Build and validate a model from a parsed JSON document."""
-    if not isinstance(doc, dict):
-        raise ModelFormatError("model document must be a JSON object")
-    missing = [k for k in ("A", "B", "C", "D", "E", "F") if k not in doc]
-    if missing:
-        raise ModelFormatError(f"missing fields: {', '.join(missing)}")
-    A = _rows_to_matrix(doc["A"], "A")
-    n = A.shape[0]
-    p = len(doc["C"]) if isinstance(doc["C"], list) else 0
-    model = StateSpaceModel(
-        A=A,
-        B=_rows_to_matrix(doc["B"], "B", n),
-        C=_rows_to_matrix(doc["C"], "C"),
-        D=_rows_to_matrix(doc["D"], "D", p),
-        E=_rows_to_matrix(doc["E"], "E", n),
-        F=_rows_to_matrix(doc["F"], "F", p),
-        name=doc.get("name"),
-    )
+    fields = _matrix_fields(doc, _MODEL_KEYS, "model", ModelFormatError)
+    model = StateSpaceModel(**fields, name=doc.get("name"))
     violations = validate(model, tol)
     if violations:
         raise ModelFormatError("invalid model: " + "; ".join(violations))
@@ -333,9 +368,4 @@ def save_model(path, model: StateSpaceModel) -> None:
 
 def load_model(path, tol: RankTolerance = DEFAULT_TOL) -> StateSpaceModel:
     """Parse a model JSON file; raises ModelFormatError on any defect."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"not valid JSON: {exc}") from exc
-    return model_from_dict(doc, tol)
+    return model_from_dict(_load_json(path, ModelFormatError), tol)

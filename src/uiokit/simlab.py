@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datalog import (
-    Uniform,
     _header,
     _render_rows,
     _resolve_vector,
@@ -33,6 +32,7 @@ from .plant import (
     StateSpaceModel,
     UioRealization,
     _recursion,
+    _require_finite,
     _simulate,
     require_valid,
     step,
@@ -99,7 +99,9 @@ def run(
     Plant and observer share the one state recursion of `plant`: the plant
     states and outputs come first, then the observer's z(t+1) = A_uio z(t)
     + w(t) with w = B_u u + B_y y for all t in one matrix product; x_hat and
-    e are whole-array products too.  Inputs are validated once, not per step.
+    e are whole-array products too.  Inputs are validated once, not per step,
+    and a run whose plant or observer signals leave the float64 range raises
+    ValueError naming the first sample that is not finite.
     """
     require_valid(model)
     if (uio.n, uio.m, uio.p) != (model.n, model.m, model.p):
@@ -118,11 +120,14 @@ def run(
 
     x_seq, y_seq = _simulate(model, x0, u_seq, d_seq)
     uy = np.hstack([u_seq, y_seq])
-    z_seq = _recursion(uio.A_uio, z0, uy @ np.hstack([uio.B_u, uio.B_y]).T)
-    xh_seq = z_seq + uy @ np.hstack([uio.D_u, uio.D_y]).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        z_seq = _recursion(uio.A_uio, z0, uy @ np.hstack([uio.B_u, uio.B_y]).T)
+        xh_seq = z_seq + uy @ np.hstack([uio.D_u, uio.D_y]).T
+        e_seq = x_seq - xh_seq
+    _require_finite("the observer", z_seq, xh_seq, e_seq)
     return RunTrace(
         x=x_seq, u=u_seq, d=d_seq, y=y_seq,
-        z=z_seq, x_hat=xh_seq, e=x_seq - xh_seq,
+        z=z_seq, x_hat=xh_seq, e=e_seq,
     )
 
 

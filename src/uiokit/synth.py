@@ -36,6 +36,10 @@ A_bar + L @ C_bar, whose *negative* becomes A_uio — `synthesize` therefore
 negates requested pole locations internally, so the poles a caller asks
 for are the eigenvalues the returned A_uio actually has.
 
+`SynthesisOptions` checks a design request when it is built (margin,
+gain, the gain/poles pairing and the pole moduli), so neither route
+repeats those checks; `numkit.place_poles` keeps the ones that need n.
+
 `verify_acceptor` / `verify_uio` check candidate observers against a model
 through the three acceptor identities (unknown-input rejection, recursion
 consistency, known-input feedthrough) plus the Schur requirement.  The
@@ -68,7 +72,8 @@ from .numkit import (
     stabilizing_gain,
     undetectable_modes,
 )
-from .plant import StateSpaceModel, UioRealization, require_valid
+from .plant import (_UIO_KEYS, StateSpaceModel, UioRealization, _load_json,
+                    _matrix_fields, require_valid)
 
 __all__ = [
     "NoUio",
@@ -181,19 +186,44 @@ class SynthesisOptions:
 
     gain: "riccati" (default) or "place" (needs ``poles``).  Both are
         deterministic; neither takes a seed.
-    poles: requested A_uio eigenvalues for the "place" gain; must be a
-        conjugation-closed Schur multiset, and must be None for "riccati".
+    poles: requested A_uio eigenvalues for the "place" gain, each strictly
+        inside the circle of radius 1 - schur_margin; must be None for
+        "riccati".  `numkit.place_poles` checks the count against n and
+        closure under conjugation.
     tol: relative cutoff of the SVD rank decisions (kernel, rank(V_f),
         condition (b)); the zero-based decisions of detectability and
         condition (a) use the fixed `numkit.ZERO_CUT_RELATIVE`.
     schur_margin: stability margin for the detectability test and the
-        Schur verdicts.
+        Schur verdicts, in [0, 1).
+
+    Construction refuses, with ValueError, every request that breaks one
+    of these rules, so a design never starts from an invalid request.
     """
 
     gain: str = "riccati"
     poles: tuple | None = None
     tol: RankTolerance = DEFAULT_TOL
     schur_margin: float = SCHUR_MARGIN
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.schur_margin < 1.0:
+            raise ValueError(
+                f"schur_margin must lie in [0, 1), got {self.schur_margin!r}"
+            )
+        if self.gain not in ("riccati", "place"):
+            raise ValueError(f"unknown gain method {self.gain!r}")
+        if self.gain == "riccati" and self.poles is not None:
+            raise ValueError('gain "riccati" takes no poles; '
+                             'pole requests need gain "place"')
+        if self.gain == "place" and self.poles is None:
+            raise ValueError('gain "place" needs a pole multiset in options.poles')
+        if self.poles is not None and not (
+                np.abs(np.asarray(self.poles, dtype=complex))
+                < 1.0 - self.schur_margin).all():
+            raise ValueError(
+                "requested poles must have modulus below 1 - schur_margin = "
+                f"{1.0 - self.schur_margin:.12g}"
+            )
 
 
 @dataclass(frozen=True)
@@ -313,8 +343,8 @@ def synthesize(
         NoUio: with cause VF_RANK_DEFICIENT or NOT_DETECTABLE.
         NumericalFailure: when ``ker.rank_V_f`` says n but the SVD of V_f
             has fewer than n singular values above the cutoff.
-        ValueError: for bad options ("place" without poles, "riccati" with
-            poles, or a requested pole multiset that is not Schur).
+        ValueError: from `numkit.place_poles`, for a pole multiset of the
+            wrong size or one that is not closed under conjugation.
         NotObservable / PlacementFailed / NumericalFailure: propagated from
             the gain stage.
     """
@@ -340,27 +370,16 @@ def synthesize(
 
     try:
         if opt.gain == "riccati":
-            if opt.poles is not None:
-                raise ValueError('gain "riccati" takes no poles; '
-                                 'pole requests need gain "place"')
             L, loop, closed = stabilizing_gain(A_bar, C_bar,
                                                margin=opt.schur_margin)
-        elif opt.gain == "place":
+        else:
             bad = undetectable_modes(A_bar, C_bar, margin=opt.schur_margin)
             if bad:
                 raise NotDetectable(bad)
-            if opt.poles is None:
-                raise ValueError('gain "place" needs a pole multiset in options.poles')
-            poles = np.atleast_1d(np.asarray(opt.poles, dtype=complex))
-            if not (np.abs(poles) < 1.0 - opt.schur_margin).all():
-                raise ValueError(
-                    "requested poles must be strictly inside the unit circle"
-                )
             # The caller requests eigenvalues of A_uio = -(A_bar + L C_bar);
             # place the negated set so the request is what comes out.
-            L, loop, closed = place_poles(A_bar, C_bar, -poles)
-        else:
-            raise ValueError(f"unknown gain method {opt.gain!r}")
+            L, loop, closed = place_poles(
+                A_bar, C_bar, -np.asarray(opt.poles, dtype=complex))
     except NotDetectable as exc:
         raise NoUio(
             NOT_DETECTABLE,
@@ -553,14 +572,11 @@ def _failures(acc: AcceptorReport, spec_report: SpectrumReport) -> list[str]:
 
 
 # --------------------------------------------------------------------------
-# Observer files: JSON, mirroring the model file conventions.
+# Observer files: JSON, read like model files by `plant`'s one reader.
 
 
 def uio_to_dict(uio: UioRealization, diagnostics: SynthesisDiagnostics | None = None) -> dict:
-    doc: dict = {
-        key: getattr(uio, key).tolist()
-        for key in ("A_uio", "B_u", "B_y", "D_u", "D_y")
-    }
+    doc: dict = {key: getattr(uio, key).tolist() for key in _UIO_KEYS}
     if diagnostics is not None:
         doc["diagnostics"] = {
             "gain": diagnostics.gain,
@@ -576,26 +592,19 @@ def uio_to_dict(uio: UioRealization, diagnostics: SynthesisDiagnostics | None = 
 
 
 def uio_from_dict(doc: dict) -> UioRealization:
-    if not isinstance(doc, dict):
-        raise UioFormatError("observer document must be a JSON object")
-    missing = [k for k in ("A_uio", "B_u", "B_y", "D_u", "D_y") if k not in doc]
-    if missing:
-        raise UioFormatError(f"missing fields: {', '.join(missing)}")
-    mats = {}
-    for key in ("A_uio", "B_u", "B_y", "D_u", "D_y"):
-        try:
-            arr = np.asarray(doc[key], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise UioFormatError(f'field "{key}" is not numeric') from exc
-        if arr.ndim != 2:
-            raise UioFormatError(f'field "{key}" must be an array of arrays')
+    """Build an observer from a parsed JSON document.
+
+    `plant`'s matrix-document reader checks the document's structure; this
+    adds the observer's own checks: finite entries and consistent shapes.
+    """
+    mats = _matrix_fields(doc, _UIO_KEYS, "observer", UioFormatError)
+    for key, arr in mats.items():
         if not np.isfinite(arr).all():
             raise UioFormatError(f'field "{key}" has non-finite entries')
-        mats[key] = arr
     n = mats["A_uio"].shape[0]
     if mats["A_uio"].shape != (n, n):
         raise UioFormatError("A_uio must be square")
-    for key in ("B_u", "B_y", "D_u", "D_y"):
+    for key in _UIO_KEYS[1:]:
         if mats[key].shape[0] != n:
             raise UioFormatError(f'field "{key}" must have {n} rows')
     if mats["B_u"].shape[1] != mats["D_u"].shape[1]:
@@ -613,9 +622,5 @@ def save_uio(path, uio: UioRealization,
 
 
 def load_uio(path) -> UioRealization:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise UioFormatError(f"not valid JSON: {exc}") from exc
-    return uio_from_dict(doc)
+    """Parse an observer JSON file; raises UioFormatError on any defect."""
+    return uio_from_dict(_load_json(path, UioFormatError))

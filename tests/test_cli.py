@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import uiokit
-from uiokit import cli
+from uiokit import cli, demo
 from uiokit.cli import CliError, main
 from uiokit.datalog import TrajectoryFormatError, load_trajectory
 from uiokit.demo import (
@@ -216,9 +217,10 @@ def test_design_stdout_json(model_file, capsys):
 
 
 def test_design_place_requires_poles(model_file, capsys):
+    # SynthesisOptions refuses the request, with the library's wording.
     assert main(["design", "--from-model", model_file,
                  "--gain", "place"]) == 4
-    assert "--poles" in capsys.readouterr().err
+    assert 'gain "place" needs a pole multiset' in capsys.readouterr().err
 
 
 def test_design_riccati_refuses_poles(tmp_path, model_file, capsys):
@@ -233,6 +235,12 @@ def test_design_rejects_bad_pole_token(model_file, capsys):
     assert main(["design", "--from-model", model_file, "--gain", "place",
                  "--poles", "0,0,oops"]) == 4
     assert "--poles" in capsys.readouterr().err
+
+
+def test_design_refuses_bad_dims_even_on_the_model_route(model_file, capsys):
+    # --dims is only read with --from-data, but it is parsed with the flags.
+    assert main(["design", "--from-model", model_file, "--dims", "3,1"]) == 4
+    assert capsys.readouterr().err.startswith("error: argument --dims: ")
 
 
 def test_design_rejects_unstable_poles(model_file, capsys):
@@ -399,7 +407,8 @@ def test_range_errors_name_the_flag(model_file, uio_file, command, flag,
     capsys.readouterr()
     assert main(base + [f"{flag}={value}"]) == 4
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {flag}") and text in err
+    # argparse reports the range's own refusal under the flag's name.
+    assert err.startswith(f"error: argument {flag}: ") and text in err
 
 
 def test_collect_is_deterministic(tmp_path, model_file):
@@ -470,6 +479,23 @@ def test_simulate_non_finite_observer_exits_4(
     captured = capsys.readouterr()
     assert 'field "A_uio" has non-finite entries' in captured.err
     assert "final error norm" not in captured.out
+
+
+def test_simulate_refuses_an_observer_that_overflows(
+        tmp_path, model_file, uio_file, capsys):
+    # A_uio * 1e308 keeps every entry finite, but z(t) leaves the float64
+    # range within a few samples.
+    doc = json.loads(Path(uio_file).read_text(encoding="utf-8"))
+    doc["A_uio"] = [[v * 1e308 for v in row] for row in doc["A_uio"]]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["simulate", "--from-model", model_file,
+                 "--uio", str(path), "--T", "5"]) == 4
+    out, err = capsys.readouterr()
+    assert re.match(r"error: simulating the observer overflowed at sample "
+                    r"\d+:", err)
+    assert "encountered in" not in err and "nan" not in out
 
 
 def test_simulate_dims_mismatch_exits_4(tmp_path, model_file, capsys):
@@ -552,6 +578,19 @@ def test_demo_detects_corrupted_reference():
     report = run_demo(fixtures=bad)
     assert not report.passed
     assert "[FAIL]" in report.render()
+
+
+def test_demo_reports_the_data_route_refusal(monkeypatch):
+    # Collect without draws: all-zero signals fail the excitation check,
+    # and the data-route line carries design_from_data's refusal.
+    real = demo.collect
+    monkeypatch.setattr(demo, "collect",
+                        lambda model, T, **draws: real(model, T))
+    report = run_demo()
+    assert not report.passed
+    assert ("data route", False,
+            "data route refused: excitation assumption FAILS (rank 0 of 7)"
+            ) in report.checks
 
 
 # ------------------------------------------------------------------- misc

@@ -170,6 +170,19 @@ def test_assumption_requires_disturbance_record(ref_model):
     assert report.ok  # [X_p; U_p; U_f] is 5x10 and full rank here
 
 
+def test_surrogate_failure_reads_as_a_refusal(ref_model):
+    # All-zero signals: [X_p; U_p; U_f] has rank 0.
+    data = collect(ref_model, 11)
+    report = excitation_report(
+        build_blocks(HistoricalData(x=data.x, u=data.u, y=data.y)))
+    assert report.mode == "surrogate" and not report.ok
+    assert report.message == ("surrogate rank check on [X_p; U_p; U_f] FAILS "
+                              "(rank 0 of 5), so the excitation assumption "
+                              "fails")
+    assert "warning" not in report.message
+    assert "unverifiable" not in report.message
+
+
 def test_phi_image_matches_consistency_image(ref_model):
     # rank(Phi) = rank(Gamma) = rank([Phi Gamma]) = 7 on an assumption run
     blocks = build_blocks(_bundled_run(ref_model))

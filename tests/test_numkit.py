@@ -33,6 +33,13 @@ EF_COLUMN = np.array([[1.0], [0.0], [1.0], [1.0], [1.0]])  # stacked [E; F]
 # ---------------------------------------------------------------- rank
 
 
+@pytest.mark.parametrize("relative", [0.0, -1.0, 1.0, float("nan")])
+def test_rank_tolerance_refuses_a_relative_outside_the_open_unit_interval(
+        relative):
+    with pytest.raises(ValueError, match=r"must lie in \(0, 1\)"):
+        RankTolerance(relative)
+
+
 def test_rank_identity():
     assert rank(np.eye(3)) == 3
 

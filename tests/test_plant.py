@@ -75,6 +75,20 @@ def test_validate_flags_non_finite_entries_matrix_by_matrix(ref_model, bad):
                                "non-finite entries in F"]
 
 
+def test_validate_flags_entries_whose_products_overflow(ref_model):
+    # Every entry is finite, but C @ E is not.
+    big = StateSpaceModel(A=ref_model.A, B=ref_model.B, C=ref_model.C * 1e300,
+                          D=ref_model.D, E=ref_model.E * 1e10, F=ref_model.F)
+    assert validate(big) == [
+        "entries too large: the squared Frobenius norm of "
+        "[[A, B, E], [C, D, F]] overflows, and so can products such as CA "
+        "and CE; rescale the model"
+    ]
+    scaled = StateSpaceModel(*(getattr(ref_model, key) * 1e150
+                               for key in ("A", "B", "C", "D", "E", "F")))
+    assert validate(scaled) == []
+
+
 def test_require_valid_raises_with_all_violations(ref_model):
     bad = StateSpaceModel(ref_model.A, np.zeros((2, 1)), ref_model.C,
                           ref_model.D, np.zeros((3, 1)), np.zeros((2, 1)))
@@ -213,6 +227,18 @@ def test_model_from_dict_rejects_non_numeric(ref_model):
     doc = model_to_dict(ref_model)
     doc["B"] = [["x"], [0.0], [1.0]]
     with pytest.raises(ModelFormatError):
+        model_from_dict(doc)
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("1.5", "non-numeric entries"), (True, "non-numeric entries"),
+    (10 ** 400, "integer beyond the float64 range"),
+], ids=["string", "bool", "huge-int"])
+def test_model_from_dict_takes_only_json_numbers(ref_model, entry, message):
+    # numpy would turn "1.5" and true into numbers and overflow on the int.
+    doc = model_to_dict(ref_model)
+    doc["A"][0][0] = entry
+    with pytest.raises(ModelFormatError, match=f'field "A" has .*{message}'):
         model_from_dict(doc)
 
 

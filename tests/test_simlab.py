@@ -141,6 +141,18 @@ def test_run_rejects_bad_arguments(ref_model, ref_observer):
         run(ref_model, other, 3)
 
 
+def test_run_refuses_an_observer_that_leaves_the_float64_range(
+        ref_model, ref_observer):
+    # Every entry stays finite; z(t) leaves the float64 range at t = 3.
+    huge = UioRealization(ref_observer.A_uio * 1e308, ref_observer.B_u,
+                          ref_observer.B_y, ref_observer.D_u,
+                          ref_observer.D_y)
+    with pytest.raises(ValueError,
+                       match="simulating the observer overflowed at sample 3"):
+        run(ref_model, huge, 5, input_policy=Uniform(-1.0, 1.0),
+            disturbance_policy=Uniform(-1.0, 1.0), x0=Uniform(-1.0, 1.0))
+
+
 def test_exact_observer_init_formula(ref_model, ref_observer):
     x0 = np.array([0.4, -1.0, 2.0])
     u0 = np.array([0.3])

@@ -208,16 +208,35 @@ def test_synthesize_empty_kernel_is_refused():
 
 
 def test_synthesize_rejects_unstable_pole_request(ref_kernel):
+    # The options refuse the request when they are built.
     for pole in (1.5, float("nan")):
-        options = SynthesisOptions(gain="place", poles=(0.0, 0.0, pole))
         with pytest.raises(ValueError, match="pole"):
+            options = SynthesisOptions(gain="place", poles=(0.0, 0.0, pole))
             synthesize(KernelRep.from_matrix(ref_kernel, DIMS), options)
 
 
 def test_riccati_gain_refuses_a_pole_request(ref_kernel):
-    options = SynthesisOptions(poles=(0.0, 0.0, 0.5))
+    # The options refuse the request when they are built.
     with pytest.raises(ValueError, match='"riccati" takes no poles'):
+        options = SynthesisOptions(poles=(0.0, 0.0, 0.5))
         synthesize(KernelRep.from_matrix(ref_kernel, DIMS), options)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"schur_margin": -1.0}, r"schur_margin must lie in \[0, 1\)"),
+    ({"schur_margin": float("nan")}, r"schur_margin must lie in \[0, 1\)"),
+    ({"schur_margin": 1.0}, r"schur_margin must lie in \[0, 1\)"),
+    ({"gain": "bogus"}, "unknown gain method 'bogus'"),
+    ({"poles": (0.0, 0.0, 0.5)}, 'gain "riccati" takes no poles'),
+    ({"gain": "place"}, 'gain "place" needs a pole multiset'),
+    ({"gain": "place", "poles": (0.0, 0.0, 1.5)}, "modulus below"),
+    ({"gain": "place", "poles": (0.0, 0.0, 0.6), "schur_margin": 0.5},
+     "modulus below 1 - schur_margin = 0.5"),
+], ids=["margin-1", "margin-nan", "margin1", "bogus-gain", "riccati-poles",
+        "place-no-poles", "pole1.5", "pole-past-margin"])
+def test_synthesis_options_refuse_an_invalid_request(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        SynthesisOptions(**kwargs)
 
 
 def test_riccati_synthesis_runs_one_detectability_test(ref_kernel, monkeypatch):
