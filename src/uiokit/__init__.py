@@ -35,7 +35,6 @@ from .plant import (
     load_model,
     save_model,
     step,
-    validate,
 )
 from .datalog import (
     DataBlocks,
@@ -89,7 +88,7 @@ __all__ = [
     "rank", "spectrum", "stabilizing_gain", "place_poles",
     # plant
     "StateSpaceModel", "UioRealization", "ModelFormatError",
-    "validate", "step", "consistency_matrix", "save_model", "load_model",
+    "step", "consistency_matrix", "save_model", "load_model",
     # datalog
     "HistoricalData", "DataBlocks", "Uniform",
     "TrajectoryFormatError",

@@ -214,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="start the observer so that e(0) = 0")
     sp.add_argument("--out", metavar="PATH",
                     help="write the extended trace file here")
-    _add_numeric_flags(sp, schur_margin=False)
     sp.set_defaults(func=_cmd_simulate)
 
     sp = sub.add_parser("demo-paper",
@@ -231,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_check(args) -> int:
-    model = load_model(args.from_model, args.tol)
+    model = load_model(args.from_model)
     options = SynthesisOptions(tol=args.tol, schur_margin=args.schur_margin)
     report = exists_uio(model, options)
     print(format_report(report))
@@ -242,7 +241,7 @@ def _cmd_design(args) -> int:
     options = SynthesisOptions(gain=args.gain, poles=args.poles, tol=args.tol,
                                schur_margin=args.schur_margin)
     if args.from_model is not None:
-        model = load_model(args.from_model, args.tol)
+        model = load_model(args.from_model)
         uio, diag = design_from_model(model, options)
     else:
         blocks = build_blocks(load_trajectory(args.from_data), args.dims)
@@ -265,7 +264,7 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_collect(args) -> int:
-    model = load_model(args.from_model, args.tol)
+    model = load_model(args.from_model)
     data = collect(model, args.T, **_draws(args))
     excitation = excitation_report(build_blocks(data), args.tol)
     if args.out:
@@ -279,7 +278,7 @@ def _cmd_collect(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    model = load_model(args.from_model, args.tol)
+    model = load_model(args.from_model)
     uio = load_uio(args.uio)
     trace = run(model, uio, args.T, **_draws(args))
     if args.exact_init:

@@ -27,7 +27,9 @@ plus optional ``d_1..d_r`` columns, one row per sample, t ascending from 0,
 values printed as shortest round-trip decimals (``repr`` of the float), so
 loading a file gives back the recorded samples bit for bit.  The header is
 defined once, by the writer; the reader accepts exactly the headers the
-writer produces.
+writer produces.  The reader checks the file's structure; a non-finite
+sample is refused by `HistoricalData` itself, which every trajectory goes
+through, whether it is read, collected or built by hand.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkit import DEFAULT_TOL, RankTolerance, rank
-from .plant import StateSpaceModel, _simulate, require_valid
+from .plant import StateSpaceModel, _frozen, _simulate
 
 __all__ = [
     "Uniform",
@@ -119,7 +121,11 @@ class HistoricalData:
     """A recorded trajectory, time-major: x is (T, n), u is (T, m), y is (T, p).
 
     ``d`` is (T, r) when the disturbance was recorded (synthetic data) and
-    None otherwise.
+    None otherwise.  Construction stores read-only float copies and refuses,
+    with ValueError, signals that are not 2-D, disagree on T, or hold a
+    non-finite sample, which it names by row and by its file column
+    (``row 3, column 'x_2': non-finite sample nan``).  A trajectory that
+    exists is finite, so no route checks its samples again.
     """
 
     x: np.ndarray
@@ -128,20 +134,26 @@ class HistoricalData:
     d: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        for attr in ("x", "u", "y"):
-            arr = np.asarray(getattr(self, attr), dtype=float)
+        signals = ("x", "u", "y") + (("d",) if self.d is not None else ())
+        for attr in signals:
+            arr = _frozen(getattr(self, attr))
             if arr.ndim != 2:
                 raise ValueError(f"{attr} must be 2-D (time-major)")
             object.__setattr__(self, attr, arr)
-        if self.d is not None:
-            arr = np.asarray(self.d, dtype=float)
-            if arr.ndim != 2:
-                raise ValueError("d must be 2-D (time-major)")
-            object.__setattr__(self, "d", arr)
         T = self.x.shape[0]
-        for attr in ("u", "y") + (("d",) if self.d is not None else ()):
+        for attr in signals[1:]:
             if getattr(self, attr).shape[0] != T:
                 raise ValueError(f"{attr} must have {T} samples like x")
+        samples = np.hstack([getattr(self, attr) for attr in signals])
+        finite = np.isfinite(samples)
+        if not finite.all():
+            t, col = (int(i) for i in np.argwhere(~finite)[0])
+            names = _header(*(getattr(self, attr).shape[1] for attr in "xuy"),
+                            self.d.shape[1] if self.d is not None else None)
+            raise ValueError(
+                f"row {t}, column {names[col + 1]!r}: non-finite sample "
+                f"{float(samples[t, col])!r}"
+            )
 
     @property
     def T(self) -> int:
@@ -201,7 +213,6 @@ def collect(
     whole input sequence, then the whole disturbance sequence) so collected
     data is reproducible byte for byte.
     """
-    require_valid(model)
     if T < 2:
         raise ValueError(f"need at least 2 samples to form one window, got T={T}")
     rng = np.random.default_rng(seed)
@@ -391,14 +402,10 @@ def load_trajectory(path) -> HistoricalData:
         raise TrajectoryFormatError(
             f"row {t}: t must ascend from 0, got {body[t][0]!r}"
         )
-    finite = np.isfinite(vals)
-    if not finite.all():
-        t, col = (int(i) for i in np.argwhere(~finite)[0])
-        raise TrajectoryFormatError(
-            f"row {t}, column {rows[0][col].strip()!r}: non-finite sample "
-            f"{body[t][col]!r}"
-        )
-    # Copies keep each block contiguous and let the parsed body go.
-    x, u, y, d = (b.copy() for b in
-                  np.split(vals[:, 1:], [n, n + m, n + m + p], axis=1))
-    return HistoricalData(x=x, u=u, y=y, d=d if r is not None else None)
+    # The constructor's copies keep each block contiguous and let the
+    # parsed body go.
+    x, u, y, d = np.split(vals[:, 1:], [n, n + m, n + m + p], axis=1)
+    try:
+        return HistoricalData(x=x, u=u, y=y, d=d if r is not None else None)
+    except ValueError as exc:
+        raise TrajectoryFormatError(str(exc)) from None

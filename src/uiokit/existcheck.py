@@ -13,9 +13,8 @@ normal rank n + r can lose rank.  They come from `numkit.invariant_zeros`,
 one deterministic orthogonal reduction (Emami-Naeini & Van Dooren 1982),
 the same one that decides detectability and observability on the design
 route.  When fewer than r rows of F survive the reduction, P(z) is rank
-deficient everywhere, and with p < r the target rank n + r already exceeds
-the row count; either way the verdict is false, with the reason as its
-evidence.
+deficient everywhere (always so for p < r), and the verdict is false, with
+the reason as its evidence.
 
 `exists_uio` combines both conditions and cross-checks them against the
 constructive design route; a disagreement is reported as an
@@ -30,7 +29,7 @@ import numpy as np
 
 from .numkit import (DEFAULT_TOL, SCHUR_MARGIN, NumericalFailure, RankTolerance,
                      invariant_zeros)
-from .plant import StateSpaceModel, UioRealization, require_valid
+from .plant import StateSpaceModel, UioRealization
 from .synth import (NoUio, SynthesisDiagnostics, SynthesisOptions,
                     design_from_model)
 from . import numkit
@@ -95,16 +94,11 @@ def condition_a(
     >= 1 - margin.  Zeros within ``margin`` of the unit circle also appear
     in ``boundary_drops``: boundary zeros fail conservatively.  The rank
     cutoff is `numkit.ZERO_CUT_RELATIVE`.  When P(z) is rank deficient at
-    every z (p < r, or a normal rank below n + r) the verdict is false and
-    the evidence is only a ``reason``.
+    every z (a normal rank below n + r, which p < r implies) the verdict is
+    false and the evidence is only a ``reason``.
     """
-    n, p, r = model.n, model.p, model.r
+    n, r = model.n, model.r
     target = n + r
-    if p < r:
-        return False, {
-            "reason": f"p = {p} < r = {r}: rank {target} exceeds the "
-                      f"{n + p} rows of P(z)",
-        }
     zeros, rows = invariant_zeros(model.A, model.E, model.C, model.F)
     normal_rank = n + rows
     if rows < r:
@@ -157,7 +151,6 @@ def exists_uio(
     its diagnostics are kept in the report.
     """
     opt = options or SynthesisOptions()
-    require_valid(model, opt.tol)
     b_ok, b_ev = condition_b(model, opt.tol)
     a_ok, a_ev = condition_a(model, margin=opt.schur_margin)
     exists = a_ok and b_ok

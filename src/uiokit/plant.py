@@ -9,7 +9,9 @@ input u and an unknown disturbance d that enters both equations:
 with x in R^n, u in R^m, y in R^p, d in R^r.  A model is *valid* when its
 entries are finite, its dimensions are consistent, no product of two of
 its matrices overflows and the stacked disturbance map [E; F] has full
-column rank r; `validate` refuses a rank-deficient [E; F].
+column rank r.  `StateSpaceModel` refuses an invalid model when it is
+built and keeps read-only copies of its matrices, so every model that
+exists is valid and no route checks it again.
 
 `consistency_matrix` assembles the matrix Gamma whose column space contains
 every stacked one-step window (x, x+, u, u+, y, y+) the plant can generate;
@@ -19,7 +21,7 @@ decomposes it: `synth.model_kernel` builds its left kernel in closed form.
 `step` advances one sample with full input checks.  Whole horizons
 (`datalog.collect`, `simlab.run`) go through one private state recursion
 instead, x(t+1) = A x(t) + w(t) with w formed for every t in one matrix
-product, and validate their inputs once.  Plant and observer recursions
+product, and check their signal inputs once.  Plant and observer recursions
 share one overflow guard, which names the first sample that leaves the
 float64 range.
 
@@ -29,9 +31,13 @@ An observer produced by the design pipeline is packaged as
     z(t+1)  = A_uio z(t) + B_u u(t) + B_y y(t)
     x_hat(t) = z(t) + D_u u(t) + D_y y(t).
 
+Its construction refuses non-finite entries and inconsistent shapes in the
+same way, and `_require_same_dims` is the one check that an observer fits
+a model.
+
 Model and observer files are JSON matrix documents with one reader and one
-loader here; each format adds only its own checks (`validate` for models,
-finiteness and shapes in `synth.uio_from_dict` for observers).
+loader here; everything else a file must satisfy is checked by the type it
+builds, whose ValueError the format wraps in its own error class.
 """
 
 from __future__ import annotations
@@ -42,14 +48,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import DEFAULT_TOL, RankTolerance, rank
+from .numkit import DEFAULT_TOL, rank
 
 __all__ = [
     "StateSpaceModel",
     "UioRealization",
     "ModelFormatError",
-    "validate",
-    "require_valid",
     "step",
     "consistency_matrix",
     "model_to_dict",
@@ -67,8 +71,15 @@ _MODEL_KEYS = ("A", "B", "C", "D", "E", "F")
 _UIO_KEYS = ("A_uio", "B_u", "B_y", "D_u", "D_y")
 
 
+def _frozen(value) -> np.ndarray:
+    """A read-only float copy of ``value``; the caller's array stays writable."""
+    arr = np.array(value, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
 def _matrix(value, what: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+    arr = _frozen(value)
     if arr.ndim != 2:
         raise ValueError(f"{what} must be a 2-D matrix, got shape {arr.shape}")
     return arr
@@ -78,9 +89,13 @@ def _matrix(value, what: str) -> np.ndarray:
 class StateSpaceModel:
     """Plant matrices (A, B, C, D, E, F) plus an optional name.
 
-    Construction only coerces the fields to 2-D float arrays; semantic
-    checks live in `validate` / `require_valid` so that broken candidates
-    can still be represented and diagnosed.
+    Construction stores read-only float copies of the six matrices and
+    refuses, with ValueError("invalid model: ..."), a model that breaks any
+    rule of the module docstring, listing every violation: non-finite
+    entries, dimension mismatches, then entries whose products overflow,
+    then a rank-deficient [E; F] (decided at `numkit.DEFAULT_TOL`).  Each
+    later rule is checked only when the earlier ones hold, so a model that
+    exists is valid and no route checks it again.
     """
 
     A: np.ndarray
@@ -94,6 +109,35 @@ class StateSpaceModel:
     def __post_init__(self) -> None:
         for attr in _MODEL_KEYS:
             object.__setattr__(self, attr, _matrix(getattr(self, attr), attr))
+        v: list[str] = [
+            f"non-finite entries in {key}"
+            for key in _MODEL_KEYS
+            if not np.isfinite(getattr(self, key)).all()
+        ]
+        n, m, p, r = self.n, self.m, self.p, self.r
+        shapes = {"A": (n, n), "B": (n, m), "C": (p, n), "D": (p, m),
+                  "E": (n, r), "F": (p, r)}
+        v += [f"dimension mismatch: {key} must be {rows}x{cols}, "
+              f"got {getattr(self, key).shape}"
+              for key, (rows, cols) in shapes.items()
+              if getattr(self, key).shape != (rows, cols)]
+        if not v:
+            with np.errstate(over="ignore"):
+                square = sum(float(np.vdot(M, M)) for M in
+                             (getattr(self, key) for key in _MODEL_KEYS))
+            if not math.isfinite(square):
+                v.append(
+                    "entries too large: the squared Frobenius norm of "
+                    "[[A, B, E], [C, D, F]] overflows, and so can products "
+                    "such as CA and CE; rescale the model"
+                )
+        if not v and r > 0:
+            got = rank(np.vstack([self.E, self.F]), DEFAULT_TOL)
+            if got < r:
+                v.append(f"disturbance map rank-deficient: rank [E; F] = "
+                         f"{got} < r = {r}")
+        if v:
+            raise ValueError("invalid model: " + "; ".join(v))
 
     @property
     def n(self) -> int:
@@ -114,7 +158,13 @@ class StateSpaceModel:
 
 @dataclass(frozen=True)
 class UioRealization:
-    """Observer matrices; see the module docstring for the recursion."""
+    """Observer matrices; see the module docstring for the recursion.
+
+    Construction stores read-only float copies and refuses, with
+    ValueError, non-finite entries and inconsistent shapes: A_uio must be
+    square, every matrix must have its n rows, and B_u/D_u and B_y/D_y
+    must have equal widths.
+    """
 
     A_uio: np.ndarray
     B_u: np.ndarray
@@ -124,7 +174,20 @@ class UioRealization:
 
     def __post_init__(self) -> None:
         for attr in _UIO_KEYS:
-            object.__setattr__(self, attr, _matrix(getattr(self, attr), attr))
+            arr = _matrix(getattr(self, attr), attr)
+            if not np.isfinite(arr).all():
+                raise ValueError(f'field "{attr}" has non-finite entries')
+            object.__setattr__(self, attr, arr)
+        n = self.n
+        if self.A_uio.shape != (n, n):
+            raise ValueError("A_uio must be square")
+        for attr in _UIO_KEYS[1:]:
+            if getattr(self, attr).shape[0] != n:
+                raise ValueError(f'field "{attr}" must have {n} rows')
+        if self.B_u.shape[1] != self.D_u.shape[1]:
+            raise ValueError("B_u and D_u must have equal width")
+        if self.B_y.shape[1] != self.D_y.shape[1]:
+            raise ValueError("B_y and D_y must have equal width")
 
     @property
     def n(self) -> int:
@@ -139,52 +202,13 @@ class UioRealization:
         return self.B_y.shape[1]
 
 
-def validate(model: StateSpaceModel, tol: RankTolerance = DEFAULT_TOL) -> list[str]:
-    """Diagnose a model; returns a list of violations (empty means valid).
-
-    Checks that all six matrices are finite and have consistent dimensions,
-    that the squared Frobenius norm of [[A, B, E], [C, D, F]] is finite, so
-    that no product of two blocks (CA, CB, CE, ...) overflows, then full
-    column rank of the stacked disturbance map [E; F]; the rank is decided
-    only for a model that passes the other checks.
-    """
-    v: list[str] = [
-        f"non-finite entries in {key}"
-        for key in _MODEL_KEYS
-        if not np.isfinite(getattr(model, key)).all()
-    ]
-    n, m, p, r = model.n, model.m, model.p, model.r
-    shapes = {"A": (n, n), "B": (n, m), "C": (p, n), "D": (p, m), "E": (n, r),
-              "F": (p, r)}
-    v += [f"dimension mismatch: {key} must be {rows}x{cols}, "
-          f"got {getattr(model, key).shape}"
-          for key, (rows, cols) in shapes.items()
-          if getattr(model, key).shape != (rows, cols)]
-    if not v:
-        with np.errstate(over="ignore"):
-            square = sum(float(np.vdot(M, M)) for M in
-                         (getattr(model, key) for key in _MODEL_KEYS))
-        if not math.isfinite(square):
-            v.append(
-                "entries too large: the squared Frobenius norm of "
-                "[[A, B, E], [C, D, F]] overflows, and so can products such "
-                "as CA and CE; rescale the model"
-            )
-    if not v and r > 0:
-        stacked = np.vstack([model.E, model.F])
-        got = rank(stacked, tol)
-        if got < r:
-            v.append(
-                f"disturbance map rank-deficient: rank [E; F] = {got} < r = {r}"
-            )
-    return v
-
-
-def require_valid(model: StateSpaceModel, tol: RankTolerance = DEFAULT_TOL) -> None:
-    """Raise ValueError listing all violations if the model is invalid."""
-    violations = validate(model, tol)
-    if violations:
-        raise ValueError("invalid model: " + "; ".join(violations))
+def _require_same_dims(model: StateSpaceModel, uio: UioRealization) -> None:
+    """Raise ValueError unless observer and model share (n, m, p)."""
+    if (uio.n, uio.m, uio.p) != (model.n, model.m, model.p):
+        raise ValueError(
+            f"observer dims (n, m, p) = {(uio.n, uio.m, uio.p)} do not match "
+            f"model dims {(model.n, model.m, model.p)}"
+        )
 
 
 def step(model: StateSpaceModel, x, u, d) -> tuple[np.ndarray, np.ndarray]:
@@ -350,14 +374,14 @@ def _load_json(path, error: type):
         raise error(f"not valid JSON: {exc}") from exc
 
 
-def model_from_dict(doc: dict, tol: RankTolerance = DEFAULT_TOL) -> StateSpaceModel:
-    """Build and validate a model from a parsed JSON document."""
+def model_from_dict(doc: dict) -> StateSpaceModel:
+    """Build a model from a parsed JSON document; the constructor's
+    refusal of an invalid model becomes a ModelFormatError."""
     fields = _matrix_fields(doc, _MODEL_KEYS, "model", ModelFormatError)
-    model = StateSpaceModel(**fields, name=doc.get("name"))
-    violations = validate(model, tol)
-    if violations:
-        raise ModelFormatError("invalid model: " + "; ".join(violations))
-    return model
+    try:
+        return StateSpaceModel(**fields, name=doc.get("name"))
+    except ValueError as exc:
+        raise ModelFormatError(str(exc)) from None
 
 
 def save_model(path, model: StateSpaceModel) -> None:
@@ -366,6 +390,6 @@ def save_model(path, model: StateSpaceModel) -> None:
         fh.write("\n")
 
 
-def load_model(path, tol: RankTolerance = DEFAULT_TOL) -> StateSpaceModel:
+def load_model(path) -> StateSpaceModel:
     """Parse a model JSON file; raises ModelFormatError on any defect."""
-    return model_from_dict(_load_json(path, ModelFormatError), tol)
+    return model_from_dict(_load_json(path, ModelFormatError))

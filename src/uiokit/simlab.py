@@ -33,8 +33,8 @@ from .plant import (
     UioRealization,
     _recursion,
     _require_finite,
+    _require_same_dims,
     _simulate,
-    require_valid,
     step,
 )
 
@@ -94,21 +94,18 @@ def run(
     Policies and initial conditions follow the datalog conventions: None
     means zeros, `Uniform` draws from one generator seeded with ``seed``
     (draw order: x0, z0, input sequence, disturbance sequence), and explicit
-    arrays are validated.  The observer state starts at z0 (default 0).
+    arrays must have the signal's shape.  The observer state starts at z0
+    (default 0).  Model and observer are valid once built; only their
+    dimensions are matched here.
 
     Plant and observer share the one state recursion of `plant`: the plant
     states and outputs come first, then the observer's z(t+1) = A_uio z(t)
     + w(t) with w = B_u u + B_y y for all t in one matrix product; x_hat and
-    e are whole-array products too.  Inputs are validated once, not per step,
+    e are whole-array products too.  Signals are checked once, not per step,
     and a run whose plant or observer signals leave the float64 range raises
     ValueError naming the first sample that is not finite.
     """
-    require_valid(model)
-    if (uio.n, uio.m, uio.p) != (model.n, model.m, model.p):
-        raise ValueError(
-            f"observer dims (n, m, p) = {(uio.n, uio.m, uio.p)} do not match "
-            f"model dims {(model.n, model.m, model.p)}"
-        )
+    _require_same_dims(model, uio)
     if T < 1:
         raise ValueError("need T >= 1")
     rng = np.random.default_rng(seed)
@@ -138,8 +135,10 @@ def exact_observer_init(
 
     Uses z0 = x0 - D_u u(0) - D_y y(0); for acceptors D_y F = 0, so the
     result does not actually depend on d0 and the whole error trace stays
-    at zero.
+    at zero.  An observer whose dimensions do not match the model's is
+    refused with ValueError.
     """
+    _require_same_dims(model, uio)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     _, y0 = step(model, x0, u0, d0)
     u0 = np.asarray(u0, dtype=float).reshape(-1)

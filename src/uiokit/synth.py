@@ -39,6 +39,8 @@ for are the eigenvalues the returned A_uio actually has.
 `SynthesisOptions` checks a design request when it is built (margin,
 gain, the gain/poles pairing and the pole moduli), so neither route
 repeats those checks; `numkit.place_poles` keeps the ones that need n.
+Models, observers and trajectories likewise check themselves when they
+are built (`plant`, `datalog`), so no function here checks them again.
 
 `verify_acceptor` / `verify_uio` check candidate observers against a model
 through the three acceptor identities (unknown-input rejection, recursion
@@ -73,7 +75,7 @@ from .numkit import (
     undetectable_modes,
 )
 from .plant import (_UIO_KEYS, StateSpaceModel, UioRealization, _load_json,
-                    _matrix_fields, require_valid)
+                    _matrix_fields, _require_same_dims)
 
 __all__ = [
     "NoUio",
@@ -304,7 +306,6 @@ def model_kernel(
     they keep full row rank.  ``rank_V_f`` is left None: V_f is a block of
     z itself, and `synthesize` decides its rank from its own SVD.
     """
-    require_valid(model, tol)
     n, m, p, r = model.n, model.m, model.p, model.r
     M = np.zeros((n + 2 * p, 2 * r))
     M[:n, :r] = model.E
@@ -510,12 +511,8 @@ def verify_acceptor(
     Residuals are max-abs per identity; the observer is an acceptor iff all
     three stay below ``tol``.
     """
-    n, m, p, r = model.n, model.m, model.p, model.r
-    if (uio.n, uio.m, uio.p) != (n, m, p):
-        raise ValueError(
-            f"observer dims (n, m, p) = {(uio.n, uio.m, uio.p)} do not match "
-            f"model dims {(n, m, p)}"
-        )
+    _require_same_dims(model, uio)
+    n, p, r = model.n, model.p, model.r
     A, B, C, D, E, F = model.A, model.B, model.C, model.D, model.E, model.F
     T_blk = np.hstack([-uio.D_y, uio.A_uio @ uio.D_y - uio.B_y])
     ce_f = np.zeros((2 * p, 2 * r))
@@ -594,24 +591,15 @@ def uio_to_dict(uio: UioRealization, diagnostics: SynthesisDiagnostics | None = 
 def uio_from_dict(doc: dict) -> UioRealization:
     """Build an observer from a parsed JSON document.
 
-    `plant`'s matrix-document reader checks the document's structure; this
-    adds the observer's own checks: finite entries and consistent shapes.
+    `plant`'s matrix-document reader checks the document's structure, and
+    `UioRealization` its content (finite entries, consistent shapes); its
+    refusal becomes a UioFormatError.
     """
     mats = _matrix_fields(doc, _UIO_KEYS, "observer", UioFormatError)
-    for key, arr in mats.items():
-        if not np.isfinite(arr).all():
-            raise UioFormatError(f'field "{key}" has non-finite entries')
-    n = mats["A_uio"].shape[0]
-    if mats["A_uio"].shape != (n, n):
-        raise UioFormatError("A_uio must be square")
-    for key in _UIO_KEYS[1:]:
-        if mats[key].shape[0] != n:
-            raise UioFormatError(f'field "{key}" must have {n} rows')
-    if mats["B_u"].shape[1] != mats["D_u"].shape[1]:
-        raise UioFormatError("B_u and D_u must have equal width")
-    if mats["B_y"].shape[1] != mats["D_y"].shape[1]:
-        raise UioFormatError("B_y and D_y must have equal width")
-    return UioRealization(**mats)
+    try:
+        return UioRealization(**mats)
+    except ValueError as exc:
+        raise UioFormatError(str(exc)) from None
 
 
 def save_uio(path, uio: UioRealization,

@@ -12,7 +12,7 @@ import numpy as np
 from uiokit.datalog import Uniform, build_blocks, collect, excitation_report
 from uiokit.existcheck import exists_uio
 from uiokit.numkit import eig_assignment_error, rank, rowspace_angles
-from uiokit.plant import StateSpaceModel, consistency_matrix, validate
+from uiokit.plant import StateSpaceModel, consistency_matrix
 from uiokit.simlab import check_error_recursion, run
 from uiokit.synth import (
     KernelRep,
@@ -267,8 +267,8 @@ def test_criterion_8_rank_and_constructive_verdicts_agree():
     positives = 0
     disagreements = []
     for idx in range(total):
+        # Construction refuses an invalid model, so every one is valid.
         model = _corpus_model(idx)
-        assert not validate(model), f"corpus model {idx} invalid"
         report = exists_uio(model)
         positives += report.exists
         if not report.agreement:

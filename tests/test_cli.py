@@ -156,6 +156,37 @@ def test_tol_rank_must_be_a_relative_tolerance(model_file, command, value,
     assert "rank-deficient" not in err
 
 
+def test_tol_rank_does_not_reach_model_validity(tmp_path, ref_model, capsys):
+    # The second disturbance column is the first plus 1e-6 noise: [E; F]
+    # has full column rank at the package default, so the model is valid,
+    # and rank 1 at 1e-3.  --tol-rank governs the design's rank decisions,
+    # not whether the model exists; neither route emits an observer.
+    rng = np.random.default_rng(0)
+    E = np.hstack([ref_model.E,
+                   ref_model.E + 1e-6 * rng.standard_normal((3, 1))])
+    F = np.hstack([ref_model.F,
+                   ref_model.F + 1e-6 * rng.standard_normal((2, 1))])
+    path = str(tmp_path / "near.json")
+    save_model(path, StateSpaceModel(ref_model.A, ref_model.B, ref_model.C,
+                                     ref_model.D, E, F))
+    out_path = tmp_path / "uio.json"
+    assert main(["check", "--from-model", path, "--tol-rank", "1e-3"]) == 2
+    assert "observer exists: no" in capsys.readouterr().out
+    assert main(["design", "--from-model", path, "--tol-rank", "1e-3",
+                 "--out", str(out_path)]) == 4
+    err = capsys.readouterr().err
+    assert "invalid model" not in err
+    assert "model-route design failed verification" in err
+    assert not out_path.exists()
+
+
+def test_simulate_takes_no_tol_rank(capsys):
+    assert main(["simulate", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "--uio" in out
+    assert "--tol-rank" not in out
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--u-range", "-inf,inf"), ("--d-range", "-1e308,1e308"),
     ("--x0-range", "nan,1"),

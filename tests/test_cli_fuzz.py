@@ -27,7 +27,9 @@ from uiokit.plant import save_model
 SCALARS = ("nan", "inf", "-inf", "1e308", "-1e308", "", "-1", "abc", "1,2,3")
 PAIRS = ("-inf,inf", "nan,1", "-1e308,1e308", "1e308,1e308", "0,inf", "1,")
 
-#: subcommand -> numeric flags, each tagged "scalar" or "pair".
+#: subcommand -> numeric flags, each tagged "scalar" or "pair", or
+#: "removed" for a flag the subcommand no longer takes: every value of it
+#: must be refused as an unrecognized argument, with exit 4.
 FLAGS = {
     "check": {"--tol-rank": "scalar", "--schur-margin": "scalar"},
     "design": {"--tol-rank": "scalar", "--schur-margin": "scalar",
@@ -35,7 +37,7 @@ FLAGS = {
     "collect": {"--T": "scalar", "--seed": "scalar", "--tol-rank": "scalar",
                 "--u-range": "pair", "--d-range": "pair",
                 "--x0-range": "pair"},
-    "simulate": {"--T": "scalar", "--seed": "scalar", "--tol-rank": "scalar",
+    "simulate": {"--T": "scalar", "--seed": "scalar", "--tol-rank": "removed",
                  "--u-range": "pair", "--d-range": "pair",
                  "--x0-range": "pair"},
     "demo-paper": {"--T": "scalar", "--seed": "scalar"},
@@ -51,7 +53,7 @@ LEAKS = ("Traceback", "numpy", "did not converge", "encountered in",
 
 
 def _values(kind: str, rng: np.random.Generator) -> list[str]:
-    if kind == "scalar":
+    if kind in ("scalar", "removed"):
         return list(SCALARS)
     drawn = rng.choice(SCALARS[:5], size=(8, 2))
     pairs = list(PAIRS) + [f"{lo},{hi}" for lo, hi in drawn] + list(SCALARS)
@@ -106,7 +108,8 @@ def test_every_typed_flag_is_fuzzed():
     for command, flags in FLAGS.items():
         actions = [a for a in subparsers[command]._actions if a.option_strings]
         typed = {a.option_strings[0] for a in actions if a.type is not None}
-        assert typed <= set(flags), command
+        removed = {flag for flag, kind in flags.items() if kind == "removed"}
+        assert typed == set(flags) - removed, command
         # Conversely, every flag that takes a value converts it where it is
         # parsed, unless it is a file path or a choice.
         untyped = {a.option_strings[0] for a in actions
@@ -123,6 +126,8 @@ def test_numeric_flag_value_ends_in_a_documented_exit(command, flag, value,
     assert code in (0, 2, 4), (argv, out, err)
     leaked = [text for text in LEAKS if text in out + err]
     assert not leaked, (argv, out, err)
+    if FLAGS[command][flag] == "removed":
+        assert code == 4 and "unrecognized arguments" in err, (argv, err)
 
 
 # ------------------------------------------------------------ file mutations

@@ -352,7 +352,35 @@ def test_uniform_rejects_non_finite_bounds_and_width(low, high):
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
 def test_load_rejects_non_finite_sample_by_row_and_column(tmp_path, bad):
+    # HistoricalData names the sample by its value, so "NaN" reads nan.
     path = _write(tmp_path, f"t,x_1,u_1,y_1\n0,0,0,0\n1,0,0,{bad}\n")
-    with pytest.raises(TrajectoryFormatError,
-                       match=f"row 1, column 'y_1': non-finite sample '{bad}'"):
+    with pytest.raises(TrajectoryFormatError) as err:
         load_trajectory(path)
+    assert str(err.value) == ("row 1, column 'y_1': non-finite sample "
+                              f"{float(bad)!r}")
+
+
+@pytest.mark.parametrize("signal, column", [
+    ("x", "x_2"), ("u", "u_1"), ("y", "y_2"), ("d", "d_1"),
+])
+def test_historical_data_refuses_non_finite_sample_by_row_and_column(
+        ref_model, signal, column):
+    data = _bundled_run(ref_model)
+    fields = {key: np.array(getattr(data, key)) for key in "xuyd"}
+    fields[signal][3, int(column[-1]) - 1] = -np.inf
+    with pytest.raises(ValueError) as err:
+        HistoricalData(**fields)
+    assert str(err.value) == f"row 3, column {column!r}: non-finite sample -inf"
+
+
+def test_historical_data_keeps_read_only_copies(ref_model):
+    data = _bundled_run(ref_model)
+    fields = {key: np.array(getattr(data, key)) for key in "xuyd"}
+    copy = HistoricalData(**fields)
+    for key, given in fields.items():
+        stored = getattr(copy, key)
+        assert not stored.flags.writeable
+        assert given.flags.writeable
+        assert not np.shares_memory(stored, given)
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0, 0] = 1.0

@@ -149,14 +149,20 @@ def test_condition_a_normal_rank_deficiency_is_raised():
 
 
 def test_condition_a_more_disturbances_than_outputs():
-    model = StateSpaceModel(
-        A=np.diag([0.1, 0.2]), B=np.zeros((2, 0)),
-        C=np.array([[1.0, 0.0]]), D=np.zeros((1, 0)),
-        E=np.eye(2), F=np.zeros((1, 2)),
-    )
-    ok, evidence = condition_a(model)
-    assert not ok
-    assert "reason" in evidence
+    # p < r: fewer than r rows survive the reduction, so the pencil is
+    # rank deficient everywhere; p = 0 is the extreme case.
+    for p, rows in ((1, 1), (0, 0)):
+        model = StateSpaceModel(
+            A=np.diag([0.1, 0.2]), B=np.zeros((2, 0)),
+            C=np.eye(p, 2), D=np.zeros((p, 0)),
+            E=np.eye(2), F=np.zeros((p, 2)),
+        )
+        ok, evidence = condition_a(model)
+        assert not ok
+        assert evidence == {
+            "reason": f"normal rank of P(z) is {2 + rows} < 4; "
+                      "the pencil is rank deficient everywhere",
+        }
 
 
 def test_condition_a_deterministic(ref_model):
@@ -269,13 +275,6 @@ def test_exists_uio_handles_normal_rank_deficiency():
     assert not report.condition_a
     assert not report.exists
     assert report.agreement
-
-
-def test_exists_uio_rejects_invalid_model(ref_model):
-    bad = StateSpaceModel(ref_model.A, ref_model.B, ref_model.C, ref_model.D,
-                          E=np.zeros((3, 1)), F=np.zeros((2, 1)))
-    with pytest.raises(ValueError):
-        exists_uio(bad)
 
 
 # ------------------------------------------------------------- reporting

@@ -1,4 +1,7 @@
-"""Model container, validation, stepping, and the consistency matrix."""
+"""Model and observer containers, their validation at construction,
+stepping, and the consistency matrix."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,16 +9,17 @@ from numpy.testing import assert_allclose
 
 from uiokit.numkit import rank
 from uiokit.plant import (
+    _UIO_KEYS,
     ModelFormatError,
     StateSpaceModel,
+    UioRealization,
+    _require_same_dims,
     consistency_matrix,
     load_model,
     model_from_dict,
     model_to_dict,
-    require_valid,
     save_model,
     step,
-    validate,
 )
 
 
@@ -41,25 +45,25 @@ def _random_model(seed: int) -> StateSpaceModel:
     )
 
 
-# ----------------------------------------------------------- validate
+# ------------------------------------------- validation at construction
+# A model checks itself once, when it is built; the refusal lists the
+# violations after "invalid model: ".
 
 
 def test_validate_accepts_bundled_model(ref_model):
-    assert validate(ref_model) == []
+    assert replace(ref_model).n == 3
 
 
 def test_validate_flags_rank_deficient_disturbance_map(ref_model):
-    bad = StateSpaceModel(ref_model.A, ref_model.B, ref_model.C, ref_model.D,
-                          E=np.zeros((3, 1)), F=np.zeros((2, 1)))
-    messages = validate(bad)
-    assert any("disturbance map rank-deficient" in msg for msg in messages)
+    with pytest.raises(ValueError, match=r"^invalid model: disturbance map "
+                       r"rank-deficient: rank \[E; F\] = 0 < r = 1$"):
+        replace(ref_model, E=np.zeros((3, 1)), F=np.zeros((2, 1)))
 
 
 def test_validate_flags_dimension_mismatch(ref_model):
-    bad = StateSpaceModel(ref_model.A, np.zeros((2, 1)), ref_model.C,
-                          ref_model.D, ref_model.E, ref_model.F)
-    messages = validate(bad)
-    assert any("dimension mismatch" in msg for msg in messages)
+    with pytest.raises(ValueError, match=r"^invalid model: dimension "
+                       r"mismatch: B must be 3x1, got \(2, 1\)$"):
+        replace(ref_model, B=np.zeros((2, 1)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -68,32 +72,89 @@ def test_validate_flags_non_finite_entries_matrix_by_matrix(ref_model, bad):
     F = ref_model.F.copy()
     A[1, 2] = bad
     F[0, 0] = bad
-    model = StateSpaceModel(A, ref_model.B, ref_model.C, ref_model.D,
-                            ref_model.E, F)
     # Reported before, and instead of, any rank decision on [E; F].
-    assert validate(model) == ["non-finite entries in A",
-                               "non-finite entries in F"]
+    with pytest.raises(ValueError) as err:
+        replace(ref_model, A=A, F=F)
+    assert str(err.value) == ("invalid model: non-finite entries in A; "
+                              "non-finite entries in F")
 
 
 def test_validate_flags_entries_whose_products_overflow(ref_model):
     # Every entry is finite, but C @ E is not.
-    big = StateSpaceModel(A=ref_model.A, B=ref_model.B, C=ref_model.C * 1e300,
-                          D=ref_model.D, E=ref_model.E * 1e10, F=ref_model.F)
-    assert validate(big) == [
-        "entries too large: the squared Frobenius norm of "
+    with pytest.raises(ValueError) as err:
+        replace(ref_model, C=ref_model.C * 1e300, E=ref_model.E * 1e10)
+    assert str(err.value) == (
+        "invalid model: entries too large: the squared Frobenius norm of "
         "[[A, B, E], [C, D, F]] overflows, and so can products such as CA "
         "and CE; rescale the model"
-    ]
+    )
     scaled = StateSpaceModel(*(getattr(ref_model, key) * 1e150
                                for key in ("A", "B", "C", "D", "E", "F")))
-    assert validate(scaled) == []
+    assert scaled.n == 3
 
 
-def test_require_valid_raises_with_all_violations(ref_model):
-    bad = StateSpaceModel(ref_model.A, np.zeros((2, 1)), ref_model.C,
-                          ref_model.D, np.zeros((3, 1)), np.zeros((2, 1)))
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        require_valid(bad)
+def test_construction_raises_with_all_violations(ref_model):
+    with pytest.raises(ValueError) as err:
+        replace(ref_model, B=np.zeros((2, 1)), D=np.zeros((2, 2)))
+    assert str(err.value) == (
+        "invalid model: dimension mismatch: B must be 3x1, got (2, 1); "
+        "dimension mismatch: D must be 2x1, got (2, 2)")
+
+
+def test_model_keeps_read_only_copies(ref_model):
+    mats = {key: getattr(ref_model, key).copy() for key in "ABCDEF"}
+    model = StateSpaceModel(**mats)
+    for key, given in mats.items():
+        stored = getattr(model, key)
+        assert not stored.flags.writeable
+        assert not np.shares_memory(stored, given)
+        assert given.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0, 0] = 1.0
+    mats["A"][0, 0] = 99.0
+    assert model.A[0, 0] == ref_model.A[0, 0]
+
+
+@pytest.mark.parametrize("key", _UIO_KEYS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_observer_refuses_non_finite_entries(ref_uio, key, bad):
+    M = getattr(ref_uio, key).copy()
+    M.flat[0] = bad
+    with pytest.raises(ValueError,
+                       match=f'^field "{key}" has non-finite entries$'):
+        replace(ref_uio, **{key: M})
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"A_uio": np.zeros((3, 2))}, "A_uio must be square"),
+    ({"B_u": np.zeros((2, 1))}, 'field "B_u" must have 3 rows'),
+    ({"D_y": np.zeros((4, 2))}, 'field "D_y" must have 3 rows'),
+    ({"D_u": np.zeros((3, 2))}, "B_u and D_u must have equal width"),
+    ({"B_y": np.zeros((3, 1))}, "B_y and D_y must have equal width"),
+    ({"B_u": np.zeros(3)}, r"B_u must be a 2-D matrix, got shape \(3,\)"),
+], ids=["square", "rows-B_u", "rows-D_y", "width-u", "width-y", "ndim"])
+def test_observer_refuses_inconsistent_shapes(ref_uio, fields, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        replace(ref_uio, **fields)
+
+
+def test_observer_keeps_read_only_copies(ref_uio):
+    mats = {key: getattr(ref_uio, key).copy() for key in _UIO_KEYS}
+    uio = UioRealization(**mats)
+    for key, given in mats.items():
+        assert not getattr(uio, key).flags.writeable
+        assert given.flags.writeable
+        assert not np.shares_memory(getattr(uio, key), given)
+
+
+def test_same_dims_check_names_both_triples(ref_model, ref_uio):
+    _require_same_dims(ref_model, ref_uio)
+    small = UioRealization(A_uio=np.zeros((2, 2)), B_u=np.zeros((2, 1)),
+                           B_y=np.zeros((2, 2)), D_u=np.zeros((2, 1)),
+                           D_y=np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=r"observer dims \(n, m, p\) = "
+                       r"\(2, 1, 2\) do not match model dims \(3, 1, 2\)"):
+        _require_same_dims(ref_model, small)
 
 
 # ---------------------------------------------------------------- step

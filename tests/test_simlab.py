@@ -164,6 +164,18 @@ def test_exact_observer_init_formula(ref_model, ref_observer):
     )
 
 
+def test_exact_observer_init_rejects_dimension_mismatch(ref_model):
+    # A 2-state observer for the 3-state plant used to end in numpy's
+    # "operands could not be broadcast together".
+    small = UioRealization(A_uio=np.zeros((2, 2)), B_u=np.zeros((2, 1)),
+                           B_y=np.zeros((2, 2)), D_u=np.zeros((2, 1)),
+                           D_y=np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=r"observer dims \(n, m, p\) = "
+                       r"\(2, 1, 2\) do not match model dims \(3, 1, 2\)"):
+        exact_observer_init(ref_model, small, np.zeros(3), np.zeros(1),
+                            np.zeros(1))
+
+
 def test_trace_file_layout(tmp_path, ref_model, ref_observer):
     trace = run(ref_model, ref_observer, 5, input_policy=Uniform(-1, 1),
                 disturbance_policy=Uniform(-1, 1), x0=Uniform(-1, 1), seed=1)
