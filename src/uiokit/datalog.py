@@ -88,7 +88,8 @@ def resolve_policy(policy, T: int, width: int, rng: np.random.Generator,
 
     ``policy`` may be None (zeros), a `Uniform` (seeded draws from ``rng``),
     or an explicit array of shape (T, width) — a 1-D array of length T is
-    accepted when width == 1.
+    accepted when width == 1.  An explicit array with a non-finite entry is
+    refused with ValueError naming ``what`` and the sample.
     """
     if policy is None:
         return np.zeros((T, width))
@@ -101,6 +102,7 @@ def resolve_policy(policy, T: int, width: int, rng: np.random.Generator,
         raise ValueError(
             f"{what} must have shape ({T}, {width}), got {arr.shape}"
         )
+    _require_finite_entries(arr, what, "sample {} (entry {})")
     return arr.copy()
 
 
@@ -113,7 +115,20 @@ def _resolve_vector(value, width: int, rng: np.random.Generator,
     arr = np.asarray(value, dtype=float).reshape(-1)
     if arr.shape != (width,):
         raise ValueError(f"{what} must have length {width}, got {arr.shape}")
+    _require_finite_entries(arr, what, "entry {}")
     return arr.copy()
+
+
+def _require_finite_entries(arr, what: str, where: str) -> None:
+    """ValueError naming ``what`` and, by ``where`` filled with its indices,
+    the first non-finite entry of ``arr``."""
+    arr = np.asarray(arr, dtype=float)
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        at = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(
+            f"{what}: {where.format(*at)} is not finite ({float(arr[at])!r})"
+        )
 
 
 @dataclass(frozen=True)
@@ -162,7 +177,12 @@ class HistoricalData:
 
 @dataclass(frozen=True)
 class DataBlocks:
-    """Past/future one-step blocks, each with T-1 columns."""
+    """Past/future one-step blocks, each with T-1 columns.
+
+    Construction refuses, with ValueError, a block with a non-finite entry,
+    named by block, row and column (``X_p: row 0, column 3 is not finite
+    (nan)``), so every rank decision on the blocks sees finite numbers.
+    """
 
     X_p: np.ndarray
     X_f: np.ndarray
@@ -172,6 +192,11 @@ class DataBlocks:
     Y_f: np.ndarray
     D_p: np.ndarray | None = None
     D_f: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        for name, block in vars(self).items():
+            if block is not None:
+                _require_finite_entries(block, name, "row {}, column {}")
 
     @property
     def n(self) -> int:

@@ -20,12 +20,13 @@ dependency.
 The gain constructors (`stabilizing_gain`, `place_poles`) build output
 injections L for a pair (Abar, Cbar), i.e. they shape the spectrum of
 Abar + L @ Cbar.  Neither takes a seed or an iteration budget: the Riccati
-gain comes from a structure-preserving doubling solve of the DARE, a few
-n x n solves and products that stop at float64 accuracy, and placement
-draws its output combinations from one fixed generator.  Both verify their
-own output and raise instead of returning an unchecked gain; each returns
-the gain, the closed loop Abar + L @ Cbar it verified and that loop's
-eigenvalues, so a caller can use the very array whose spectrum was checked.
+gain comes from a structure-preserving doubling solve of the DARE, one
+n x n inverse and a few products per step until float64 accuracy, and
+placement draws its output combinations from one fixed generator.  Both
+verify their own output and raise instead of returning an unchecked gain;
+each returns the gain, the closed loop Abar + L @ Cbar it verified and that
+loop's eigenvalues, so a caller can use the very array whose spectrum was
+checked.
 """
 
 from __future__ import annotations
@@ -305,9 +306,14 @@ def invariant_zeros(A, E, C, F) -> tuple[np.ndarray, int]:
     if not np.isfinite(S).all():
         raise NumericalFailure("invariant zeros failed: the pencil is not finite")
     cut = RankTolerance(ZERO_CUT_RELATIVE).threshold(S)
+    r = F.shape[1]
     while True:
-        U, held = _range_basis(F, cut)
-        C, F = U.T @ C, U.T @ F
+        # With r = 0 F has no columns: its SVD would return U = I and keep
+        # no row, so neither that SVD nor the rotation by U is needed.
+        held = 0
+        if r:
+            U, held = _range_basis(F, cut)
+            C, F = U.T @ C, U.T @ F
         if held == F.shape[0]:
             break
         # Rows from `held` on see no disturbance: they pin the state part
@@ -322,7 +328,7 @@ def invariant_zeros(A, E, C, F) -> tuple[np.ndarray, int]:
             np.vstack([fixed.T @ E, F[:held]]),
         )
     rows = F.shape[0]
-    if rows < F.shape[1]:
+    if rows < r:
         return np.zeros(0, dtype=complex), rows
     # F is now square and invertible, so the pencil has r infinite zeros.
     # Deflate them: on the kernel K of [C, F] it reduces to
@@ -378,20 +384,22 @@ def _dare_doubling(Abar: np.ndarray, Cbar: np.ndarray) -> np.ndarray:
         H <- H + A' H W^-1 A
 
     squares the closed loop hidden in A, so H converges quadratically to P.
-    One LU of W serves both solves; G and H are kept symmetric.  W cannot
-    be singular: G and H are symmetric positive semidefinite, so every
-    eigenvalue of W is at least 1.  The iteration stops when a step changes
-    H by at most n * eps * ||H|| (1-norm); a non-finite iterate raises a
-    "diverged" `NumericalFailure`.
+    Each step inverts W once (one LU) and forms W^-1 A and W^-1 G by matrix
+    products, which cost less than triangular solves with their 2n
+    right-hand sides; G and H are kept symmetric.  W cannot be singular: G
+    and H are symmetric positive semidefinite, so every eigenvalue of W is
+    at least 1.  The iteration stops when a step changes H by at most
+    n * eps * ||H|| (1-norm); a non-finite iterate raises a "diverged"
+    `NumericalFailure`.
     """
     n = Abar.shape[0]
     A, G, H = Abar.T, _finite(Cbar.T @ Cbar, "C' C"), np.eye(n)
     for _ in range(_MAX_DOUBLINGS):
-        W = np.eye(n) + G @ H
-        WA, WG = np.hsplit(np.linalg.solve(W, np.hstack([A, G])), 2)
+        W_inv = np.linalg.inv(np.eye(n) + G @ H)
+        WA = W_inv @ A
         dH = A.T @ H @ WA
         dH = (dH + dH.T) / 2
-        G = _finite(G + A @ WG @ A.T, "the doubling iterate")
+        G = _finite(G + A @ (W_inv @ G) @ A.T, "the doubling iterate")
         G = (G + G.T) / 2
         A = A @ WA
         H = _finite(H + dH, "P")

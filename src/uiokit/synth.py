@@ -56,7 +56,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .datalog import excitation_report
+from .datalog import _require_finite_entries, excitation_report
 from .numkit import (
     DEFAULT_TOL,
     SCHUR_MARGIN,
@@ -131,7 +131,8 @@ class KernelRep:
     ``rank_V_f`` is the rank of the V_f block as decided against the
     generating matrix itself (see `kernel_representation`); None means no
     such data-aware decision is available and consumers fall back to a
-    plain rank of the stored block.
+    plain rank of the stored block.  Construction refuses, with ValueError,
+    a block with a non-finite entry, named by block, row and column.
     """
 
     V_p: np.ndarray
@@ -141,6 +142,11 @@ class KernelRep:
     R_p: np.ndarray
     R_f: np.ndarray
     rank_V_f: int | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("V_p", "V_f", "W_p", "W_f", "R_p", "R_f"):
+            _require_finite_entries(getattr(self, name), name,
+                                    "row {}, column {}")
 
     @property
     def k(self) -> int:
@@ -253,7 +259,8 @@ def kernel_representation(
     recorded-window matrix Phi on the data route; ``dims`` is (n, m, p).
     The result has k = 2(n+m+p) - rank(G) rows with
     full row rank and annihilates G.  k = 0 is legal (empty kernel); later
-    synthesis stages then fail with NoUio.
+    synthesis stages then fail with NoUio.  A G of the wrong height or with
+    a non-finite entry is refused with ValueError.
     """
     n, m, p = (int(v) for v in dims)
     G = np.asarray(G, dtype=float)
@@ -261,6 +268,7 @@ def kernel_representation(
         raise ValueError(
             f"window matrix must have {2 * (n + m + p)} rows, got {G.shape}"
         )
+    _require_finite_entries(G, "window matrix", "row {}, column {}")
     basis, sigma = _left_null_svd(G, tol)
 
     # Rank of the V_f block, decided against G itself rather than the
@@ -382,10 +390,16 @@ def synthesize(
             L, loop, closed = place_poles(
                 A_bar, C_bar, -np.asarray(opt.poles, dtype=complex))
     except NotDetectable as exc:
+        # An eigenvalue z of A_bar that C_bar cannot see stays in the error
+        # loop A_uio = -(A_bar + L C_bar) as -z: the plant's mode.  0j - z
+        # keeps the imaginary part of a real mode at +0, as the zeros of
+        # condition (a) have it, where -z would print 1.3-0j.
+        modes = [0j - z for z in exc.modes]
         raise NoUio(
             NOT_DETECTABLE,
-            f"(A_bar, C_bar) has undetectable unstable modes {exc.modes}",
-            evidence={"undetectable_modes": exc.modes,
+            "undetectable unstable modes of the plant: "
+            + ", ".join(f"{z:.6g}" for z in modes),
+            evidence={"undetectable_modes": modes,
                       "A_bar_eigenvalues": np.linalg.eigvals(A_bar).tolist()},
         ) from exc
 

@@ -89,6 +89,18 @@ def test_non_finite_model_exits_4_as_invalid(tmp_path, ref_model, command,
     assert "SVD did not converge" not in err
 
 
+def test_check_names_a_hidden_mode_with_one_sign(tmp_path, rotated_hidden_mode,
+                                                capsys):
+    # Condition (a) and the design refusal both name the plant's mode 1.3.
+    path = tmp_path / "hidden.json"
+    save_model(path, rotated_hidden_mode(4, 1, 2, 1, 1.3, 1))
+    assert main(["check", "--from-model", str(path)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert "  rank drops on/outside the unit circle: 1.3+0j" in lines
+    assert ("constructive cross-check: design refused: NotDetectable: "
+            "undetectable unstable modes of the plant: 1.3+0j") in lines
+
+
 # ---------------------------------------------------------- numeric flags
 
 

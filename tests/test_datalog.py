@@ -2,6 +2,7 @@
 
 import csv
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -91,6 +92,23 @@ def test_collect_zero_policies(ref_model):
 def test_collect_explicit_input_of_wrong_length(ref_model):
     with pytest.raises(ValueError, match="input"):
         collect(ref_model, 5, input_policy=np.ones((4, 1)))
+
+
+@pytest.mark.parametrize("signal, bad, message", [
+    ("input_policy", np.nan, "input sequence: sample 3 (entry 0) is not "
+                             "finite (nan)"),
+    ("disturbance_policy", -np.inf, "disturbance sequence: sample 3 "
+                                    "(entry 0) is not finite (-inf)"),
+    ("x0", np.inf, "x0: entry 1 is not finite (inf)"),
+])
+def test_collect_refuses_a_non_finite_explicit_signal(ref_model, signal, bad,
+                                                      message):
+    # The value is the caller's, not an overflow of the plant.
+    value = np.zeros(3) if signal == "x0" else np.zeros((12, 1))
+    value[(1,) if signal == "x0" else (3, 0)] = bad
+    with pytest.raises(ValueError) as err:
+        collect(ref_model, 12, **{signal: value})
+    assert str(err.value) == message
 
 
 def test_collect_needs_two_samples(ref_model):
@@ -384,3 +402,15 @@ def test_historical_data_keeps_read_only_copies(ref_model):
         assert not np.shares_memory(stored, given)
         with pytest.raises(ValueError, match="read-only"):
             stored[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("block", ["X_p", "U_f", "Y_p", "D_f"])
+def test_data_blocks_refuse_a_non_finite_entry(ref_model, block):
+    # Such blocks used to reach numpy's "SVD did not converge" in the
+    # excitation check of `design_from_data`.
+    blocks = build_blocks(_bundled_run(ref_model))
+    bad = np.array(getattr(blocks, block))
+    bad[0, 4] = np.nan
+    with pytest.raises(ValueError) as err:
+        replace(blocks, **{block: bad})
+    assert str(err.value) == f"{block}: row 0, column 4 is not finite (nan)"

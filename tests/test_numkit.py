@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from uiokit import numkit
 from uiokit.numkit import (
     SCHUR_MARGIN,
     ZERO_CUT_RELATIVE,
@@ -266,6 +267,30 @@ def test_invariant_zeros_without_disturbance_are_hidden_modes(monkeypatch, n):
     assert eig_assignment_error(zeros, [1.5, -0.2]) <= cut
 
 
+def test_invariant_zeros_without_disturbance_factor_no_empty_block(
+        monkeypatch):
+    # With r = 0, F has no columns at any step: the staircase decides rank
+    # on the outputs only, and only the final kernel step, K = I on the two
+    # hidden modes, sees an empty block.
+    shapes = []
+    range_basis = numkit._range_basis
+
+    def spy(M, cut):
+        shapes.append(M.shape)
+        return range_basis(M, cut)
+
+    monkeypatch.setattr(numkit, "_range_basis", spy)
+    rng = np.random.default_rng(5)
+    A = np.block([[rng.standard_normal((6, 6)) / np.sqrt(6), np.zeros((6, 2))],
+                  [rng.standard_normal((2, 6)), np.diag([1.5, -0.2])]])
+    C = np.hstack([rng.standard_normal((2, 6)), np.zeros((2, 2))])
+    zeros, rows = invariant_zeros(A, np.zeros((8, 0)), C, np.zeros((2, 0)))
+    *staircase, last = shapes
+    assert staircase and all(cols for _, cols in staircase)
+    assert last == (2, 0)
+    assert rows == 0 and len(zeros) == 2
+
+
 def test_invariant_zeros_beyond_float_range_raise_numerical_failure():
     # The one zero is A - E F^-1 C = -1e305 * 1e305 / 1e297 = -1e313: F is
     # above the cut, so K_x is invertible, but K_x^-1 [A, E] K overflows.
@@ -407,6 +432,9 @@ def test_stabilizing_gain_at_extreme_but_representable_scale():
     (8, 38, 5, 1.4), (9, 45, 22, 0.6), (10, 52, 1, 1.0), (11, 60, 30, 1.4),
     # 29 unstable modes seen through one output: ||P|| ~ 3e8.
     (11, 60, 1, 1.4),
+    # ||P|| ~ 2e12 through one output at n = 100; n = 200 with 20 and 3.
+    (12, 100, 10, 1.0), (13, 100, 1, 1.4), (14, 200, 20, 1.4),
+    (15, 200, 3, 0.6),
 ])
 def test_dare_doubling_matches_scipy_solver(seed, n, q, scale):
     # Seeded random detectable pairs against the generalized-eigenvalue
@@ -415,6 +443,32 @@ def test_dare_doubling_matches_scipy_solver(seed, n, q, scale):
     A = scale * rng.standard_normal((n, n)) / np.sqrt(n)
     C = rng.standard_normal((q, n))
     _check_dare_solution(A, C)
+
+
+def test_dare_doubling_inverts_once_per_step_and_solves_nothing(monkeypatch):
+    # Each step forms W^-1 once and gets W^-1 A and W^-1 G by products.
+    calls = {"inv": 0, "steps": 0}
+    inv, finite = np.linalg.inv, numkit._finite
+
+    def counting_inv(M):
+        calls["inv"] += 1
+        return inv(M)
+
+    def counting_finite(M, what):
+        calls["steps"] += what == "P"
+        return finite(M, what)
+
+    def no_solve(*args):
+        raise AssertionError("the doubling step called np.linalg.solve")
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    monkeypatch.setattr(numkit, "_finite", counting_finite)
+    rng = np.random.default_rng(3)
+    _dare_doubling(1.4 * rng.standard_normal((20, 20)) / np.sqrt(20),
+                   rng.standard_normal((3, 20)))
+    assert calls["steps"] > 1
+    assert calls["inv"] == calls["steps"]
 
 
 def test_dare_doubling_slow_weakly_observed_unit_mode():

@@ -153,6 +153,23 @@ def test_run_refuses_an_observer_that_leaves_the_float64_range(
             disturbance_policy=Uniform(-1.0, 1.0), x0=Uniform(-1.0, 1.0))
 
 
+@pytest.mark.parametrize("signal, message", [
+    ("input_policy", "input sequence: sample 3 (entry 0) is not finite (nan)"),
+    ("disturbance_policy",
+     "disturbance sequence: sample 3 (entry 0) is not finite (nan)"),
+    ("x0", "x0: entry 1 is not finite (nan)"),
+    ("z0", "z0: entry 1 is not finite (nan)"),
+])
+def test_run_refuses_a_non_finite_explicit_signal(ref_model, ref_observer,
+                                                  signal, message):
+    # Named as the caller's value, not as an overflow of plant or observer.
+    value = np.zeros(3) if signal in ("x0", "z0") else np.zeros((5, 1))
+    value[(1,) if value.ndim == 1 else (3, 0)] = np.nan
+    with pytest.raises(ValueError) as err:
+        run(ref_model, ref_observer, 5, **{signal: value})
+    assert str(err.value) == message
+
+
 def test_exact_observer_init_formula(ref_model, ref_observer):
     x0 = np.array([0.4, -1.0, 2.0])
     u0 = np.array([0.3])

@@ -49,6 +49,29 @@ def test_kernel_of_full_space_is_empty():
     assert ker.matrix().shape == (0, 12)
 
 
+@pytest.mark.parametrize("block", ["V_p", "W_f", "R_f"])
+def test_kernel_rep_refuses_a_non_finite_entry(ref_kernel, block):
+    ker = KernelRep.from_matrix(ref_kernel, DIMS)
+    bad = np.array(getattr(ker, block))
+    bad[1, 0] = np.inf
+    with pytest.raises(ValueError) as err:
+        replace(ker, **{block: bad})
+    assert str(err.value) == f"{block}: row 1, column 0 is not finite (inf)"
+    Psi = np.array(ref_kernel)
+    Psi[1, 0] = np.nan
+    with pytest.raises(ValueError, match=r"^V_p: row 1, column 0 is not"):
+        KernelRep.from_matrix(Psi, DIMS)
+
+
+def test_kernel_of_a_non_finite_window_matrix_is_refused():
+    # It used to end in numpy's "SVD did not converge".
+    G = np.ones((12, 20))
+    G[2, 7] = np.nan
+    with pytest.raises(ValueError) as err:
+        kernel_representation(G, DIMS)
+    assert str(err.value) == "window matrix: row 2, column 7 is not finite (nan)"
+
+
 def test_kernel_of_consistency_matrix(ref_model, ref_kernel):
     Gamma = consistency_matrix(ref_model)
     ker = kernel_representation(Gamma, DIMS)
@@ -272,6 +295,25 @@ def test_undetectable_pair_is_refused_on_both_gain_paths(options):
     assert set(evidence) == {"undetectable_modes", "A_bar_eigenvalues"}
     assert len(evidence["undetectable_modes"]) == 1
     assert abs(abs(evidence["undetectable_modes"][0]) - 2.0) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "options",
+    [SynthesisOptions(), SynthesisOptions(gain="place", poles=(0, 0, 0, 0.5))],
+    ids=["riccati", "place"],
+)
+def test_undetectable_modes_are_reported_as_the_plants_modes(
+        options, rotated_hidden_mode):
+    # The plant hides its mode 1.3; A_bar carries it as -1.3, the sign of
+    # A_uio = -(A_bar + L C_bar).  The refusal names the plant's mode, as
+    # condition (a) does, and keeps A_bar's eigenvalues as they are.
+    with pytest.raises(NoUio) as exc_info:
+        design_from_model(rotated_hidden_mode(4, 1, 2, 1, 1.3, 1), options)
+    evidence = exc_info.value.evidence
+    (mode,) = evidence["undetectable_modes"]
+    assert abs(mode - 1.3) < 1e-9
+    assert min(abs(np.array(evidence["A_bar_eigenvalues"]) + 1.3)) < 1e-9
+    assert exc_info.value.detail == "undetectable unstable modes of the plant: 1.3+0j"
 
 
 @pytest.mark.parametrize("options", [SynthesisOptions(), PLACE],
