@@ -19,10 +19,11 @@ dependency.
 
 The gain constructors (`stabilizing_gain`, `place_poles`) build output
 injections L for a pair (Abar, Cbar), i.e. they shape the spectrum of
-Abar + L @ Cbar.  Neither takes a seed or an iteration budget: the Riccati
-gain comes from a structure-preserving doubling solve of the DARE, one
-n x n inverse and a few products per step until float64 accuracy, and
-placement draws its output combinations from one fixed generator.  Both
+Abar + L @ Cbar.  Neither takes a seed or an iteration budget, and both
+are deterministic: the Riccati gain comes from a structure-preserving
+doubling solve of the DARE, one n x n inverse and a few products per step
+until float64 accuracy, and placement from the eigenvector sweeps of
+Kautsky, Nichols & Van Dooren, at most `_KNV_SWEEPS` of them.  Both
 verify their own output and raise instead of returning an unchecked gain;
 each returns the gain, the closed loop Abar + L @ Cbar it verified and that
 loop's eigenvalues, so a caller can use the very array whose spectrum was
@@ -72,10 +73,19 @@ ZERO_CUT_RELATIVE = 1e-9
 #: radius rho = 1 - eps, to eps: log2(log eps / log rho), about 58.
 _MAX_DOUBLINGS = int(np.ceil(np.log2(np.log(_EPS) / np.log1p(-_EPS))))
 
-#: Multi-output placement: random reductions tried before giving up, and the
-#: matching distance within which a placed spectrum counts as verified.
-PLACEMENT_ATTEMPTS = 30
+#: Matching distance within which a placed spectrum counts as verified.
 PLACEMENT_TOL = 1e-6
+
+#: Eigenvector sweeps of `place_poles`, at most.  After the first sweep
+#: every eigenvector is admissible, so the gain places the poles; later
+#: sweeps only condition the eigenvector matrix X.  On the corpus plants
+#: (`perfbench.workloads.corpus_model`, n = 8 to 60), cond(X) after ten
+#: sweeps is at most 1.13 times its value after a hundred.
+_KNV_SWEEPS = 10
+
+#: Fewer sweeps once one raises |det X|, with unit columns, by less than
+#: this relative amount.
+_KNV_RTOL = 1e-3
 
 
 class NumericalFailure(RuntimeError):
@@ -91,7 +101,11 @@ class NotDetectable(ValueError):
 
 
 class NotObservable(ValueError):
-    """(Abar, Cbar) has unobservable modes."""
+    """(Abar, Cbar) has unobservable modes, listed in ``modes``."""
+
+    def __init__(self, modes):
+        super().__init__(f"unobservable modes: {modes}")
+        self.modes = list(modes)
 
 
 class PlacementFailed(NumericalFailure):
@@ -471,40 +485,99 @@ def stabilizing_gain(
 def _ackermann(Abar: np.ndarray, c_row: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Single-output Ackermann gain: ``Abar + l @ c_row`` gets char poly coeffs.
 
-    The gain is non-finite if (Abar, c_row) is unobservable or powers overflow.
+    phi(Abar) by Horner's rule and the observability rows c_row Abar^i by
+    repeated products; l = -phi(Abar) O^-1 e_n.  The gain is non-finite if
+    (Abar, c_row) is unobservable or powers overflow.
     """
     n = Abar.shape[0]
-    phi = np.zeros((n, n))
-    Ak = np.eye(n)
+    phi, rows = np.zeros((n, n)), [c_row]
     with np.errstate(over="ignore", invalid="ignore"):
-        for a in coeffs[::-1]:
-            phi = phi + a * Ak
-            Ak = Ak @ Abar
-        obs = np.vstack([c_row @ np.linalg.matrix_power(Abar, i) for i in range(n)])
+        for a in coeffs:
+            phi = phi @ Abar + a * np.eye(n)
+        for _ in range(n - 1):
+            rows.append(rows[-1] @ Abar)
         try:
-            w = np.linalg.solve(obs, np.eye(n)[:, -1])
+            return -(phi @ np.linalg.solve(np.vstack(rows), np.eye(n)[:, -1]))
         except np.linalg.LinAlgError:
             return np.full(n, np.nan)
-        return -(phi @ w)
+
+
+def _knv_loop(At: np.ndarray, U: np.ndarray, k: int,
+              poles: np.ndarray) -> np.ndarray:
+    """Real M = X diag(lam) X^-1 with U1' (M - At) = 0, by KNV method 0.
+
+    ``U = [U0, U1]`` holds the left singular vectors of B = Cbar', split
+    after its rank k, so At - B K = M has a solution K exactly when
+    U1' (At - M) = 0.  That holds when each column x_j of X lies in S_j,
+    the kernel of U1' (At - lam_j I), which has dimension k because the
+    pair is observable.  ``lam`` lists the real poles, then the m poles
+    with positive imaginary part, then their conjugates in the same order.
+
+    Each sweep sets x_j, in turn, to the unit projection onto S_j of column
+    j of X^-H, which is orthogonal to every other column; that choice
+    maximizes |det X| over unit x_j in S_j (Kautsky, Nichols & Van Dooren
+    1985).  X^-1 follows each column by a rank-one update.  The sweeps run
+    in complex arithmetic, and the column of a conjugate pole is set to the
+    conjugate of its partner's, so X diag(lam) X^-1 is real.  They start
+    from the unitary columns of U (u_j +- i u_j+m for the pairs), which need
+    not be admissible; the first sweep makes every column admissible, so
+    its change of |det X| does not end the sweeps.  A pole repeated up to k
+    times keeps independent columns, because each sweep keeps X invertible.
+
+    The caller has checked that no pole repeats more than k times.
+    Raises `np.linalg.LinAlgError` when X is singular.
+    """
+    n = len(At)
+    upper = poles[poles.imag > 0]
+    m, free = len(upper), n - len(upper)  # free: columns the sweeps choose
+    lam = np.concatenate([poles[poles.imag == 0], upper, upper.conj()])
+    U1 = U[:, k:].T
+    S = [np.linalg.qr((U1 @ At - z * U1).conj().T, mode="complete")[0][:, n - k:]
+         for z in lam[:free]]
+    X = U.astype(complex)
+    X[:, free - m:free] += 1j * U[:, free:]
+    X[:, free:] = X[:, free - m:free].conj()
+    X_inv = np.linalg.inv(X)
+    for sweep in range(_KNV_SWEEPS):
+        log_gain = 0.0
+        for j in range(n):
+            x = (S[j] @ (S[j].conj().T @ X_inv[j].conj()) if j < free
+                 else X[:, j - m].conj())
+            x /= np.linalg.norm(x)
+            # X_inv[j] @ X[:, j] = 1, so d = det X' / det X.
+            d = X_inv[j] @ x
+            X_inv -= np.outer(X_inv @ (x - X[:, j]), X_inv[j] / d)
+            X[:, j] = x
+            log_gain += np.log(abs(d))
+        if sweep and log_gain < np.log1p(_KNV_RTOL):
+            break
+    # (X diag(lam) X^-1)' = X^-T (X diag(lam))', from a fresh solve.
+    return np.linalg.solve(X.T, (X * lam).T).T.real
 
 
 def place_poles(Abar, Cbar, poles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Output-injection gain L placing the spectrum of ``Abar + L @ Cbar``.
 
-    ``poles`` must be a conjugation-closed multiset of n values.  The
-    single-output case uses Ackermann's formula.  The multi-output case
-    reduces to it through a random output combination ``v' Cbar``, optionally
-    after a preliminary random injection to make the pair cyclic, and tries
-    up to `PLACEMENT_ATTEMPTS` draws until the placed spectrum verifies
-    against the request within `PLACEMENT_TOL` (optimal-assignment
-    matching).  The draws come from a generator with the fixed seed 0, so
-    the result is deterministic.  Returns L, the closed loop
+    ``poles`` must be a conjugation-closed multiset of n values.  The gain
+    comes from the dual pair (Abar', Cbar'): one SVD Cbar' = U S W' gives
+    rank(Cbar) = k (package rank rule at `DEFAULT_TOL`), the range U0 of
+    Cbar' and its complement U1.  `_knv_loop` builds the real closed loop
+    M = X Lambda X^-1 with U1' (M - Abar') = 0, and the gain is
+    L' = W S^-1 U0' (M - Abar').  Every step is deterministic.  A pole
+    can have at most k independent eigenvectors, so with k >= 2 a pole
+    repeated more than k times is refused at once; with k = 1 and a
+    repeated pole, Ackermann's formula on the output U0' places the
+    (defective) closed loop instead.  Whatever the route, the placed
+    spectrum is verified against the request within `PLACEMENT_TOL`
+    (optimal-assignment matching).  Returns L, the closed loop
     ``Abar + L @ Cbar`` and its verified eigenvalues.
 
     Raises:
-        NotObservable: if (Abar, Cbar) has an unobservable mode.
+        NotObservable: if (Abar, Cbar) has unobservable modes, listed in
+            ``exc.modes``.
         ValueError: if ``poles`` is not conjugation-closed or has wrong size.
-        PlacementFailed: if no attempt produces a verified gain.
+        PlacementFailed: if a pole repeats more than rank(Cbar) >= 2 times,
+            or the gain fails verification.
     """
     Abar = _as_2d(Abar)
     Cbar = _as_2d(Cbar)
@@ -514,7 +587,8 @@ def place_poles(Abar, Cbar, poles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if poles.shape != (n,):
         raise ValueError(f"need exactly {n} poles, got {poles.shape}")
     coeffs = np.atleast_1d(np.poly(poles)) if n else np.ones(1)
-    if np.max(np.abs(coeffs.imag)) > 1e-9 * max(1.0, np.max(np.abs(coeffs))):
+    if (np.max(np.abs(coeffs.imag)) > 1e-9 * max(1.0, np.max(np.abs(coeffs)))
+            or np.sum(poles.imag > 0) != np.sum(poles.imag < 0)):
         raise ValueError("pole multiset must be closed under conjugation")
     coeffs = coeffs.real
     if n == 0:
@@ -540,28 +614,26 @@ def place_poles(Abar, Cbar, poles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # margin 1 counts every mode as unstable: detectable becomes observable.
     modes = undetectable_modes(Abar, Cbar, margin=1.0)
     if modes:
-        raise NotObservable(f"unobservable modes: {modes}")
+        raise NotObservable(modes)
 
-    if q == 1:
-        L = _ackermann(Abar, Cbar[0], coeffs).reshape(n, 1)
-        if (placed := _placed(L)) is not None:
-            return placed
-        raise PlacementFailed("single-output Ackermann gain failed verification")
-
-    rng = np.random.default_rng(0)
-    for attempt in range(PLACEMENT_ATTEMPTS):
-        # First sweep leaves Abar untouched; later sweeps add a random
-        # preliminary injection so non-cyclic Abar still reduces.
-        if attempt < PLACEMENT_ATTEMPTS // 3:
-            L0 = np.zeros((n, q))
-        else:
-            L0 = 0.5 * rng.standard_normal((n, q))
-        v = rng.standard_normal(q)
-        # A draw whose output combination misses a mode fails verification.
-        L = L0 + np.outer(_ackermann(Abar + L0 @ Cbar, v @ Cbar, coeffs), v)
-        if (placed := _placed(L)) is not None:
-            return placed
-    raise PlacementFailed(f"no verified gain after {PLACEMENT_ATTEMPTS} attempts")
+    U, s, Wt = np.linalg.svd(Cbar.T)
+    k = _rank_from_singular_values(s, Cbar.T.shape, DEFAULT_TOL)
+    values, counts = np.unique(poles, return_counts=True)
+    if counts.max() > k >= 2:
+        raise PlacementFailed(
+            f"pole {values[counts.argmax()]:.6g} of Abar + L @ Cbar is requested "
+            f"{counts.max()} times; a pole has at most rank(Cbar) = {k} "
+            "eigenvectors")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            H = (_ackermann(Abar, U[:, 0], coeffs)[:, None] if counts.max() > k
+                 else (_knv_loop(Abar.T, U, k, poles) - Abar.T).T @ U[:, :k])
+        except np.linalg.LinAlgError as exc:
+            raise PlacementFailed(f"eigenvector matrix is singular: {exc}") from exc
+        L = (H / s[:k]) @ Wt[:k]
+    if (placed := _placed(L)) is not None:
+        return placed
+    raise PlacementFailed("placed gain failed verification")
 
 
 def _range_columns(M: np.ndarray) -> np.ndarray:

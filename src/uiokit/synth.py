@@ -61,6 +61,7 @@ from .numkit import (
     DEFAULT_TOL,
     SCHUR_MARGIN,
     NotDetectable,
+    NotObservable,
     NumericalFailure,
     RankTolerance,
     SpectrumReport,
@@ -72,7 +73,6 @@ from .numkit import (
     rank,
     spectrum,
     stabilizing_gain,
-    undetectable_modes,
 )
 from .plant import (_UIO_KEYS, StateSpaceModel, UioRealization, _load_json,
                     _matrix_fields, _require_same_dims)
@@ -341,12 +341,12 @@ def synthesize(
     docstring) and read off the observer matrices.  A ``ker.rank_V_f``
     recorded at extraction time (the data route's decision against the
     generating matrix) takes the place of the SVD rank in the NoUio test.
-    Detectability is decided once: by `stabilizing_gain` itself on the
-    Riccati path, by `undetectable_modes` before `place_poles` on the
-    placement path.  A_uio is the negation of the closed-loop array
-    A_bar + L @ C_bar that the gain stage returned with its verified
-    eigenvalues, and the reported spectrum is those eigenvalues negated:
-    the spectrum of the emitted A_uio, computed once.
+    Detectability is decided once, inside the gain stage: `stabilizing_gain`
+    refuses undetectable modes, and `place_poles` refuses every unobservable
+    mode, whose unstable ones make the same NoUio.  A_uio is the negation
+    of the closed-loop array A_bar + L @ C_bar that the gain stage returned
+    with its verified eigenvalues, and the reported spectrum is those
+    eigenvalues negated: the spectrum of the emitted A_uio, computed once.
 
     Raises:
         NoUio: with cause VF_RANK_DEFICIENT or NOT_DETECTABLE.
@@ -355,7 +355,8 @@ def synthesize(
         ValueError: from `numkit.place_poles`, for a pole multiset of the
             wrong size or one that is not closed under conjugation.
         NotObservable / PlacementFailed / NumericalFailure: propagated from
-            the gain stage.
+            the gain stage (NotObservable when every unobservable mode is
+            stable).
     """
     opt = options or SynthesisOptions()
     n = ker.n
@@ -382,19 +383,21 @@ def synthesize(
             L, loop, closed = stabilizing_gain(A_bar, C_bar,
                                                margin=opt.schur_margin)
         else:
-            bad = undetectable_modes(A_bar, C_bar, margin=opt.schur_margin)
-            if bad:
-                raise NotDetectable(bad)
             # The caller requests eigenvalues of A_uio = -(A_bar + L C_bar);
             # place the negated set so the request is what comes out.
             L, loop, closed = place_poles(
                 A_bar, C_bar, -np.asarray(opt.poles, dtype=complex))
-    except NotDetectable as exc:
+    except (NotDetectable, NotObservable) as exc:
+        # Stable unobservable modes alone do not rule an observer out, but
+        # no gain moves them, so the NotObservable of `place_poles` stands.
+        bad = [z for z in exc.modes if abs(z) >= 1.0 - opt.schur_margin]
+        if not bad:
+            raise
         # An eigenvalue z of A_bar that C_bar cannot see stays in the error
         # loop A_uio = -(A_bar + L C_bar) as -z: the plant's mode.  0j - z
         # keeps the imaginary part of a real mode at +0, as the zeros of
         # condition (a) have it, where -z would print 1.3-0j.
-        modes = [0j - z for z in exc.modes]
+        modes = [0j - z for z in bad]
         raise NoUio(
             NOT_DETECTABLE,
             "undetectable unstable modes of the plant: "

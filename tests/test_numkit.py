@@ -558,7 +558,9 @@ def test_place_poles_large_observable_pair_is_not_called_unobservable():
     try:
         L = _gain(place_poles, A, C, poles)
     except PlacementFailed:
-        return  # Ackermann's formula itself may not survive this scale
+        # One output fixes every eigenvector up to scale, and at this scale
+        # they are too ill-conditioned for the placed spectrum to verify.
+        return
     got = np.linalg.eigvals(A + L @ C)
     assert eig_assignment_error(got, poles.astype(complex)) < 1e-6
 
@@ -585,6 +587,85 @@ def test_place_poles_conjugate_pair():
     assert np.isrealobj(L)
     got = np.linalg.eigvals(A + L @ C)
     assert eig_assignment_error(got, poles) < 1e-6
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_place_poles_single_output_double_pole(seed):
+    # One output allows one eigenvector per pole, so the double pole leaves
+    # a defective closed loop; Ackermann's formula places it.
+    rng = np.random.default_rng(2000 + seed)
+    A = rng.normal(size=(3, 3))
+    C = rng.normal(size=(1, 3))
+    L = _gain(place_poles, A, C, [0.0, 0.0, 0.5])
+    got = np.linalg.eigvals(A + L @ C)
+    assert eig_assignment_error(got, np.array([0.0, 0.0, 0.5])) < 1e-6
+
+
+def test_place_poles_refuses_a_pole_repeated_beyond_rank_c(monkeypatch):
+    # rank(C) = 2 eigenvectors at most per pole; the triple pole at 0 is
+    # refused before any eigenvector is computed.
+    rng = np.random.default_rng(3)
+    A = rng.normal(size=(4, 4))
+    C = rng.normal(size=(2, 4))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigenvectors computed for a refused request")
+
+    monkeypatch.setattr(numkit, "_knv_loop", refuse)
+    with pytest.raises(PlacementFailed,
+                       match=r"pole 0\+0j of Abar \+ L @ Cbar is requested 3 "
+                             r"times; a pole has at most rank\(Cbar\) = 2 "
+                             r"eigenvectors"):
+        place_poles(A, C, [0.0, 0.0, 0.0, 0.5])
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_place_poles_repeated_pole_up_to_rank_c(k):
+    # A pole repeated k = rank(C) times gets k independent eigenvectors, so
+    # the closed loop is diagonalizable and the pole is placed to rounding.
+    rng = np.random.default_rng(11)
+    n = 6
+    A = rng.normal(size=(n, n))
+    C = rng.normal(size=(k, n))
+    poles = np.array([0.2] * k + list(np.linspace(-0.5, 0.5, n - k)))
+    L = _gain(place_poles, A, C, poles)
+    got = np.linalg.eigvals(A + L @ C)
+    assert eig_assignment_error(got, poles.astype(complex)) < 1e-9
+
+
+def test_place_poles_complex_pairs_with_several_outputs():
+    rng = np.random.default_rng(12)
+    n = 8
+    A = rng.normal(size=(n, n))
+    C = rng.normal(size=(3, n))
+    poles = np.array([0.3 + 0.4j, 0.3 - 0.4j, -0.2 + 0.5j, -0.2 - 0.5j,
+                      0.3 + 0.4j, 0.3 - 0.4j, 0.1, -0.6])
+    L = _gain(place_poles, A, C, poles)
+    assert np.isrealobj(L)
+    got = np.linalg.eigvals(A + L @ C)
+    assert eig_assignment_error(got, poles) < 1e-9
+
+
+def test_gains_draw_no_random_numbers_and_repeat_bit_for_bit(
+        ref_intermediates, monkeypatch):
+    rng = np.random.default_rng(4)
+    n = 20
+    pairs = [
+        (ref_intermediates["A_bar"], ref_intermediates["C_bar"],
+         [0.0, 0.0, 0.5]),
+        (0.35 * rng.normal(size=(n, n)), rng.normal(size=(7, n)),
+         np.linspace(-0.6, 0.6, n)),
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a gain constructor drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    for A, C, poles in pairs:
+        for build, args in ((place_poles, (A, C, poles)),
+                            (stabilizing_gain, (A, C))):
+            first, again = build(*args)[0], build(*args)[0]
+            assert_array_equal(first, again)
 
 
 # ------------------------------------------------------- row spaces

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from uiokit import demo, numkit, synth
+from uiokit import demo, numkit
 from uiokit.datalog import Uniform, build_blocks, collect
 from uiokit.numkit import (
     NumericalFailure,
@@ -271,8 +271,25 @@ def test_riccati_synthesis_runs_one_detectability_test(ref_kernel, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(numkit, "undetectable_modes", counting)
-    monkeypatch.setattr(synth, "undetectable_modes", counting)
     synthesize(KernelRep.from_matrix(ref_kernel, DIMS))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("options", [SynthesisOptions(), PLACE],
+                         ids=["riccati", "place"])
+def test_each_design_runs_one_zero_reduction(ref_model, options, monkeypatch):
+    # Detectability (Riccati) and observability (placement) of
+    # (A_bar, C_bar) both come from one `invariant_zeros` reduction; the
+    # place route decides detectability from the modes of that one call.
+    calls = []
+    original = numkit.invariant_zeros
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(numkit, "invariant_zeros", counting)
+    design_from_model(ref_model, options)
     assert len(calls) == 1
 
 
@@ -366,10 +383,8 @@ def _corpus_plant(n, seed, rotated_hidden_mode):
 def test_model_route_designs_verify_and_report_their_own_spectrum(
         n, seed, rotated_hidden_mode):
     model = _corpus_plant(n, seed, rotated_hidden_mode)
-    gains = [SynthesisOptions()]
-    if n == 8:  # Ackermann placement runs out of accuracy by n = 20
-        gains.append(SynthesisOptions(
-            gain="place", poles=tuple(np.linspace(-0.6, 0.6, n))))
+    gains = [SynthesisOptions(), SynthesisOptions(
+        gain="place", poles=tuple(np.linspace(-0.6, 0.6, n)))]
     for options in gains:
         if seed % 3 == 0:
             with pytest.raises(NoUio):
@@ -380,6 +395,24 @@ def test_model_route_designs_verify_and_report_their_own_spectrum(
         assert check.is_uio, check.failures
         assert check.spectrum.spectral_radius == pytest.approx(
             diag.spectrum.spectral_radius, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_placement_designs_every_corpus_plant_that_has_an_observer(
+        n, rotated_hidden_mode):
+    options = SynthesisOptions(gain="place",
+                               poles=tuple(np.linspace(-0.6, 0.6, n)))
+    for seed in range(12):
+        model = _corpus_plant(n, seed, rotated_hidden_mode)
+        if seed % 3 == 0:
+            with pytest.raises(NoUio):
+                design_from_model(model, options)
+            continue
+        uio, diag = design_from_model(model, options)
+        assert verify_uio(model, uio).is_uio
+        assert eig_assignment_error(
+            diag.spectrum.eigenvalues, np.asarray(options.poles, complex)
+        ) < 1e-6
 
 
 @pytest.mark.parametrize("options", [SynthesisOptions(), PLACE],
