@@ -14,6 +14,10 @@ library's own check, so a bad value is refused while the command line is
 parsed, as ``error: argument --FLAG: <message>``.  A design request that
 `SynthesisOptions` refuses exits 4 with the library's message.
 
+Each subcommand imports the modules it runs, when it runs, and `main` maps
+`NoUio` and `NumericalFailure` from `numkit`, so a call loads no module it
+does not use: `collect`, say, loads numkit, plant and datalog only.
+
 Exit codes: 0 success; 1 demonstration check failure; 2 no observer exists
 (with a certificate on stdout); 4 I/O, format, or validation errors,
 numerical failures (a trajectory that fails the excitation check among
@@ -28,35 +32,8 @@ import json
 import sys
 
 from . import __version__
-from .datalog import (
-    Uniform,
-    build_blocks,
-    collect,
-    excitation_report,
-    load_trajectory,
-    render_trajectory,
-    save_trajectory,
-)
-from .demo import run_demo
-from .existcheck import exists_uio, format_report
-from .numkit import DEFAULT_TOL, SCHUR_MARGIN, NumericalFailure, RankTolerance
-from .plant import load_model
-from .simlab import (
-    check_error_recursion,
-    convergence_stats,
-    exact_observer_init,
-    run,
-    save_trace,
-)
-from .synth import (
-    NoUio,
-    SynthesisOptions,
-    design_from_data,
-    design_from_model,
-    load_uio,
-    save_uio,
-    uio_to_dict,
-)
+from .numkit import (DEFAULT_TOL, SCHUR_MARGIN, NoUio, NumericalFailure,
+                     RankTolerance)
 
 __all__ = ["main", "main_entry", "build_parser", "CliError"]
 
@@ -99,7 +76,9 @@ def _at_least(low: int):
     return parse
 
 
-def _range(text: str) -> Uniform:
+def _range(text: str):
+    from .datalog import Uniform
+
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"expects LO,HI, got {text!r}")
@@ -123,6 +102,12 @@ def _poles(text: str) -> tuple[complex, ...]:
     return poles
 
 
+def _schur_margin(text: str) -> float:
+    from .synth import SynthesisOptions
+
+    return SynthesisOptions(schur_margin=float(text)).schur_margin
+
+
 def _add_numeric_flags(sp, schur_margin: bool = True) -> None:
     """--tol-rank, and --schur-margin where a verdict reads it."""
     sp.add_argument("--tol-rank", dest="tol",
@@ -133,8 +118,7 @@ def _add_numeric_flags(sp, schur_margin: bool = True) -> None:
     if schur_margin:
         sp.add_argument(
             "--schur-margin", default=SCHUR_MARGIN, metavar="X",
-            type=_flag(lambda text: SynthesisOptions(
-                schur_margin=float(text)).schur_margin),
+            type=_flag(_schur_margin),
             help="stability margin on the unit circle, in [0, 1) "
                  f"(default {SCHUR_MARGIN:g})")
 
@@ -230,6 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_check(args) -> int:
+    from .existcheck import exists_uio, format_report
+    from .plant import load_model
+    from .synth import SynthesisOptions
+
     model = load_model(args.from_model)
     options = SynthesisOptions(tol=args.tol, schur_margin=args.schur_margin)
     report = exists_uio(model, options)
@@ -238,12 +226,17 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_design(args) -> int:
+    from .plant import load_model, save_uio, uio_to_dict
+    from .synth import SynthesisOptions, design_from_data, design_from_model
+
     options = SynthesisOptions(gain=args.gain, poles=args.poles, tol=args.tol,
                                schur_margin=args.schur_margin)
     if args.from_model is not None:
         model = load_model(args.from_model)
         uio, diag = design_from_model(model, options)
     else:
+        from .datalog import build_blocks, excitation_report, load_trajectory
+
         blocks = build_blocks(load_trajectory(args.from_data), args.dims)
         excitation = excitation_report(blocks, args.tol)
         print(excitation.message)
@@ -264,6 +257,10 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_collect(args) -> int:
+    from .datalog import (build_blocks, collect, excitation_report,
+                          render_trajectory, save_trajectory)
+    from .plant import load_model
+
     model = load_model(args.from_model)
     data = collect(model, args.T, **_draws(args))
     excitation = excitation_report(build_blocks(data), args.tol)
@@ -278,6 +275,10 @@ def _cmd_collect(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .plant import load_model, load_uio
+    from .simlab import (check_error_recursion, convergence_stats,
+                         exact_observer_init, run, save_trace)
+
     model = load_model(args.from_model)
     uio = load_uio(args.uio)
     trace = run(model, uio, args.T, **_draws(args))
@@ -310,6 +311,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_demo(args) -> int:
+    from .demo import run_demo
+    from .simlab import save_trace
+
     report = run_demo(gain=args.gain, seed=args.seed, T=args.T)
     print(report.render())
     if args.out:

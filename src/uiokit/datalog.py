@@ -30,18 +30,29 @@ defined once, by the writer; the reader accepts exactly the headers the
 writer produces.  The reader checks the file's structure; a non-finite
 sample is refused by `HistoricalData` itself, which every trajectory goes
 through, whether it is read, collected or built by hand.
+
+The reader parses the header with the csv module and the body with numpy's
+C reader (`np.loadtxt`), which is faster than a csv pass over it.  Its
+result is defined by the csv module and ``float()``: a body the C reader
+refuses or could read otherwise (a quoted field, ``1_0``, a blank or
+all-comma line, a field padded with an ASCII separator, any non-ASCII
+character) goes through a csv pass, which reads it or names the row at
+fault.  Either way a file loads to the arrays of the csv pass, bit for bit,
+or fails with its TrajectoryFormatError text, and no numpy warning escapes.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .numkit import DEFAULT_TOL, RankTolerance, rank
-from .plant import StateSpaceModel, _frozen, _simulate
+from .plant import (StateSpaceModel, _frozen, _require_finite_entries,
+                    _simulate)
 
 __all__ = [
     "Uniform",
@@ -117,18 +128,6 @@ def _resolve_vector(value, width: int, rng: np.random.Generator,
         raise ValueError(f"{what} must have length {width}, got {arr.shape}")
     _require_finite_entries(arr, what, "entry {}")
     return arr.copy()
-
-
-def _require_finite_entries(arr, what: str, where: str) -> None:
-    """ValueError naming ``what`` and, by ``where`` filled with its indices,
-    the first non-finite entry of ``arr``."""
-    arr = np.asarray(arr, dtype=float)
-    bad = ~np.isfinite(arr)
-    if bad.any():
-        at = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise ValueError(
-            f"{what}: {where.format(*at)} is not finite ({float(arr[at])!r})"
-        )
 
 
 @dataclass(frozen=True)
@@ -392,28 +391,59 @@ def _split_header(fields: list[str]) -> tuple[int, int, int, int | None]:
     return n, m, p, r or None
 
 
-def load_trajectory(path) -> HistoricalData:
-    """Parse a trajectory file; raises TrajectoryFormatError on any defect."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row and any(f.strip() for f in row)]
+def _filled(row: list[str]) -> bool:
+    """Whether a csv row holds anything but blank fields (blank rows are
+    skipped)."""
+    return any(f.strip() for f in row)
+
+
+#: ASCII separators that str.isspace, and so numpy's reader, strips from a
+#: field, but float() refuses: a body holding one goes through the csv pass.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
+def _parse_fast(body: str, width: int) -> np.ndarray | None:
+    """The body as numpy's C reader parses it, or None where the csv pass
+    must decide: the body is not ASCII, the C reader refuses it or would
+    warn on it, or it finds another width or t not ascending from 0.
+
+    Where it returns an array, the csv pass returns the same one: both skip
+    only blank lines here and split the same lines at the same commas, and
+    both convert a field to the same correctly rounded double.  The C reader
+    refuses a field that holds a quote, '#' or an underscore.  Non-ASCII
+    digits and spaces, which float() reads, never get here, and the body
+    goes in as bytes, a quarter of the memory of a StringIO of it.
+    """
+    if (not body.isascii() or not body.strip()
+            or any(c in body for c in _SEPARATORS)):
+        return None
+    try:
+        vals = np.loadtxt(io.BytesIO(body.encode("ascii")), delimiter=",",
+                          comments=None, ndmin=2, encoding="ascii")
+    except ValueError:
+        return None
+    if vals.shape[1] != width or (vals[:, 0] != np.arange(len(vals))).any():
+        return None
+    return vals
+
+
+def _parse_rows(body: str, width: int) -> np.ndarray:
+    """The body as the csv module splits it and float() converts it,
+    field by field; TrajectoryFormatError names the first row at fault."""
+    rows = [row for row in csv.reader(io.StringIO(body, newline=""))
+            if _filled(row)]
     if not rows:
-        raise TrajectoryFormatError("empty trajectory file")
-    n, m, p, r = _split_header(rows[0])
-    width = 1 + n + m + p + (r or 0)
-    body = rows[1:]
-    if not body:
         raise TrajectoryFormatError("no data rows")
-    for t, row in enumerate(body):
+    for t, row in enumerate(rows):
         if len(row) != width:
             raise TrajectoryFormatError(
                 f"row {t}: expected {width} fields, got {len(row)}"
             )
     # One conversion for the whole body; it parses each field as float() does.
     try:
-        vals = np.array(body, dtype=float)
+        vals = np.array(rows, dtype=float)
     except ValueError:
-        for t, row in enumerate(body):
+        for t, row in enumerate(rows):
             try:
                 np.array(row, dtype=float)
             except ValueError as exc:
@@ -421,12 +451,33 @@ def load_trajectory(path) -> HistoricalData:
                     f"row {t}: non-numeric field"
                 ) from exc
         raise
-    bad_t = np.flatnonzero(vals[:, 0] != np.arange(len(body)))
+    bad_t = np.flatnonzero(vals[:, 0] != np.arange(len(rows)))
     if bad_t.size:
         t = int(bad_t[0])
         raise TrajectoryFormatError(
-            f"row {t}: t must ascend from 0, got {body[t][0]!r}"
+            f"row {t}: t must ascend from 0, got {rows[t][0]!r}"
         )
+    return vals
+
+
+def load_trajectory(path) -> HistoricalData:
+    """Parse a trajectory file; raises TrajectoryFormatError on any defect.
+
+    The csv module reads the header, up to the first row that is not blank.
+    numpy's C reader parses the body (`_parse_fast`); a body it cannot take
+    as the csv pass would goes through that pass (`_parse_rows`), which reads
+    it or names the row at fault.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header = next(filter(_filled, csv.reader(fh)), None)
+        body = fh.read()
+    if header is None:
+        raise TrajectoryFormatError("empty trajectory file")
+    n, m, p, r = _split_header(header)
+    width = 1 + n + m + p + (r or 0)
+    vals = _parse_fast(body, width)
+    if vals is None:
+        vals = _parse_rows(body, width)
     # The constructor's copies keep each block contiguous and let the
     # parsed body go.
     x, u, y, d = np.split(vals[:, 1:], [n, n + m, n + m + p], axis=1)

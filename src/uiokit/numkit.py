@@ -42,9 +42,11 @@ __all__ = [
     "SCHUR_MARGIN",
     "SpectrumReport",
     "NumericalFailure",
+    "NoUio",
     "NotDetectable",
     "NotObservable",
     "PlacementFailed",
+    "RepeatedPole",
     "rank",
     "left_null_basis",
     "spectrum",
@@ -92,6 +94,25 @@ class NumericalFailure(RuntimeError):
     """A numerical routine could not certify its own result."""
 
 
+class NoUio(Exception):
+    """The pipeline certifies that no unknown-input observer exists.
+
+    It is defined here, beside `NumericalFailure`, so that a caller can
+    catch both refusals without loading the design modules; `synth`, which
+    raises it, re-exports it.
+
+    Attributes:
+        cause: one of `synth.VF_RANK_DEFICIENT`, `synth.NOT_DETECTABLE`.
+        evidence: the offending ranks / eigenvalues.
+    """
+
+    def __init__(self, cause: str, detail: str, evidence: dict | None = None):
+        super().__init__(f"{cause}: {detail}")
+        self.cause = cause
+        self.detail = detail
+        self.evidence = dict(evidence or {})
+
+
 class NotDetectable(ValueError):
     """(Abar, Cbar) has unstable modes invisible from Cbar, listed in ``modes``."""
 
@@ -110,6 +131,19 @@ class NotObservable(ValueError):
 
 class PlacementFailed(NumericalFailure):
     """Pole placement could not produce a verified gain."""
+
+
+class RepeatedPole(PlacementFailed):
+    """``pole`` of the closed loop named ``loop`` is requested ``count``
+    times, more than the ``rank`` = rank(Cbar) >= 2 eigenvectors it can
+    have."""
+
+    def __init__(self, pole, count: int, rank: int,
+                 loop: str = "Abar + L @ Cbar"):
+        super().__init__(
+            f"pole {pole:.6g} of {loop} is requested {count} times; a pole "
+            f"has at most rank(Cbar) = {rank} eigenvectors")
+        self.pole, self.count, self.rank = pole, count, rank
 
 
 @dataclass(frozen=True)
@@ -576,8 +610,8 @@ def place_poles(Abar, Cbar, poles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         NotObservable: if (Abar, Cbar) has unobservable modes, listed in
             ``exc.modes``.
         ValueError: if ``poles`` is not conjugation-closed or has wrong size.
-        PlacementFailed: if a pole repeats more than rank(Cbar) >= 2 times,
-            or the gain fails verification.
+        RepeatedPole: if a pole repeats more than rank(Cbar) >= 2 times.
+        PlacementFailed: if the gain fails verification.
     """
     Abar = _as_2d(Abar)
     Cbar = _as_2d(Cbar)
@@ -620,10 +654,7 @@ def place_poles(Abar, Cbar, poles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     k = _rank_from_singular_values(s, Cbar.T.shape, DEFAULT_TOL)
     values, counts = np.unique(poles, return_counts=True)
     if counts.max() > k >= 2:
-        raise PlacementFailed(
-            f"pole {values[counts.argmax()]:.6g} of Abar + L @ Cbar is requested "
-            f"{counts.max()} times; a pole has at most rank(Cbar) = {k} "
-            "eigenvectors")
+        raise RepeatedPole(values[counts.argmax()], int(counts.max()), k)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
             H = (_ackermann(Abar, U[:, 0], coeffs)[:, None] if counts.max() > k

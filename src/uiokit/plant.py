@@ -35,9 +35,10 @@ Its construction refuses non-finite entries and inconsistent shapes in the
 same way, and `_require_same_dims` is the one check that an observer fits
 a model.
 
-Model and observer files are JSON matrix documents with one reader and one
-loader here; everything else a file must satisfy is checked by the type it
-builds, whose ValueError the format wraps in its own error class.
+Model and observer files, the two JSON matrix formats, are read, written
+and checked here, with one reader and one loader; everything else a file
+must satisfy is checked by the type it builds, whose ValueError the format
+wraps in its own error class.
 """
 
 from __future__ import annotations
@@ -60,11 +61,20 @@ __all__ = [
     "model_from_dict",
     "save_model",
     "load_model",
+    "UioFormatError",
+    "uio_to_dict",
+    "uio_from_dict",
+    "save_uio",
+    "load_uio",
 ]
 
 
 class ModelFormatError(ValueError):
     """A model file could not be parsed into a valid model."""
+
+
+class UioFormatError(ValueError):
+    """An observer file could not be parsed."""
 
 
 _MODEL_KEYS = ("A", "B", "C", "D", "E", "F")
@@ -260,6 +270,18 @@ def _require_finite(what: str, *signals: np.ndarray) -> None:
         )
 
 
+def _require_finite_entries(arr, what: str, where: str) -> None:
+    """ValueError naming ``what`` and, by ``where`` filled with its indices,
+    the first non-finite entry of ``arr``."""
+    arr = np.asarray(arr, dtype=float)
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        at = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(
+            f"{what}: {where.format(*at)} is not finite ({float(arr[at])!r})"
+        )
+
+
 def _simulate(model: StateSpaceModel, x0: np.ndarray, u: np.ndarray,
               d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Time-major states and outputs driven by input u and disturbance d.
@@ -322,7 +344,7 @@ def consistency_matrix(model: StateSpaceModel) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Model files: JSON with row-major arrays-of-arrays.
+# Model and observer files: JSON with row-major arrays-of-arrays.
 
 
 def model_to_dict(model: StateSpaceModel) -> dict:
@@ -393,3 +415,46 @@ def save_model(path, model: StateSpaceModel) -> None:
 def load_model(path) -> StateSpaceModel:
     """Parse a model JSON file; raises ModelFormatError on any defect."""
     return model_from_dict(_load_json(path, ModelFormatError))
+
+
+def uio_to_dict(uio: UioRealization, diagnostics=None) -> dict:
+    """The JSON document of an observer, with the `synth.SynthesisDiagnostics`
+    ``diagnostics`` echoed under "diagnostics" when given."""
+    doc: dict = {key: getattr(uio, key).tolist() for key in _UIO_KEYS}
+    if diagnostics is not None:
+        doc["diagnostics"] = {
+            "gain": diagnostics.gain,
+            "eigenvalues": [
+                [float(ev.real), float(ev.imag)]
+                for ev in diagnostics.spectrum.eigenvalues
+            ],
+            "spectral_radius": float(diagnostics.spectrum.spectral_radius),
+            "schur": bool(diagnostics.spectrum.is_schur),
+            "residuals": {k: float(v) for k, v in diagnostics.residuals.items()},
+        }
+    return doc
+
+
+def uio_from_dict(doc: dict) -> UioRealization:
+    """Build an observer from a parsed JSON document.
+
+    `_matrix_fields` checks the document's structure, and `UioRealization`
+    its content (finite entries, consistent shapes); its refusal becomes a
+    UioFormatError.
+    """
+    mats = _matrix_fields(doc, _UIO_KEYS, "observer", UioFormatError)
+    try:
+        return UioRealization(**mats)
+    except ValueError as exc:
+        raise UioFormatError(str(exc)) from None
+
+
+def save_uio(path, uio: UioRealization, diagnostics=None) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(uio_to_dict(uio, diagnostics), fh, indent=2)
+        fh.write("\n")
+
+
+def load_uio(path) -> UioRealization:
+    """Parse an observer JSON file; raises UioFormatError on any defect."""
+    return uio_from_dict(_load_json(path, UioFormatError))

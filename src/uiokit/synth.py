@@ -51,19 +51,19 @@ spectrum the gain stage verified, so no eigenvalue problem is solved twice.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .datalog import _require_finite_entries, excitation_report
 from .numkit import (
     DEFAULT_TOL,
     SCHUR_MARGIN,
+    NoUio,
     NotDetectable,
     NotObservable,
     NumericalFailure,
     RankTolerance,
+    RepeatedPole,
     SpectrumReport,
     _left_null_svd,
     _rank_from_singular_values,
@@ -74,8 +74,11 @@ from .numkit import (
     spectrum,
     stabilizing_gain,
 )
-from .plant import (_UIO_KEYS, StateSpaceModel, UioRealization, _load_json,
-                    _matrix_fields, _require_same_dims)
+# NoUio (from numkit) and the observer file format (from plant) are
+# re-exported, so `synth.NoUio` and `synth.load_uio` keep their names.
+from .plant import (StateSpaceModel, UioFormatError, UioRealization,
+                    _require_finite_entries, _require_same_dims, load_uio,
+                    save_uio, uio_from_dict, uio_to_dict)
 
 __all__ = [
     "NoUio",
@@ -103,25 +106,6 @@ __all__ = [
 #: NoUio cause tags.
 VF_RANK_DEFICIENT = "VfRankDeficient"
 NOT_DETECTABLE = "NotDetectable"
-
-
-class NoUio(Exception):
-    """The pipeline certifies that no unknown-input observer exists.
-
-    Attributes:
-        cause: one of VF_RANK_DEFICIENT, NOT_DETECTABLE.
-        evidence: the offending ranks / eigenvalues.
-    """
-
-    def __init__(self, cause: str, detail: str, evidence: dict | None = None):
-        super().__init__(f"{cause}: {detail}")
-        self.cause = cause
-        self.detail = detail
-        self.evidence = dict(evidence or {})
-
-
-class UioFormatError(ValueError):
-    """An observer file could not be parsed."""
 
 
 @dataclass(frozen=True)
@@ -354,6 +338,8 @@ def synthesize(
             has fewer than n singular values above the cutoff.
         ValueError: from `numkit.place_poles`, for a pole multiset of the
             wrong size or one that is not closed under conjugation.
+        RepeatedPole: for a requested A_uio pole that repeats more than
+            rank(C_bar) >= 2 times; it names that pole, as requested.
         NotObservable / PlacementFailed / NumericalFailure: propagated from
             the gain stage (NotObservable when every unobservable mode is
             stable).
@@ -387,6 +373,12 @@ def synthesize(
             # place the negated set so the request is what comes out.
             L, loop, closed = place_poles(
                 A_bar, C_bar, -np.asarray(opt.poles, dtype=complex))
+    except RepeatedPole as exc:
+        # Name the pole of A_uio = -(A_bar + L C_bar) that the caller asked
+        # for, not the negated one placed.
+        pole = 0j - exc.pole
+        raise RepeatedPole(pole.real if pole.imag == 0 else pole, exc.count,
+                           exc.rank, "A_uio") from None
     except (NotDetectable, NotObservable) as exc:
         # Stable unobservable modes alone do not rule an observer out, but
         # no gain moves them, so the NotObservable of `place_poles` stands.
@@ -478,6 +470,9 @@ def design_from_data(
         NoUio / NotObservable / PlacementFailed / ValueError: as
             `synthesize`.
     """
+    # Only the data route needs datalog; the model route never loads it.
+    from .datalog import excitation_report
+
     opt = options or SynthesisOptions()
     excitation = excitation_report(blocks, opt.tol)
     if not excitation.ok:
@@ -583,49 +578,3 @@ def _failures(acc: AcceptorReport, spec_report: SpectrumReport) -> list[str]:
             f"A_uio is not Schur: spectral radius {spec_report.spectral_radius:.6g}"
         )
     return failures
-
-
-# --------------------------------------------------------------------------
-# Observer files: JSON, read like model files by `plant`'s one reader.
-
-
-def uio_to_dict(uio: UioRealization, diagnostics: SynthesisDiagnostics | None = None) -> dict:
-    doc: dict = {key: getattr(uio, key).tolist() for key in _UIO_KEYS}
-    if diagnostics is not None:
-        doc["diagnostics"] = {
-            "gain": diagnostics.gain,
-            "eigenvalues": [
-                [float(ev.real), float(ev.imag)]
-                for ev in diagnostics.spectrum.eigenvalues
-            ],
-            "spectral_radius": float(diagnostics.spectrum.spectral_radius),
-            "schur": bool(diagnostics.spectrum.is_schur),
-            "residuals": {k: float(v) for k, v in diagnostics.residuals.items()},
-        }
-    return doc
-
-
-def uio_from_dict(doc: dict) -> UioRealization:
-    """Build an observer from a parsed JSON document.
-
-    `plant`'s matrix-document reader checks the document's structure, and
-    `UioRealization` its content (finite entries, consistent shapes); its
-    refusal becomes a UioFormatError.
-    """
-    mats = _matrix_fields(doc, _UIO_KEYS, "observer", UioFormatError)
-    try:
-        return UioRealization(**mats)
-    except ValueError as exc:
-        raise UioFormatError(str(exc)) from None
-
-
-def save_uio(path, uio: UioRealization,
-             diagnostics: SynthesisDiagnostics | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(uio_to_dict(uio, diagnostics), fh, indent=2)
-        fh.write("\n")
-
-
-def load_uio(path) -> UioRealization:
-    """Parse an observer JSON file; raises UioFormatError on any defect."""
-    return uio_from_dict(_load_json(path, UioFormatError))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import uiokit
-from uiokit import cli, demo
+from uiokit import cli, demo, simlab
 from uiokit.cli import CliError, main
 from uiokit.datalog import TrajectoryFormatError, load_trajectory
 from uiokit.demo import (
@@ -264,6 +264,19 @@ def test_design_place_requires_poles(model_file, capsys):
     assert main(["design", "--from-model", model_file,
                  "--gain", "place"]) == 4
     assert 'gain "place" needs a pole multiset' in capsys.readouterr().err
+
+
+def test_design_place_names_the_repeated_pole_as_requested(tmp_path,
+                                                          model_file, capsys):
+    # rank(C_bar) = 2 for the bundled model, so a triple pole is refused,
+    # by the A_uio pole the request names, not by its negation.
+    out = tmp_path / "uio.json"
+    assert main(["design", "--from-model", model_file, "--gain", "place",
+                 "--poles", "0.5,0.5,0.5", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err == ("numerical failure: pole 0.5 of A_uio is requested 3 "
+                   "times; a pole has at most rank(Cbar) = 2 eigenvectors\n")
+    assert not out.exists()
 
 
 def test_design_riccati_refuses_poles(tmp_path, model_file, capsys):
@@ -572,7 +585,7 @@ def test_out_of_memory_exits_4(model_file, uio_file, monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 7.28 TiB for an array")
 
-    monkeypatch.setattr(cli, "run", exhausted)
+    monkeypatch.setattr(simlab, "run", exhausted)
     capsys.readouterr()
     assert main(["simulate", "--from-model", model_file, "--uio", uio_file,
                  "--T", "1000000000000"]) == 4
@@ -702,41 +715,55 @@ def test_cli_import_leaves_scipy_optimize_unloaded(model_file, tmp_path):
     assert err.strip().splitlines()[-1] == "0 False"
 
 
-def _scipy_modules_after(code, env):
-    """Sorted scipy modules loaded by a fresh interpreter running ``code``."""
-    probe = (code + "\nimport sys; print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] == 'scipy'), file=sys.stderr)")
+def _modules_after(code, env):
+    """The scipy modules and the uiokit modules, each sorted, that a fresh
+    interpreter running ``code`` has loaded."""
+    probe = (code + "\nimport json, sys; print(json.dumps(sorted(m for m in "
+             "sys.modules if m.split('.')[0] in ('scipy', 'uiokit'))), "
+             "file=sys.stderr)")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    return done.stderr.strip().splitlines()[-1]
+    loaded = json.loads(done.stderr.strip().splitlines()[-1])
+    return ([m for m in loaded if m.split(".")[0] == "scipy"],
+            [m for m in loaded if m.split(".")[0] == "uiokit"])
 
 
-@pytest.mark.parametrize("argv", [
-    None,
-    ["check", "--from-model", "{model}"],
-    ["design", "--from-model", "{model}", "--out", "{dir}/riccati.json"],
-    ["design", "--from-model", "{model}", "--gain", "place",
-     "--poles", "0,0,0.5", "--out", "{dir}/place.json"],
-    ["collect", "--from-model", "{model}", "--T", "11", "--seed", "0",
-     "--out", "{dir}/fresh.csv"],
-    ["design", "--from-data", "{data}", "--dims", "3,1,2",
-     "--out", "{dir}/data.json"],
-    ["simulate", "--from-model", "{model}", "--uio", "{uio}", "--T", "12",
-     "--exact-init", "--out", "{dir}/trace.csv"],
-    ["demo-paper", "--gain", "place"],
+#: The modules each subcommand runs, which are all it may load.
+_MODEL_DESIGN = ["numkit", "plant", "synth"]
+_ALL = ["numkit", "plant", "datalog", "synth", "existcheck", "simlab", "demo"]
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (None, None),
+    (["check", "--from-model", "{model}"], _MODEL_DESIGN + ["existcheck"]),
+    (["design", "--from-model", "{model}", "--out", "{dir}/riccati.json"],
+     _MODEL_DESIGN),
+    (["design", "--from-model", "{model}", "--gain", "place",
+      "--poles", "0,0,0.5", "--out", "{dir}/place.json"], _MODEL_DESIGN),
+    (["collect", "--from-model", "{model}", "--T", "11", "--seed", "0",
+      "--out", "{dir}/fresh.csv"], ["numkit", "plant", "datalog"]),
+    (["design", "--from-data", "{data}", "--dims", "3,1,2",
+      "--out", "{dir}/data.json"], _MODEL_DESIGN + ["datalog"]),
+    (["simulate", "--from-model", "{model}", "--uio", "{uio}", "--T", "12",
+      "--exact-init", "--out", "{dir}/trace.csv"],
+     ["numkit", "plant", "datalog", "simlab"]),
+    (["demo-paper", "--gain", "place"], _ALL),
 ], ids=["import", "check", "design-riccati", "design-place", "collect",
         "design-data", "simulate", "demo-paper"])
-def test_cli_runs_without_loading_scipy(argv, model_file, uio_file, tmp_path):
+def test_cli_runs_without_loading_scipy(argv, loads, model_file, uio_file,
+                                        tmp_path):
     # numpy is the only runtime dependency: neither `import uiokit` nor any
     # subcommand may load a scipy module (scipy is a test-only oracle).
+    # Every call pays for the modules it imports, so `import uiokit` loads
+    # no submodule and a subcommand loads only the modules it runs.
     src = str(Path(uiokit.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
     if argv is None:
-        assert _scipy_modules_after("import uiokit", env) == "[]"
+        assert _modules_after("import uiokit", env) == ([], ["uiokit"])
         return
     data = tmp_path / "data.csv"
     assert main(["collect", "--from-model", model_file, "--T", "11",
@@ -744,4 +771,6 @@ def test_cli_runs_without_loading_scipy(argv, model_file, uio_file, tmp_path):
     argv = [a.format(model=model_file, uio=uio_file, data=data, dir=tmp_path)
             for a in argv]
     code = f"from uiokit.cli import main; assert main({argv!r}) == 0"
-    assert _scipy_modules_after(code, env) == "[]"
+    expected = sorted(["uiokit", "uiokit.cli"]
+                      + [f"uiokit.{name}" for name in loads])
+    assert _modules_after(code, env) == ([], expected)

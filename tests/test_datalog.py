@@ -1,8 +1,12 @@
 """Trajectory recording, past/future blocks, excitation checks, files."""
 
 import csv
+import importlib
 import io
+import warnings
+import zlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +23,14 @@ from uiokit.datalog import (
     render_trajectory,
     save_trajectory,
 )
+from uiokit.datalog import _parse_fast, _split_header
+from uiokit.demo import convergence_model
 from uiokit.numkit import left_null_basis, rank
 from uiokit.plant import consistency_matrix, step
+
+from test_cli_fuzz import CSV_MUTATIONS, _mutate_csv
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _bundled_run(model, T=11, seed=0):
@@ -353,6 +363,218 @@ def test_load_reports_the_row_of_a_non_numeric_cell(tmp_path):
     path = _write(tmp_path, "t,x_1,u_1,y_1\n0,0,0,0\n1,0,0,0\n2,0,x,0\n")
     with pytest.raises(TrajectoryFormatError, match="row 2: non-numeric"):
         load_trajectory(path)
+
+
+# ---------------------------------------------- reader against the csv pass
+
+
+def _csv_load_trajectory(path) -> HistoricalData:
+    """The reader that parsed the whole file with the csv module, kept as
+    the oracle of `load_trajectory`: the same arrays, bit for bit, or a
+    TrajectoryFormatError with the same text."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        rows = [row for row in reader if row and any(f.strip() for f in row)]
+    if not rows:
+        raise TrajectoryFormatError("empty trajectory file")
+    n, m, p, r = _split_header(rows[0])
+    width = 1 + n + m + p + (r or 0)
+    body = rows[1:]
+    if not body:
+        raise TrajectoryFormatError("no data rows")
+    for t, row in enumerate(body):
+        if len(row) != width:
+            raise TrajectoryFormatError(
+                f"row {t}: expected {width} fields, got {len(row)}"
+            )
+    try:
+        vals = np.array(body, dtype=float)
+    except ValueError:
+        for t, row in enumerate(body):
+            try:
+                np.array(row, dtype=float)
+            except ValueError as exc:
+                raise TrajectoryFormatError(
+                    f"row {t}: non-numeric field"
+                ) from exc
+        raise
+    bad_t = np.flatnonzero(vals[:, 0] != np.arange(len(body)))
+    if bad_t.size:
+        t = int(bad_t[0])
+        raise TrajectoryFormatError(
+            f"row {t}: t must ascend from 0, got {body[t][0]!r}"
+        )
+    x, u, y, d = np.split(vals[:, 1:], [n, n + m, n + m + p], axis=1)
+    try:
+        return HistoricalData(x=x, u=u, y=y, d=d if r is not None else None)
+    except ValueError as exc:
+        raise TrajectoryFormatError(str(exc)) from None
+
+
+def _outcome(reader, path):
+    """The bytes and shape of every signal ``reader`` loads from ``path``,
+    or the text of its TrajectoryFormatError; any warning is an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            data = reader(path)
+        except TrajectoryFormatError as exc:
+            return str(exc)
+    return [None if a is None else (a.shape, a.tobytes())
+            for a in (data.x, data.u, data.y, data.d)]
+
+
+def _assert_readers_agree(path):
+    expected = _outcome(_csv_load_trajectory, path)
+    assert _outcome(load_trajectory, path) == expected, Path(path).read_text()
+    return expected
+
+
+def _pick(rng, seq):
+    return seq[int(rng.integers(len(seq)))]
+
+
+def _field_edit(edit):
+    """A mutation that applies ``edit(field, rng)`` to one random field of
+    one random row, header included."""
+    def mutate(lines, rng):
+        t = int(rng.integers(len(lines)))
+        fields = lines[t].split(",")
+        col = int(rng.integers(len(fields)))
+        fields[col] = edit(fields[col], rng)
+        lines[t] = ",".join(fields)
+        return "\n".join(lines) + "\n"
+    return mutate
+
+
+def _line_insert(make):
+    """A mutation that inserts the line ``make(rng)`` at a random place."""
+    def mutate(lines, rng):
+        lines.insert(int(rng.integers(len(lines) + 1)), make(rng))
+        return "\n".join(lines) + "\n"
+    return mutate
+
+
+def _underscore(text, rng):
+    # Between two digits, where float() accepts an underscore.
+    spots = [i for i in range(1, len(text))
+             if text[i - 1].isdigit() and text[i].isdigit()]
+    if not spots:
+        return text + "_0"
+    i = _pick(rng, spots)
+    return text[:i] + "_" + text[i:]
+
+
+def _drop_row(lines, rng):
+    del lines[int(rng.integers(1, len(lines)))]
+    return "\n".join(lines) + "\n"
+
+
+def _short_row(lines, rng):
+    t = int(rng.integers(1, len(lines)))
+    lines[t] = lines[t].rsplit(",", 1)[0]
+    return "\n".join(lines) + "\n"
+
+
+#: Characters a hand-edited or foreign file may hold: line breaks and
+#: whitespace that the csv module and numpy's reader may treat differently,
+#: quotes, comment marks, underscores, non-ASCII digits and number text.
+_NOISE = (" ", "\t", "\r", "\n", "\r\n", ",", '"', "#", "_", "\x0b", "\x0c",
+          "\x1c", "\x1f", "\x85", "\u2028", "\u3000", "\x00", "\ufeff",
+          "\u0661", "e", "+", "-", ".", "0", "7", "nan", "inf")
+
+
+def _noise(lines, rng):
+    text = "\n".join(lines) + "\n"
+    for _ in range(int(rng.integers(1, 4))):
+        i = int(rng.integers(len(text) + 1))
+        text = text[:i] + _pick(rng, _NOISE) + text[i:]
+    return text
+
+
+#: name -> (draws, mutation of the lines of a trajectory file).
+_MUTATIONS = {
+    "comment-line": (4, _line_insert(lambda rng: "# recorded on the bench")),
+    "quoted-field": (6, _field_edit(lambda f, rng: f'"{f}"')),
+    "crlf": (1, lambda lines, rng: "\r\n".join(lines) + "\r\n"),
+    "padded": (6, _field_edit(
+        lambda f, rng: _pick(rng, (" ", "\t", "  ")) + f
+        + _pick(rng, ("", " ", "\t")))),
+    "underscore": (6, _field_edit(_underscore)),
+    "blank-line": (4, _line_insert(lambda rng: _pick(rng, ("", "   ", "\t")))),
+    "all-comma-line": (4, _line_insert(lambda rng: "," * int(rng.integers(8)))),
+    "short-row": (4, _short_row),
+    "non-numeric": (4, _field_edit(lambda f, rng: "abc")),
+    "gap-in-t": (4, _drop_row),
+    "header-only": (1, lambda lines, rng: lines[0] + "\n"),
+    "nan": (4, _field_edit(lambda f, rng: _pick(rng, ("nan", "-inf", "1e400")))),
+    "separator": (4, _field_edit(lambda f, rng: f + "\x1c")),
+    "noise": (150, _noise),
+}
+
+
+def _mutation_cases():
+    for name, (draws, _) in _MUTATIONS.items():
+        for draw in range(draws):
+            yield name, draw
+
+
+@pytest.mark.parametrize("recorded", [True, False],
+                         ids=["with-d", "without-d"])
+def test_reader_matches_the_csv_pass_on_malformed_files(tmp_path, ref_model,
+                                                        recorded):
+    data = _bundled_run(ref_model, T=6)
+    if not recorded:
+        data = HistoricalData(x=data.x, u=data.u, y=data.y)
+    lines = render_trajectory(data).splitlines()
+    outcomes = set()
+    for name, draw in _mutation_cases():
+        rng = np.random.default_rng([20261019, zlib.crc32(name.encode()), draw])
+        path = tmp_path / f"{name}-{draw}.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(_MUTATIONS[name][1](list(lines), rng))
+        outcome = _assert_readers_agree(path)
+        outcomes.add(outcome if isinstance(outcome, str) else "loaded")
+    # The cases reach the load and every kind of refusal.
+    assert "loaded" in outcomes
+    for text in ("no data rows", "expected", "non-numeric field",
+                 "must ascend", "non-finite sample", "unexpected column"):
+        assert any(text in outcome for outcome in outcomes), text
+
+
+@pytest.mark.parametrize("mutation", CSV_MUTATIONS)
+def test_reader_matches_the_csv_pass_on_the_cli_fuzz_files(tmp_path,
+                                                           ref_model,
+                                                           mutation):
+    text = render_trajectory(_bundled_run(ref_model, T=12))
+    for draw in range(4):
+        rng = np.random.default_rng([20261019, zlib.crc32(mutation.encode()),
+                                     draw])
+        path = _write(tmp_path, _mutate_csv(text, mutation, rng))
+        _assert_readers_agree(path)
+
+
+def test_reader_matches_the_csv_pass_on_the_benchmark_corpus(tmp_path,
+                                                             monkeypatch):
+    # The 120 trajectories of perfbench's data-corpus workload, written as
+    # it writes them, and the 5000-sample file of its cli-session.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    runs = []
+    for n, seed in workloads.DataCorpus().cases:
+        m, p, r = workloads.corpus_dims(n)
+        model = workloads.corpus_model(n, m, p, r, seed=seed)
+        runs.append((model, 3 * (n + 2 * m + 2 * r), seed))
+    runs.append((convergence_model(), 5000, 0))
+    path = tmp_path / "run.csv"
+    for model, T, seed in runs:
+        data = _bundled_run(model, T=T, seed=seed)
+        save_trajectory(path, data)
+        assert _assert_readers_agree(path) == _outcome(lambda _: data, path)
+        # Every file the writer writes takes numpy's reader.
+        body = path.read_text(encoding="utf-8").split("\n", 1)[1]
+        width = 1 + sum(a.shape[1] for a in (data.x, data.u, data.y, data.d))
+        assert _parse_fast(body, width) is not None
 
 
 def test_uniform_rejects_inverted_range():

@@ -12,7 +12,11 @@ The JSON written to ``--out`` holds, per workload and end-to-end metric of
 BENCHMARK.json: each side's runs, median and quartiles (inclusive method),
 the number of pairs the change wins (ties count for neither side) and the
 direction that counts as better; and for the whole file the seeds, the
-order of each pair, the two revisions and the benchmark's environment line.
+order of each pair, the two revisions, the benchmark's environment line and
+the value of PYTHONDONTWRITEBYTECODE (null when unset) that the runs
+inherited.  That variable decides whether each fresh interpreter compiles
+the package from source or reads cached bytecode, which moves ``setup_s``
+and each ``cli-session`` call by tens of milliseconds.
 
 Usage, from the root of a checkout:
 
@@ -25,6 +29,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import re
 import statistics
 import subprocess
@@ -125,6 +130,7 @@ def main(argv=None) -> int:
         "first": ["parent" if i % 2 == 0 else "change"
                   for i in range(args.pairs)],
         "environment": re.sub(r", workload seed \d+$", "", environment),
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "workloads": compare(runs["parent"], runs["change"], better),
     }
     (ROOT / args.out).write_text(json.dumps(doc, indent=1) + "\n",
