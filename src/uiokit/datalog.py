@@ -31,21 +31,21 @@ writer produces.  The reader checks the file's structure; a non-finite
 sample is refused by `HistoricalData` itself, which every trajectory goes
 through, whether it is read, collected or built by hand.
 
-The reader parses the header with the csv module and the body with numpy's
-C reader (`np.loadtxt`), which is faster than a csv pass over it.  Its
-result is defined by the csv module and ``float()``: a body the C reader
-refuses or could read otherwise (a quoted field, ``1_0``, a blank or
-all-comma line, a field padded with an ASCII separator, any non-ASCII
-character) goes through a csv pass, which reads it or names the row at
-fault.  Either way a file loads to the arrays of the csv pass, bit for bit,
-or fails with its TrajectoryFormatError text, and no numpy warning escapes.
+The reader has one path: the header is the first line that is not blank,
+split at its commas, and numpy's C reader (`np.loadtxt`) parses the rest of
+the file in one pass.  It accepts what the writer writes, plus ASCII
+whitespace around a field, CRLF line ends and blank lines (nothing between
+two line breaks).  A quoted field, an underscore in a number, a non-ASCII
+character, and a line of commas or of whitespace alone are refused.  Every
+refusal is a TrajectoryFormatError that names the data row at fault,
+counted from 0 with blank lines skipped, and no numpy warning escapes.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
+import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -391,93 +391,57 @@ def _split_header(fields: list[str]) -> tuple[int, int, int, int | None]:
     return n, m, p, r or None
 
 
-def _filled(row: list[str]) -> bool:
-    """Whether a csv row holds anything but blank fields (blank rows are
-    skipped)."""
-    return any(f.strip() for f in row)
+def _body_fault(message: str, width: int) -> TrajectoryFormatError:
+    """The refusal of a body whose parse numpy's reader stopped with
+    ``message``, naming the data row it stopped at.
 
-
-#: ASCII separators that str.isspace, and so numpy's reader, strips from a
-#: field, but float() refuses: a body holding one goes through the csv pass.
-_SEPARATORS = "\x1c\x1d\x1e\x1f"
-
-
-def _parse_fast(body: str, width: int) -> np.ndarray | None:
-    """The body as numpy's C reader parses it, or None where the csv pass
-    must decide: the body is not ASCII, the C reader refuses it or would
-    warn on it, or it finds another width or t not ascending from 0.
-
-    Where it returns an array, the csv pass returns the same one: both skip
-    only blank lines here and split the same lines at the same commas, and
-    both convert a field to the same correctly rounded double.  The C reader
-    refuses a field that holds a quote, '#' or an underscore.  Non-ASCII
-    digits and spaces, which float() reads, never get here, and the body
-    goes in as bytes, a quarter of the memory of a StringIO of it.
+    numpy counts rows from 1 in its column-count message and from 0 in its
+    conversion message, blank lines skipped in both.  A changed column
+    count is blamed on row 0 when row 0 has the wrong width.
     """
-    if (not body.isascii() or not body.strip()
-            or any(c in body for c in _SEPARATORS)):
-        return None
-    try:
-        vals = np.loadtxt(io.BytesIO(body.encode("ascii")), delimiter=",",
-                          comments=None, ndmin=2, encoding="ascii")
-    except ValueError:
-        return None
-    if vals.shape[1] != width or (vals[:, 0] != np.arange(len(vals))).any():
-        return None
-    return vals
-
-
-def _parse_rows(body: str, width: int) -> np.ndarray:
-    """The body as the csv module splits it and float() converts it,
-    field by field; TrajectoryFormatError names the first row at fault."""
-    rows = [row for row in csv.reader(io.StringIO(body, newline=""))
-            if _filled(row)]
-    if not rows:
-        raise TrajectoryFormatError("no data rows")
-    for t, row in enumerate(rows):
-        if len(row) != width:
-            raise TrajectoryFormatError(
-                f"row {t}: expected {width} fields, got {len(row)}"
-            )
-    # One conversion for the whole body; it parses each field as float() does.
-    try:
-        vals = np.array(rows, dtype=float)
-    except ValueError:
-        for t, row in enumerate(rows):
-            try:
-                np.array(row, dtype=float)
-            except ValueError as exc:
-                raise TrajectoryFormatError(
-                    f"row {t}: non-numeric field"
-                ) from exc
-        raise
-    bad_t = np.flatnonzero(vals[:, 0] != np.arange(len(rows)))
-    if bad_t.size:
-        t = int(bad_t[0])
-        raise TrajectoryFormatError(
-            f"row {t}: t must ascend from 0, got {rows[t][0]!r}"
-        )
-    return vals
+    changed = re.search(r"changed from (\d+) to (\d+) at row (\d+)", message)
+    if changed:
+        first, got, row = map(int, changed.groups())
+        t, got = (0, first) if first != width else (row - 1, got)
+        return TrajectoryFormatError(
+            f"row {t}: expected {width} fields, got {got}")
+    field = re.search(r"at row (\d+), column \d+\.$", message)
+    if field:
+        return TrajectoryFormatError(f"row {field[1]}: non-numeric field")
+    return TrajectoryFormatError(message)
 
 
 def load_trajectory(path) -> HistoricalData:
     """Parse a trajectory file; raises TrajectoryFormatError on any defect.
 
-    The csv module reads the header, up to the first row that is not blank.
-    numpy's C reader parses the body (`_parse_fast`); a body it cannot take
-    as the csv pass would goes through that pass (`_parse_rows`), which reads
-    it or names the row at fault.
+    The header is the first line that is not blank; `np.loadtxt` parses the
+    rest of the file once, and `_body_fault` turns its refusal into one
+    that names the data row.  A non-ASCII byte reads as U+FFFD, which no
+    header name or number holds, so a file with one is refused.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = next(filter(_filled, csv.reader(fh)), None)
-        body = fh.read()
-    if header is None:
-        raise TrajectoryFormatError("empty trajectory file")
-    n, m, p, r = _split_header(header)
-    width = 1 + n + m + p + (r or 0)
-    vals = _parse_fast(body, width)
-    if vals is None:
-        vals = _parse_rows(body, width)
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        header = next((line for line in fh if line != "\n"), None)
+        if header is None:
+            raise TrajectoryFormatError("empty trajectory file")
+        n, m, p, r = _split_header(header.rstrip("\n").split(","))
+        width = 1 + n + m + p + (r or 0)
+        try:
+            with warnings.catch_warnings():
+                # loadtxt warns on an empty body, refused below.
+                warnings.simplefilter("ignore")
+                vals = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise _body_fault(str(exc), width) from None
+    if not len(vals):
+        raise TrajectoryFormatError("no data rows")
+    if vals.shape[1] != width:
+        raise TrajectoryFormatError(
+            f"row 0: expected {width} fields, got {vals.shape[1]}")
+    bad_t = np.flatnonzero(vals[:, 0] != np.arange(len(vals)))
+    if bad_t.size:
+        t = int(bad_t[0])
+        raise TrajectoryFormatError(
+            f"row {t}: t must ascend from 0, got {vals[t, 0]:g}")
     # The constructor's copies keep each block contiguous and let the
     # parsed body go.
     x, u, y, d = np.split(vals[:, 1:], [n, n + m, n + m + p], axis=1)

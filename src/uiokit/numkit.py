@@ -341,8 +341,8 @@ def invariant_zeros(A, E, C, F) -> tuple[np.ndarray, int]:
     are therefore the eigenvalues of K_x^-1 [A, E] K, which is similar to
     A - E F^-1 C.  Solving with K_x costs a factor cond(K_x) in accuracy,
     relative to ||K_x^-1 [A, E] K|| <= ||[A, E]|| / sigma_min(K_x).  With
-    r = 0, K is square and orthogonal and this is an orthogonal similarity
-    of the reduced A.
+    r = 0 there is nothing to deflate: the zeros are the eigenvalues of the
+    reduced A, with no SVD of the empty [C, F] and no solve.
 
     Raises:
         NumericalFailure: if the pencil has a non-finite entry, or if that
@@ -378,15 +378,15 @@ def invariant_zeros(A, E, C, F) -> tuple[np.ndarray, int]:
     rows = F.shape[0]
     if rows < r:
         return np.zeros(0, dtype=complex), rows
-    # F is now square and invertible, so the pencil has r infinite zeros.
+    # With r = 0 the zeros are the eigenvalues of the reduced A.  Otherwise
+    # F is square and invertible, so the pencil has r infinite zeros.
     # Deflate them: on the kernel K of [C, F] it reduces to
     # z * K_x - [A, E] @ K, where K_x, the state rows of K, is invertible.
-    V, _ = _range_basis(np.hstack([C, F]).T, cut)
-    K = V[:, rows:]
     try:
-        zeros = np.linalg.eigvals(
-            np.linalg.solve(K[:A.shape[0]], np.hstack([A, E]) @ K)
-        )
+        if r:
+            K = _range_basis(np.hstack([C, F]).T, cut)[0][:, rows:]
+            A = np.linalg.solve(K[:A.shape[0]], np.hstack([A, E]) @ K)
+        zeros = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"invariant zeros failed: {exc}") from exc
     if not np.isfinite(zeros).all():

@@ -402,6 +402,27 @@ def test_design_from_data_with_non_finite_sample_exits_4(
     assert "SVD did not converge" not in err
 
 
+@pytest.mark.parametrize("where, field", [
+    ("header", "d_" + "1" * 140000),
+    ("numeric", "9" * 140000),
+    ("text", "z" * 140000),
+], ids=["header", "numeric", "text"])
+def test_design_from_data_with_a_long_field_exits_4(tmp_path, model_file,
+                                                    where, field, capsys):
+    # A field longer than the csv module's limit of 131072 characters: in
+    # the header, one that overflows to inf, and one that is no number.
+    traj = tmp_path / "traj.csv"
+    assert main(["collect", "--from-model", model_file, "--T", "3",
+                 "--out", str(traj)]) == 0
+    lines = traj.read_text(encoding="utf-8").splitlines()
+    row = 0 if where == "header" else 2
+    lines[row] = ",".join(lines[row].split(",")[:-1] + [field])
+    traj.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["design", "--from-data", str(traj)]) == 4
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_design_rejects_model_and_data_together(model_file, capsys):
     rc = main(["design", "--from-model", model_file, "--from-data", "x.csv"])
     assert rc == 4

@@ -3,6 +3,9 @@
 import csv
 import importlib
 import io
+import os
+import subprocess
+import sys
 import warnings
 import zlib
 from dataclasses import replace
@@ -23,7 +26,7 @@ from uiokit.datalog import (
     render_trajectory,
     save_trajectory,
 )
-from uiokit.datalog import _parse_fast, _split_header
+from uiokit.datalog import _split_header
 from uiokit.demo import convergence_model
 from uiokit.numkit import left_null_basis, rank
 from uiokit.plant import consistency_matrix, step
@@ -365,69 +368,37 @@ def test_load_reports_the_row_of_a_non_numeric_cell(tmp_path):
         load_trajectory(path)
 
 
-# ---------------------------------------------- reader against the csv pass
+# ------------------------------------------------- the reader's contract
 
 
-def _csv_load_trajectory(path) -> HistoricalData:
-    """The reader that parsed the whole file with the csv module, kept as
-    the oracle of `load_trajectory`: the same arrays, bit for bit, or a
-    TrajectoryFormatError with the same text."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row and any(f.strip() for f in row)]
-    if not rows:
-        raise TrajectoryFormatError("empty trajectory file")
-    n, m, p, r = _split_header(rows[0])
-    width = 1 + n + m + p + (r or 0)
-    body = rows[1:]
-    if not body:
-        raise TrajectoryFormatError("no data rows")
-    for t, row in enumerate(body):
-        if len(row) != width:
-            raise TrajectoryFormatError(
-                f"row {t}: expected {width} fields, got {len(row)}"
-            )
-    try:
-        vals = np.array(body, dtype=float)
-    except ValueError:
-        for t, row in enumerate(body):
-            try:
-                np.array(row, dtype=float)
-            except ValueError as exc:
-                raise TrajectoryFormatError(
-                    f"row {t}: non-numeric field"
-                ) from exc
-        raise
-    bad_t = np.flatnonzero(vals[:, 0] != np.arange(len(body)))
-    if bad_t.size:
-        t = int(bad_t[0])
-        raise TrajectoryFormatError(
-            f"row {t}: t must ascend from 0, got {body[t][0]!r}"
-        )
-    x, u, y, d = np.split(vals[:, 1:], [n, n + m, n + m + p], axis=1)
-    try:
-        return HistoricalData(x=x, u=u, y=y, d=d if r is not None else None)
-    except ValueError as exc:
-        raise TrajectoryFormatError(str(exc)) from None
+def _plain_split(text):
+    """The signals of a trajectory text as a plain line split reads it:
+    empty lines dropped, each line split at its commas, each field read by
+    float(field.strip())."""
+    header, *rows = [line.split(",") for line in text.split("\n") if line]
+    # float() reads these, but a file holding one is refused.
+    assert text.isascii() and "_" not in "".join(map("".join, rows))
+    vals = np.array([[float(f.strip()) for f in row] for row in rows])
+    n, m, p, r = _split_header(header)
+    blocks = np.split(vals[:, 1:], [n, n + m, n + m + p], axis=1)
+    return blocks if r is not None else blocks[:3]
 
 
-def _outcome(reader, path):
-    """The bytes and shape of every signal ``reader`` loads from ``path``,
-    or the text of its TrajectoryFormatError; any warning is an error."""
+def _load_or_refusal(path):
+    """The word "loaded" when `load_trajectory` returns the arrays of the
+    plain split, bit for bit; the text of its TrajectoryFormatError
+    otherwise.  Any other exception or any warning fails the test."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            data = reader(path)
+            data = load_trajectory(path)
         except TrajectoryFormatError as exc:
             return str(exc)
-    return [None if a is None else (a.shape, a.tobytes())
-            for a in (data.x, data.u, data.y, data.d)]
-
-
-def _assert_readers_agree(path):
-    expected = _outcome(_csv_load_trajectory, path)
-    assert _outcome(load_trajectory, path) == expected, Path(path).read_text()
-    return expected
+    loaded = [a for a in (data.x, data.u, data.y, data.d) if a is not None]
+    expected = _plain_split(Path(path).read_text(encoding="utf-8"))
+    assert ([(a.shape, a.tobytes()) for a in loaded]
+            == [(a.shape, a.tobytes()) for a in expected])
+    return "loaded"
 
 
 def _pick(rng, seq):
@@ -477,8 +448,8 @@ def _short_row(lines, rng):
 
 
 #: Characters a hand-edited or foreign file may hold: line breaks and
-#: whitespace that the csv module and numpy's reader may treat differently,
-#: quotes, comment marks, underscores, non-ASCII digits and number text.
+#: whitespace, quotes, comment marks, underscores, non-ASCII digits and
+#: spaces, and number text.
 _NOISE = (" ", "\t", "\r", "\n", "\r\n", ",", '"', "#", "_", "\x0b", "\x0c",
           "\x1c", "\x1f", "\x85", "\u2028", "\u3000", "\x00", "\ufeff",
           "\u0661", "e", "+", "-", ".", "0", "7", "nan", "inf")
@@ -513,49 +484,94 @@ _MUTATIONS = {
 }
 
 
-def _mutation_cases():
-    for name, (draws, _) in _MUTATIONS.items():
+def _mutated_files(ref_model, recorded):
+    """The trajectory texts of every `_MUTATIONS` draw (T = 6) and four
+    draws of each cli fuzz mutation (T = 12)."""
+    def render(T):
+        data = _bundled_run(ref_model, T=T)
+        if not recorded:
+            data = HistoricalData(x=data.x, u=data.u, y=data.y)
+        return render_trajectory(data)
+
+    lines = render(6).splitlines()
+    for name, (draws, mutate) in _MUTATIONS.items():
         for draw in range(draws):
-            yield name, draw
+            rng = np.random.default_rng([20261019, zlib.crc32(name.encode()),
+                                         draw])
+            yield mutate(list(lines), rng)
+    text = render(12)
+    for mutation in CSV_MUTATIONS:
+        for draw in range(4):
+            rng = np.random.default_rng([20261019,
+                                         zlib.crc32(mutation.encode()), draw])
+            yield _mutate_csv(text, mutation, rng)
 
 
 @pytest.mark.parametrize("recorded", [True, False],
                          ids=["with-d", "without-d"])
-def test_reader_matches_the_csv_pass_on_malformed_files(tmp_path, ref_model,
-                                                        recorded):
-    data = _bundled_run(ref_model, T=6)
-    if not recorded:
-        data = HistoricalData(x=data.x, u=data.u, y=data.y)
-    lines = render_trajectory(data).splitlines()
+def test_reader_loads_the_plain_split_or_refuses(tmp_path, ref_model,
+                                                 recorded):
     outcomes = set()
-    for name, draw in _mutation_cases():
-        rng = np.random.default_rng([20261019, zlib.crc32(name.encode()), draw])
-        path = tmp_path / f"{name}-{draw}.csv"
+    for i, text in enumerate(_mutated_files(ref_model, recorded)):
+        path = tmp_path / f"{i}.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(_MUTATIONS[name][1](list(lines), rng))
-        outcome = _assert_readers_agree(path)
-        outcomes.add(outcome if isinstance(outcome, str) else "loaded")
+            fh.write(text)
+        outcomes.add(_load_or_refusal(path))
     # The cases reach the load and every kind of refusal.
     assert "loaded" in outcomes
-    for text in ("no data rows", "expected", "non-numeric field",
-                 "must ascend", "non-finite sample", "unexpected column"):
+    for text in ("empty trajectory file", "no data rows", "expected",
+                 "non-numeric field", "must ascend", "non-finite sample",
+                 "unexpected column"):
         assert any(text in outcome for outcome in outcomes), text
 
 
-@pytest.mark.parametrize("mutation", CSV_MUTATIONS)
-def test_reader_matches_the_csv_pass_on_the_cli_fuzz_files(tmp_path,
-                                                           ref_model,
-                                                           mutation):
-    text = render_trajectory(_bundled_run(ref_model, T=12))
-    for draw in range(4):
-        rng = np.random.default_rng([20261019, zlib.crc32(mutation.encode()),
-                                     draw])
-        path = _write(tmp_path, _mutate_csv(text, mutation, rng))
-        _assert_readers_agree(path)
+@pytest.mark.parametrize("text", [
+    "t,x_1,u_1,y_1\n0, 1 ,\t2,3\x0b\n1,4,5,6\n",
+    "t,x_1,u_1,y_1\r\n0,1,2,3\r\n1,4,5,6\r\n",
+    "\n\nt,x_1,u_1,y_1\n\n0,1,2,3\n\n\n1,4,5,6",
+], ids=["padding", "crlf", "blank-lines"])
+def test_load_accepts_padding_crlf_and_blank_lines(tmp_path, text):
+    path = tmp_path / "run.csv"
+    path.write_bytes(text.encode("ascii"))
+    data = load_trajectory(path)
+    assert data.x.tolist() == [[1.0], [4.0]] and data.y.tolist() == [[3.0], [6.0]]
 
 
-def test_reader_matches_the_csv_pass_on_the_benchmark_corpus(tmp_path,
-                                                             monkeypatch):
+@pytest.mark.parametrize("row, refusal", [
+    ('1,"4",5,6', "row 1: non-numeric field"),
+    ("1,4_0,5,6", "row 1: non-numeric field"),
+    ("1,\u0664,5,6", "row 1: non-numeric field"),
+    ("1,4\u3000,5,6", "row 1: non-numeric field"),
+    (",,,", "row 1: non-numeric field"),
+    ("   ", "row 1: expected 4 fields, got 1"),
+], ids=["quoted", "underscore", "arabic-digit", "ideographic-space",
+        "all-comma", "spaces-only"])
+def test_load_refuses_what_no_writer_writes(tmp_path, row, refusal):
+    path = _write(tmp_path, f"t,x_1,u_1,y_1\n0,1,2,3\n{row}\n2,4,5,6\n")
+    with pytest.raises(TrajectoryFormatError) as err:
+        load_trajectory(path)
+    assert str(err.value) == refusal
+
+
+#: A field longer than the csv module's limit of 131072 characters.
+LONG_FIELD = {
+    "header": ("t,x_1,u_1,y_" + "1" * 140000,
+               "unexpected column 'y_111"),
+    "numeric": ("t,x_1,u_1,y_1\n0,1,2,3\n1,4,5," + "9" * 140000,
+                "row 1, column 'y_1': non-finite sample inf"),
+    "text": ("t,x_1,u_1,y_1\n0,1,2,3\n1,4,5," + "z" * 140000,
+             "row 1: non-numeric field"),
+}
+
+
+@pytest.mark.parametrize("where", LONG_FIELD)
+def test_load_refuses_a_long_field(tmp_path, where):
+    text, refusal = LONG_FIELD[where]
+    with pytest.raises(TrajectoryFormatError, match=refusal):
+        load_trajectory(_write(tmp_path, text + "\n"))
+
+
+def test_every_benchmark_trajectory_loads_bit_for_bit(tmp_path, monkeypatch):
     # The 120 trajectories of perfbench's data-corpus workload, written as
     # it writes them, and the 5000-sample file of its cli-session.
     monkeypatch.syspath_prepend(str(PERFBENCH))
@@ -570,11 +586,24 @@ def test_reader_matches_the_csv_pass_on_the_benchmark_corpus(tmp_path,
     for model, T, seed in runs:
         data = _bundled_run(model, T=T, seed=seed)
         save_trajectory(path, data)
-        assert _assert_readers_agree(path) == _outcome(lambda _: data, path)
-        # Every file the writer writes takes numpy's reader.
-        body = path.read_text(encoding="utf-8").split("\n", 1)[1]
-        width = 1 + sum(a.shape[1] for a in (data.x, data.u, data.y, data.d))
-        assert _parse_fast(body, width) is not None
+        loaded = load_trajectory(path)
+        for a, b in zip((data.x, data.u, data.y, data.d),
+                        (loaded.x, loaded.u, loaded.y, loaded.d)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_import_leaves_the_csv_module_unloaded():
+    # The reader is numpy's alone; the csv module is not imported for it.
+    src = str(Path(importlib.import_module("uiokit").__file__).resolve()
+              .parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    code = "import sys, uiokit.datalog; print('csv' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_uniform_rejects_inverted_range():
