@@ -571,9 +571,90 @@ def test_load_refuses_a_long_field(tmp_path, where):
         load_trajectory(_write(tmp_path, text + "\n"))
 
 
-def test_every_benchmark_trajectory_loads_bit_for_bit(tmp_path, monkeypatch):
+# ------------------------------------------ reader against the csv pass
+
+
+def _csv_load_trajectory(path) -> HistoricalData:
+    """The former reader, which parsed the whole file with the csv module.
+    On every file a writer writes, and on the cli fuzz mutations of one,
+    `load_trajectory` gives the same arrays, bit for bit, or a
+    TrajectoryFormatError with the same text.  Hand-edited variants this
+    pass read (quoted fields, ``1_0``, non-ASCII text) are now refused."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        rows = [row for row in reader if row and any(f.strip() for f in row)]
+    if not rows:
+        raise TrajectoryFormatError("empty trajectory file")
+    n, m, p, r = _split_header(rows[0])
+    width = 1 + n + m + p + (r or 0)
+    body = rows[1:]
+    if not body:
+        raise TrajectoryFormatError("no data rows")
+    for t, row in enumerate(body):
+        if len(row) != width:
+            raise TrajectoryFormatError(
+                f"row {t}: expected {width} fields, got {len(row)}"
+            )
+    try:
+        vals = np.array(body, dtype=float)
+    except ValueError:
+        for t, row in enumerate(body):
+            try:
+                np.array(row, dtype=float)
+            except ValueError as exc:
+                raise TrajectoryFormatError(
+                    f"row {t}: non-numeric field"
+                ) from exc
+        raise
+    bad_t = np.flatnonzero(vals[:, 0] != np.arange(len(body)))
+    if bad_t.size:
+        t = int(bad_t[0])
+        raise TrajectoryFormatError(
+            f"row {t}: t must ascend from 0, got {body[t][0]!r}"
+        )
+    x, u, y, d = np.split(vals[:, 1:], [n, n + m, n + m + p], axis=1)
+    try:
+        return HistoricalData(x=x, u=u, y=y, d=d if r is not None else None)
+    except ValueError as exc:
+        raise TrajectoryFormatError(str(exc)) from None
+
+
+def _outcome(reader, path):
+    """The bytes and shape of every signal ``reader`` loads from ``path``,
+    or the text of its TrajectoryFormatError; any warning is an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            data = reader(path)
+        except TrajectoryFormatError as exc:
+            return str(exc)
+    return [None if a is None else (a.shape, a.tobytes())
+            for a in (data.x, data.u, data.y, data.d)]
+
+
+def _assert_readers_agree(path):
+    expected = _outcome(_csv_load_trajectory, path)
+    assert _outcome(load_trajectory, path) == expected, Path(path).read_text()
+    return expected
+
+
+@pytest.mark.parametrize("mutation", CSV_MUTATIONS)
+def test_reader_matches_the_csv_pass_on_the_cli_fuzz_files(tmp_path,
+                                                           ref_model,
+                                                           mutation):
+    text = render_trajectory(_bundled_run(ref_model, T=12))
+    for draw in range(4):
+        rng = np.random.default_rng([20261019, zlib.crc32(mutation.encode()),
+                                     draw])
+        path = _write(tmp_path, _mutate_csv(text, mutation, rng))
+        _assert_readers_agree(path)
+
+
+def test_reader_matches_the_csv_pass_on_the_benchmark_corpus(tmp_path,
+                                                             monkeypatch):
     # The 120 trajectories of perfbench's data-corpus workload, written as
-    # it writes them, and the 5000-sample file of its cli-session.
+    # it writes them, and the 5000-sample file of its cli-session: each
+    # loads bit for bit, as the csv pass loads it.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
     runs = []
@@ -586,10 +667,7 @@ def test_every_benchmark_trajectory_loads_bit_for_bit(tmp_path, monkeypatch):
     for model, T, seed in runs:
         data = _bundled_run(model, T=T, seed=seed)
         save_trajectory(path, data)
-        loaded = load_trajectory(path)
-        for a, b in zip((data.x, data.u, data.y, data.d),
-                        (loaded.x, loaded.u, loaded.y, loaded.d)):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert _assert_readers_agree(path) == _outcome(lambda _: data, path)
 
 
 def test_import_leaves_the_csv_module_unloaded():
