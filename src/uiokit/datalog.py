@@ -24,8 +24,10 @@ fails too; `synth.design_from_data` refuses data that fails either check.
 
 File format: delimited text with header ``t,x_1..x_n,u_1..u_m,y_1..y_p``
 plus optional ``d_1..d_r`` columns, one row per sample, t ascending from 0,
-values printed as shortest round-trip decimals (``repr`` of the float), so
-loading a file gives back the recorded samples bit for bit.  The header is
+values printed as shortest round-trip decimals, so loading a file gives
+back the recorded samples bit for bit.  The writer makes them with a
+vectorized Schubfach printer in numpy, byte-identical to ``repr`` of each
+float, and streams the file in chunks of about 2000 values.  The header is
 defined once, by the writer; the reader accepts exactly the headers the
 writer produces.  The reader checks the file's structure; a non-finite
 sample is refused by `HistoricalData` itself, which every trajectory goes
@@ -43,6 +45,7 @@ counted from 0 with blank lines skipped, and no numpy warning escapes.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import warnings
@@ -326,26 +329,322 @@ def excitation_report(
 
 # --------------------------------------------------------------------------
 # Trajectory files.
+#
+# The writer prints every value as its shortest round-trip decimal, byte
+# for byte what ``repr`` prints, with a vectorized Schubfach printer
+# (R. Giulietti, "The Schubfach way to render doubles", 2020, whose integer
+# steps Java's DoubleToDecimal implements).  CPython makes ``repr``'s digits
+# with big-integer arithmetic, one value at a time; Schubfach gets the same
+# digits from three 126 x 60-bit products with no loop, so numpy runs it on
+# a few thousand values at once.  Each value is laid out in a 48-byte cell
+# of six little-endian uint64 words, and the NUL bytes the cell leaves
+# unused are deleted when the chunk is written:
+#
+#   bytes 0-5    the sign, then "0.000" cut to the zeros that 0.0ddd needs
+#   bytes 6-39   digit p at byte 6 + 2p (p = 0..16), each followed by a
+#                byte that holds the decimal point when it follows digit p
+#   bytes 40-44  the exponent, "e+dd" or "e-ddd"
+#   byte 45      the separator, "," or a line break
+#
+# With the value written 0.ddd x 10^decpt, ``repr`` uses exponent form when
+# decpt < -3 or decpt > 16, and otherwise prints the point in place, with
+# ".0" after a whole number.
 
-def _render_rows(header: list[str], blocks) -> str:
-    """CSV text: the header, then one line per sample t holding t and row t
-    of the time-major ``blocks`` side by side.
+_U = np.uint64
+_M32 = _U(2 ** 32 - 1)
+_M63 = _U(2 ** 63 - 1)
+_POW10 = np.array([10 ** i for i in range(18)], dtype=np.uint64)
+#: Values per chunk: numpy's cost per call is spread over this many values,
+#: and the printer's temporaries, about 200 bytes a value, stay small.
+_CHUNK_VALUES = 2048
+#: The decimal point positions of finite doubles: 5e-324 is 0.5e-323 and
+#: 1.8e308 is 0.18e309.
+_DECPT_MIN, _DECPT_MAX = -323, 309
+#: Layout shapes: 0-19 fixed form with the point at -3..16, 20 and 21
+#: exponent form with one digit or more, 21 + w an integer of w digits.
+_INT_SHAPE = 21
 
-    Values are written with ``repr``: the shortest decimal string that parses
-    back to the identical float.  The file is the data of record for the
-    synthesis route, and the kernel computation is only meaningful when
-    reading a file back reproduces the recorded samples bit for bit; 12-digit
-    rounding would lift the trailing singular values of the block matrix and
-    destroy its rank structure.  No field needs CSV quoting, so the text
-    equals what ``csv.writer`` writes.  Rows go through ``tolist()`` one at
-    a time: the whole matrix as Python floats would take four times its
-    memory.
+
+@functools.cache
+def _printer_tables():
+    """The printer's read-only tables, `_power_limbs`, `_pair_words` and
+    `_layouts`, built from Python ints and strings on the first write."""
+    limbs, pairs, layouts = _power_limbs(), _pair_words(), _layouts()
+    for table in (limbs, *pairs, *layouts):
+        table.flags.writeable = False
+    return limbs, pairs, layouts
+
+
+def _words(text: str) -> np.ndarray:
+    """The little-endian uint64 words of an ASCII string of 8n chars."""
+    return np.frombuffer(text.encode("ascii"), dtype="<u8")
+
+
+def _power_limbs() -> np.ndarray:
+    """Rows g0 mod 2^32, g0 >> 32, g1 mod 2^32, g1 >> 32: the 32-bit limbs
+    of Schubfach's g = floor(10^-k 2^(125 - floor(log2 10^-k))) + 1
+    = g1 2^63 + g0, for k = -324..292."""
+    powers = [1]
+    for _ in range(324):
+        powers.append(10 * powers[-1])
+    limbs = []
+    for k in range(-324, 293):
+        shift = 125 - ((-k * 913124641741) >> 38)
+        if k > 0:
+            g = (1 << shift) // powers[k] + 1
+        else:
+            g = (powers[-k] << shift if shift >= 0
+                 else powers[-k] >> -shift) + 1
+        g = (g >> 63) << 64 | g & (2 ** 63 - 1)
+        limbs.append(g.to_bytes(16, "little"))
+    return (np.frombuffer(b"".join(limbs), dtype="<u4").reshape(-1, 4).T
+            .astype(np.uint64))
+
+
+def _pair_words() -> tuple[np.ndarray, np.ndarray]:
+    """Cell words of two digits, each followed by a free byte, as the first
+    pair of a word (bytes 0-3) and as the second (bytes 4-7): the pairs
+    00..99, then the same with trailing zeros deleted; then, in the first
+    table, the leading digits 0..9 at byte 6, the 0 deleted; then zero
+    words."""
+    pairs = [f"{p:02d}" for p in range(100)]
+    spread = ["\0".join(t.ljust(2, "\0")) + "\0"
+              for t in pairs + [p.rstrip("0") for p in pairs]]
+    lead = ["\0" * 8] + ["\0" * 6 + str(d) + "\0" for d in range(1, 10)]
+    first = "".join(t + "\0" * 4 for t in spread) + "".join(lead) + "\0" * 8
+    second = "".join("\0" * 4 + t for t in spread) + "\0" * 88
+    return _words(first), _words(second)
+
+
+def _layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(shape of each layout code, cells of each shape, exponent words).
+
+    A value's layout code is 2 (decpt - _DECPT_MIN) + (more than one digit):
+    its decimal point position, and whether exponent form prints a point.
+    A shape's cell, six words (rows), holds all but the digits, the sign
+    and the exponent, which word 5 takes from the exponent words."""
+    cells = []
+    for shape in range(_INT_SHAPE + 18):
+        cell = bytearray(48)
+        if shape < 4:  # 0.ddd to 0.000ddd: the point at 0..-3
+            cell[1:6 - shape] = b"0." + b"0" * (3 - shape)
+        elif shape < 20:  # the point after digit 1..16, and a digit past it
+            point = shape - 3
+            cell[6:8 + 2 * point:2] = b"0" * (point + 1)
+            cell[5 + 2 * point] = ord(".")
+        elif shape == 21:  # d.ddde+dd
+            cell[7] = ord(".")
+        elif shape > _INT_SHAPE:
+            width = shape - _INT_SHAPE
+            cell[6:6 + 2 * width:2] = b"0" * width
+        cell[45] = ord(",")
+        cells.append(cell.decode("ascii"))
+    shape_of, exponents = [], []
+    for decpt in range(_DECPT_MIN, _DECPT_MAX + 1):
+        if -3 <= decpt <= 16:
+            shape_of += [decpt + 3] * 2
+            exponents.append("\0" * 8)
+        else:
+            shape_of += [20, 21]
+            e = f"{decpt - 1:+04d}"
+            hundreds = e[1] if e[1] != "0" else "\0"
+            exponents.append("e" + e[0] + hundreds + e[2:] + "\0" * 3)
+    return (np.array(shape_of, dtype=np.intp),
+            _words("".join(cells)).reshape(-1, 6).T.copy(),
+            _words("".join(exponents)))
+
+
+def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shortest decimals D * 10^k of the positive finite doubles with bit
+    patterns ``bits``, as uint64 D of at most 17 digits and int64 k.
+
+    Of the shortest decimals that read back as the value, D is the closest
+    to it, and the even one of two as close: the digits ``repr`` prints.
+    The steps are Java's DoubleToDecimal, with c 2^q the value and
+    vb, vbl, vbr the value and the ends of its rounding interval in units
+    of 10^k / 4, each rounded to odd.  One rule differs: Java prints at
+    least two digits, while ``repr`` drops to one digit whenever one is
+    enough, so the one-digit-shorter candidates are tried for every value
+    (which also renders 5e-324 and 1e-323 with no rescaling).
     """
-    lines = [",".join(header)]
-    for t, row in enumerate(np.hstack(blocks)):
-        lines.append(",".join([str(t), *map(repr, row.tolist())]))
-    lines.append("")
-    return "\n".join(lines)
+    (g0_lo, g0_hi, g1_lo, g1_hi), _, _ = _printer_tables()
+    bq = (bits >> _U(52)) & _U(0x7FF)
+    c = bits & _U(2 ** 52 - 1)
+    del bits
+    irregular = (c == 0) & (bq > 1)
+    c |= (bq != 0) * _U(2 ** 52)
+    q = np.maximum(bq, 1).astype(np.int64) - 1075
+    del bq
+    # k = floor(log10(2^q)), or floor(log10(3/4 2^q)) on the irregular
+    # spacing below a power of two.
+    k = (q * 661971961083 - irregular * 274743187321) >> 41
+    # cp = (4c - 2 + irregular, 4c, 4c + 2) << h with
+    # h = q + floor(log2 10^-k) + 2.
+    cp = np.empty((3, c.size), dtype=np.uint64)
+    np.left_shift(c, _U(2), out=cp[1])
+    np.add(cp[1], _U(2), out=cp[2])
+    np.subtract(cp[1], _U(2), out=cp[0])
+    cp[0] += irregular
+    del irregular
+    q += ((-k * 913124641741) >> 38) + 2
+    cp <<= q.astype(np.uint64)
+    del q
+    i = k + 324
+    g0_lo, g0_hi, g1_lo, g1_hi = g0_lo[i], g0_hi[i], g1_lo[i], g1_hi[i]
+    del i
+    # rop(g cp 2^-127): with (hi, y0) = g1 cp and x1 = (g0 cp) >> 64,
+    # z = (y0 >> 1) + x1 and the result is (hi + z >> 63) | (z mod 2^63 != 0).
+    # Each 64 x 64-bit product is four 32 x 32-bit ones, and the limbs of
+    # cp make way for the products once they are used.
+    b1 = cp >> _U(32)
+    b0 = cp
+    b0 &= _M32
+    x1 = g0_lo * b0
+    x1 >>= _U(32)
+    tmp = g0_lo * b1
+    x1 += tmp
+    np.multiply(g0_hi, b0, out=tmp)
+    x1 += tmp
+    x1 >>= _U(32)
+    np.multiply(g0_hi, b1, out=tmp)
+    x1 += tmp
+    del g0_lo, g0_hi
+    mid = g1_hi * b0
+    lo = b0
+    lo *= g1_lo
+    np.multiply(g1_lo, b1, out=tmp)
+    mid += tmp
+    np.right_shift(lo, _U(32), out=tmp)
+    mid += tmp
+    hi = b1
+    hi *= g1_hi
+    np.right_shift(mid, _U(32), out=tmp)
+    hi += tmp
+    mid <<= _U(32)
+    lo &= _M32
+    mid |= lo
+    mid >>= _U(1)
+    mid += x1
+    np.right_shift(mid, _U(63), out=tmp)
+    hi += tmp
+    mid &= _M63
+    mid += _M63
+    mid >>= _U(63)
+    hi |= mid
+    del g1_lo, g1_hi, b0, cp, lo, x1, mid, tmp
+    vbl, vb, vbr = hi
+    # The interval is closed when c is even.  s 10^k and (s + 1) 10^k bracket
+    # the value, and so do sp10 10^k and (sp10 + 10) 10^k one digit shorter.
+    c &= _U(1)
+    vbl += c
+    vbr -= c
+    s = vb >> _U(2)
+    sp10 = s // _U(10) * _U(10)
+    upin = vbl <= sp10 << _U(2)
+    wpin = (sp10 << _U(2)) + _U(40) <= vbr
+    uin = vbl <= s << _U(2)
+    win = (s << _U(2)) + _U(4) <= vbr
+    up = win & (~uin | (((vb & _U(3)) + (s & _U(1))) > 2))
+    return np.where(upin ^ wpin, sp10 + wpin * _U(10), s + up), k
+
+
+def _pair_indices(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(idx, more) of 17-digit decimals D: idx[h, w] picks pair h of cell
+    word w from `_pair_words` table h, word 0 holding the leading digit and
+    words 1-4 the other sixteen, two pairs a word; more: whether a digit
+    after the leading one is not 0.  A pair is printed without its trailing
+    zeros when every pair after it is 0."""
+    idx = np.empty((2, 5, D.size), dtype=np.intp)
+    lead = D // _U(10 ** 16)
+    idx[0, 0] = lead
+    idx[0, 0] += 200
+    idx[1, 0] = 210
+    rest = D - lead * _U(10 ** 16)
+    more = rest != 0
+    upper = rest // _U(10 ** 8)
+    quads = []
+    for half in (upper, rest - upper * _U(10 ** 8)):
+        top = half // _U(10 ** 4)
+        quads += [top, half - top * _U(10 ** 4)]
+    for word, quad in enumerate(quads, start=1):
+        pair = quad // _U(100)
+        idx[0, word] = pair
+        idx[1, word] = quad - pair * _U(100)
+    # Pair j sits at idx[j % 2, 1 + j // 2]; tail: pairs j + 1..7 are 0.
+    zero = idx[:, 1:5] == 0
+    tail = zero[1, 3]
+    idx[1, 4] += 100
+    for j in range(6, -1, -1):
+        idx[j % 2, 1 + j // 2] += tail * 100
+        tail = tail & zero[j % 2, j // 2]
+    return idx, more
+
+
+def _render_chunk(rows: np.ndarray) -> bytes:
+    """CSV lines of the finite float64 matrix ``rows``, whose column 0,
+    the sample index t < 10^16, is written as an integer."""
+    _, (first, second), (shape_of, shapes, exponents) = _printer_tables()
+    width = rows.shape[1]
+    bits = rows.reshape(-1).view(np.uint64)
+    # A zero goes through as 1.0 and comes out with no digits and the point
+    # after digit 1, which the layout pads to "0.0".
+    zero = (bits << _U(1)) == 0
+    D, k = _shortest(np.where(zero, _U(0x3FF0000000000000), bits & _M63))
+    ndig = np.searchsorted(_POW10, D, side="right")
+    decpt = k + ndig
+    decpt[zero] = 1
+    D *= _POW10[17 - ndig]
+    D[zero] = 0
+    # Each array is dropped once used, which keeps the chunk's peak small.
+    del k, ndig, zero
+    # The cells are built word-major, six rows of words, from the layout of
+    # each value's shape, its exponent, its digits and its sign.
+    idx, more = _pair_indices(D)
+    del D
+    code = (decpt - _DECPT_MIN) * 2 + more
+    shape = np.take(shape_of, code)
+    shape[::width] = _INT_SHAPE + decpt[::width]
+    del more, decpt
+    words = np.take(shapes, shape, axis=1)
+    words[5] |= np.take(exponents, code >> 1)
+    del shape, code
+    words[:5] |= np.take(first, idx[0])
+    words[:5] |= np.take(second, idx[1])
+    del idx
+    words[0] |= (bits >> _U(63)) * _U(ord("-"))
+    # The last cell of a line ends it: its "," (byte 45) becomes "\n".
+    words[5, width - 1::width] ^= _U((ord(",") ^ ord("\n")) << 40)
+    return words.T.tobytes().translate(None, b"\0")
+
+
+def _csv_chunks(header: list[str], blocks):
+    """CSV text in ASCII chunks: the header, then one line per sample t
+    holding t and row t of the time-major ``blocks`` side by side.
+
+    Values are shortest round-trip decimals, byte-identical to ``repr`` of
+    each float, made by the vectorized Schubfach printer above.  The file
+    is the data of record for the synthesis route, and the kernel
+    computation is only meaningful when reading a file back reproduces the
+    recorded samples bit for bit; 12-digit rounding would lift the trailing
+    singular values of the block matrix and destroy its rank structure.  No
+    field needs CSV quoting, so the text equals what ``csv.writer`` writes.
+    About 2000 values are printed at a time, so the file is never held
+    whole.  A non-finite value is refused with ValueError.
+    """
+    yield (",".join(header) + "\n").encode("ascii")
+    T = blocks[0].shape[0]
+    step = max(1, _CHUNK_VALUES // len(header))
+    for t0 in range(0, T, step):
+        t = np.arange(t0, min(t0 + step, T), dtype=float)
+        rows = np.hstack([t[:, None]] + [b[t0:t0 + step] for b in blocks])
+        finite = np.isfinite(rows)
+        if not finite.all():
+            row, col = (int(i) for i in np.argwhere(~finite)[0])
+            raise ValueError(
+                f"row {t0 + row}, column {header[col]!r}: cannot write the "
+                f"non-finite value {float(rows[row, col])!r}"
+            )
+        yield _render_chunk(rows)
 
 
 def _header(n: int, m: int, p: int, r: int | None) -> list[str]:
@@ -358,18 +657,22 @@ def _header(n: int, m: int, p: int, r: int | None) -> list[str]:
     return cols
 
 
-def save_trajectory(path, data: HistoricalData) -> None:
-    """Write a comma-delimited trajectory file (exact round-trip values)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(render_trajectory(data))
-
-
-def render_trajectory(data: HistoricalData) -> str:
-    """Trajectory file contents as a string (used by file and stdout paths)."""
+def _trajectory_columns(data: HistoricalData) -> tuple[list[str], list]:
     n, m, p = data.x.shape[1], data.u.shape[1], data.y.shape[1]
     r = data.d.shape[1] if data.d is not None else None
     blocks = [data.x, data.u, data.y] + ([data.d] if r is not None else [])
-    return _render_rows(_header(n, m, p, r), blocks)
+    return _header(n, m, p, r), blocks
+
+
+def save_trajectory(path, data: HistoricalData) -> None:
+    """Write a comma-delimited trajectory file (exact round-trip values)."""
+    with open(path, "wb") as fh:
+        fh.writelines(_csv_chunks(*_trajectory_columns(data)))
+
+
+def render_trajectory(data: HistoricalData) -> str:
+    """Trajectory file contents as a string (used by the stdout path)."""
+    return b"".join(_csv_chunks(*_trajectory_columns(data))).decode("ascii")
 
 
 def _split_header(fields: list[str]) -> tuple[int, int, int, int | None]:
@@ -384,8 +687,11 @@ def _split_header(fields: list[str]) -> tuple[int, int, int, int | None]:
     expected = _header(n, m, p, r or None)
     for col, name in enumerate(names):
         if col >= len(expected) or name != expected[col]:
+            # A long name is cut to its first 40 characters and its length.
+            shown = (repr(name) if len(name) <= 40
+                     else f"{name[:40]!r}... ({len(name)} characters)")
             raise TrajectoryFormatError(
-                f"unexpected column {name!r} at position {col}: the header "
+                f"unexpected column {shown} at position {col}: the header "
                 "must read t,x_1..x_n,u_1..u_m,y_1..y_p[,d_1..d_r]"
             )
     return n, m, p, r or None

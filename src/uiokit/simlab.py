@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datalog import (
+    _csv_chunks,
     _header,
-    _render_rows,
     _resolve_vector,
     resolve_policy,
 )
@@ -184,19 +184,23 @@ def convergence_stats(trace: RunTrace) -> ConvergenceStats:
 
 # --------------------------------------------------------------------------
 # Trace files: trajectory format extended with z_*, xhat_*, e_* columns.
-# Values are written as shortest round-trip decimals, matching the
-# trajectory files.
+# Values are written as shortest round-trip decimals by the trajectory
+# writer, so a trace file reads back bit for bit too.
 
 
-def render_trace(trace: RunTrace) -> str:
+def _trace_columns(trace: RunTrace) -> tuple[list[str], tuple]:
     n = trace.x.shape[1]
     header = (_header(n, trace.u.shape[1], trace.y.shape[1], trace.d.shape[1])
               + [f"{name}_{i + 1}" for name in ("z", "xhat", "e")
                  for i in range(n)])
-    return _render_rows(header, (trace.x, trace.u, trace.y, trace.d,
-                                 trace.z, trace.x_hat, trace.e))
+    return header, (trace.x, trace.u, trace.y, trace.d,
+                    trace.z, trace.x_hat, trace.e)
+
+
+def render_trace(trace: RunTrace) -> str:
+    return b"".join(_csv_chunks(*_trace_columns(trace))).decode("ascii")
 
 
 def save_trace(path, trace: RunTrace) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(render_trace(trace))
+    with open(path, "wb") as fh:
+        fh.writelines(_csv_chunks(*_trace_columns(trace)))

@@ -420,7 +420,9 @@ def test_design_from_data_with_a_long_field_exits_4(tmp_path, model_file,
     traj.write_text("\n".join(lines) + "\n", encoding="utf-8")
     capsys.readouterr()
     assert main(["design", "--from-data", str(traj)]) == 4
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err) < 300
 
 
 def test_design_rejects_model_and_data_together(model_file, capsys):

@@ -26,7 +26,7 @@ from uiokit.datalog import (
     render_trajectory,
     save_trajectory,
 )
-from uiokit.datalog import _split_header
+from uiokit.datalog import _csv_chunks, _header, _split_header
 from uiokit.demo import convergence_model
 from uiokit.numkit import left_null_basis, rank
 from uiokit.plant import consistency_matrix, step
@@ -277,6 +277,83 @@ def test_render_equals_csv_writer_text():
     assert render_trajectory(data) == _csv_writer_text(header, [x, u, y, d])
     measured = HistoricalData(x=x, u=u, y=y)
     assert render_trajectory(measured) == _csv_writer_text(header[:-1], [x, u, y])
+
+
+# ------------------------------------------- the printer against repr
+
+
+def _repr_text(header, blocks):
+    """The former writer, one ``repr`` per value: the printer's oracle."""
+    lines = [",".join(header)]
+    for t, row in enumerate(np.hstack(blocks).tolist()):
+        lines.append(",".join([str(t), *map(repr, row)]))
+    return "\n".join(lines) + "\n"
+
+
+def _assert_written_as_repr(tmp_path, values, width):
+    """Save ``values`` as a trajectory of ``width`` columns (x takes all but
+    three): the file must hold ``repr``'s text byte for byte and load back
+    to the same bits."""
+    values = values.reshape(-1, width)
+    x, u, y, d = np.split(values, [width - 3, width - 2, width - 1], axis=1)
+    header = _header(width - 3, 1, 1, 1)
+    path = tmp_path / "oracle.csv"
+    save_trajectory(path, HistoricalData(x=x, u=u, y=y, d=d))
+    assert path.read_bytes() == _repr_text(header, [x, u, y, d]).encode()
+    loaded = load_trajectory(path)
+    for name, block in zip("xuyd", (x, u, y, d)):
+        assert np.array_equal(getattr(loaded, name).view(np.uint64),
+                              block.view(np.uint64))
+
+
+@pytest.mark.parametrize("part", range(4))
+def test_printer_matches_repr_on_random_bit_patterns(tmp_path, part):
+    # 2^20 uniform bit patterns in four parts (either sign, every exponent;
+    # the non-finite exponent 0x7ff becomes 0x7fe) and 2^12 subnormals per
+    # part.  33 280 rows of eight columns: 147 chunks, t up to five digits.
+    rng = np.random.default_rng([20, part])
+    bits = rng.integers(0, 2 ** 64, size=2 ** 18, dtype=np.uint64)
+    exponent = np.uint64(0x7FF) << np.uint64(52)
+    bits[(bits & exponent) == exponent] ^= np.uint64(1) << np.uint64(52)
+    subnormal = rng.integers(1, 2 ** 52, size=2 ** 12, dtype=np.uint64)
+    subnormal[::2] |= np.uint64(1) << np.uint64(63)
+    values = np.concatenate([bits, subnormal]).view(np.float64)
+    _assert_written_as_repr(tmp_path, values, 8)
+
+
+def _edge_values():
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    big = 2.0 ** 53 + np.arange(-64, 65)
+    special = [0.0, 5e-324, 1e-323, 2.2250738585072014e-308,
+               2.225073858507201e-308, 1.7976931348623157e308,
+               1e-5, 1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0,
+               1e22, 1e23, 0.1, 1 / 3, 123456789.125, 1e-100, 1e100]
+    positive = np.concatenate([
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)[:-1],
+        big, special, np.arange(1.0, 1001.0)])
+    return np.concatenate([positive, -positive])
+
+
+@pytest.mark.parametrize("one_row", [False, True], ids=["narrow", "one-row"])
+def test_printer_matches_repr_on_edge_values(tmp_path, one_row):
+    # Every power of two and both its neighbours; 2^53 and the integers
+    # around it; +-0, the extremes; where repr switches between fixed and
+    # exponent form (1e-5, 1e-4, 1e16, 9999999999999998.0); 1e22 and 1e23.
+    # One row of 14880 columns is one chunk of one line.
+    values = _edge_values()
+    assert set(np.signbit(values[values == 0.0])) == {False, True}
+    _assert_written_as_repr(tmp_path, values, values.size if one_row else 4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_writer_refuses_a_non_finite_value(bad):
+    # HistoricalData and RunTrace refuse one first; the printer has no
+    # text for one either.
+    x = np.zeros((3, 2))
+    x[1, 1] = bad
+    with pytest.raises(ValueError, match=rf"^row 1, column 'x_2': cannot "
+                       rf"write the non-finite value {bad!r}$"):
+        list(_csv_chunks(["t", "x_1", "x_2"], [x]))
 
 
 def _write(tmp_path, text):
@@ -567,8 +644,10 @@ LONG_FIELD = {
 @pytest.mark.parametrize("where", LONG_FIELD)
 def test_load_refuses_a_long_field(tmp_path, where):
     text, refusal = LONG_FIELD[where]
-    with pytest.raises(TrajectoryFormatError, match=refusal):
+    with pytest.raises(TrajectoryFormatError, match=refusal) as err:
         load_trajectory(_write(tmp_path, text + "\n"))
+    # The refusal names the field, not all 140000 characters of it.
+    assert len(str(err.value)) < 200
 
 
 # ------------------------------------------ reader against the csv pass

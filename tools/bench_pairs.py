@@ -6,22 +6,25 @@ pair i.  Even pairs run the parent first, odd pairs the change, so a drift
 in machine speed over the runs falls on both sides alike.  The parent
 checkout is extracted with ``git archive`` into a temporary directory,
 which leaves nothing registered in the repository, and is deleted at the
-end.
+end.  ``--workload NAME``, which may be repeated, runs only the named
+workloads, one ``run.py --workload NAME`` call each, so one workload can
+get more pairs without the time of all three.
 
 The JSON written to ``--out`` holds, per workload and end-to-end metric of
 BENCHMARK.json: each side's runs, median and quartiles (inclusive method),
 the number of pairs the change wins (ties count for neither side) and the
-direction that counts as better; and for the whole file the seeds, the
-order of each pair, the two revisions, the benchmark's environment line and
-the value of PYTHONDONTWRITEBYTECODE (null when unset) that the runs
-inherited.  That variable decides whether each fresh interpreter compiles
-the package from source or reads cached bytecode, which moves ``setup_s``
-and each ``cli-session`` call by tens of milliseconds.
+direction that counts as better; and for the whole file the run.py calls
+of one side of a pair (``command``), the seeds, the order of each pair, the
+two revisions, the benchmark's environment line and the value of
+PYTHONDONTWRITEBYTECODE (null when unset) that the runs inherited.  That
+variable decides whether each fresh interpreter compiles the package from
+source or reads cached bytecode, which moves ``setup_s`` and each
+``cli-session`` call by tens of milliseconds.
 
 Usage, from the root of a checkout:
 
     python tools/bench_pairs.py --out BENCH_N.json [--parent REV]
-                                [--pairs K] [--seed0 S]
+                                [--pairs K] [--seed0 S] [--workload NAME]...
 """
 
 from __future__ import annotations
@@ -53,11 +56,18 @@ def extract(rev: str, into: Path) -> None:
         tar.extractall(into, filter="data")
 
 
-def run_benchmark(tree: Path, seed: int) -> tuple[dict, str]:
+def run_args(workloads: list[str]) -> list[list[str]]:
+    """The run.py arguments of one benchmark run, one list per call."""
+    return [["--workload", name] for name in workloads] or [[]]
+
+
+def run_benchmark(tree: Path, seed: int,
+                  workloads: list[str]) -> tuple[dict, str]:
     """({workload: {metric: value}}, environment line) of one benchmark run."""
-    out = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--seed", str(seed)], cwd=tree,
-        check=True, capture_output=True, text=True, timeout=1800).stdout
+    out = "".join(subprocess.run(
+        [sys.executable, "perfbench/run.py", *args, "--seed", str(seed)],
+        cwd=tree, check=True, capture_output=True, text=True,
+        timeout=1800).stdout for args in run_args(workloads))
     results, environment, workload = {}, "", None
     for line in out.splitlines():
         if match := HEADER.match(line):
@@ -101,6 +111,10 @@ def main(argv=None) -> int:
                         help="revision measured against the working tree")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed0", type=int, default=0)
+    parser.add_argument("--workload", action="append", default=[],
+                        choices=("model-n60", "data-corpus", "cli-session"),
+                        help="run only this workload (repeatable; default: "
+                             "all three)")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs needs at least 2 for quartiles")
@@ -117,13 +131,15 @@ def main(argv=None) -> int:
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                result, env = run_benchmark(trees[side], seed)
+                result, env = run_benchmark(trees[side], seed, args.workload)
                 runs[side].append(result)
                 environment = environment or env
             print(f"pair {i + 1}/{args.pairs} (seed {seed}, {order[0]} first) "
                   "done", file=sys.stderr, flush=True)
     doc = {
-        "command": "python3 perfbench/run.py --seed S",
+        "command": "; ".join(
+            " ".join(["python3 perfbench/run.py", *a, "--seed S"])
+            for a in run_args(args.workload)),
         "parent": parent_rev,
         "change": "working tree on " + git("rev-parse", "HEAD").decode().strip(),
         "seeds": seeds,
