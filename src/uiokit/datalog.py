@@ -27,11 +27,12 @@ plus optional ``d_1..d_r`` columns, one row per sample, t ascending from 0,
 values printed as shortest round-trip decimals, so loading a file gives
 back the recorded samples bit for bit.  The writer makes them with a
 vectorized Schubfach printer in numpy, byte-identical to ``repr`` of each
-float, and streams the file in chunks of about 2000 values.  The header is
-defined once, by the writer; the reader accepts exactly the headers the
-writer produces.  The reader checks the file's structure; a non-finite
-sample is refused by `HistoricalData` itself, which every trajectory goes
-through, whether it is read, collected or built by hand.
+float, and streams the file in blocks of at most 6144 values, rows split
+evenly between them.  The header is defined once, by the writer; the
+reader accepts exactly the headers the writer produces.  The reader
+checks the file's structure; a non-finite sample is refused by
+`HistoricalData` itself, which every trajectory goes through, whether it
+is read, collected or built by hand.
 
 The reader has one path: the header is the first line that is not blank,
 split at its commas, and numpy's C reader (`np.loadtxt`) parses the rest of
@@ -49,7 +50,7 @@ import functools
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -181,9 +182,12 @@ class HistoricalData:
 class DataBlocks:
     """Past/future one-step blocks, each with T-1 columns.
 
-    Construction refuses, with ValueError, a block with a non-finite entry,
-    named by block, row and column (``X_p: row 0, column 3 is not finite
+    Construction stores read-only float copies, as `HistoricalData` does,
+    and refuses, with ValueError, a block with a non-finite entry, named
+    by block, row and column (``X_p: row 0, column 3 is not finite
     (nan)``), so every rank decision on the blocks sees finite numbers.
+    Blocks that cannot change keep each `excitation_report` they were
+    given, one per tolerance.
     """
 
     X_p: np.ndarray
@@ -194,11 +198,16 @@ class DataBlocks:
     Y_f: np.ndarray
     D_p: np.ndarray | None = None
     D_f: np.ndarray | None = None
+    _excitation: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self) -> None:
-        for name, block in vars(self).items():
-            if block is not None:
-                _require_finite_entries(block, name, "row {}, column {}")
+        for f in fields(self):
+            block = getattr(self, f.name)
+            if f.init and block is not None:
+                block = _frozen(block, order="C")
+                _require_finite_entries(block, f.name, "row {}, column {}")
+                object.__setattr__(self, f.name, block)
 
     @property
     def n(self) -> int:
@@ -275,11 +284,11 @@ def build_blocks(data: HistoricalData, dims=None) -> DataBlocks:
             )
     kw = {}
     if data.d is not None:
-        kw = {"D_p": data.d[:-1].T.copy(), "D_f": data.d[1:].T.copy()}
+        kw = {"D_p": data.d[:-1].T, "D_f": data.d[1:].T}
     return DataBlocks(
-        X_p=data.x[:-1].T.copy(), X_f=data.x[1:].T.copy(),
-        U_p=data.u[:-1].T.copy(), U_f=data.u[1:].T.copy(),
-        Y_p=data.y[:-1].T.copy(), Y_f=data.y[1:].T.copy(),
+        X_p=data.x[:-1].T, X_f=data.x[1:].T,
+        U_p=data.u[:-1].T, U_f=data.u[1:].T,
+        Y_p=data.y[:-1].T, Y_f=data.y[1:].T,
         **kw,
     )
 
@@ -305,7 +314,13 @@ def excitation_report(
     surrogate, full row rank of [X_p; U_p; U_f] only.  The surrogate is
     necessary but not sufficient: a PASS carries a warning that the
     assumption stays unverified, and a FAIL says that the assumption fails.
+    The report is kept on ``blocks``, so a second check at the same
+    tolerance, such as the one `synth.design_from_data` makes after a
+    caller's own, takes no second SVD.
     """
+    kept = blocks._excitation.get(tol)
+    if kept is not None:
+        return kept
     recorded = blocks.D_p is not None and blocks.D_f is not None
     parts = [blocks.X_p, blocks.U_p, blocks.U_f]
     if recorded:
@@ -323,8 +338,11 @@ def excitation_report(
     else:
         message = (f"surrogate rank check on [X_p; U_p; U_f] FAILS (rank {got} "
                    f"of {required}), so the excitation assumption fails")
-    return ExcitationReport(mode="assumption" if recorded else "surrogate",
-                            ok=ok, rank=got, required=required, message=message)
+    report = ExcitationReport(mode="assumption" if recorded else "surrogate",
+                              ok=ok, rank=got, required=required,
+                              message=message)
+    blocks._excitation[tol] = report
+    return report
 
 
 # --------------------------------------------------------------------------
@@ -336,9 +354,9 @@ def excitation_report(
 # steps Java's DoubleToDecimal implements).  CPython makes ``repr``'s digits
 # with big-integer arithmetic, one value at a time; Schubfach gets the same
 # digits from three 126 x 60-bit products with no loop, so numpy runs it on
-# a few thousand values at once.  Each value is laid out in a 48-byte cell
-# of six little-endian uint64 words, and the NUL bytes the cell leaves
-# unused are deleted when the chunk is written:
+# a block of values at once.  Each value is laid out in a 48-byte cell of
+# six little-endian uint64 words, and the NUL bytes the cell leaves unused
+# are deleted when the block is written:
 #
 #   bytes 0-5    the sign, then "0.000" cut to the zeros that 0.0ddd needs
 #   bytes 6-39   digit p at byte 6 + 2p (p = 0..16), each followed by a
@@ -348,31 +366,43 @@ def excitation_report(
 #
 # With the value written 0.ddd x 10^decpt, ``repr`` uses exponent form when
 # decpt < -3 or decpt > 16, and otherwise prints the point in place, with
-# ".0" after a whole number.
+# ".0" after a whole number.  A cell is the OR of three table lookups: the
+# cell of its layout (decpt, and whether exponent form prints a point),
+# the words of its digits after the first, four a word, and the word of
+# its first digit and sign.
 
 _U = np.uint64
 _M32 = _U(2 ** 32 - 1)
 _M63 = _U(2 ** 63 - 1)
 _POW10 = np.array([10 ** i for i in range(18)], dtype=np.uint64)
-#: Values per chunk: numpy's cost per call is spread over this many values,
-#: and the printer's temporaries, about 200 bytes a value, stay small.
-_CHUNK_VALUES = 2048
+#: Values per block at most.  A `_render_chunk` call costs about 0.2 ms of
+#: numpy call overhead plus 0.17 us per value, measured from 1k to 6k
+#: random values (best of 40 rounds, 2-CPU Xeon, one thread), and makes
+#: temporaries of about 155 bytes a value.  Per value, 6k values cost
+#: least: past about 6.5k the cost per value rises by half (0.16 us at
+#: 6336 values, 0.23 us at 7168).
+_CHUNK_VALUES = 6144
 #: The decimal point positions of finite doubles: 5e-324 is 0.5e-323 and
 #: 1.8e308 is 0.18e309.
 _DECPT_MIN, _DECPT_MAX = -323, 309
-#: Layout shapes: 0-19 fixed form with the point at -3..16, 20 and 21
-#: exponent form with one digit or more, 21 + w an integer of w digits.
+#: Layout codes: 2 (decpt - _DECPT_MIN) + (more than one digit) for a
+#: value, and _INT_CODE + w for the sample index t of w digits, whose
+#: shape is _INT_SHAPE + w (`_cells`).
+_INT_CODE = 2 * (_DECPT_MAX - _DECPT_MIN + 1)
 _INT_SHAPE = 21
+#: Digit words: 4-digit groups 0..9999 with their trailing zeros deleted,
+#: then the same in full, then the leading digits 0..9 and -0..-9.
+_FULL, _LEAD = 10 ** 4, 2 * 10 ** 4
 
 
 @functools.cache
 def _printer_tables():
-    """The printer's read-only tables, `_power_limbs`, `_pair_words` and
-    `_layouts`, built from Python ints and strings on the first write."""
-    limbs, pairs, layouts = _power_limbs(), _pair_words(), _layouts()
-    for table in (limbs, *pairs, *layouts):
+    """The printer's read-only tables, `_power_limbs`, `_digit_words` and
+    `_cells`, built from Python ints and strings on the first write."""
+    limbs, digits, cells = _power_limbs(), _digit_words(), _cells()
+    for table in (limbs, digits, cells):
         table.flags.writeable = False
-    return limbs, pairs, layouts
+    return limbs, digits, cells
 
 
 def _words(text: str) -> np.ndarray:
@@ -401,29 +431,32 @@ def _power_limbs() -> np.ndarray:
             .astype(np.uint64))
 
 
-def _pair_words() -> tuple[np.ndarray, np.ndarray]:
-    """Cell words of two digits, each followed by a free byte, as the first
-    pair of a word (bytes 0-3) and as the second (bytes 4-7): the pairs
-    00..99, then the same with trailing zeros deleted; then, in the first
-    table, the leading digits 0..9 at byte 6, the 0 deleted; then zero
-    words."""
-    pairs = [f"{p:02d}" for p in range(100)]
-    spread = ["\0".join(t.ljust(2, "\0")) + "\0"
-              for t in pairs + [p.rstrip("0") for p in pairs]]
+def _digit_words() -> np.ndarray:
+    """Cell words of four digits, each followed by a free byte (words 1-4
+    of a cell): the groups 0000..9999 with trailing zeros deleted, then
+    in full; then word 0 of a leading digit 0..9 at byte 6, the 0 deleted,
+    and the same after a "-" at byte 0."""
+    q = np.arange(10 ** 4, dtype=np.uint64)
+    full, stripped = np.zeros_like(q), np.zeros_like(q)
+    for j, scale in enumerate((1000, 100, 10, 1)):
+        digit = (q // _U(scale) % _U(10) + _U(ord("0"))) << _U(16 * j)
+        full |= digit
+        # The digit stays when it or a digit after it is not 0.
+        stripped |= digit * (q % _U(10 * scale) != 0)
     lead = ["\0" * 8] + ["\0" * 6 + str(d) + "\0" for d in range(1, 10)]
-    first = "".join(t + "\0" * 4 for t in spread) + "".join(lead) + "\0" * 8
-    second = "".join("\0" * 4 + t for t in spread) + "\0" * 88
-    return _words(first), _words(second)
+    return np.concatenate([
+        stripped, full,
+        _words("".join(lead) + "".join("-" + w[1:] for w in lead))])
 
 
-def _layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(shape of each layout code, cells of each shape, exponent words).
-
-    A value's layout code is 2 (decpt - _DECPT_MIN) + (more than one digit):
-    its decimal point position, and whether exponent form prints a point.
-    A shape's cell, six words (rows), holds all but the digits, the sign
-    and the exponent, which word 5 takes from the exponent words."""
-    cells = []
+def _cells() -> np.ndarray:
+    """The cell of each layout code, a column of six words: all but the
+    digits and the sign.  Of the 39 shapes a cell takes, 0-19 are fixed
+    form with the point at -3..16, 20 and 21 exponent form with one digit
+    or more, and 21 + w an integer of w digits.  A "0" at a digit of a
+    shape is ORed into itself by the digit and fills in a deleted one,
+    which pads a whole number to "d.0" and prints each digit of t."""
+    shapes = []
     for shape in range(_INT_SHAPE + 18):
         cell = bytearray(48)
         if shape < 4:  # 0.ddd to 0.000ddd: the point at 0..-3
@@ -438,20 +471,19 @@ def _layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             width = shape - _INT_SHAPE
             cell[6:6 + 2 * width:2] = b"0" * width
         cell[45] = ord(",")
-        cells.append(cell.decode("ascii"))
+        shapes.append(cell.decode("ascii"))
     shape_of, exponents = [], []
     for decpt in range(_DECPT_MIN, _DECPT_MAX + 1):
         if -3 <= decpt <= 16:
             shape_of += [decpt + 3] * 2
-            exponents.append("\0" * 8)
+            exponents.append("\0" * 16)
         else:
             shape_of += [20, 21]
-            e = f"{decpt - 1:+04d}"
-            hundreds = e[1] if e[1] != "0" else "\0"
-            exponents.append("e" + e[0] + hundreds + e[2:] + "\0" * 3)
-    return (np.array(shape_of, dtype=np.intp),
-            _words("".join(cells)).reshape(-1, 6).T.copy(),
-            _words("".join(exponents)))
+            exponents.append(f"e{decpt - 1:+03d}".ljust(8, "\0") * 2)
+    shape_of += range(_INT_SHAPE, _INT_SHAPE + 18)
+    cells = _words("".join(shapes)).reshape(-1, 6).T[:, shape_of]
+    cells[5, :_INT_CODE] |= _words("".join(exponents))
+    return cells
 
 
 def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -548,77 +580,68 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(upin ^ wpin, sp10 + wpin * _U(10), s + up), k
 
 
-def _pair_indices(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(idx, more) of 17-digit decimals D: idx[h, w] picks pair h of cell
-    word w from `_pair_words` table h, word 0 holding the leading digit and
-    words 1-4 the other sixteen, two pairs a word; more: whether a digit
-    after the leading one is not 0.  A pair is printed without its trailing
-    zeros when every pair after it is 0."""
-    idx = np.empty((2, 5, D.size), dtype=np.intp)
-    lead = D // _U(10 ** 16)
-    idx[0, 0] = lead
-    idx[0, 0] += 200
-    idx[1, 0] = 210
-    rest = D - lead * _U(10 ** 16)
+def _digit_indices(D: np.ndarray,
+                   negative: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(idx, more) of 17-digit decimals D: idx[w] indexes `_digit_words`
+    for cell word w, word 0 the leading digit with its sign and words 1-4
+    the other sixteen digits, four a word; more: whether a digit after the
+    leading one is not 0.  A group of four is printed without its trailing
+    zeros when every group after it is 0."""
+    idx = np.empty((5, D.size), dtype=np.intp)
+    D = D.view(np.int64)
+    np.floor_divide(D, 10 ** 16, out=idx[0])
+    rest = D - idx[0] * 10 ** 16
     more = rest != 0
-    upper = rest // _U(10 ** 8)
-    quads = []
-    for half in (upper, rest - upper * _U(10 ** 8)):
-        top = half // _U(10 ** 4)
-        quads += [top, half - top * _U(10 ** 4)]
-    for word, quad in enumerate(quads, start=1):
-        pair = quad // _U(100)
-        idx[0, word] = pair
-        idx[1, word] = quad - pair * _U(100)
-    # Pair j sits at idx[j % 2, 1 + j // 2]; tail: pairs j + 1..7 are 0.
-    zero = idx[:, 1:5] == 0
-    tail = zero[1, 3]
-    idx[1, 4] += 100
-    for j in range(6, -1, -1):
-        idx[j % 2, 1 + j // 2] += tail * 100
-        tail = tail & zero[j % 2, j // 2]
+    halves = np.empty((2, D.size), dtype=np.intp)
+    np.floor_divide(rest, 10 ** 8, out=halves[0])
+    np.subtract(rest, halves[0] * 10 ** 8, out=halves[1])
+    del rest
+    np.floor_divide(halves, 10 ** 4, out=idx[1::2])
+    np.subtract(halves, idx[1::2] * 10 ** 4, out=idx[2::2])
+    del halves
+    # later[j]: a digit of group j + 2 or after it is not 0.
+    later = idx[2:] != 0
+    later[1] |= later[2]
+    later[0] |= later[1]
+    idx[1:4] += later * _FULL
+    idx[0] += negative.view(np.int64) * 10 + _LEAD
     return idx, more
 
 
 def _render_chunk(rows: np.ndarray) -> bytes:
     """CSV lines of the finite float64 matrix ``rows``, whose column 0,
     the sample index t < 10^16, is written as an integer."""
-    _, (first, second), (shape_of, shapes, exponents) = _printer_tables()
+    _, digits, cells = _printer_tables()
     width = rows.shape[1]
     bits = rows.reshape(-1).view(np.uint64)
-    # A zero goes through as 1.0 and comes out with no digits and the point
-    # after digit 1, which the layout pads to "0.0".
+    # A zero goes through as 1.0, whose point is after digit 1, and its
+    # digits are deleted; the layout pads it to "0.0".
     zero = (bits << _U(1)) == 0
     D, k = _shortest(np.where(zero, _U(0x3FF0000000000000), bits & _M63))
     ndig = np.searchsorted(_POW10, D, side="right")
     decpt = k + ndig
-    decpt[zero] = 1
     D *= _POW10[17 - ndig]
-    D[zero] = 0
-    # Each array is dropped once used, which keeps the chunk's peak small.
+    D *= ~zero
+    # Each array is dropped once used, which keeps the block's peak small.
     del k, ndig, zero
-    # The cells are built word-major, six rows of words, from the layout of
-    # each value's shape, its exponent, its digits and its sign.
-    idx, more = _pair_indices(D)
+    # The cells are built word-major, six rows of words, from each value's
+    # layout, then its digits and sign.
+    idx, more = _digit_indices(D, bits >> _U(63))
     del D
     code = (decpt - _DECPT_MIN) * 2 + more
-    shape = np.take(shape_of, code)
-    shape[::width] = _INT_SHAPE + decpt[::width]
-    del more, decpt
-    words = np.take(shapes, shape, axis=1)
-    words[5] |= np.take(exponents, code >> 1)
-    del shape, code
-    words[:5] |= np.take(first, idx[0])
-    words[:5] |= np.take(second, idx[1])
+    code[::width] = _INT_CODE + decpt[::width]
+    del decpt, more
+    words = np.take(cells, code, axis=1)
+    del code
+    words[:5] |= np.take(digits, idx)
     del idx
-    words[0] |= (bits >> _U(63)) * _U(ord("-"))
     # The last cell of a line ends it: its "," (byte 45) becomes "\n".
     words[5, width - 1::width] ^= _U((ord(",") ^ ord("\n")) << 40)
     return words.T.tobytes().translate(None, b"\0")
 
 
 def _csv_chunks(header: list[str], blocks):
-    """CSV text in ASCII chunks: the header, then one line per sample t
+    """CSV text in ASCII blocks: the header, then one line per sample t
     holding t and row t of the time-major ``blocks`` side by side.
 
     Values are shortest round-trip decimals, byte-identical to ``repr`` of
@@ -628,12 +651,15 @@ def _csv_chunks(header: list[str], blocks):
     recorded samples bit for bit; 12-digit rounding would lift the trailing
     singular values of the block matrix and destroy its rank structure.  No
     field needs CSV quoting, so the text equals what ``csv.writer`` writes.
-    About 2000 values are printed at a time, so the file is never held
-    whole.  A non-finite value is refused with ValueError.
+    The lines go out in blocks of equal numbers of rows, as few as hold
+    at most `_CHUNK_VALUES` values each (or one row, if a row holds more),
+    so the file is never held whole.  A non-finite value is refused with
+    ValueError.
     """
     yield (",".join(header) + "\n").encode("ascii")
     T = blocks[0].shape[0]
-    step = max(1, _CHUNK_VALUES // len(header))
+    count = -(-T * len(header) // _CHUNK_VALUES)
+    step = -(-T // count) if T else 1
     for t0 in range(0, T, step):
         t = np.arange(t0, min(t0 + step, T), dtype=float)
         rows = np.hstack([t[:, None]] + [b[t0:t0 + step] for b in blocks])

@@ -434,16 +434,24 @@ def _dare_doubling(Abar: np.ndarray, Cbar: np.ndarray) -> np.ndarray:
     squares the closed loop hidden in A, so H converges quadratically to P.
     Each step inverts W once (one LU) and forms W^-1 A and W^-1 G by matrix
     products, which cost less than triangular solves with their 2n
-    right-hand sides; G and H are kept symmetric.  W cannot be singular: G
-    and H are symmetric positive semidefinite, so every eigenvalue of W is
-    at least 1.  The iteration stops when a step changes H by at most
-    n * eps * ||H|| (1-norm); a non-finite iterate raises a "diverged"
-    `NumericalFailure`.
+    right-hand sides; G and H are kept symmetric.  In exact arithmetic W
+    cannot be singular: G and H are symmetric positive semidefinite, so
+    every eigenvalue of W is at least 1.  In float64 it can be, once G H
+    is so large that the I in W rounds away.  The iteration stops when a
+    step changes H by at most n * eps * ||H|| (1-norm); a non-finite
+    iterate or a singular W raises a "diverged" `NumericalFailure`.
     """
     n = Abar.shape[0]
     A, G, H = Abar.T, _finite(Cbar.T @ Cbar, "C' C"), np.eye(n)
     for _ in range(_MAX_DOUBLINGS):
-        W_inv = np.linalg.inv(np.eye(n) + G @ H)
+        try:
+            W_inv = np.linalg.inv(np.eye(n) + G @ H)
+        except np.linalg.LinAlgError:
+            raise NumericalFailure(
+                "Riccati equation diverged: I + G H is singular in float64, "
+                "where G H swamps I; the pair is not stabilizable by output "
+                "injection at this scale"
+            ) from None
         WA = W_inv @ A
         dH = A.T @ H @ WA
         dH = (dH + dH.T) / 2

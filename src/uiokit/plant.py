@@ -81,9 +81,10 @@ _MODEL_KEYS = ("A", "B", "C", "D", "E", "F")
 _UIO_KEYS = ("A_uio", "B_u", "B_y", "D_u", "D_y")
 
 
-def _frozen(value) -> np.ndarray:
-    """A read-only float copy of ``value``; the caller's array stays writable."""
-    arr = np.array(value, dtype=float)
+def _frozen(value, order: str = "K") -> np.ndarray:
+    """A read-only float copy of ``value`` in memory ``order``; the
+    caller's array stays writable."""
+    arr = np.array(value, dtype=float, order=order)
     arr.setflags(write=False)
     return arr
 

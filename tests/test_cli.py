@@ -19,7 +19,8 @@ from uiokit.demo import (
     default_fixtures,
     run_demo,
 )
-from uiokit.numkit import NotObservable, NumericalFailure, eig_assignment_error
+from uiokit.numkit import (NotObservable, NumericalFailure,
+                           eig_assignment_error, rank)
 from uiokit.plant import ModelFormatError, StateSpaceModel, UioRealization, save_model
 from uiokit.synth import NoUio, UioFormatError, load_uio, save_uio, verify_uio
 
@@ -330,6 +331,25 @@ def test_design_from_data_round_trip(tmp_path, model_file, ref_model, capsys):
     assert "excitation assumption holds" in out
     report = verify_uio(ref_model, load_uio(str(out_path)))
     assert report.is_uio
+
+
+def test_design_from_data_checks_excitation_once(tmp_path, model_file,
+                                                 monkeypatch, capsys):
+    # The CLI prints the excitation report before it designs, and the
+    # design refuses data that fails it: one rank decision serves both.
+    traj = tmp_path / "traj.csv"
+    assert main(["collect", "--from-model", model_file, "--T", "11",
+                 "--out", str(traj)]) == 0
+    ranks = []
+
+    def counted(matrix, tol):
+        ranks.append(matrix.shape)
+        return rank(matrix, tol)
+
+    monkeypatch.setattr("uiokit.datalog.rank", counted)
+    assert main(["design", "--from-data", str(traj)]) == 0
+    assert "excitation assumption holds" in capsys.readouterr().out
+    assert ranks == [(7, 10)]
 
 
 def test_design_from_measured_data_warns_but_designs(

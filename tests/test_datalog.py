@@ -28,7 +28,7 @@ from uiokit.datalog import (
 )
 from uiokit.datalog import _csv_chunks, _header, _split_header
 from uiokit.demo import convergence_model
-from uiokit.numkit import left_null_basis, rank
+from uiokit.numkit import RankTolerance, left_null_basis, rank
 from uiokit.plant import consistency_matrix, step
 
 from test_cli_fuzz import CSV_MUTATIONS, _mutate_csv
@@ -310,7 +310,7 @@ def _assert_written_as_repr(tmp_path, values, width):
 def test_printer_matches_repr_on_random_bit_patterns(tmp_path, part):
     # 2^20 uniform bit patterns in four parts (either sign, every exponent;
     # the non-finite exponent 0x7ff becomes 0x7fe) and 2^12 subnormals per
-    # part.  33 280 rows of eight columns: 147 chunks, t up to five digits.
+    # part.  33 280 rows of eight columns: 49 blocks, t up to five digits.
     rng = np.random.default_rng([20, part])
     bits = rng.integers(0, 2 ** 64, size=2 ** 18, dtype=np.uint64)
     exponent = np.uint64(0x7FF) << np.uint64(52)
@@ -339,7 +339,8 @@ def test_printer_matches_repr_on_edge_values(tmp_path, one_row):
     # Every power of two and both its neighbours; 2^53 and the integers
     # around it; +-0, the extremes; where repr switches between fixed and
     # exponent form (1e-5, 1e-4, 1e16, 9999999999999998.0); 1e22 and 1e23.
-    # One row of 14880 columns is one chunk of one line.
+    # Narrow, 3720 rows of four columns are four blocks; one row of
+    # 14880 columns is one block of one line, as a line is never split.
     values = _edge_values()
     assert set(np.signbit(values[values == 0.0])) == {False, True}
     _assert_written_as_repr(tmp_path, values, values.size if one_row else 4)
@@ -810,6 +811,39 @@ def test_historical_data_keeps_read_only_copies(ref_model):
         assert not np.shares_memory(stored, given)
         with pytest.raises(ValueError, match="read-only"):
             stored[0, 0] = 1.0
+
+
+def test_data_blocks_keep_read_only_copies(ref_model):
+    data = _bundled_run(ref_model)
+    blocks = build_blocks(data)
+    for name in ("X_p", "X_f", "U_p", "U_f", "Y_p", "Y_f", "D_p", "D_f"):
+        stored = getattr(blocks, name)
+        assert not stored.flags.writeable
+        assert stored.flags.c_contiguous
+        assert not np.shares_memory(stored, getattr(data, name[0].lower()))
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0, 0] = 1.0
+
+
+def test_excitation_report_is_computed_once_per_tolerance(ref_model,
+                                                         monkeypatch):
+    calls = []
+
+    def counted(matrix, tol):
+        calls.append(tol)
+        return rank(matrix, tol)
+
+    monkeypatch.setattr("uiokit.datalog.rank", counted)
+    blocks = build_blocks(_bundled_run(ref_model))
+    first = excitation_report(blocks)
+    assert excitation_report(blocks, RankTolerance()) is first
+    loose = RankTolerance(1e-6)
+    assert excitation_report(blocks, loose) is not first
+    assert excitation_report(blocks, loose).ok
+    assert calls == [RankTolerance(), loose]
+    # Changed blocks are new blocks, which check again.
+    excitation_report(replace(blocks, U_f=np.zeros_like(blocks.U_f)))
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("block", ["X_p", "U_f", "Y_p", "D_f"])

@@ -421,11 +421,15 @@ def test_stabilizing_gain_requires_detectability():
 
 def test_stabilizing_gain_reports_divergence():
     # A detectable pair at an absurd scale has no Riccati solution in
-    # float64: C'C alone overflows.  That must surface as a
-    # NumericalFailure with a message, never as a bare linear-algebra crash
-    # or a RuntimeWarning from a downstream step.
-    with pytest.raises(NumericalFailure, match="diverged"):
-        stabilizing_gain(np.array([[1e200]]), np.array([[1e192]]))
+    # float64: C'C alone overflows.  At 1e60 and 1e70 an observable pair's
+    # W = I + G H is finite but its I rounds away, so W is singular.  That
+    # must surface as a NumericalFailure with a message, never as a bare
+    # linear-algebra crash or a RuntimeWarning from a downstream step.
+    pairs = [([[1e200]], [[1e192]])]
+    pairs += [([[s, s], [0.0, s]], [[s, 0.0]]) for s in (1e60, 1e70)]
+    for A, C in pairs:
+        with pytest.raises(NumericalFailure, match="diverged"):
+            stabilizing_gain(np.array(A), np.array(C))
 
 
 def test_stabilizing_gain_at_extreme_but_representable_scale():
