@@ -188,6 +188,9 @@ class DataBlocks:
     (nan)``), so every rank decision on the blocks sees finite numbers.
     Blocks that cannot change keep each `excitation_report` they were
     given, one per tolerance.
+
+    ``r`` is the disturbance width: the rows of D_p when the disturbance is
+    recorded, else the width declared to `build_blocks`, else None.
     """
 
     X_p: np.ndarray
@@ -198,16 +201,19 @@ class DataBlocks:
     Y_f: np.ndarray
     D_p: np.ndarray | None = None
     D_f: np.ndarray | None = None
+    r: int | None = None
     _excitation: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
 
     def __post_init__(self) -> None:
         for f in fields(self):
             block = getattr(self, f.name)
-            if f.init and block is not None:
+            if f.init and f.name != "r" and block is not None:
                 block = _frozen(block, order="C")
                 _require_finite_entries(block, f.name, "row {}, column {}")
                 object.__setattr__(self, f.name, block)
+        if self.D_p is not None:
+            object.__setattr__(self, "r", len(self.D_p))
 
     @property
     def n(self) -> int:
@@ -282,7 +288,7 @@ def build_blocks(data: HistoricalData, dims=None) -> DataBlocks:
             raise ValueError(
                 f"declared r = {dims[3]} does not match recorded width {have_r}"
             )
-    kw = {}
+    kw = {"r": dims[3]} if dims is not None and len(dims) == 4 else {}
     if data.d is not None:
         kw = {"D_p": data.d[:-1].T, "D_f": data.d[1:].T}
     return DataBlocks(

@@ -21,13 +21,14 @@ The gain constructors (`stabilizing_gain`, `place_poles`) build output
 injections L for a pair (Abar, Cbar), i.e. they shape the spectrum of
 Abar + L @ Cbar.  Neither takes a seed or an iteration budget, and both
 are deterministic: the Riccati gain comes from a structure-preserving
-doubling solve of the DARE, one n x n inverse and a few products per step
-until float64 accuracy, and placement from the eigenvector sweeps of
-Kautsky, Nichols & Van Dooren, at most `_KNV_SWEEPS` of them.  Both
-verify their own output and raise instead of returning an unchecked gain;
-each returns the gain, the closed loop Abar + L @ Cbar it verified and that
-loop's eigenvalues, so a caller can use the very array whose spectrum was
-checked.
+doubling solve of the DARE, one n x n inverse and a few products per step,
+stopped once a step changes P by at most n * eps relative or quadratic
+convergence predicts that the next would; placement comes from the
+eigenvector sweeps of Kautsky, Nichols & Van Dooren, at most `_KNV_SWEEPS`
+of them.  Both verify their own output and raise instead of returning an
+unchecked gain; each returns the gain, the closed loop Abar + L @ Cbar it
+verified and that loop's eigenvalues, so a caller can use the very array
+whose spectrum was checked.
 """
 
 from __future__ import annotations
@@ -173,13 +174,6 @@ class RankTolerance:
         in the package goes through this rule.
         """
         return max(shape) * self.relative * sigma_max
-
-    def threshold(self, M: np.ndarray) -> float:
-        """Effective cutoff for singular values of ``M``."""
-        M = np.asarray(M)
-        if M.size == 0:
-            return 0.0
-        return self.cutoff(M.shape, float(np.linalg.norm(M, 2)))
 
 
 DEFAULT_TOL = RankTolerance()
@@ -342,7 +336,9 @@ def invariant_zeros(A, E, C, F) -> tuple[np.ndarray, int]:
     A - E F^-1 C.  Solving with K_x costs a factor cond(K_x) in accuracy,
     relative to ||K_x^-1 [A, E] K|| <= ||[A, E]|| / sigma_min(K_x).  With
     r = 0 there is nothing to deflate: the zeros are the eigenvalues of the
-    reduced A, with no SVD of the empty [C, F] and no solve.
+    reduced A, with no SVD of the empty [C, F] and no solve.  The loop ends
+    as soon as deflation leaves no state: rows is then the rank of F, and
+    there are no zeros, so nothing more is factored.
 
     Raises:
         NumericalFailure: if the pencil has a non-finite entry, or if that
@@ -350,11 +346,16 @@ def invariant_zeros(A, E, C, F) -> tuple[np.ndarray, int]:
             (one beyond the float64 range).
     """
     A, E, C, F = (_as_2d(M) for M in (A, E, C, F))
-    S = np.block([[A, E], [C, F]])
+    n, (q, r) = len(A), F.shape
+    if A.shape != (n, n) or E.shape != (n, r) or C.shape != (q, n):
+        raise ValueError("the blocks of [[A, E], [C, F]] do not fit together")
+    S = np.empty((n + q, n + r), dtype=np.result_type(A, E, C, F))
+    S[:n, :n], S[:n, n:], S[n:, :n], S[n:, n:] = A, E, C, F
     if not np.isfinite(S).all():
         raise NumericalFailure("invariant zeros failed: the pencil is not finite")
-    cut = RankTolerance(ZERO_CUT_RELATIVE).threshold(S)
-    r = F.shape[1]
+    # sigma_1(S), from one values-only SVD.
+    sigma = np.linalg.norm(S, 2) if S.size else 0.0
+    cut = RankTolerance(ZERO_CUT_RELATIVE).cutoff(S.shape, sigma)
     while True:
         # With r = 0 F has no columns: its SVD would return U = I and keep
         # no row, so neither that SVD nor the rotation by U is needed.
@@ -362,7 +363,9 @@ def invariant_zeros(A, E, C, F) -> tuple[np.ndarray, int]:
         if r:
             U, held = _range_basis(F, cut)
             C, F = U.T @ C, U.T @ F
-        if held == F.shape[0]:
+        # With no state left, the rows F keeps are its rank, and there are
+        # no zeros.
+        if held == len(F) or not len(A):
             break
         # Rows from `held` on see no disturbance: they pin the state part
         # `fixed` to zero, and its state equations become outputs of the
@@ -375,8 +378,8 @@ def invariant_zeros(A, E, C, F) -> tuple[np.ndarray, int]:
             np.vstack([fixed.T @ A @ kept, C[:held] @ kept]),
             np.vstack([fixed.T @ E, F[:held]]),
         )
-    rows = F.shape[0]
-    if rows < r:
+    rows = held
+    if rows < r or not len(A):
         return np.zeros(0, dtype=complex), rows
     # With r = 0 the zeros are the eigenvalues of the reduced A.  Otherwise
     # F is square and invertible, so the pencil has r infinite zeros.
@@ -437,12 +440,20 @@ def _dare_doubling(Abar: np.ndarray, Cbar: np.ndarray) -> np.ndarray:
     right-hand sides; G and H are kept symmetric.  In exact arithmetic W
     cannot be singular: G and H are symmetric positive semidefinite, so
     every eigenvalue of W is at least 1.  In float64 it can be, once G H
-    is so large that the I in W rounds away.  The iteration stops when a
-    step changes H by at most n * eps * ||H|| (1-norm); a non-finite
-    iterate or a singular W raises a "diverged" `NumericalFailure`.
+    is so large that the I in W rounds away.  A non-finite iterate or a
+    singular W raises a "diverged" `NumericalFailure`.
+
+    With change_k = ||dH_k|| / ||H_k|| (1-norm) after step k, the iteration
+    stops when change_k <= n * eps, or when change_k < change_k-1 and
+    change_k^3 <= n * eps * change_k-1^2: quadratic convergence predicts
+    change_k+1 ~ change_k^3 / change_k-1^2, so the next step would stop by
+    the first rule, and it is not taken.  Either way P is accurate to a
+    small multiple of n * eps * ||P|| (on the benchmark corpora, the P of
+    the first rule alone is within 11.1 n * eps * ||P||).
     """
     n = Abar.shape[0]
     A, G, H = Abar.T, _finite(Cbar.T @ Cbar, "C' C"), np.eye(n)
+    last = None
     for _ in range(_MAX_DOUBLINGS):
         try:
             W_inv = np.linalg.inv(np.eye(n) + G @ H)
@@ -459,8 +470,15 @@ def _dare_doubling(Abar: np.ndarray, Cbar: np.ndarray) -> np.ndarray:
         G = (G + G.T) / 2
         A = A @ WA
         H = _finite(H + dH, "P")
-        if np.linalg.norm(dH, 1) <= n * _EPS * np.linalg.norm(H, 1):
+        step, size = np.linalg.norm(dH, 1), np.linalg.norm(H, 1)
+        if step <= n * _EPS * size:
             return H
+        # The next step would change H by about change^3 / last^2.
+        change = step / size
+        if last is not None and change < last and (
+                change ** 3 <= n * _EPS * last ** 2):
+            return H
+        last = change
     raise NumericalFailure(
         f"Riccati doubling did not converge in {_MAX_DOUBLINGS} steps"
     )
@@ -482,10 +500,12 @@ def stabilizing_gain(
     ``Abar + L @ Cbar`` and its verified eigenvalues.  Detectability of
     (Abar, Cbar) guarantees that solution; it is checked up front by
     `undetectable_modes`.  The doubling stops once a step changes P by at
-    most n * eps relative (1-norm).  It needs log2(log eps / log rho)
-    doublings for a closed-loop spectral radius rho, so the cap
-    `_MAX_DOUBLINGS` is that count for the slowest loop float64 can hold,
-    rho = 1 - eps.  Neither is a parameter.
+    most n * eps relative (1-norm), or once quadratic convergence predicts
+    that the next step would, so P is accurate to a small multiple of
+    n * eps * ||P||_1.  It needs log2(log eps / log rho) doublings for a
+    closed-loop spectral radius rho, so the cap `_MAX_DOUBLINGS` is that
+    count for the slowest loop float64 can hold, rho = 1 - eps.  Neither is
+    a parameter.
 
     Raises:
         NotDetectable: for undetectable modes, listed in ``exc.modes``.

@@ -240,13 +240,22 @@ def kernel_representation(
     """Kernel representation of the behaviour spanned by the columns of G.
 
     ``G`` is a window-generating matrix with 2(n+m+p) rows, the
-    recorded-window matrix Phi on the data route; ``dims`` is (n, m, p).
-    The result has k = 2(n+m+p) - rank(G) rows with
+    recorded-window matrix Phi on the data route; ``dims`` is (n, m, p),
+    or (n, m, p, r) when the disturbance width r is known (r None: not
+    known).  The result has k = 2(n+m+p) - rank(G) rows with
     full row rank and annihilates G.  k = 0 is legal (empty kernel); later
     synthesis stages then fail with NoUio.  A G of the wrong height or with
     a non-finite entry is refused with ValueError.
+
+    Every window of a plant with r disturbances is a linear image of
+    [x_p; u_p; u_f; d_p; d_f], so with r known a rank(G) above
+    n + 2m + 2r proves that G is not an exact record of such a plant (a
+    file printed to fewer digits, say).  Its kernel would then be too
+    small, and the answer it gives wrong, so it is refused with
+    `NumericalFailure` instead.
     """
-    n, m, p = (int(v) for v in dims)
+    n, m, p, r = (*dims, None)[:4]
+    n, m, p = int(n), int(m), int(p)
     G = np.asarray(G, dtype=float)
     if G.ndim != 2 or G.shape[0] != 2 * (n + m + p):
         raise ValueError(
@@ -254,6 +263,12 @@ def kernel_representation(
         )
     _require_finite_entries(G, "window matrix", "row {}, column {}")
     basis, sigma = _left_null_svd(G, tol)
+    rank_g = G.shape[0] - basis.shape[0]
+    if r is not None and rank_g > (bound := n + 2 * m + 2 * int(r)):
+        raise NumericalFailure(
+            f"the windows are not an exact trajectory: rank(Phi) = {rank_g} "
+            f"exceeds n + 2m + 2r = {bound}, with sigma_{bound + 1} = "
+            f"{sigma[bound]:.3g} against sigma_1 = {sigma[0]:.3g}")
 
     # Rank of the V_f block, decided against G itself rather than the
     # computed basis: each kernel direction visible in the x+ coordinates
@@ -269,7 +284,6 @@ def kernel_representation(
     g_scale = float(sigma[0]) if sigma.size else 0.0
     if g_scale > 0.0:
         selector *= g_scale
-    rank_g = G.shape[0] - basis.shape[0]
     rank_vf = rank(np.hstack([G, selector]), tol) - rank_g if n else 0
 
     rep = KernelRep.from_matrix(basis, (n, m, p))
@@ -466,7 +480,9 @@ def design_from_data(
     so that design goes ahead and the report's warning stands.
 
     Raises:
-        NumericalFailure: when the excitation check fails, with its message.
+        NumericalFailure: when the excitation check fails, with its message,
+            or when ``blocks.r`` is known and rank(Phi) exceeds n + 2m + 2r
+            (`kernel_representation`).
         NoUio / NotObservable / PlacementFailed / ValueError: as
             `synthesize`.
     """
@@ -477,7 +493,8 @@ def design_from_data(
     excitation = excitation_report(blocks, opt.tol)
     if not excitation.ok:
         raise NumericalFailure("data route refused: " + excitation.message)
-    ker = kernel_representation(blocks.Phi, (blocks.n, blocks.m, blocks.p), opt.tol)
+    ker = kernel_representation(
+        blocks.Phi, (blocks.n, blocks.m, blocks.p, blocks.r), opt.tol)
     return synthesize(ker, opt)
 
 

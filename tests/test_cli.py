@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, file round-trips, output contract."""
 
+import importlib
 import json
 import os
 import re
@@ -13,7 +14,8 @@ import pytest
 import uiokit
 from uiokit import cli, demo, simlab
 from uiokit.cli import CliError, main
-from uiokit.datalog import TrajectoryFormatError, load_trajectory
+from uiokit.datalog import (TrajectoryFormatError, Uniform, collect,
+                            load_trajectory, render_trajectory)
 from uiokit.demo import (
     DemoFixtures,
     default_fixtures,
@@ -393,6 +395,39 @@ def test_design_from_zero_data_matches_zero_plant(
     assert "numerical failure: data route refused: excitation assumption " \
         "FAILS" in captured.err
     assert not out_path.exists()
+
+
+def test_design_refuses_a_recording_printed_to_12_digits(tmp_path,
+                                                        monkeypatch, capsys):
+    # The n = 8 corpus plant of seed 1, recorded with the benchmark's
+    # draws and printed with %.12g.  Rounding lifts rank(Phi) above
+    # n + 2m + 2r = 14, the most an exact trajectory can have, and the
+    # empty kernel it leaves would read as "rank(V_f) = 0 < n".  With r
+    # known, from the d columns or from --dims, that is a refusal (exit 4).
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    m, p, r = workloads.corpus_dims(8)
+    model = workloads.corpus_model(8, m, p, r, seed=1)
+    data = collect(model, 3 * (8 + 2 * m + 2 * r),
+                   input_policy=Uniform(-4.0, 4.0),
+                   disturbance_policy=Uniform(-3.0, 3.0),
+                   x0=Uniform(-1.0, 1.0), seed=1)
+    lines = render_trajectory(data).splitlines()
+    rounded = [lines[0]] + [
+        ",".join([t] + [f"{float(v):.12g}" for v in values])
+        for t, *values in (line.split(",") for line in lines[1:])]
+    recorded = tmp_path / "recorded.csv"
+    recorded.write_text("\n".join(rounded) + "\n", encoding="utf-8")
+    measured = tmp_path / "measured.csv"
+    measured.write_text("\n".join(line.rsplit(",", r)[0] for line in rounded)
+                        + "\n", encoding="utf-8")
+    for args in ([str(recorded)], [str(measured), "--dims", "8,2,3,1"]):
+        capsys.readouterr()
+        assert main(["design", "--from-data", *args]) == 4
+        err = capsys.readouterr().err
+        assert ("not an exact trajectory: rank(Phi) = 26 exceeds "
+                "n + 2m + 2r = 14, with sigma_15 = ") in err
 
 
 def test_design_dims_mismatch_exits_4(tmp_path, model_file, capsys):

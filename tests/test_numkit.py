@@ -1,5 +1,8 @@
 """Rank/null-space primitives, spectra, and the two gain constructions."""
 
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -26,6 +29,7 @@ from uiokit.numkit import (
 )
 
 EPS = np.finfo(float).eps
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 EF_COLUMN = np.array([[1.0], [0.0], [1.0], [1.0], [1.0]])  # stacked [E; F]
@@ -173,7 +177,8 @@ def test_eig_assignment_error_rejects_non_finite_eigenvalues():
 
 
 def _zeros_and_pencil(monkeypatch, A, E, C, F):
-    """`invariant_zeros` of (A, E, C, F) and the (K_x, [A, E] K) it solved."""
+    """`invariant_zeros` of (A, E, C, F) and the (K_x, [A, E] K) it solved,
+    None when the reduction left no state and so solved nothing."""
     solve = np.linalg.solve
     seen = []
 
@@ -184,8 +189,8 @@ def _zeros_and_pencil(monkeypatch, A, E, C, F):
     monkeypatch.setattr(np.linalg, "solve", spy)
     zeros, rows = invariant_zeros(A, E, C, F)
     monkeypatch.undo()
-    assert len(seen) == 1
-    return zeros, rows, seen[0]
+    assert len(seen) <= 1
+    return zeros, rows, seen[0] if seen else None
 
 
 def _model_with_feedthrough(rng, n, p, r, sigma_min):
@@ -208,8 +213,14 @@ def test_invariant_zeros_match_qz_oracle(monkeypatch, n, sigma_min, p, r):
 
     rng = np.random.default_rng([n, p, r, int(-np.log10(sigma_min))])
     A, E, C, F = _model_with_feedthrough(rng, n, p, r, sigma_min)
-    zeros, rows, (Kx, M) = _zeros_and_pencil(monkeypatch, A, E, C, F)
+    zeros, rows, pencil = _zeros_and_pencil(monkeypatch, A, E, C, F)
     assert rows == r
+    if pencil is None:
+        # Only a pencil with more outputs than disturbances can lose every
+        # state to deflation, and then it has no zeros.
+        assert p > r and len(zeros) == 0
+        return
+    Kx, M = pencil
     oracle = scipy.linalg.eigvals(M, Kx)
     assert np.isfinite(oracle).all() and len(zeros) == len(oracle)
     unstable = lambda z: np.count_nonzero(np.abs(z) >= 1.0 - SCHUR_MARGIN)
@@ -274,16 +285,14 @@ def test_invariant_zeros_without_disturbance_are_hidden_modes(monkeypatch, n):
     assert rows == 0 and len(reduced) == 1
     # The reduction decides rank at the zero cut, so the modes it finds
     # are accurate to about that cut.
-    cut = RankTolerance(ZERO_CUT_RELATIVE).threshold(np.vstack([A, C]))
+    S = np.vstack([A, C])
+    cut = RankTolerance(ZERO_CUT_RELATIVE).cutoff(S.shape, np.linalg.norm(S, 2))
     assert len(zeros) == 2
     assert eig_assignment_error(zeros, [1.5, -0.2]) <= cut
 
 
-def test_invariant_zeros_without_disturbance_factor_no_empty_block(
-        monkeypatch):
-    # With r = 0, F has no columns at any step: the staircase decides rank
-    # on the outputs only, no block it factors is empty, and the two hidden
-    # modes are the eigenvalues of the reduced A, with no solve.
+def _range_basis_shapes(monkeypatch):
+    """The list of shapes `numkit._range_basis` factors from now on."""
     shapes = []
     range_basis = numkit._range_basis
 
@@ -292,6 +301,15 @@ def test_invariant_zeros_without_disturbance_factor_no_empty_block(
         return range_basis(M, cut)
 
     monkeypatch.setattr(numkit, "_range_basis", spy)
+    return shapes
+
+
+def test_invariant_zeros_without_disturbance_factor_no_empty_block(
+        monkeypatch):
+    # With r = 0, F has no columns at any step: the staircase decides rank
+    # on the outputs only, no block it factors is empty, and the two hidden
+    # modes are the eigenvalues of the reduced A, with no solve.
+    shapes = _range_basis_shapes(monkeypatch)
     reduced = _eigvals_input(monkeypatch)
     rng = np.random.default_rng(5)
     A = np.block([[rng.standard_normal((6, 6)) / np.sqrt(6), np.zeros((6, 2))],
@@ -301,6 +319,31 @@ def test_invariant_zeros_without_disturbance_factor_no_empty_block(
     assert shapes and all(m and k for m, k in shapes)
     assert rows == 0 and len(zeros) == 2
     assert [M.shape for M in reduced] == [(2, 2)]
+    # An observable pair deflates to no state: the loop ends there, with
+    # no SVD of an empty block and no eigenvalue problem.
+    shapes.clear()
+    zeros, rows = invariant_zeros(rng.standard_normal((8, 8)),
+                                  np.zeros((8, 0)),
+                                  rng.standard_normal((2, 8)),
+                                  np.zeros((2, 0)))
+    assert shapes and all(m and k for m, k in shapes)
+    assert rows == 0 and len(zeros) == 0 and len(reduced) == 1
+
+
+@pytest.mark.parametrize("seed", [1, 2], ids=["F != 0", "F = 0"])
+def test_invariant_zeros_of_corpus_pencil_stop_with_no_state_left(
+        monkeypatch, seed):
+    # The benchmark's n = 20 plants of these seeds hide no mode, so their
+    # disturbance pencils deflate to no state: the loop ends there, and no
+    # block it factors is empty.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    model = workloads.corpus_model(20, *workloads.corpus_dims(20), seed=seed)
+    assert model.F.any() == bool(seed % 2)
+    shapes = _range_basis_shapes(monkeypatch)
+    zeros, rows = invariant_zeros(model.A, model.E, model.C, model.F)
+    assert shapes and all(m and k for m, k in shapes)
+    assert rows == model.r and len(zeros) == 0
 
 
 def test_invariant_zeros_beyond_float_range_raise_numerical_failure():
@@ -485,6 +528,47 @@ def test_dare_doubling_inverts_once_per_step_and_solves_nothing(monkeypatch):
                    rng.standard_normal((3, 20)))
     assert calls["steps"] > 1
     assert calls["inv"] == calls["steps"]
+
+
+def _change_rule_doubling(A, C):
+    """P and step count of the same doubling stopped by the change rule
+    alone: at the first step that changes H by at most n eps ||H||_1."""
+    n = len(A)
+    A, G, H = A.T, C.T @ C, np.eye(n)
+    for step in range(1, 60):
+        W_inv = np.linalg.inv(np.eye(n) + G @ H)
+        WA = W_inv @ A
+        dH = A.T @ H @ WA
+        dH = (dH + dH.T) / 2
+        G = G + A @ (W_inv @ G) @ A.T
+        G = (G + G.T) / 2
+        A = A @ WA
+        H = H + dH
+        if np.linalg.norm(dH, 1) <= n * EPS * np.linalg.norm(H, 1):
+            return H, step
+    raise AssertionError("the change rule never stopped")
+
+
+def test_dare_doubling_skips_the_step_quadratic_convergence_predicts(
+        monkeypatch):
+    # Once change_k^3 <= n eps change_{k-1}^2, the next step would change H
+    # by at most n eps ||H||_1, so the doubling stops one step before the
+    # change rule alone would, at a P within that bound of its P.
+    rng = np.random.default_rng(3)
+    A = 1.4 * rng.standard_normal((20, 20)) / np.sqrt(20)
+    C = rng.standard_normal((3, 20))
+    P_change, change_steps = _change_rule_doubling(A, C)
+    steps, inv = [], np.linalg.inv
+
+    def counting_inv(M):
+        steps.append(M)
+        return inv(M)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    P = _dare_doubling(A, C)
+    assert len(steps) == change_steps - 1
+    assert (np.linalg.norm(P - P_change, 1)
+            <= 20 * EPS * np.linalg.norm(P_change, 1))
 
 
 def test_dare_doubling_slow_weakly_observed_unit_mode():
