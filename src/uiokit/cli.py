@@ -225,9 +225,16 @@ def _cmd_check(args) -> int:
     return 0 if report.exists else 2
 
 
+def _print_no_uio(exc: NoUio) -> None:
+    print(f"no observer exists — {exc.cause}: {exc.detail}")
+    if exc.evidence:
+        print(f"certificate: {exc.evidence}")
+
+
 def _cmd_design(args) -> int:
     from .plant import load_model, save_uio, uio_to_dict
-    from .synth import SynthesisOptions, design_from_data, design_from_model
+    from .synth import (VF_RANK_DEFICIENT, SynthesisOptions, design_from_data,
+                        design_from_model)
 
     options = SynthesisOptions(gain=args.gain, poles=args.poles, tol=args.tol,
                                schur_margin=args.schur_margin)
@@ -240,7 +247,24 @@ def _cmd_design(args) -> int:
         blocks = build_blocks(load_trajectory(args.from_data), args.dims)
         excitation = excitation_report(blocks, args.tol)
         print(excitation.message)
-        uio, diag = design_from_data(blocks, options)
+        try:
+            uio, diag = design_from_data(blocks, options)
+        except NoUio as exc:
+            if blocks.r is not None or exc.cause != VF_RANK_DEFICIENT:
+                raise
+            # An exact trajectory has rank(Phi) <= n + 2m + 2r.  With r known
+            # a larger rank is refused as inexact data (exit 4); without it
+            # nothing bounds the rank, so say what r this rank would need.
+            n, m, p = blocks.n, blocks.m, blocks.p
+            rank_phi = 2 * (n + m + p) - exc.evidence["k"]
+            _print_no_uio(exc)
+            print(f"rank(Phi) = {rank_phi}: an exact trajectory of this rank "
+                  f"needs r >= {max(0, -((n + 2 * m - rank_phi) // 2))} "
+                  "disturbances.  r is not known (no d columns), so this "
+                  "answer may come from a recording that is not exact "
+                  "(printed to fewer digits, say); give r as the 4th --dims "
+                  "entry to check.")
+            return 2
     doc = uio_to_dict(uio, diag)
     eig_text = ", ".join(
         _fmt(ev.real) + (f"{ev.imag:+.12g}j" if ev.imag else "")
@@ -334,9 +358,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except NoUio as exc:
-        print(f"no observer exists — {exc.cause}: {exc.detail}")
-        if exc.evidence:
-            print(f"certificate: {exc.evidence}")
+        _print_no_uio(exc)
         return 2
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

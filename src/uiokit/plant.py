@@ -16,7 +16,8 @@ exists is valid and no route checks it again.
 `consistency_matrix` assembles the matrix Gamma whose column space contains
 every stacked one-step window (x, x+, u, u+, y, y+) the plant can generate;
 it defines the behaviour both design routes annihilate.  No design path
-decomposes it: `synth.model_kernel` builds its left kernel in closed form.
+decomposes it: `synth.model_kernel` builds its left kernel in closed form,
+from the disturbance block alone.
 
 `step` advances one sample with full input checks.  Whole horizons
 (`datalog.collect`, `simlab.run`) go through one private state recursion
@@ -315,7 +316,8 @@ def consistency_matrix(model: StateSpaceModel) -> np.ndarray:
     Every window the plant can produce lies in Im(Gamma), and under the
     excitation assumption the recorded-window matrix spans exactly Im(Gamma).
     It serves as the definition and as the test oracle of
-    `synth.model_kernel`, which builds its left kernel without it.
+    `synth.model_kernel`, which builds its left kernel without it, from an
+    SVD of the disturbance block [[F, 0], [CE, F]].
     """
     n, m, p, r = model.n, model.m, model.p, model.r
     A, B, C, D, E, F = model.A, model.B, model.C, model.D, model.E, model.F

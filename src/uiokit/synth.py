@@ -6,13 +6,14 @@ representation of the plant's one-step behaviour: a full-row-rank matrix
     Psi = [V_p  V_f  W_p  W_f  R_p  R_f]
 
 whose kernel equals the span of the achievable stacked windows
-(x, x+, u, u+, y, y+).  The model route (`model_kernel`) reads it off the
-left kernel of the small disturbance block [[E, 0], [F, 0], [CE, F]], which
-determines the left kernel of the consistency matrix Gamma in closed form;
-the data route (`kernel_representation`) annihilates the recorded-window
-matrix Phi.  Under the excitation assumption the two spans coincide, so
-the designs agree; `design_from_data` refuses data that fails the
-excitation check of `datalog.excitation_report`.
+(x, x+, u, u+, y, y+), together with the rank of its V_f block.  The model
+route (`model_kernel`) builds it in closed form from one SVD of the 2p x 2r
+disturbance block [[F, 0], [CE, F]], already in the coordinates the second
+step works in: V_f = [I; 0] whenever an observer can exist.  The data route
+(`kernel_representation`) annihilates the recorded-window matrix Phi with
+an orthonormal basis.  Under the excitation assumption the two spans
+coincide, so the designs agree; `design_from_data` refuses data that fails
+the excitation check of `datalog.excitation_report`.
 
 Second, turn the kernel representation into an observer.  With
 Omega_bar the left inverse of V_f and Delta_f a maximal left annihilator of
@@ -68,7 +69,6 @@ from .numkit import (
     _left_null_svd,
     _rank_from_singular_values,
     _spectrum_report,
-    left_null_basis,
     place_poles,
     rank,
     spectrum,
@@ -112,11 +112,13 @@ NOT_DETECTABLE = "NotDetectable"
 class KernelRep:
     """Partitioned kernel representation [V_p V_f W_p W_f R_p R_f].
 
-    ``rank_V_f`` is the rank of the V_f block as decided against the
-    generating matrix itself (see `kernel_representation`); None means no
-    such data-aware decision is available and consumers fall back to a
-    plain rank of the stored block.  Construction refuses, with ValueError,
-    a block with a non-finite entry, named by block, row and column.
+    ``rank_V_f`` is the rank of the V_f block as decided where the kernel
+    was built: against the generating matrix on the data route
+    (`kernel_representation`), from the disturbance block on the model
+    route (`model_kernel`).  None, as `from_matrix` leaves it, means no
+    such decision is available and consumers fall back to a plain rank of
+    the stored block.  Construction refuses, with ValueError, a block with
+    a non-finite entry, named by block, row and column.
     """
 
     V_p: np.ndarray
@@ -183,7 +185,9 @@ class SynthesisOptions:
         "riccati".  `numkit.place_poles` checks the count against n and
         closure under conjugation.
     tol: relative cutoff of the SVD rank decisions (kernel, rank(V_f),
-        condition (b)); the zero-based decisions of detectability and
+        condition (b)); on the model route the kernel and rank(V_f) are
+        both read at the cutoff of the disturbance block M (see
+        `model_kernel`).  The zero-based decisions of detectability and
         condition (a) use the fixed `numkit.ZERO_CUT_RELATIVE`.
     schur_margin: stability margin for the detectability test and the
         Schur verdicts, in [0, 1).
@@ -298,32 +302,70 @@ def model_kernel(
     It spans the left kernel of `plant.consistency_matrix` without forming
     that matrix.  Reading its column blocks (x, u, u+, d, d+), a row
     [v_p, v_f, w_p, w_f, r_p, r_f] annihilates Gamma exactly when
-    z = [v_f, r_p, r_f] annihilates the disturbance block
+    z = [v_f, y], y = [r_p, r_f], annihilates the disturbance block
 
-        M = [[E, 0], [F, 0], [CE, F]]     ((n + 2p) x 2r)
+        M = [[E, 0], N],   N = [[F, 0], [CE, F]]     ((n + 2p) x 2r)
 
     and the other three blocks are
 
         v_p = -(v_f A + r_p C + r_f CA),  w_p = -(v_f B + r_p D + r_f CB),
         w_f = -r_f D.
 
-    So one SVD of M gives the kernel, k = n + 2p - rank(M) rows.  The rows
-    are then orthonormalized by one thin QR; every row embeds its z, so
-    they keep full row rank.  ``rank_V_f`` is left None: V_f is a block of
-    z itself, and `synthesize` decides its rank from its own SVD.
+    The rows come out in the coordinates `synthesize` works in, from one
+    SVD N = U S V' read at M's rank cutoff (rank rho_N):
+
+    - Bottom rows: y runs over the 2p - rho_N left singular vectors of N
+      beyond rho_N, and v_f = 0.  They see no x+ and give C_bar.  One thin
+      QR makes them orthonormal.
+    - Top rows: v_f = Z_v and y = -Z_v [E, 0] N^+, where Z_v is an
+      orthonormal basis of the left kernel of [E, 0] V_2, the part of E
+      outside N's row space (rank rho_E), and Z_v = I when that part is
+      zero.  They are projected orthogonal to the bottom rows, which keeps
+      v_f, so V_f = [Z_v; 0] and ``rank_V_f`` = n - rho_E is recorded.
+      With Z_v = I they are the rows Omega_bar Psi of any orthonormal
+      kernel basis Psi, and give A_bar.
+
+    So k = n + 2p - rho_N - rho_E = n + 2p - rank(M) rows.  An observer
+    needs rank(V_f) = n, so Z_v = I whenever one can exist.
     """
     n, m, p, r = model.n, model.m, model.p, model.r
-    M = np.zeros((n + 2 * p, 2 * r))
-    M[:n, :r] = model.E
-    M[n:n + p, :r] = model.F
-    M[n + p:, :r] = model.C @ model.E
-    M[n + p:, r:] = model.F
-    Z = left_null_basis(M, tol)
-    Z_v, Z_p, Z_f = np.hsplit(Z, [n, n + p])
+    E0 = np.hstack([model.E, np.zeros((n, r))])
+    N = np.zeros((2 * p, 2 * r))
+    N[:p, :r] = model.F
+    N[p:, :r] = model.C @ model.E
+    N[p:, r:] = model.F
+    M = np.vstack([E0, N])
+    cut = tol.cutoff(M.shape, np.linalg.norm(M, 2) if r else 0.0)
+    U, s, Vt = np.linalg.svd(N)
+    rho_n = int(np.count_nonzero(s > cut))
+    rho_e, Z_v = 0, np.eye(n)
+    if rho_n < 2 * r:
+        # The part of E outside N's row space.  Its left singular vectors
+        # are needed only when no observer can exist, so its values come
+        # first.
+        E_out = E0 @ Vt[rho_n:].T
+        rho_e = int(np.count_nonzero(
+            np.linalg.svd(E_out, compute_uv=False) > cut))
+        if rho_e:
+            Z_v = np.linalg.svd(E_out)[0][:, rho_e:].T
+
     AB = np.hstack([model.A, model.B])
-    past = -(Z @ np.vstack([AB, np.hstack([model.C, model.D]), model.C @ AB]))
-    Psi = np.hstack([past[:, :n], Z_v, past[:, n:], -(Z_f @ model.D), Z_p, Z_f])
-    return KernelRep.from_matrix(np.linalg.qr(Psi.T)[0].T, (n, m, p))
+    CD_CAB = np.vstack([np.hstack([model.C, model.D]), model.C @ AB])
+
+    def rows(y):
+        """[v_p, w_p, w_f, r_p, r_f] of the rows with v_f = 0 and this y."""
+        return np.hstack([-(y @ CD_CAB), -(y[:, p:] @ model.D), y])
+
+    top = rows(-(Z_v @ (E0 @ Vt[:rho_n].T / s[:rho_n]) @ U[:, :rho_n].T))
+    top[:, :n + m] -= Z_v @ AB
+    Q = np.linalg.qr(rows(U[:, rho_n:].T).T)[0]
+    top -= (top @ Q) @ Q.T
+    V_f = np.zeros((top.shape[0] + Q.shape[1], n))
+    V_f[:top.shape[0]] = Z_v
+    V_p, W_p, W_f, R_p, R_f = np.hsplit(np.vstack([top, Q.T]),
+                                        np.cumsum([n, m, m, p]))
+    return KernelRep(V_p=V_p, V_f=V_f, W_p=W_p, W_f=W_f, R_p=R_p, R_f=R_f,
+                     rank_V_f=n - rho_e)
 
 
 def synthesize(
@@ -337,8 +379,10 @@ def synthesize(
     split after n columns.  Then form the pair (A_bar, C_bar), compute the
     gain (Riccati or pole placement with negated pole requests — see module
     docstring) and read off the observer matrices.  A ``ker.rank_V_f``
-    recorded at extraction time (the data route's decision against the
-    generating matrix) takes the place of the SVD rank in the NoUio test.
+    recorded at extraction time (both routes record one) takes the place
+    of the SVD rank in the NoUio test.  On the model route V_f = [I; 0]
+    whenever an observer can exist, so Omega_bar picks the top rows and
+    Delta_f spans the bottom ones.
     Detectability is decided once, inside the gain stage: `stabilizing_gain`
     refuses undetectable modes, and `place_poles` refuses every unobservable
     mode, whose unstable ones make the same NoUio.  A_uio is the negation

@@ -428,6 +428,15 @@ def test_design_refuses_a_recording_printed_to_12_digits(tmp_path,
         err = capsys.readouterr().err
         assert ("not an exact trajectory: rank(Phi) = 26 exceeds "
                 "n + 2m + 2r = 14, with sigma_15 = ") in err
+    # Without r nothing bounds rank(Phi): the "no" stands (exit 2), and the
+    # report says what r that rank would need and how to give r.
+    assert main(["design", "--from-data", str(measured), "--dims",
+                 "8,2,3"]) == 2
+    out = capsys.readouterr().out
+    assert "VfRankDeficient: rank(V_f) = 0 < n = 8" in out
+    assert ("rank(Phi) = 26: an exact trajectory of this rank needs r >= 7 "
+            "disturbances") in out
+    assert "give r as the 4th --dims entry" in out
 
 
 def test_design_dims_mismatch_exits_4(tmp_path, model_file, capsys):

@@ -3,8 +3,10 @@
 Every rank here is of a matrix with small integer entries, which float64
 holds exactly, so `exact_rank.bareiss_rank` gives its true rank.  The
 decisions checked are the ones that read a plant's disturbance structure:
-condition (b)'s two ranks, the [E; F] rank `StateSpaceModel` reads, and
-the kernel row count k = n + 2p - rank M of `synth.model_kernel`.
+condition (b)'s two ranks, the [E; F] rank `StateSpaceModel` reads, the
+kernel row count k = n + 2p - rank M of `synth.model_kernel`, and the
+rank(V_f) = n - rank M + rank N it records, with N = [[F, 0], [CE, F]],
+which decides the model route's `VfRankDeficient` refusal.
 """
 
 from fractions import Fraction
@@ -14,9 +16,9 @@ import pytest
 
 from exact_rank import bareiss_rank
 from uiokit.existcheck import condition_b
-from uiokit.numkit import DEFAULT_TOL, rank
+from uiokit.numkit import DEFAULT_TOL, NoUio, NumericalFailure, rank
 from uiokit.plant import StateSpaceModel
-from uiokit.synth import model_kernel
+from uiokit.synth import VF_RANK_DEFICIENT, design_from_model, model_kernel
 
 #: Plant families, in rotation: generic, F = 0, one disturbance column
 #: exactly decoupled (C e = 0 and f = 0), CE = 0, rank-one F, and a
@@ -117,4 +119,15 @@ def test_disturbance_ranks_match_exact_ranks(seed):
     assert evidence["rank_F"] == bareiss_rank(F)
     M = np.block([[E, np.zeros((n, r), dtype=int)],
                   [F, np.zeros((p, r), dtype=int)], [CE, F]])
-    assert model_kernel(model).k == n + 2 * p - bareiss_rank(M)
+    ker = model_kernel(model)
+    assert ker.k == n + 2 * p - bareiss_rank(M)
+    # block is N with its two row blocks swapped.
+    rank_vf = n - bareiss_rank(M) + bareiss_rank(block)
+    assert ker.rank_V_f == rank_vf
+    try:
+        design_from_model(model)
+    except (NoUio, NumericalFailure) as exc:
+        cause = getattr(exc, "cause", None)
+    else:
+        cause = None
+    assert (cause == VF_RANK_DEFICIENT) == (rank_vf < n)

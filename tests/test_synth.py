@@ -1,6 +1,8 @@
 """Kernel representations, the synthesis pipeline, and the verifiers."""
 
+import importlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,7 +124,7 @@ def test_kernel_records_scale_aware_future_rank(ref_model, no_uio_model):
 # disturbance and p = 1 < r = 2 has too few outputs.
 _LADDER = [
     (n, max(1, n // 5), p, r, mode, seed)
-    for n in (2, 5, 20, 60)
+    for n in (2, 5, 20, 60, 100)
     for seed in (0, 1)
     for p, r, mode in ((max(2, n // 3), max(1, n // 10), 1.3),
                        (max(2, n // 3), max(1, n // 10), 0.5),
@@ -147,10 +149,24 @@ def test_model_kernel_matches_the_gamma_oracle(case, rotated_hidden_mode):
     Psi = ker.matrix()
     c = max(Psi.shape)
     assert ker.k == oracle.k
-    assert rank(ker.V_f) == oracle.rank_V_f
-    assert np.abs(Psi @ Psi.T - np.eye(ker.k)).max() <= c * eps
+    assert ker.rank_V_f == rank(ker.V_f) == oracle.rank_V_f
+    # Synthesis coordinates: the top rank(V_f) rows carry V_f = Z_v, with
+    # orthonormal rows (the identity when rank(V_f) = n); the bottom rows
+    # have V_f = 0, are orthonormal, and the top rows are orthogonal to them.
+    top, bottom = Psi[:ker.rank_V_f], Psi[ker.rank_V_f:]
+    Z_v = ker.V_f[:ker.rank_V_f]
+    assert not ker.V_f[ker.rank_V_f:].any()
+    if ker.rank_V_f == ker.n:
+        assert (Z_v == np.eye(ker.n)).all()
+    else:
+        assert np.abs(Z_v @ Z_v.T - np.eye(len(Z_v))).max() <= c * eps
+    assert np.abs(bottom @ bottom.T - np.eye(len(bottom))).max(
+        initial=0.0) <= c * eps
+    assert np.abs(top @ bottom.T).max(initial=0.0) <= (
+        c * eps * np.linalg.norm(top, 2))
     g = np.linalg.svd(Gamma, compute_uv=False)
-    assert np.linalg.norm(Psi @ Gamma, 2) <= c * eps * g[0]
+    assert np.linalg.norm(Psi @ Gamma, 2) <= (
+        c * eps * g[0] * np.linalg.norm(Psi, 2))
     # Either basis is accurate to eps over the gap of Gamma's spectrum.
     gap = g[rank(Gamma) - 1]
     assert rowspace_angles(Psi, oracle.matrix()).max(initial=0.0) <= (
@@ -167,14 +183,15 @@ def test_model_kernel_matches_the_gamma_oracle(case, rotated_hidden_mode):
         return
     (uio_o, diag_o), (uio_k, diag_k) = outcomes
     assert verify_uio(model, uio_o).is_uio and verify_uio(model, uio_k).is_uio
-    # The two bases differ by an orthogonal T that cancels from A_bar and
-    # from C_bar' C_bar, so those differ only by the left inverse's
-    # rounding, eps * cond(V_f).  The Riccati stage amplifies that by the
-    # conditioning of the closed loop; on this ladder the condition number
-    # of A_uio's eigenvector matrix bounds the amplification about
-    # tenfold.
+    # The oracle's rows, changed to synthesis coordinates, are the kernel's
+    # up to an orthogonal T on the rows with V_f = 0, which cancels from
+    # A_bar and from C_bar' C_bar; those differ only by the left inverse's
+    # rounding, eps * cond(V_f) of the oracle's orthonormal basis.  The
+    # Riccati stage amplifies that by the conditioning of the closed loop;
+    # on this ladder the condition number of A_uio's eigenvector matrix
+    # bounds the amplification about tenfold.
     norm = lambda M: np.linalg.norm(M, 2)
-    rel = 4 * max(ker.k, ker.n) * eps * np.linalg.cond(ker.V_f)
+    rel = 4 * max(ker.k, ker.n) * eps * np.linalg.cond(oracle.V_f)
     assert norm(diag_o.A_bar - diag_k.A_bar) <= rel * norm(diag_o.A_bar)
     gram_o, gram_k = (d.C_bar.T @ d.C_bar for d in (diag_o, diag_k))
     assert norm(gram_o - gram_k) <= rel * max(norm(gram_o), 1.0)
@@ -182,6 +199,31 @@ def test_model_kernel_matches_the_gamma_oracle(case, rotated_hidden_mode):
     assert norm(uio_o.A_uio - uio_k.A_uio) <= (
         rel * loop_cond * norm(uio_o.A_uio))
 
+
+
+def test_model_kernel_orthonormalizes_only_the_rows_without_x_plus(
+        monkeypatch):
+    # An n = 60 plant of the benchmark's corpus recipe with an observer and
+    # F != 0.  The kernel comes out with V_f = [I; 0], so no basis of all k
+    # rows is formed: the widest QR is of the 2p - rank N rows with V_f = 0.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    model = workloads.corpus_model(60, 12, 20, 6, seed=1)
+    n, p, r = model.n, model.p, model.r
+    ker = model_kernel(model)
+    assert (ker.V_f == np.vstack([np.eye(n), np.zeros((ker.k - n, n))])).all()
+    N = np.block([[model.F, np.zeros((p, r))], [model.C @ model.E, model.F]])
+    widths = []
+    qr = np.linalg.qr
+
+    def spy(a, *args, **kwargs):
+        widths.append(np.shape(a)[1])
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    design_from_model(model)
+    assert max(widths) == 2 * p - rank(N) == 28
 
 # ------------------------------------------------------------ synthesize
 

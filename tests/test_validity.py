@@ -142,8 +142,9 @@ def test_scaled_models_end_in_typed_refusals(rotated_hidden_mode, n, seed,
 
 UNSCALED_RANK_CUTS = pytest.mark.xfail(
     strict=True, reason="rank decisions read against the largest block: at "
-    "2**332 model_kernel drops the E and F rows (rank(V_f) = 2 < 3), and at "
-    "2**-332 placement calls a mode of about -3.3e-33 unobservable")
+    "2**332 model_kernel cuts E and F against CE (k = 6, not 5), and the "
+    "extra row reads as undetectable modes near -3e99; at 2**-332 placement "
+    "calls modes below 1e-49 unobservable")
 
 
 @pytest.mark.parametrize("power, gain", [
