@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import re
 import warnings
 from dataclasses import dataclass, field, fields
@@ -190,7 +191,9 @@ class DataBlocks:
     given, one per tolerance.
 
     ``r`` is the disturbance width: the rows of D_p when the disturbance is
-    recorded, else the width declared to `build_blocks`, else None.
+    recorded, else the width declared to `build_blocks`, else None.  A
+    declared width that is negative or not a whole number is refused with
+    ValueError.
     """
 
     X_p: np.ndarray
@@ -214,6 +217,8 @@ class DataBlocks:
                 object.__setattr__(self, f.name, block)
         if self.D_p is not None:
             object.__setattr__(self, "r", len(self.D_p))
+        elif self.r is not None:
+            object.__setattr__(self, "r", _count("r", self.r))
 
     @property
     def n(self) -> int:
@@ -266,17 +271,32 @@ def collect(
     return HistoricalData(x=x_seq, u=u_seq, y=y_seq, d=d_seq)
 
 
+def _count(name: str, value) -> int:
+    """A declared dimension as an int; ValueError unless a whole number >= 0."""
+    if not (isinstance(value, numbers.Real) and value >= 0
+            and float(value).is_integer()):
+        raise ValueError(
+            f"declared {name} = {value!r} is not a nonnegative integer")
+    return int(value)
+
+
 def build_blocks(data: HistoricalData, dims=None) -> DataBlocks:
     """Slice a trajectory into past/future blocks.
 
     ``dims`` is an optional (n, m, p) or (n, m, p, r) tuple cross-checked
     against the recorded signal widths (a mismatch raises ValueError) — use
     it when the widths are claimed externally, e.g. on the command line.
+    An entry that is negative or not a whole number is refused with a
+    ValueError that names it.
     """
     if data.T < 2:
         raise ValueError("need at least 2 samples to form one window")
     if dims is not None:
-        dims = tuple(int(v) for v in dims)
+        dims = tuple(dims)
+        if len(dims) not in (3, 4):
+            raise ValueError(f"dims must be (n, m, p) or (n, m, p, r), "
+                             f"got {dims!r}")
+        dims = tuple(_count(name, v) for name, v in zip("nmpr", dims))
         have = (data.x.shape[1], data.u.shape[1], data.y.shape[1])
         have_r = data.d.shape[1] if data.d is not None else None
         if dims[:3] != have:

@@ -15,14 +15,17 @@ an orthonormal basis.  Under the excitation assumption the two spans
 coincide, so the designs agree; `design_from_data` refuses data that fails
 the excitation check of `datalog.excitation_report`.
 
-Second, turn the kernel representation into an observer.  With
-Omega_bar the left inverse of V_f and Delta_f a maximal left annihilator of
-V_f, both from one SVD of V_f, the pair
+Second, turn the kernel representation into an observer.  Both routes
+hand it over in synthesis coordinates: whenever rank(V_f) = n, the rows
+carry V_f = [I; 0], so the top n rows are the left inverse of V_f applied
+to the kernel and the others annihilate V_f.  `KernelRep.from_matrix` is
+the one place where a general basis is moved into these coordinates.  The
+pair
 
-    A_bar = Omega_bar @ V_p,    C_bar = Delta_f @ V_p
+    A_bar = V_p[:n],    C_bar = V_p[n:]
 
 is detectable exactly when an observer exists for this kernel; any gain L
-with A_bar + L @ C_bar Schur yields, via Omega = Omega_bar + L @ Delta_f,
+with A_bar + L @ C_bar Schur yields, via Omega = [I, L],
 
     A_uio = -(A_bar + L @ C_bar)
     D_u = -(Omega @ W_f),      B_u = A_uio @ D_u - Omega @ W_p
@@ -52,7 +55,7 @@ spectrum the gain stage verified, so no eigenvalue problem is solved twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -115,10 +118,11 @@ class KernelRep:
     ``rank_V_f`` is the rank of the V_f block as decided where the kernel
     was built: against the generating matrix on the data route
     (`kernel_representation`), from the disturbance block on the model
-    route (`model_kernel`).  None, as `from_matrix` leaves it, means no
-    such decision is available and consumers fall back to a plain rank of
-    the stored block.  Construction refuses, with ValueError, a block with
-    a non-finite entry, named by block, row and column.
+    route (`model_kernel`), from an SVD of V_f for a bare basis
+    (`from_matrix`).  Whenever it equals n the rows are in synthesis
+    coordinates, V_f = [I; 0], which is what `synthesize` reads.
+    Construction refuses, with ValueError, a block with a non-finite entry,
+    named by block, row and column, and rank n with any other V_f.
     """
 
     V_p: np.ndarray
@@ -127,12 +131,15 @@ class KernelRep:
     W_f: np.ndarray
     R_p: np.ndarray
     R_f: np.ndarray
-    rank_V_f: int | None = None
+    rank_V_f: int
 
     def __post_init__(self) -> None:
         for name in ("V_p", "V_f", "W_p", "W_f", "R_p", "R_f"):
             _require_finite_entries(getattr(self, name), name,
                                     "row {}, column {}")
+        if self.rank_V_f == self.n and not np.array_equal(
+                self.V_f, np.eye(self.k, self.n)):
+            raise ValueError("rank_V_f = n needs V_f = [I; 0]")
 
     @property
     def k(self) -> int:
@@ -157,21 +164,46 @@ class KernelRep:
         )
 
     @classmethod
-    def from_matrix(cls, Psi, dims) -> "KernelRep":
-        """Slice a stacked matrix by dims = (n, m, p)."""
+    def from_matrix(cls, Psi, dims, rank_V_f: int | None = None,
+                    tol: RankTolerance = DEFAULT_TOL) -> "KernelRep":
+        """Slice a stacked matrix by dims = (n, m, p), in synthesis coordinates.
+
+        ``Psi`` may be any basis of the kernel.  Its blocks are checked
+        first, then one SVD V_f = U S V' decides rank(V_f) at ``tol``, unless
+        ``rank_V_f`` brings a rank decided where Psi was built.  With rank
+        n the rows become [Omega_bar Psi; Delta_f Psi], Omega_bar =
+        V S^-1 U_1' (the Moore-Penrose left inverse of V_f) and Delta_f =
+        U_2' (an orthonormal left annihilator), U = [U_1, U_2] split after n
+        columns, and V_f is stored as exactly [I; 0].  With a smaller rank
+        the rows stay as they are: no observer can be read off them.
+
+        Raises:
+            ValueError: for a Psi of the wrong width or with a non-finite
+                entry.
+            NumericalFailure: when ``rank_V_f`` says n but the SVD of V_f
+                has fewer than n singular values above the cutoff.
+        """
         n, m, p = (int(v) for v in dims)
-        Psi = np.asarray(Psi, dtype=float)
+        Psi = np.array(Psi, dtype=float)
         if Psi.ndim != 2 or Psi.shape[1] != 2 * (n + m + p):
             raise ValueError(
                 f"kernel matrix must have {2 * (n + m + p)} columns, "
                 f"got shape {Psi.shape}"
             )
-        c = np.cumsum([n, n, m, m, p, p])
-        return cls(
-            V_p=Psi[:, :c[0]].copy(), V_f=Psi[:, c[0]:c[1]].copy(),
-            W_p=Psi[:, c[1]:c[2]].copy(), W_f=Psi[:, c[2]:c[3]].copy(),
-            R_p=Psi[:, c[3]:c[4]].copy(), R_f=Psi[:, c[4]:c[5]].copy(),
-        )
+        cuts = np.cumsum([n, n, m, m, p])
+        blocks = np.hsplit(Psi, cuts)
+        cls(*blocks, rank_V_f=0)  # names a non-finite entry by its block
+        U, s, Vt = np.linalg.svd(blocks[1])
+        svd_rank = _rank_from_singular_values(s, blocks[1].shape, tol)
+        rank_V_f = svd_rank if rank_V_f is None else rank_V_f
+        if rank_V_f == n:
+            if svd_rank < n:
+                raise NumericalFailure(f"matrix of shape {blocks[1].shape} "
+                                       f"has rank {svd_rank} < {n}")
+            blocks = np.hsplit(
+                np.vstack([(Vt.T / s) @ U[:, :n].T, U[:, n:].T]) @ Psi, cuts)
+            blocks[1] = np.eye(len(Psi), n)
+        return cls(*blocks, rank_V_f=rank_V_f)
 
 
 @dataclass(frozen=True)
@@ -226,8 +258,6 @@ class SynthesisOptions:
 class SynthesisDiagnostics:
     """Intermediate objects and self-check residuals from one synthesis run."""
 
-    Omega_bar: np.ndarray
-    Delta_f: np.ndarray
     A_bar: np.ndarray
     C_bar: np.ndarray
     L: np.ndarray
@@ -247,9 +277,11 @@ def kernel_representation(
     recorded-window matrix Phi on the data route; ``dims`` is (n, m, p),
     or (n, m, p, r) when the disturbance width r is known (r None: not
     known).  The result has k = 2(n+m+p) - rank(G) rows with
-    full row rank and annihilates G.  k = 0 is legal (empty kernel); later
-    synthesis stages then fail with NoUio.  A G of the wrong height or with
-    a non-finite entry is refused with ValueError.
+    full row rank and annihilates G, in synthesis coordinates
+    (`KernelRep.from_matrix`, given the rank(V_f) decided here).  k = 0 is
+    legal (empty kernel); later synthesis stages then fail with NoUio.  A G
+    of the wrong height or with a non-finite entry is refused with
+    ValueError.
 
     Every window of a plant with r disturbances is a linear image of
     [x_p; u_p; u_f; d_p; d_f], so with r known a rank(G) above
@@ -290,8 +322,7 @@ def kernel_representation(
         selector *= g_scale
     rank_vf = rank(np.hstack([G, selector]), tol) - rank_g if n else 0
 
-    rep = KernelRep.from_matrix(basis, (n, m, p))
-    return replace(rep, rank_V_f=rank_vf)
+    return KernelRep.from_matrix(basis, (n, m, p), rank_vf, tol)
 
 
 def model_kernel(
@@ -322,8 +353,9 @@ def model_kernel(
       outside N's row space (rank rho_E), and Z_v = I when that part is
       zero.  They are projected orthogonal to the bottom rows, which keeps
       v_f, so V_f = [Z_v; 0] and ``rank_V_f`` = n - rho_E is recorded.
-      With Z_v = I they are the rows Omega_bar Psi of any orthonormal
-      kernel basis Psi, and give A_bar.
+      With Z_v = I they are the rows Omega_bar Psi that
+      `KernelRep.from_matrix` forms from any orthonormal kernel basis Psi,
+      and give A_bar.
 
     So k = n + 2p - rho_N - rho_E = n + 2p - rank(M) rows.  An observer
     needs rank(V_f) = n, so Z_v = I whenever one can exist.
@@ -373,16 +405,12 @@ def synthesize(
 ) -> tuple[UioRealization, SynthesisDiagnostics]:
     """Turn a kernel representation into a verified-stable observer.
 
-    Pipeline: one full SVD V_f = U S V' gives rank(V_f), which must be n;
-    Omega_bar = V S^-1 U_1' (the Moore-Penrose left inverse) and
-    Delta_f = U_2' (an orthonormal left annihilator), with U = [U_1, U_2]
-    split after n columns.  Then form the pair (A_bar, C_bar), compute the
-    gain (Riccati or pole placement with negated pole requests — see module
-    docstring) and read off the observer matrices.  A ``ker.rank_V_f``
-    recorded at extraction time (both routes record one) takes the place
-    of the SVD rank in the NoUio test.  On the model route V_f = [I; 0]
-    whenever an observer can exist, so Omega_bar picks the top rows and
-    Delta_f spans the bottom ones.
+    Pipeline: ``ker.rank_V_f``, decided where the kernel was built, must be
+    n; the kernel is then in synthesis coordinates (V_f = [I; 0], see
+    `KernelRep`), so A_bar and C_bar are the top n and the other rows of
+    V_p, and nothing is factored.  Then compute the gain (Riccati or pole
+    placement with negated pole requests — see module docstring) and read
+    off the observer matrices with Omega = [I, L].
     Detectability is decided once, inside the gain stage: `stabilizing_gain`
     refuses undetectable modes, and `place_poles` refuses every unobservable
     mode, whose unstable ones make the same NoUio.  A_uio is the negation
@@ -392,8 +420,6 @@ def synthesize(
 
     Raises:
         NoUio: with cause VF_RANK_DEFICIENT or NOT_DETECTABLE.
-        NumericalFailure: when ``ker.rank_V_f`` says n but the SVD of V_f
-            has fewer than n singular values above the cutoff.
         ValueError: from `numkit.place_poles`, for a pole multiset of the
             wrong size or one that is not closed under conjugation.
         RepeatedPole: for a requested A_uio pole that repeats more than
@@ -404,23 +430,13 @@ def synthesize(
     """
     opt = options or SynthesisOptions()
     n = ker.n
-    U, s, Vt = np.linalg.svd(ker.V_f)
-    svd_rank = _rank_from_singular_values(s, ker.V_f.shape, opt.tol)
-    r_vf = svd_rank if ker.rank_V_f is None else ker.rank_V_f
-    if r_vf < n:
+    if ker.rank_V_f < n:
         raise NoUio(
             VF_RANK_DEFICIENT,
-            f"rank(V_f) = {r_vf} < n = {n}",
-            evidence={"rank_V_f": r_vf, "n": n, "k": ker.k},
+            f"rank(V_f) = {ker.rank_V_f} < n = {n}",
+            evidence={"rank_V_f": ker.rank_V_f, "n": n, "k": ker.k},
         )
-    if svd_rank < n:
-        raise NumericalFailure(
-            f"matrix of shape {ker.V_f.shape} has rank {svd_rank} < {n}"
-        )
-    Omega_bar = (Vt.T / s) @ U[:, :n].T
-    Delta_f = U[:, n:].T
-    A_bar = Omega_bar @ ker.V_p
-    C_bar = Delta_f @ ker.V_p
+    A_bar, C_bar = ker.V_p[:n], ker.V_p[n:]
 
     try:
         if opt.gain == "riccati":
@@ -456,7 +472,7 @@ def synthesize(
                       "A_bar_eigenvalues": np.linalg.eigvals(A_bar).tolist()},
         ) from exc
 
-    Omega = Omega_bar + L @ Delta_f
+    Omega = np.hstack([np.eye(n), L])
     A_uio = -loop
     D_u = -(Omega @ ker.W_f)
     D_y = -(Omega @ ker.R_f)
@@ -477,8 +493,8 @@ def synthesize(
         ),
     }
     diag = SynthesisDiagnostics(
-        Omega_bar=Omega_bar, Delta_f=Delta_f, A_bar=A_bar, C_bar=C_bar,
-        L=L, gain=opt.gain, spectrum=spec_report, residuals=residuals,
+        A_bar=A_bar, C_bar=C_bar, L=L, gain=opt.gain, spectrum=spec_report,
+        residuals=residuals,
     )
     return uio, diag
 
@@ -525,8 +541,10 @@ def design_from_data(
 
     Raises:
         NumericalFailure: when the excitation check fails, with its message,
-            or when ``blocks.r`` is known and rank(Phi) exceeds n + 2m + 2r
-            (`kernel_representation`).
+            when ``blocks.r`` is known and rank(Phi) exceeds n + 2m + 2r
+            (`kernel_representation`), or when rank(V_f) decided against
+            Phi is n but the SVD of the kernel's V_f finds less
+            (`KernelRep.from_matrix`).
         NoUio / NotObservable / PlacementFailed / ValueError: as
             `synthesize`.
     """

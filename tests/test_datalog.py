@@ -165,6 +165,27 @@ def test_blocks_reject_wrong_declared_dims(ref_model):
         build_blocks(data, dims=(3, 1, 2, 2))
 
 
+@pytest.mark.parametrize("dims, entry", [
+    ((3, 1, 2, -1), "r = -1"), ((3, 1, 2, 2.7), "r = 2.7"),
+    ((3.9, 1, 2), "n = 3.9"), ((3, -1, 2), "m = -1"),
+    ((3, 1, float("nan")), "p = nan"), ((3, 1, 2, "1"), "r = '1'"),
+], ids=["r-negative", "r-fraction", "n-fraction", "m-negative", "p-nan",
+        "r-text"])
+def test_blocks_refuse_a_declared_dim_that_is_not_a_count(dims, entry):
+    # Without a d record nothing cross-checks r: a negative r used to reach
+    # the rank bound as a misleading NumericalFailure, and 3.9 or 2.7 were
+    # truncated to 3 or 2.
+    data = _bundled_run(convergence_model())
+    unrecorded = HistoricalData(x=data.x, u=data.u, y=data.y)
+    message = f"^declared {entry} is not a nonnegative integer$"
+    with pytest.raises(ValueError, match=message.replace(".", r"\.")):
+        build_blocks(unrecorded, dims)
+    if entry.startswith("r"):
+        blocks = build_blocks(unrecorded)
+        with pytest.raises(ValueError, match=message.replace(".", r"\.")):
+            replace(blocks, r=dims[3])
+
+
 # ----------------------------------------------------------- assumption
 
 

@@ -6,7 +6,9 @@ decisions checked are the ones that read a plant's disturbance structure:
 condition (b)'s two ranks, the [E; F] rank `StateSpaceModel` reads, the
 kernel row count k = n + 2p - rank M of `synth.model_kernel`, and the
 rank(V_f) = n - rank M + rank N it records, with N = [[F, 0], [CE, F]],
-which decides the model route's `VfRankDeficient` refusal.
+which decides the model route's `VfRankDeficient` refusal, and the data
+route's k = 2(n+m+p) - rank Gamma and rank(V_f) on the consistency matrix
+Gamma, whose integer entries make it an exact record of the plant.
 """
 
 from fractions import Fraction
@@ -17,8 +19,9 @@ import pytest
 from exact_rank import bareiss_rank
 from uiokit.existcheck import condition_b
 from uiokit.numkit import DEFAULT_TOL, NoUio, NumericalFailure, rank
-from uiokit.plant import StateSpaceModel
-from uiokit.synth import VF_RANK_DEFICIENT, design_from_model, model_kernel
+from uiokit.plant import StateSpaceModel, consistency_matrix
+from uiokit.synth import (VF_RANK_DEFICIENT, design_from_model,
+                          kernel_representation, model_kernel)
 
 #: Plant families, in rotation: generic, F = 0, one disturbance column
 #: exactly decoupled (C e = 0 and f = 0), CE = 0, rank-one F, and a
@@ -124,6 +127,15 @@ def test_disturbance_ranks_match_exact_ranks(seed):
     # block is N with its two row blocks swapped.
     rank_vf = n - bareiss_rank(M) + bareiss_rank(block)
     assert ker.rank_V_f == rank_vf
+    # The data route on the exact consistency matrix decides the same ranks,
+    # and both kernels come in synthesis coordinates.
+    Gamma = consistency_matrix(model)
+    data_ker = kernel_representation(Gamma, (n, model.m, p))
+    assert data_ker.k == 2 * (n + model.m + p) - bareiss_rank(Gamma)
+    assert data_ker.rank_V_f == rank_vf
+    for kernel in (ker, data_ker):
+        if kernel.rank_V_f == n:
+            assert np.array_equal(kernel.V_f, np.eye(kernel.k, n))
     try:
         design_from_model(model)
     except (NoUio, NumericalFailure) as exc:

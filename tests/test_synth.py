@@ -79,8 +79,14 @@ def test_kernel_of_consistency_matrix(ref_model, ref_kernel):
     ker = kernel_representation(Gamma, DIMS)
     assert ker.k == 5
     Psi = ker.matrix()
-    assert np.max(np.abs(Psi @ Gamma)) < 1e-12
-    assert_allclose(Psi @ Psi.T, np.eye(5), atol=1e-12)
+    assert np.max(np.abs(Psi @ Gamma)) < 1e-12 * np.linalg.norm(Psi, 2)
+    # Synthesis coordinates: V_f = [I; 0] exactly, the rows without x+ are
+    # orthonormal, and the top rows are orthogonal to them.
+    assert ker.rank_V_f == 3
+    assert np.array_equal(ker.V_f, np.eye(5, 3))
+    top, bottom = Psi[:3], Psi[3:]
+    assert_allclose(bottom @ bottom.T, np.eye(2), atol=1e-12)
+    assert np.max(np.abs(top @ bottom.T)) < 1e-12 * np.linalg.norm(top, 2)
     assert np.max(rowspace_angles(Psi, ref_kernel)) < 1e-8
 
 
@@ -98,13 +104,29 @@ def test_kernel_rejects_wrong_row_count():
 
 
 def test_kernel_rep_matrix_round_trip(ref_kernel):
+    # A bare basis gets its rank(V_f) from an SVD of V_f, and with rank n
+    # its rows change to synthesis coordinates: the same row space.
     ker = KernelRep.from_matrix(ref_kernel, DIMS)
-    assert_allclose(ker.matrix(), ref_kernel)
+    assert np.max(rowspace_angles(ker.matrix(), ref_kernel)) < 1e-8
     assert (ker.k, ker.n, ker.m, ker.p) == (5, 3, 1, 2)
     assert ker.V_f.shape == (5, 3)
     assert ker.W_f.shape == (5, 1)
     assert ker.R_f.shape == (5, 2)
-    assert ker.rank_V_f is None  # bare basis carries no rank decision
+    assert ker.rank_V_f == 3
+    # Below rank n the rows stay as they are.
+    Psi = ref_kernel.copy()
+    Psi[:, 3] = 0.0  # first column of V_f
+    deficient = KernelRep.from_matrix(Psi, DIMS)
+    assert deficient.rank_V_f == 2
+    assert np.array_equal(deficient.matrix(), Psi)
+
+
+def test_kernel_rep_refuses_rank_n_outside_synthesis_coordinates(ref_kernel):
+    # `synthesize` reads A_bar and C_bar off the rows, so a kernel that says
+    # rank n must carry V_f = [I; 0] exactly; 1e-17 off its zeros is refused.
+    ker = KernelRep.from_matrix(ref_kernel, DIMS)
+    with pytest.raises(ValueError, match=r"rank_V_f = n needs V_f = \[I; 0\]"):
+        replace(ker, V_f=ker.V_f + 1e-17)
 
 
 def test_kernel_records_scale_aware_future_rank(ref_model, no_uio_model):
@@ -186,7 +208,9 @@ def test_model_kernel_matches_the_gamma_oracle(case, rotated_hidden_mode):
     # The oracle's rows, changed to synthesis coordinates, are the kernel's
     # up to an orthogonal T on the rows with V_f = 0, which cancels from
     # A_bar and from C_bar' C_bar; those differ only by the left inverse's
-    # rounding, eps * cond(V_f) of the oracle's orthonormal basis.  The
+    # rounding.  Both kernels now store V_f = [I; 0], so cond(oracle.V_f)
+    # is 1 and the bound is eps-relative; the orthonormal basis the oracle
+    # was changed from had cond(V_f) up to 14 on this ladder.  The
     # Riccati stage amplifies that by the conditioning of the closed loop;
     # on this ladder the condition number of A_uio's eigenvector matrix
     # bounds the amplification about tenfold.
@@ -257,12 +281,13 @@ def test_synthesize_requires_full_rank_future_block(ref_kernel):
     assert exc_info.value.evidence["rank_V_f"] == 2
 
 
-def test_synthesize_vf_rank_disagreement_is_a_numerical_failure(no_uio_model):
+def test_kernel_rep_vf_rank_disagreement_is_a_numerical_failure(no_uio_model):
     # The extraction-time rank says n = 3, the SVD of V_f finds 2: the
     # contradiction is a typed refusal, not a bare ValueError.
     ker = kernel_representation(consistency_matrix(no_uio_model), DIMS)
+    assert ker.rank_V_f == 2
     with pytest.raises(NumericalFailure, match="has rank 2 < 3"):
-        synthesize(replace(ker, rank_V_f=3))
+        KernelRep.from_matrix(ker.matrix(), DIMS, rank_V_f=3)
 
 
 def test_synthesize_empty_kernel_is_refused():
@@ -459,28 +484,70 @@ def test_placement_designs_every_corpus_plant_that_has_an_observer(
 
 @pytest.mark.parametrize("options", [SynthesisOptions(), PLACE],
                          ids=["riccati", "place"])
-def test_model_route_decomposes_v_f_once_and_no_gamma_sized_matrix(
+def test_model_route_factors_no_v_f_and_no_gamma_sized_matrix(
     ref_model, options, monkeypatch
 ):
-    # The kernel comes from the (n + 2p) x 2r disturbance block, and the
-    # rank, left inverse and annihilator of V_f from one SVD of V_f.
+    # The kernel comes from the (n + 2p) x 2r disturbance block, already in
+    # synthesis coordinates, so `synthesize` takes no SVD of the k x n V_f.
     svd = np.linalg.svd
     seen = []
 
     def recording(M, *args, **kwargs):
-        seen.append(np.array(M))
+        seen.append(np.shape(M))
         return svd(M, *args, **kwargs)
 
+    k_by_n = model_kernel(ref_model).V_f.shape
     monkeypatch.setattr(np.linalg, "svd", recording)
-    _, diag = design_from_model(ref_model, options)
+    design_from_model(ref_model, options)
     monkeypatch.undo()
-    n = ref_model.n
-    rows = 2 * (n + ref_model.m + ref_model.p)
-    assert seen and not [M.shape for M in seen if M.shape[0] == rows]
-    # V_f is the k x n matrix that Omega_bar inverts from the left.
-    v_f = [M for M in seen if M.shape == (diag.Omega_bar.shape[1], n)
-           and np.abs(diag.Omega_bar @ M - np.eye(n)).max() < 1e-12]
-    assert len(v_f) == 1
+    rows = 2 * (ref_model.n + ref_model.m + ref_model.p)
+    assert seen and not [s for s in seen if s[0] == rows or s == k_by_n]
+
+
+def _svd_formula_observer(ker, options):
+    """The observer by the SVD-of-V_f formula, for any kernel basis whose
+    V_f has rank n: V_f = U S V', Omega_bar = V S^-1 U_1', Delta_f = U_2',
+    A_bar = Omega_bar V_p, C_bar = Delta_f V_p, and Omega = Omega_bar +
+    L Delta_f in the observer blocks."""
+    n = ker.n
+    U, s, Vt = np.linalg.svd(ker.V_f)
+    Omega_bar, Delta_f = (Vt.T / s) @ U[:, :n].T, U[:, n:].T
+    A_bar, C_bar = Omega_bar @ ker.V_p, Delta_f @ ker.V_p
+    if options.gain == "riccati":
+        L, loop, _ = numkit.stabilizing_gain(A_bar, C_bar,
+                                             margin=options.schur_margin)
+    else:
+        L, loop, _ = numkit.place_poles(
+            A_bar, C_bar, -np.asarray(options.poles, dtype=complex))
+    Omega = Omega_bar + L @ Delta_f
+    A_uio = -loop
+    D_u, D_y = -(Omega @ ker.W_f), -(Omega @ ker.R_f)
+    return UioRealization(A_uio, A_uio @ D_u - Omega @ ker.W_p,
+                          A_uio @ D_y - Omega @ ker.R_p, D_u, D_y)
+
+
+@pytest.mark.parametrize("gain", ["riccati", "place"])
+def test_model_route_observers_equal_the_svd_formula(gain, rotated_hidden_mode):
+    # On the model route V_f = [I; 0], whose SVD is U = I, S = I, V = I, so
+    # the SVD formula selects rows exactly and both give the same bits.
+    # Every ladder plant hides a mode, which placement cannot move, so the
+    # place gain is checked on the corpus plants too.
+    designed = 0
+    models = [rotated_hidden_mode(*case) for case in _LADDER] + [
+        _corpus_plant(n, seed, rotated_hidden_mode)
+        for n in (8, 20, 60) for seed in range(6)]
+    for model in models:
+        options = SynthesisOptions() if gain == "riccati" else SynthesisOptions(
+            gain="place", poles=tuple(np.linspace(-0.6, 0.6, model.n)))
+        try:
+            uio, _ = design_from_model(model, options)
+        except (NoUio, numkit.NotObservable):
+            continue
+        oracle = _svd_formula_observer(model_kernel(model), options)
+        for name in ("A_uio", "B_u", "B_y", "D_u", "D_y"):
+            assert np.array_equal(getattr(uio, name), getattr(oracle, name))
+        designed += 1
+    assert designed == {"riccati": 32, "place": 12}[gain]
 
 
 # ------------------------------------------------------- design routes
