@@ -11,9 +11,13 @@ only if its modulus stays below 1 - margin.
 
 Where a pencil loses rank is decided once, by `invariant_zeros` with the
 fixed relative cutoff `ZERO_CUT_RELATIVE`: condition (a) of `existcheck`,
-and, with no disturbance, the unobservable modes that decide detectability
-(`undetectable_modes`) and observability (`place_poles`).  Its zeros are the
-eigenvalues of one n x n matrix, K_x^-1 [A, E] K (see `invariant_zeros`),
+and, with no disturbance, the unobservable modes (`undetectable_modes`)
+that decide observability for `place_poles` and name the modes of an
+undetectable pair when `stabilizing_gain` refuses it.  A gain whose
+verified closed loop is Schur proves detectability by itself, and the
+size of its Riccati solution proves that no mode is seen only below the
+cut, so a successful Riccati design runs no reduction.  The zeros are
+the eigenvalues of one n x n matrix, K_x^-1 [A, E] K (see `invariant_zeros`),
 so no generalized eigenvalue solver is needed: numpy is the only runtime
 dependency.
 
@@ -498,50 +502,111 @@ def stabilizing_gain(
     (`_dare_doubling`), and returns
     ``L = -Abar P Cbar' (Cbar P Cbar' + I)^-1``, the closed loop
     ``Abar + L @ Cbar`` and its verified eigenvalues.  Detectability of
-    (Abar, Cbar) guarantees that solution; it is checked up front by
-    `undetectable_modes`.  The doubling stops once a step changes P by at
-    most n * eps relative (1-norm), or once quadratic convergence predicts
-    that the next step would, so P is accurate to a small multiple of
-    n * eps * ||P||_1.  It needs log2(log eps / log rho) doublings for a
-    closed-loop spectral radius rho, so the cap `_MAX_DOUBLINGS` is that
-    count for the slowest loop float64 can hold, rho = 1 - eps.  Neither is
-    a parameter.
+    (Abar, Cbar) guarantees that solution, and a verified Schur loop proves
+    detectability in turn: a mode Cbar cannot see stays an eigenvalue of
+    Abar + L Cbar for every L.  The staircase of `undetectable_modes`
+    decides detectability at its zero cut, though, and a large gain can
+    move a mode seen only below that cut.  `_no_mode_below_the_cut` rules
+    out every mode the staircase could report from the size of P alone.
+    So the staircase runs only when P is too large for that proof (before
+    the gain is formed), or when the doubling, the gain or the Schur
+    verdict fails: it tells an undetectable pair (`NotDetectable`, with its
+    modes) from a numerical failure, and a refusal thus pays for a
+    doubling first.  With no outputs (Cbar has no rows) the gain is empty
+    and the Schur verdict is on Abar itself.
+
+    The doubling stops once a step changes P by at most n * eps relative
+    (1-norm), or once quadratic convergence predicts that the next step
+    would, so P is accurate to a small multiple of n * eps * ||P||_1.  It
+    needs log2(log eps / log rho) doublings for a closed-loop spectral
+    radius rho, so the cap `_MAX_DOUBLINGS` is that count for the slowest
+    loop float64 can hold, rho = 1 - eps.  Neither is a parameter.
 
     Raises:
-        NotDetectable: for undetectable modes, listed in ``exc.modes``.
+        NotDetectable: when the staircase runs and finds undetectable
+            modes, listed in ``exc.modes``.
         NumericalFailure: "Riccati equation diverged" when P, the gain or
             any intermediate between them is not finite (the pair has no
             bounded solution in float64 at its scale); also when the
             doubling has not converged after `_MAX_DOUBLINGS` steps, or the
-            final closed loop is not Schur.
+            final closed loop is not Schur, and the pair has no
+            undetectable mode.  A non-finite pair fails the staircase too,
+            with its "the pencil is not finite" message.
     """
     Abar = _as_2d(Abar)
     Cbar = _as_2d(Cbar)
     n = Abar.shape[0]
     q = Cbar.shape[0]
-    bad = undetectable_modes(Abar, Cbar, margin=margin)
-    if bad:
-        raise NotDetectable(bad)
     if n == 0:
         return np.zeros((0, q)), np.zeros((0, 0)), np.zeros(0, dtype=complex)
-    if q == 0:
-        # Nothing to inject; detectability already proved Abar is Schur.
-        return np.zeros((n, 0)), Abar.copy(), np.linalg.eigvals(Abar)
-
-    # Overflow anywhere from the Riccati solution to the closed loop means
-    # the pair has no bounded stabilizing solution in float64.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        P = _dare_doubling(Abar, Cbar)
-        S = _finite(Cbar @ P @ Cbar.T + np.eye(q), "C P C' + I")
-        L = _finite(-np.linalg.solve(S.T, (Abar @ P @ Cbar.T).T).T, "the gain")
-        loop = _finite(Abar + L @ Cbar, "the closed loop")
-    closed = spectrum(loop, margin)
-    if not closed.is_schur:
-        raise NumericalFailure(
-            "Riccati gain failed verification: spectral radius "
-            f"{closed.spectral_radius:.6g}"
-        )
+    checked = False
+    try:
+        if q:
+            # Overflow anywhere from the Riccati solution to the closed loop
+            # means the pair has no bounded stabilizing solution in float64.
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                P = _dare_doubling(Abar, Cbar)
+                if not _no_mode_below_the_cut(Abar, Cbar, P, margin):
+                    # Every mode the staircase can report makes P this
+                    # large, so only here can the pair be undetectable.
+                    checked = True
+                    _refuse_undetectable(Abar, Cbar, margin)
+                S = _finite(Cbar @ P @ Cbar.T + np.eye(q), "C P C' + I")
+                L = _finite(-np.linalg.solve(S.T, (Abar @ P @ Cbar.T).T).T,
+                            "the gain")
+                loop = _finite(Abar + L @ Cbar, "the closed loop")
+        else:
+            # Nothing to inject and no output to cut: the pair is detectable
+            # iff Abar is Schur.
+            L, loop = np.zeros((n, 0)), Abar.copy()
+        closed = spectrum(loop, margin)
+        if not closed.is_schur:
+            raise NumericalFailure(
+                "Riccati gain failed verification: spectral radius "
+                f"{closed.spectral_radius:.6g}"
+            )
+    except NumericalFailure:
+        # A failure may be an undetectable pair: the staircase names its
+        # modes.
+        if not checked:
+            _refuse_undetectable(Abar, Cbar, margin)
+        raise
     return L, loop, closed.eigenvalues
+
+
+def _refuse_undetectable(Abar: np.ndarray, Cbar: np.ndarray,
+                         margin: float) -> None:
+    """Raise `NotDetectable` if `undetectable_modes` finds modes."""
+    bad = undetectable_modes(Abar, Cbar, margin=margin)
+    if bad:
+        raise NotDetectable(bad) from None
+
+
+def _no_mode_below_the_cut(Abar: np.ndarray, Cbar: np.ndarray, P: np.ndarray,
+                           margin: float) -> bool:
+    """Whether the Riccati solution P proves that `undetectable_modes` finds
+    no mode of (Abar, Cbar).
+
+    A mode z, |z| >= rho = 1 - margin, that the staircase keeps is an
+    unobservable mode of a pair within its zero cut eps: each deflation
+    drops singular values below eps, so sigma_min([z I - Abar; Cbar]) is
+    about eps at most, at a unit vector v.  P is the value of the dual
+    problem x+ = Abar' x + Cbar' u with cost sum |x|^2 + |u|^2.  Along v it
+    becomes y+ = conj(z) y + w with sum |w|^2 <= eps^2 * cost and
+    sum |y|^2 <= cost, so v' P v is at least half the value p of that
+    scalar problem, the positive root of
+    eps^2 p^2 + (1 - |z|^2 - eps^2) p = 1, which grows with |z|.  Hence
+    ||P||_2 < p(rho, eps) / 2 leaves no such mode; ||P||_1 bounds ||P||_2,
+    and sqrt(||S||_1 ||S||_inf) bounds sigma_1 of S = [Abar; Cbar], so the
+    eps used is no smaller than the staircase's.  Near the unit circle
+    p(rho, eps) / 2 is about 1 / (2 eps): only a gain that leans on output
+    below the cut needs a P that large.
+    """
+    S = np.vstack([Abar, Cbar])
+    sigma = np.sqrt(np.linalg.norm(S, 1) * np.linalg.norm(S, np.inf))
+    eps = RankTolerance(ZERO_CUT_RELATIVE).cutoff(S.shape, sigma)
+    s = 1.0 - (1.0 - margin) ** 2 - eps ** 2
+    return bool(np.linalg.norm(P, 1) * (s + np.sqrt(s * s + 4 * eps * eps)) < 1.0)
 
 
 def _ackermann(Abar: np.ndarray, c_row: np.ndarray, coeffs: np.ndarray) -> np.ndarray:

@@ -221,8 +221,12 @@ class SynthesisOptions:
         both read at the cutoff of the disturbance block M (see
         `model_kernel`).  The zero-based decisions of detectability and
         condition (a) use the fixed `numkit.ZERO_CUT_RELATIVE`.
-    schur_margin: stability margin for the detectability test and the
-        Schur verdicts, in [0, 1).
+    schur_margin: stability margin of the Schur verdicts and of the
+        detectability test, in [0, 1).  For the Riccati gain the Schur
+        verdict on its closed loop is that test (a mode of modulus
+        >= 1 - schur_margin that C_bar cannot see stays in the loop); for
+        the place gain it splits the unobservable modes into unstable ones
+        (NoUio) and stable ones.
 
     Construction refuses, with ValueError, every request that breaks one
     of these rules, so a design never starts from an invalid request.
@@ -411,9 +415,12 @@ def synthesize(
     V_p, and nothing is factored.  Then compute the gain (Riccati or pole
     placement with negated pole requests — see module docstring) and read
     off the observer matrices with Omega = [I, L].
-    Detectability is decided once, inside the gain stage: `stabilizing_gain`
-    refuses undetectable modes, and `place_poles` refuses every unobservable
-    mode, whose unstable ones make the same NoUio.  A_uio is the negation
+    Detectability is decided once, inside the gain stage: the Riccati
+    gain's verified Schur loop proves it (with a check on the size of the
+    Riccati solution, see `numkit.stabilizing_gain`), and the zero
+    staircase runs only when that proof fails, to name the undetectable
+    modes refused; `place_poles` refuses every unobservable mode, whose
+    unstable ones make the same NoUio.  A_uio is the negation
     of the closed-loop array A_bar + L @ C_bar that the gain stage returned
     with its verified eigenvalues, and the reported spectrum is those
     eigenvalues negated: the spectrum of the emitted A_uio, computed once.
@@ -485,9 +492,6 @@ def synthesize(
     )
     spec_report = _spectrum_report(-closed, opt.schur_margin)
     residuals = {
-        "omega_identity": float(
-            np.abs(Omega @ ker.V_f - np.eye(n)).max() if n else 0.0
-        ),
         "sign_identity": float(
             np.abs(Omega @ ker.V_p - loop).max() if n else 0.0
         ),

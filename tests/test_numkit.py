@@ -1,5 +1,6 @@
 """Rank/null-space primitives, spectra, and the two gain constructions."""
 
+import gc
 import importlib
 from pathlib import Path
 
@@ -410,6 +411,126 @@ def test_hidden_unstable_mode_in_rotated_basis(seed):
     with pytest.raises(NotDetectable) as exc_info:
         stabilizing_gain(A, C)
     assert len(exc_info.value.modes) == 1
+
+
+def _hidden_block_pair(mode, n=60, q=5, seed=0, leak=0.0):
+    """A = Q [[mode, x], [0, A_1]] Q', C = [c, C_1] Q': the first state of
+    the block form carries the mode, coupled to the rest by the row x and
+    seen only through the column c, of norm ``leak``."""
+    rng = np.random.default_rng(seed)
+    A = np.zeros((n, n))
+    A[0, 0] = mode
+    A[0, 1:] = 0.3 * rng.standard_normal(n - 1)
+    A[1:, 1:] = 0.35 * rng.standard_normal((n - 1, n - 1))
+    C = np.zeros((q, n))
+    C[:, 1:] = rng.standard_normal((q, n - 1))
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    c = rng.standard_normal(q)
+    C[:, 0] = leak * c / np.linalg.norm(c)
+    return Q @ A @ Q.T, C @ Q.T
+
+
+@pytest.mark.parametrize("mode", [1.3, 1.0, -1.0, 1.0 - SCHUR_MARGIN / 2])
+def test_refusal_runs_the_doubling_then_names_the_staircase_modes(
+        mode, monkeypatch):
+    # The doubling runs first; its P, too large to rule the hidden mode
+    # out, sends the pair to the staircase, which names the modes.  The
+    # doubling must stop before its cap and warn nothing.
+    A, C = _hidden_block_pair(mode)
+    modes = undetectable_modes(A, C)
+    assert len(modes) == 1 and abs(modes[0] - mode) < 1e-9
+    inverses = []
+    inv = np.linalg.inv
+
+    def counting(M):
+        inverses.append(M.shape)
+        return inv(M)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    with pytest.raises(NotDetectable) as exc_info:
+        stabilizing_gain(A, C)
+    assert exc_info.value.modes == modes
+    assert 0 < len(inverses) < numkit._MAX_DOUBLINGS
+
+
+def test_refusal_leaves_no_reference_cycle():
+    # A failure kept in a local of the frame its traceback holds is a cycle:
+    # the doubling's arrays then live until the cyclic collector runs, which
+    # raised the benchmark's peak RSS by 5 MB.  Refcounting must free them.
+    A, C = _hidden_block_pair(1.3, n=8, q=2)
+    gc.collect()
+    gc.disable()
+    try:
+        with pytest.raises(NotDetectable):
+            stabilizing_gain(A, C)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_mode_seen_only_below_the_zero_cut_is_refused(monkeypatch):
+    # A large enough gain moves a mode seen only below the staircase's zero
+    # cut, so a Schur loop alone can disagree with the staircase there.  The
+    # size of P sends such pairs to the staircase: each pair is refused
+    # exactly when the staircase finds modes, and names them, although with
+    # the staircase silenced two of the refused pairs get a Schur loop.
+    pairs = [_hidden_block_pair(mode, q=20, leak=leak)
+             for mode in (1.0, -1.0, 1.3) for leak in np.logspace(-8, -6, 5)]
+    refused = []
+    for A, C in pairs:
+        modes = undetectable_modes(A, C)
+        try:
+            stabilizing_gain(A, C)
+        except NotDetectable as exc:
+            assert exc.modes == modes
+            refused.append((A, C))
+        except NumericalFailure:
+            assert modes == []
+        else:
+            assert modes == []
+    monkeypatch.setattr(numkit, "undetectable_modes", lambda *args, **kw: [])
+    schur = 0
+    for A, C in refused:
+        try:
+            _gain(stabilizing_gain, A, C)
+        except NumericalFailure:
+            continue
+        schur += 1
+    assert (len(refused), schur) == (6, 2)
+
+
+def test_weakly_seen_scalar_mode_is_refused_below_the_cut():
+    # The staircase cuts at 2e-9 * ||[2; c]||: c = 1e-8 is seen, 1e-10 is not.
+    _gain(stabilizing_gain, np.array([[2.0]]), np.array([[1e-8]]))
+    with pytest.raises(NotDetectable) as exc_info:
+        stabilizing_gain(np.array([[2.0]]), np.array([[1e-10]]))
+    assert exc_info.value.modes == [2.0]
+
+
+def test_slow_observed_mode_gets_a_gain():
+    A, C = _hidden_block_pair(0.999)
+    assert undetectable_modes(A, C) == []
+    L = _gain(stabilizing_gain, A, C)
+    assert spectrum(A + L @ C).is_schur
+
+
+def test_pair_without_outputs_is_detectable_iff_schur():
+    A = np.diag([0.5, -0.3])
+    L = _gain(stabilizing_gain, A, np.zeros((0, 2)))
+    assert L.shape == (2, 0)
+    with pytest.raises(NotDetectable) as exc_info:
+        stabilizing_gain(np.diag([0.5, 1.5]), np.zeros((0, 2)))
+    assert exc_info.value.modes == [1.5]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_stabilizing_gain_of_non_finite_pair_names_the_pencil(bad):
+    for A, C in (([[bad]], [[1.0]]), ([[0.5]], [[bad]]),
+                 ([[bad]], np.zeros((0, 1)))):
+        with pytest.raises(NumericalFailure,
+                           match="invariant zeros failed: the pencil is not "
+                                 "finite"):
+            stabilizing_gain(np.array(A), np.array(C))
 
 
 # ---------------------------------------------------- stabilizing gain

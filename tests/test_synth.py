@@ -259,7 +259,7 @@ def test_synthesize_bundled_kernel_with_placement(ref_model, ref_kernel):
                                np.array([0.0, 0.0, 0.5], dtype=complex))
     assert err < 1e-6
     assert verify_uio(ref_model, uio).is_uio
-    assert diag.residuals["omega_identity"] < 1e-9
+    assert np.array_equal(ker.V_f, np.eye(ker.k, 3))
     assert diag.residuals["sign_identity"] < 1e-10
 
 
@@ -329,7 +329,11 @@ def test_synthesis_options_refuse_an_invalid_request(kwargs, message):
         SynthesisOptions(**kwargs)
 
 
-def test_riccati_synthesis_runs_one_detectability_test(ref_kernel, monkeypatch):
+def test_riccati_synthesis_runs_one_detectability_test(
+        ref_kernel, rotated_hidden_mode, monkeypatch):
+    # The verified Schur loop certifies detectability (its P rules out a
+    # mode below the zero cut), so a design runs no staircase; a refusal
+    # runs exactly one, to name the hidden mode.
     calls = []
     original = numkit.undetectable_modes
 
@@ -339,15 +343,21 @@ def test_riccati_synthesis_runs_one_detectability_test(ref_kernel, monkeypatch):
 
     monkeypatch.setattr(numkit, "undetectable_modes", counting)
     synthesize(KernelRep.from_matrix(ref_kernel, DIMS))
+    assert len(calls) == 0
+    with pytest.raises(NoUio):
+        design_from_model(rotated_hidden_mode(4, 1, 2, 1, 1.3, 1))
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("options", [SynthesisOptions(), PLACE],
+@pytest.mark.parametrize("options, reductions",
+                         [(SynthesisOptions(), 0), (PLACE, 1)],
                          ids=["riccati", "place"])
-def test_each_design_runs_one_zero_reduction(ref_model, options, monkeypatch):
-    # Detectability (Riccati) and observability (placement) of
-    # (A_bar, C_bar) both come from one `invariant_zeros` reduction; the
-    # place route decides detectability from the modes of that one call.
+def test_each_design_runs_one_zero_reduction(ref_model, options, reductions,
+                                             monkeypatch):
+    # Placement decides observability of (A_bar, C_bar), and from its modes
+    # detectability, by one `invariant_zeros` reduction.  The Riccati gain
+    # needs none: its verified Schur loop and its P prove the pair
+    # detectable.
     calls = []
     original = numkit.invariant_zeros
 
@@ -357,7 +367,7 @@ def test_each_design_runs_one_zero_reduction(ref_model, options, monkeypatch):
 
     monkeypatch.setattr(numkit, "invariant_zeros", counting)
     design_from_model(ref_model, options)
-    assert len(calls) == 1
+    assert len(calls) == reductions
 
 
 @pytest.mark.parametrize(
@@ -550,6 +560,37 @@ def test_model_route_observers_equal_the_svd_formula(gain, rotated_hidden_mode):
     assert designed == {"riccati": 32, "place": 12}[gain]
 
 
+def test_riccati_refusals_agree_with_the_staircase(rotated_hidden_mode,
+                                                   monkeypatch):
+    # The gain stage skips the staircase when its loop is Schur and P rules
+    # out a mode below the zero cut; a pair where such a loop met a
+    # non-empty staircase would have been refused before.  So on every
+    # kernel with rank(V_f) = n, the refusal is NotDetectable exactly when
+    # the staircase finds modes, and names the same ones.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    models = [rotated_hidden_mode(*case) for case in _LADDER] + [
+        workloads.corpus_model(n, *workloads.corpus_dims(n), seed=seed)
+        for n in (8, 20) for seed in range(40)]
+    outcomes = {"designed": 0, "refused": 0}
+    for model in models:
+        ker = model_kernel(model)
+        if ker.rank_V_f < ker.n:
+            continue
+        A_bar, C_bar = ker.V_p[:ker.n], ker.V_p[ker.n:]
+        modes = numkit.undetectable_modes(A_bar, C_bar)
+        try:
+            numkit.stabilizing_gain(A_bar, C_bar)
+        except numkit.NotDetectable as exc:
+            assert exc.modes == modes
+            outcomes["refused"] += 1
+        else:
+            assert modes == []
+            outcomes["designed"] += 1
+    assert outcomes == {"designed": 72, "refused": 38}
+
+
 # ------------------------------------------------------- design routes
 
 
@@ -736,7 +777,7 @@ def test_uio_dict_echoes_diagnostics(ref_model):
     assert doc["diagnostics"]["gain"] == "place"
     assert doc["diagnostics"]["schur"] is True
     assert doc["diagnostics"]["spectral_radius"] == pytest.approx(0.5, abs=1e-6)
-    assert "omega_identity" in doc["diagnostics"]["residuals"]
+    assert "sign_identity" in doc["diagnostics"]["residuals"]
 
 
 def test_uio_from_dict_rejects_missing_and_malformed():
