@@ -25,13 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .numkit import (DEFAULT_TOL, SCHUR_MARGIN, NumericalFailure, RankTolerance,
                      invariant_zeros)
 from .plant import StateSpaceModel, UioRealization
 from .synth import (NoUio, SynthesisDiagnostics, SynthesisOptions,
-                    design_from_model)
+                    _disturbance_ranks, design_from_model)
 from . import numkit
 
 __all__ = [
@@ -42,41 +40,22 @@ __all__ = [
     "format_report",
 ]
 
-def _spectral_norm(M: np.ndarray) -> float:
-    return float(np.linalg.norm(M, 2)) if M.size else 0.0
-
-
 def condition_b(
     model: StateSpaceModel, tol: RankTolerance = DEFAULT_TOL
 ) -> tuple[bool, dict]:
     """rank [[CE, F], [F, 0]] == rank(F) + r, with the ranks as evidence.
 
-    Both ranks count the singular values above ``tol``'s relative cutoff and
-    above a floor at the scale of the inputs C, E, F,
-    4 * max(shape) * eps * (||C|| ||E|| + ||F||): the product CE of an
-    exactly-decoupled disturbance direction computes to ~eps * ||C|| ||E||
-    rather than to zero, and a purely relative threshold would count that
-    residue as a full rank unit (any nonzero matrix has full rank relative
-    to its own largest entry).
+    The block is read as N = [[F, 0], [CE, F]], its row blocks swapped,
+    and both ranks are the ones `synth.model_kernel` decides, by
+    `numkit.balanced_rank` at the error scale of the entries: |F| for F,
+    and |C| |E| for the computed CE.  The product CE of an
+    exactly-decoupled disturbance direction computes to ~eps |C| |E|
+    rather than to zero, and against that scale it counts as zero, in any
+    units.  So the verdict holds exactly when the design reads
+    rank(V_f) = n.
     """
-    p, r = model.p, model.r
-    M = np.zeros((2 * p, 2 * r))
-    M[:p, :r] = model.C @ model.E
-    M[:p, r:] = model.F
-    M[p:, :r] = model.F
-    scale = (_spectral_norm(model.C) * _spectral_norm(model.E)
-             + _spectral_norm(model.F))
-    floor = 4.0 * max(M.shape, default=1) * np.finfo(float).eps * scale
-
-    def floored_rank(X: np.ndarray) -> int:
-        if min(X.shape) == 0:
-            return 0
-        s = np.linalg.svd(X, compute_uv=False)
-        return int(np.count_nonzero(s > max(tol.cutoff(X.shape, s[0]), floor)))
-
-    block_rank = floored_rank(M)
-    rank_F = floored_rank(model.F)
-    required = rank_F + r
+    rank_F, (block_rank, *_) = _disturbance_ranks(model, tol)
+    required = rank_F + model.r
     return block_rank == required, {
         "block_rank": block_rank,
         "rank_F": rank_F,

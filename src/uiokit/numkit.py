@@ -6,6 +6,13 @@ usual SVD cutoff: a singular value counts as nonzero when it exceeds
 
     max(n_rows, n_cols) * relative * sigma_max.
 
+The decisions about a model's disturbance structure (the rank of [E; F]
+that makes a model valid, and rank F and the rank of N = [[F, 0], [CE, F]]
+that decide condition (b) and the model-route kernel) go through
+`balanced_rank` instead.  It scales a matrix by powers of two against the
+error scale of its entries, so a change of units does not move them, and
+puts 4 * ||scaled error scale||_F in place of sigma_max.
+
 Schur/stability decisions carry their own margin: an eigenvalue is "stable"
 only if its modulus stays below 1 - margin.
 
@@ -53,6 +60,7 @@ __all__ = [
     "PlacementFailed",
     "RepeatedPole",
     "rank",
+    "balanced_rank",
     "left_null_basis",
     "spectrum",
     "eig_assignment_error",
@@ -238,6 +246,42 @@ def _rank_from_singular_values(s, shape, tol: RankTolerance) -> int:
     if len(s) == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > tol.cutoff(shape, s[0])))
+
+
+def _powers_of_two(S: np.ndarray, axis: int) -> np.ndarray:
+    """Powers of two that bring the largest entry of each row (axis 1) or
+    column (axis 0) of the nonnegative S into [1/2, 1); 1 where it is 0."""
+    _, exponent = np.frexp(S.max(axis=axis, initial=0.0))
+    return np.ldexp(1.0, np.minimum(-exponent, 1023))
+
+
+def balanced_rank(M, S, tol: RankTolerance = DEFAULT_TOL):
+    """Rank of ``M`` whose entries carry the error scale ``S``, in any units.
+
+    ``S`` is a nonnegative matrix of M's shape, the size each entry would
+    have if nothing cancelled in computing it: |F| for a given F,
+    |C| |E| for a computed product CE.  Its rows, then its columns, are
+    scaled by powers of two so that each largest entry lies in [1/2, 1)
+    (Parlett & Reinsch 1969), and M with them, exactly.  One SVD of the
+    scaled M counts the singular values above
+    ``tol.cutoff(M.shape, 4 * ||scaled S||_F)``.  A change of units
+    multiplies the rows and columns of M and S alike, and the scaling
+    takes such factors out again (exactly, for powers of two on one side),
+    so the decision does not move with the units the way a cut against
+    the largest singular value of M does.
+
+    Returns (k, U, s, Vt): the rank and the full SVD D_r M D_c = U_s
+    diag(s) Vt_s of the scaled M, with its factors scaled back, U = D_r U_s
+    and Vt = Vt_s D_c.  So U[:, k:]' M ~= 0, M Vt[k:]' ~= 0, and
+    Vt[:k]' diag(1 / s[:k]) U[:, :k]' is a generalized inverse of M.
+    """
+    M, S = _as_2d(M), _as_2d(S)
+    rows = _powers_of_two(S, 1)[:, None]
+    cols = _powers_of_two(S * rows, 0)
+    U, s, Vt = np.linalg.svd(M * rows * cols)
+    cut = tol.cutoff(M.shape, 4.0 * float(np.linalg.norm(S * rows * cols)))
+    k = int(np.count_nonzero(s > cut))
+    return k, rows * U, s, Vt * cols
 
 
 def spectrum(M, margin: float = SCHUR_MARGIN) -> SpectrumReport:

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import DEFAULT_TOL, rank
+from .numkit import balanced_rank
 
 __all__ = [
     "StateSpaceModel",
@@ -105,9 +105,10 @@ class StateSpaceModel:
     refuses, with ValueError("invalid model: ..."), a model that breaks any
     rule of the module docstring, listing every violation: non-finite
     entries, dimension mismatches, then entries whose products overflow,
-    then a rank-deficient [E; F] (decided at `numkit.DEFAULT_TOL`).  Each
-    later rule is checked only when the earlier ones hold, so a model that
-    exists is valid and no route checks it again.
+    then a rank-deficient [E; F] (decided by `numkit.balanced_rank` at
+    `numkit.DEFAULT_TOL`, with the error scale |[E; F]|, so in any units).
+    Each later rule is checked only when the earlier ones hold, so a model
+    that exists is valid and no route checks it again.
     """
 
     A: np.ndarray
@@ -144,7 +145,8 @@ class StateSpaceModel:
                     "such as CA and CE; rescale the model"
                 )
         if not v and r > 0:
-            got = rank(np.vstack([self.E, self.F]), DEFAULT_TOL)
+            EF = np.vstack([self.E, self.F])
+            got = balanced_rank(EF, np.abs(EF))[0]
             if got < r:
                 v.append(f"disturbance map rank-deficient: rank [E; F] = "
                          f"{got} < r = {r}")

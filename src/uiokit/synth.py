@@ -7,13 +7,14 @@ representation of the plant's one-step behaviour: a full-row-rank matrix
 
 whose kernel equals the span of the achievable stacked windows
 (x, x+, u, u+, y, y+), together with the rank of its V_f block.  The model
-route (`model_kernel`) builds it in closed form from one SVD of the 2p x 2r
-disturbance block [[F, 0], [CE, F]], already in the coordinates the second
-step works in: V_f = [I; 0] whenever an observer can exist.  The data route
-(`kernel_representation`) annihilates the recorded-window matrix Phi with
-an orthonormal basis.  Under the excitation assumption the two spans
-coincide, so the designs agree; `design_from_data` refuses data that fails
-the excitation check of `datalog.excitation_report`.
+route (`model_kernel`) builds it in closed form from one balanced SVD of
+the 2p x 2r disturbance block [[F, 0], [CE, F]], already in the
+coordinates the second step works in: V_f = [I; 0] whenever an observer
+can exist.  The data route (`kernel_representation`) annihilates the
+recorded-window matrix Phi with an orthonormal basis.  Under the
+excitation assumption the two spans coincide, so the designs agree;
+`design_from_data` refuses data that fails the excitation check of
+`datalog.excitation_report`.
 
 Second, turn the kernel representation into an observer.  Both routes
 hand it over in synthesis coordinates: whenever rank(V_f) = n, the rows
@@ -72,6 +73,7 @@ from .numkit import (
     _left_null_svd,
     _rank_from_singular_values,
     _spectrum_report,
+    balanced_rank,
     place_poles,
     rank,
     spectrum,
@@ -217,8 +219,10 @@ class SynthesisOptions:
         "riccati".  `numkit.place_poles` checks the count against n and
         closure under conjugation.
     tol: relative cutoff of the SVD rank decisions (kernel, rank(V_f),
-        condition (b)); on the model route the kernel and rank(V_f) are
-        both read at the cutoff of the disturbance block M (see
+        condition (b)).  On the model route the two ranks that decide the
+        kernel, rank(V_f) and condition (b), rank(F) and rank N, are read
+        by `numkit.balanced_rank`, where it multiplies a cut taken after
+        power-of-two scaling, so a change of units does not move them (see
         `model_kernel`).  The zero-based decisions of detectability and
         condition (a) use the fixed `numkit.ZERO_CUT_RELATIVE`.
     schur_margin: stability margin of the Schur verdicts and of the
@@ -329,6 +333,28 @@ def kernel_representation(
     return KernelRep.from_matrix(basis, (n, m, p), rank_vf, tol)
 
 
+def _disturbance_block(F: np.ndarray, CE: np.ndarray) -> np.ndarray:
+    """N = [[F, 0], [CE, F]], the disturbance block of a one-step window."""
+    p, r = F.shape
+    N = np.zeros((2 * p, 2 * r))
+    N[:p, :r] = F
+    N[p:, :r] = CE
+    N[p:, r:] = F
+    return N
+
+
+def _disturbance_ranks(model: StateSpaceModel, tol: RankTolerance):
+    """rank(F) and the `numkit.balanced_rank` (rho_N, U, s, Vt) of N.
+
+    Each is decided at the error scale of its entries: |F| for F, and for
+    N the same block built from |F| and |C| |E|, since CE is computed.
+    """
+    F, C, E = model.F, model.C, model.E
+    rank_F = balanced_rank(F, np.abs(F), tol)[0]
+    S = _disturbance_block(np.abs(F), np.abs(C) @ np.abs(E))
+    return rank_F, balanced_rank(_disturbance_block(F, C @ E), S, tol)
+
+
 def model_kernel(
     model: StateSpaceModel, tol: RankTolerance = DEFAULT_TOL
 ) -> KernelRep:
@@ -346,44 +372,37 @@ def model_kernel(
         v_p = -(v_f A + r_p C + r_f CA),  w_p = -(v_f B + r_p D + r_f CB),
         w_f = -r_f D.
 
-    The rows come out in the coordinates `synthesize` works in, from one
-    SVD N = U S V' read at M's rank cutoff (rank rho_N):
+    Two ranks decide everything, each by `numkit.balanced_rank` at the
+    error scale of its entries: rho_N of N and rank(F) (see
+    `_disturbance_ranks`, which condition (b) reads too).  [E; F] has full
+    column rank r, so rank M = r + rank(F), and the part [E, 0] V_2 of E
+    outside N's row space has rank rho_E = r + rank(F) - rho_N, by that
+    identity rather than by a third cut.  The rows come out in the
+    coordinates `synthesize` works in, from the scaled-back SVD
+    N ~ U S V' of the balanced N:
 
-    - Bottom rows: y runs over the 2p - rho_N left singular vectors of N
-      beyond rho_N, and v_f = 0.  They see no x+ and give C_bar.  One thin
-      QR makes them orthonormal.
-    - Top rows: v_f = Z_v and y = -Z_v [E, 0] N^+, where Z_v is an
-      orthonormal basis of the left kernel of [E, 0] V_2, the part of E
-      outside N's row space (rank rho_E), and Z_v = I when that part is
-      zero.  They are projected orthogonal to the bottom rows, which keeps
-      v_f, so V_f = [Z_v; 0] and ``rank_V_f`` = n - rho_E is recorded.
-      With Z_v = I they are the rows Omega_bar Psi that
+    - Bottom rows: y runs over the 2p - rho_N left null vectors U_2' of N,
+      and v_f = 0.  They see no x+ and give C_bar.  One thin QR makes them
+      orthonormal.
+    - Top rows: v_f = Z_v and y = -Z_v [E, 0] V_1 S_1^-1 U_1', where Z_v
+      is I when rho_E = 0, and otherwise the left singular vectors of
+      [E, 0] V_2 beyond the first rho_E (that SVD decides nothing).  They
+      are projected orthogonal to the bottom rows, which keeps v_f, so
+      V_f = [Z_v; 0] and ``rank_V_f`` = n - rho_E is recorded.  With
+      Z_v = I they are the rows Omega_bar Psi that
       `KernelRep.from_matrix` forms from any orthonormal kernel basis Psi,
       and give A_bar.
 
-    So k = n + 2p - rho_N - rho_E = n + 2p - rank(M) rows.  An observer
-    needs rank(V_f) = n, so Z_v = I whenever one can exist.
+    So k = n + 2p - rho_N - rho_E rows, and rank(V_f) = n exactly when
+    condition (b), rho_N = rank(F) + r, holds.
     """
     n, m, p, r = model.n, model.m, model.p, model.r
-    E0 = np.hstack([model.E, np.zeros((n, r))])
-    N = np.zeros((2 * p, 2 * r))
-    N[:p, :r] = model.F
-    N[p:, :r] = model.C @ model.E
-    N[p:, r:] = model.F
-    M = np.vstack([E0, N])
-    cut = tol.cutoff(M.shape, np.linalg.norm(M, 2) if r else 0.0)
-    U, s, Vt = np.linalg.svd(N)
-    rho_n = int(np.count_nonzero(s > cut))
-    rho_e, Z_v = 0, np.eye(n)
-    if rho_n < 2 * r:
-        # The part of E outside N's row space.  Its left singular vectors
-        # are needed only when no observer can exist, so its values come
-        # first.
-        E_out = E0 @ Vt[rho_n:].T
-        rho_e = int(np.count_nonzero(
-            np.linalg.svd(E_out, compute_uv=False) > cut))
-        if rho_e:
-            Z_v = np.linalg.svd(E_out)[0][:, rho_e:].T
+    rank_F, (rho_n, U, s, Vt) = _disturbance_ranks(model, tol)
+    rho_e = r + rank_F - rho_n
+    EV = model.E @ Vt[:, :r].T  # [E, 0] V
+    Z_v = np.eye(n)
+    if rho_e > 0:
+        Z_v = np.linalg.svd(EV[:, rho_n:])[0][:, rho_e:].T
 
     AB = np.hstack([model.A, model.B])
     CD_CAB = np.vstack([np.hstack([model.C, model.D]), model.C @ AB])
@@ -392,7 +411,7 @@ def model_kernel(
         """[v_p, w_p, w_f, r_p, r_f] of the rows with v_f = 0 and this y."""
         return np.hstack([-(y @ CD_CAB), -(y[:, p:] @ model.D), y])
 
-    top = rows(-(Z_v @ (E0 @ Vt[:rho_n].T / s[:rho_n]) @ U[:, :rho_n].T))
+    top = rows(-(Z_v @ (EV[:, :rho_n] / s[:rho_n]) @ U[:, :rho_n].T))
     top[:, :n + m] -= Z_v @ AB
     Q = np.linalg.qr(rows(U[:, rho_n:].T).T)[0]
     top -= (top @ Q) @ Q.T
@@ -597,25 +616,23 @@ def verify_acceptor(
 ) -> AcceptorReport:
     """Check the three acceptor identities of an observer against a model.
 
-    With T = [-D_y, A_uio D_y - B_y] the identities are
+    With T = [A_uio D_y - B_y, -D_y] and N = [[F, 0], [CE, F]], the
+    disturbance block `model_kernel` reads, the identities are
 
-        acc1:  T @ [[CE, F], [F, 0]] = [-E, 0]
-        acc2:  A_uio = A + T @ [[CA], [C]]
+        acc1:  T @ N = [-E, 0]
+        acc2:  A_uio = A + T @ [[C], [CA]]
         acc3:  [B_u; D_u] = [[(I - D_y C) B - B_y D], [-D_y D]]
 
     Residuals are max-abs per identity; the observer is an acceptor iff all
     three stay below ``tol``.
     """
     _require_same_dims(model, uio)
-    n, p, r = model.n, model.p, model.r
+    n, r = model.n, model.r
     A, B, C, D, E, F = model.A, model.B, model.C, model.D, model.E, model.F
-    T_blk = np.hstack([-uio.D_y, uio.A_uio @ uio.D_y - uio.B_y])
-    ce_f = np.zeros((2 * p, 2 * r))
-    ce_f[:p, :r] = C @ E
-    ce_f[:p, r:] = F
-    ce_f[p:, :r] = F
-    acc1 = T_blk @ ce_f - np.hstack([-E, np.zeros((n, r))])
-    acc2 = uio.A_uio - A - T_blk @ np.vstack([C @ A, C])
+    T_blk = np.hstack([uio.A_uio @ uio.D_y - uio.B_y, -uio.D_y])
+    acc1 = T_blk @ _disturbance_block(F, C @ E) - np.hstack(
+        [-E, np.zeros((n, r))])
+    acc2 = uio.A_uio - A - T_blk @ np.vstack([C, C @ A])
     acc3 = np.vstack([uio.B_u, uio.D_u]) - np.vstack(
         [(np.eye(n) - uio.D_y @ C) @ B - uio.B_y @ D, -uio.D_y @ D]
     )

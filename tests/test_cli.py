@@ -129,10 +129,11 @@ def test_schur_margin_reaches_the_verdict(tmp_path, command, capsys):
 
 @pytest.mark.parametrize("command", ["check", "design"])
 def test_tol_rank_reaches_the_rank_decision(tmp_path, command, capsys):
-    # CE = diag(1, 1e-8): full rank at machine precision, rank 1 once
-    # singular values below 1e-6 of the largest count as zero.
+    # CE = C = [[1, 1], [1, 1 + 1e-7]]: full rank at machine precision,
+    # rank 1 once singular values below 1e-6 of the scale of the entries
+    # count as zero.
     path = _no_input_model_file(tmp_path, 0.5 * np.eye(2),
-                                np.diag([1.0, 1e-8]), np.eye(2),
+                                [[1.0, 1.0], [1.0, 1.0 + 1e-7]], np.eye(2),
                                 np.zeros((2, 2)))
     assert main([command, "--from-model", path]) == 0
     capsys.readouterr()
@@ -142,6 +143,21 @@ def test_tol_rank_reaches_the_rank_decision(tmp_path, command, capsys):
         assert "rank of [[CE, F], [F, 0]] = 1" in out
     else:
         assert "rank(V_f) = 1 < n = 2" in out
+
+
+@pytest.mark.parametrize("command", ["check", "design"])
+def test_tol_rank_does_not_reach_a_change_of_output_units(tmp_path, command,
+                                                          capsys):
+    # CE = diag(1, 1e-8) is CE = I with the second output in other units.
+    # The rank is decided after power-of-two scaling, so it reads 2 at
+    # --tol-rank 1e-6 too.
+    path = _no_input_model_file(tmp_path, 0.5 * np.eye(2),
+                                np.diag([1.0, 1e-8]), np.eye(2),
+                                np.zeros((2, 2)))
+    assert main([command, "--from-model", path, "--tol-rank", "1e-6"]) == 0
+    out = capsys.readouterr().out
+    if command == "check":
+        assert "rank of [[CE, F], [F, 0]] = 2" in out
 
 
 @pytest.mark.parametrize("command, value", [
@@ -175,7 +191,8 @@ def test_tol_rank_does_not_reach_model_validity(tmp_path, ref_model, capsys):
     # The second disturbance column is the first plus 1e-6 noise: [E; F]
     # has full column rank at the package default, so the model is valid,
     # and rank 1 at 1e-3.  --tol-rank governs the design's rank decisions,
-    # not whether the model exists; neither route emits an observer.
+    # not whether the model exists; both routes read rank N = 1 < rank(F)
+    # + r = 3 there, one decision, and refuse.
     rng = np.random.default_rng(0)
     E = np.hstack([ref_model.E,
                    ref_model.E + 1e-6 * rng.standard_normal((3, 1))])
@@ -188,10 +205,10 @@ def test_tol_rank_does_not_reach_model_validity(tmp_path, ref_model, capsys):
     assert main(["check", "--from-model", path, "--tol-rank", "1e-3"]) == 2
     assert "observer exists: no" in capsys.readouterr().out
     assert main(["design", "--from-model", path, "--tol-rank", "1e-3",
-                 "--out", str(out_path)]) == 4
-    err = capsys.readouterr().err
-    assert "invalid model" not in err
-    assert "model-route design failed verification" in err
+                 "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert "invalid model" not in captured.err
+    assert "VfRankDeficient" in captured.out
     assert not out_path.exists()
 
 

@@ -11,14 +11,16 @@ route's k = 2(n+m+p) - rank Gamma and rank(V_f) on the consistency matrix
 Gamma, whose integer entries make it an exact record of the plant.
 """
 
+import importlib
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from exact_rank import bareiss_rank
-from uiokit.existcheck import condition_b
-from uiokit.numkit import DEFAULT_TOL, NoUio, NumericalFailure, rank
+from uiokit.existcheck import condition_b, exists_uio
+from uiokit.numkit import NoUio, NumericalFailure, balanced_rank
 from uiokit.plant import StateSpaceModel, consistency_matrix
 from uiokit.synth import (VF_RANK_DEFICIENT, design_from_model,
                           kernel_representation, model_kernel)
@@ -108,7 +110,7 @@ def test_disturbance_ranks_match_exact_ranks(seed):
         assert not CE.any()
     EF = np.vstack([E, F])
     exact_EF = bareiss_rank(EF)
-    assert rank(EF.astype(float), DEFAULT_TOL) == exact_EF
+    assert balanced_rank(EF.astype(float), np.abs(EF))[0] == exact_EF
     args = [M.astype(float) for M in (A, B, C, D, E, F)]
     if exact_EF < r:
         # The constructor reads the same rank and refuses the plant.
@@ -120,6 +122,9 @@ def test_disturbance_ranks_match_exact_ranks(seed):
     block = np.block([[CE, F], [F, np.zeros((p, r), dtype=int)]])
     assert evidence["block_rank"] == bareiss_rank(block)
     assert evidence["rank_F"] == bareiss_rank(F)
+    # model_kernel sets rho_E = r + rank(F) - rho_N by identity, with no
+    # check of its own that it is not negative.
+    assert evidence["block_rank"] <= r + evidence["rank_F"]
     M = np.block([[E, np.zeros((n, r), dtype=int)],
                   [F, np.zeros((p, r), dtype=int)], [CE, F]])
     ker = model_kernel(model)
@@ -143,3 +148,31 @@ def test_disturbance_ranks_match_exact_ranks(seed):
     else:
         cause = None
     assert (cause == VF_RANK_DEFICIENT) == (rank_vf < n)
+
+
+def test_exists_uio_reads_the_disturbance_structure_through_one_block(
+        monkeypatch):
+    # Condition (b) and the kernel decide two ranks, of F and of the
+    # 2p x 2r block N, at the scale of their entries.  Neither route takes
+    # an SVD or a norm of the (n + 2p) x 2r block [[E, 0], N], of C or of E.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    model = workloads.corpus_model(60, 12, 20, 6, seed=1)
+    n, p, r = model.n, model.p, model.r
+    seen = []
+    for name in ("svd", "norm"):
+        original = getattr(np.linalg, name)
+
+        def spy(a, *args, _original=original, **kwargs):
+            seen.append(np.array(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    report = exists_uio(model)
+    assert report.exists and report.agreement
+    assert any(a.shape == (2 * p, 2 * r) for a in seen)
+    for a in seen:
+        assert a.shape != (n + 2 * p, 2 * r)
+        assert not any(a.shape == M.shape and np.array_equal(a, M)
+                       for M in (model.C, model.E))

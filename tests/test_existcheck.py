@@ -55,28 +55,39 @@ def test_condition_b_pure_output_disturbance():
     assert evidence["block_rank"] == 2
 
 
-def _kernel_direction_disturbance(seed: int = 7) -> StateSpaceModel:
+def _kernel_direction_disturbance(seed: int = 7,
+                                  c_scale: float = 1.0) -> StateSpaceModel:
     """State disturbance along a computed null direction of C, F = 0.
 
-    C @ E is exactly zero in the reals but lands at ~1e-16 in floats, the
-    worst case for any purely relative rank tolerance.
+    C @ E is exactly zero in the reals but lands at ~1e-16 ||C|| in floats,
+    the worst case for any purely relative rank tolerance.  ``c_scale``
+    multiplies C after E is chosen.
     """
     rng = np.random.default_rng(seed)
     C = rng.standard_normal((2, 3))
     E = np.linalg.svd(C)[2][-1:].T
     return StateSpaceModel(
         A=rng.standard_normal((3, 3)), B=rng.standard_normal((3, 1)),
-        C=C, D=rng.standard_normal((2, 1)), E=E, F=np.zeros((2, 1)),
+        C=c_scale * C, D=rng.standard_normal((2, 1)), E=E,
+        F=np.zeros((2, 1)),
     )
 
 
 def test_condition_b_epsilon_product_counts_as_zero():
-    model = _kernel_direction_disturbance()
-    assert 0.0 < np.max(np.abs(model.C @ model.E)) < 1e-14
-    ok, evidence = condition_b(model)
-    assert not ok
-    assert evidence["block_rank"] == 0
-    assert evidence["required"] == 1
+    # With C a hundred times larger, the residue CE once counted as rank
+    # against the largest entry of [E; CE] (a unit E), while condition (b)
+    # called it zero: the design then refused as NotDetectable, naming a
+    # spurious mode near 1.9e14.  One rank rule makes the two one decision.
+    for c_scale in (1.0, 1e2, 1e4, 1e6):
+        model = _kernel_direction_disturbance(c_scale=c_scale)
+        assert 0.0 < np.max(np.abs(model.C @ model.E)) < 1e-14 * c_scale
+        ok, evidence = condition_b(model)
+        assert not ok
+        assert evidence["block_rank"] == 0
+        assert evidence["required"] == 1
+        with pytest.raises(synth.NoUio) as refusal:
+            synth.design_from_model(model)
+        assert refusal.value.cause == synth.VF_RANK_DEFICIENT, c_scale
 
 
 @pytest.mark.parametrize("seed", range(5))

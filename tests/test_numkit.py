@@ -17,6 +17,7 @@ from uiokit.numkit import (
     NotObservable,
     NumericalFailure,
     PlacementFailed,
+    balanced_rank,
     eig_assignment_error,
     invariant_zeros,
     left_null_basis,
@@ -56,6 +57,39 @@ def test_rank_zero_matrix():
 
 def test_rank_single_disturbance_column():
     assert rank(EF_COLUMN) == 1
+
+
+def test_balanced_rank_reads_a_matrix_in_any_units():
+    # A near-dependence is rank 1 at a loose tolerance and rank 2 at the
+    # default, whatever the units of its rows and columns; a cut against
+    # the largest singular value reads the units instead.
+    C = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-7]])
+    units = np.diag([2.0 ** -60, 1.0]) @ C @ np.diag([1.0, 2.0 ** 40])
+    for M in (C, units):
+        assert balanced_rank(M, np.abs(M))[0] == 2
+        assert balanced_rank(M, np.abs(M), RankTolerance(1e-6))[0] == 1
+    assert rank(units) == 1
+
+
+def test_balanced_rank_factors_annihilate_the_unscaled_matrix():
+    rng = np.random.default_rng(3)
+    rows = np.diag(2.0 ** rng.integers(-40, 41, size=6))
+    cols = np.diag(2.0 ** rng.integers(-40, 41, size=4))
+    X, Y = rng.standard_normal((6, 2)), rng.standard_normal((2, 4))
+    M = rows @ X @ Y @ cols
+    S = rows @ np.abs(X) @ np.abs(Y) @ cols
+    k, U, s, Vt = balanced_rank(M, S)
+    assert k == 2
+    assert (np.abs(U[:, k:].T @ M) <= 1e-14 * (np.abs(U[:, k:].T) @ S)).all()
+    assert (np.abs(M @ Vt[k:].T) <= 1e-14 * (S @ np.abs(Vt[k:].T))).all()
+    # Vt' diag(1/s) U' on the kept part is a generalized inverse of M.
+    G = Vt[:k].T / s[:k] @ U[:, :k].T
+    assert (np.abs(M @ G @ M - M) <= 1e-14 * S).all()
+
+
+def test_balanced_rank_of_a_subnormal_row():
+    M = np.array([[5e-324, 0.0], [0.0, 1.0]])
+    assert balanced_rank(M, np.abs(M))[0] == 2
 
 
 # ------------------------------------------------------- null bases

@@ -7,7 +7,9 @@ ValueError that is not numpy's `LinAlgError`); pytest turns a leaked
 RuntimeWarning into an error.
 """
 
+import importlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,11 +17,11 @@ import pytest
 from uiokit import plant
 from uiokit.datalog import (HistoricalData, Uniform, build_blocks, collect,
                             excitation_report)
-from uiokit.existcheck import exists_uio
+from uiokit.existcheck import condition_b, exists_uio
 from uiokit.numkit import NumericalFailure
 from uiokit.simlab import run
 from uiokit.synth import (NoUio, SynthesisOptions, design_from_data,
-                          design_from_model)
+                          design_from_model, model_kernel)
 
 
 @pytest.fixture
@@ -28,7 +30,7 @@ def validity_checks(monkeypatch):
     a model, and decide the rank of its [E; F]."""
     counts = {"models": 0, "ranks": 0}
     post_init = plant.StateSpaceModel.__post_init__
-    rank = plant.rank
+    rank = plant.balanced_rank
 
     def counting_post_init(self):
         counts["models"] += 1
@@ -40,7 +42,7 @@ def validity_checks(monkeypatch):
 
     monkeypatch.setattr(plant.StateSpaceModel, "__post_init__",
                         counting_post_init)
-    monkeypatch.setattr(plant, "rank", counting_rank)
+    monkeypatch.setattr(plant, "balanced_rank", counting_rank)
     return counts
 
 
@@ -141,10 +143,10 @@ def test_scaled_models_end_in_typed_refusals(rotated_hidden_mode, n, seed,
 
 
 UNSCALED_RANK_CUTS = pytest.mark.xfail(
-    strict=True, reason="rank decisions read against the largest block: at "
-    "2**332 model_kernel cuts E and F against CE (k = 6, not 5), and the "
-    "extra row reads as undetectable modes near -3e99; at 2**-332 placement "
-    "calls modes below 1e-49 unobservable")
+    strict=True, reason="the gain stage reads against the largest block: at "
+    "2**332 the kernel is right (k = 5, and condition (b) holds), but the "
+    "zero staircase reads modes near 1e100 as undetectable; at 2**-332 "
+    "placement calls modes below 1e-49 unobservable")
 
 
 @pytest.mark.parametrize("power, gain", [
@@ -163,3 +165,34 @@ def test_reference_model_scaled_by_a_power_of_two_agrees(ref_model, power,
                                     for key in "ABCDEF"))
     report = exists_uio(model, options)
     assert report.exists and report.agreement
+
+
+def _in_units(model, K: int, rng):
+    """``model`` after x = T x', u = S_u u', y = S_y y', d = S_d d', each
+    diagonal entry 2**k with k uniform in [-K, K]: the same plant, exactly."""
+    t, su, sy, sd = (np.ldexp(1.0, rng.integers(-K, K + 1, size=size))
+                     for size in (model.n, model.m, model.p, model.r))
+    return plant.StateSpaceModel(
+        A=model.A * t / t[:, None], B=model.B * su / t[:, None],
+        C=model.C * t / sy[:, None], D=model.D * su / sy[:, None],
+        E=model.E * sd / t[:, None], F=model.F * sd / sy[:, None])
+
+
+@pytest.mark.parametrize("K", [10, 20, 40])
+def test_disturbance_decisions_do_not_depend_on_units(monkeypatch, K):
+    # Condition (b) and the kernel's rank(V_f) read the disturbance
+    # structure in whatever units the plant comes in; a cut against the
+    # largest entry moved them once units spread by 2**20.  Condition (a)
+    # and the gain stage are not covered here.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    rng = np.random.default_rng([20261020, K])
+    for n in (8, 20, 40):
+        for seed in range(40):
+            model = workloads.corpus_model(n, *workloads.corpus_dims(n), seed)
+            scaled = _in_units(model, K, rng)
+            assert condition_b(scaled) == condition_b(model), (n, seed)
+            ker, scaled_ker = model_kernel(model), model_kernel(scaled)
+            assert (scaled_ker.k, scaled_ker.rank_V_f) == (ker.k,
+                                                           ker.rank_V_f)
