@@ -54,7 +54,12 @@ def condition_b(
     units.  So the verdict holds exactly when the design reads
     rank(V_f) = n.
     """
-    rank_F, (block_rank, *_) = _disturbance_ranks(model, tol)
+    return _condition_b(model, _disturbance_ranks(model, tol))
+
+
+def _condition_b(model: StateSpaceModel, ranks) -> tuple[bool, dict]:
+    """`condition_b` from the `_disturbance_ranks` of the model."""
+    rank_F, (block_rank, *_) = ranks
     required = rank_F + model.r
     return block_rank == required, {
         "block_rank": block_rank,
@@ -102,6 +107,9 @@ class ExistenceReport:
     ``uio`` and ``diagnostics`` are the certified observer and its synthesis
     diagnostics from the constructive run, None when that run refused, so a
     caller that wants the verdict and the observer designs once.
+    ``refusal`` is the text of that run's refusal, None when it succeeded;
+    `constructive_detail` renders the run on read, so a success solves its
+    observer's eigenvalue problem only when the detail is read.
     """
 
     condition_a: bool
@@ -109,11 +117,20 @@ class ExistenceReport:
     exists: bool
     evidence: dict
     constructive_succeeded: bool
-    constructive_detail: str
+    refusal: str | None
     agreement: bool
     uio: UioRealization | None = field(default=None, compare=False, repr=False)
     diagnostics: SynthesisDiagnostics | None = field(
         default=None, compare=False, repr=False)
+
+    @property
+    def constructive_detail(self) -> str:
+        """One line on the constructive run: its refusal, or the spectral
+        radius of the observer it designed."""
+        if self.refusal is not None:
+            return self.refusal
+        return ("design succeeded (spectral radius "
+                f"{self.diagnostics.spectrum.spectral_radius:.6g})")
 
 
 def exists_uio(
@@ -127,23 +144,22 @@ def exists_uio(
     ``agreement`` flags whether the two verdicts coincide.  The run counts
     as a success only for an observer that passes the `verify_uio` test,
     which `design_from_model` applies before it returns; that observer and
-    its diagnostics are kept in the report.
+    its diagnostics are kept in the report.  The disturbance ranks that
+    decide condition (b) are decided once and handed to the design's
+    kernel.
     """
     opt = options or SynthesisOptions()
-    b_ok, b_ev = condition_b(model, opt.tol)
+    ranks = _disturbance_ranks(model, opt.tol)
+    b_ok, b_ev = _condition_b(model, ranks)
     a_ok, a_ev = condition_a(model, margin=opt.schur_margin)
     exists = a_ok and b_ok
-    uio = diag = None
+    uio = diag = refusal = None
     try:
-        uio, diag = design_from_model(model, opt)
-        detail = (
-            "design succeeded (spectral radius "
-            f"{diag.spectrum.spectral_radius:.6g})"
-        )
+        uio, diag = design_from_model(model, opt, _ranks=ranks)
     except NoUio as exc:
-        detail = f"design refused: {exc}"
+        refusal = f"design refused: {exc}"
     except (numkit.NotObservable, NumericalFailure) as exc:
-        detail = f"design failed numerically: {exc}"
+        refusal = f"design failed numerically: {exc}"
     constructive_ok = uio is not None
     return ExistenceReport(
         condition_a=a_ok,
@@ -151,7 +167,7 @@ def exists_uio(
         exists=exists,
         evidence={"a": a_ev, "b": b_ev},
         constructive_succeeded=constructive_ok,
-        constructive_detail=detail,
+        refusal=refusal,
         agreement=exists == constructive_ok,
         uio=uio,
         diagnostics=diag,

@@ -23,7 +23,11 @@ that decide observability for `place_poles` and name the modes of an
 undetectable pair when `stabilizing_gain` refuses it.  A gain whose
 verified closed loop is Schur proves detectability by itself, and the
 size of its Riccati solution proves that no mode is seen only below the
-cut, so a successful Riccati design runs no reduction.  The zeros are
+cut, so a successful Riccati design runs no reduction; a refusal runs it
+as soon as the doubling's iterates are too large for that proof.  The
+Riccati solution also proves the loop Schur, through its Stein identity,
+so a Riccati design solves no eigenvalue problem unless its eigenvalues
+are read (`SpectrumReport`).  The zeros are
 the eigenvalues of one n x n matrix, K_x^-1 [A, E] K (see `invariant_zeros`),
 so no generalized eigenvalue solver is needed: numpy is the only runtime
 dependency.
@@ -38,13 +42,15 @@ convergence predicts that the next would; placement comes from the
 eigenvector sweeps of Kautsky, Nichols & Van Dooren, at most `_KNV_SWEEPS`
 of them.  Both verify their own output and raise instead of returning an
 unchecked gain; each returns the gain, the closed loop Abar + L @ Cbar it
-verified and that loop's eigenvalues, so a caller can use the very array
-whose spectrum was checked.
+verified and that loop's `SpectrumReport`, so a caller can use the very
+array whose spectrum was checked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -73,6 +79,9 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+
+#: The smallest positive (subnormal) float64.
+_ETA = float(np.finfo(float).smallest_subnormal)
 
 #: Default stability margin: eigenvalues with modulus >= 1 - SCHUR_MARGIN are
 #: treated as not (safely) stable.
@@ -193,12 +202,29 @@ DEFAULT_TOL = RankTolerance()
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Eigenvalues of a square matrix together with a Schur verdict."""
+    """Schur verdict of a square matrix, with its eigenvalues on first read.
 
-    eigenvalues: np.ndarray
-    spectral_radius: float
+    ``is_schur`` says that the spectral radius is below ``1 - margin``.  The
+    eigenvalues (sorted by `np.sort_complex`) and ``spectral_radius`` are
+    computed once, the first time either is read, by calling ``solve``: a
+    verdict proved without them (see `stabilizing_gain`) solves no
+    eigenvalue problem unless someone reads them.
+    """
+
     is_schur: bool
-    margin: float = SCHUR_MARGIN
+    margin: float
+    solve: InitVar[Callable[[], np.ndarray]]
+
+    def __post_init__(self, solve) -> None:
+        object.__setattr__(self, "_solve", solve)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        return np.sort_complex(np.asarray(self._solve(), dtype=complex))
+
+    @cached_property
+    def spectral_radius(self) -> float:
+        return _radius(self.eigenvalues)
 
     def moduli(self) -> np.ndarray:
         """Sorted eigenvalue moduli (ascending)."""
@@ -285,7 +311,7 @@ def balanced_rank(M, S, tol: RankTolerance = DEFAULT_TOL):
 
 
 def spectrum(M, margin: float = SCHUR_MARGIN) -> SpectrumReport:
-    """Eigenvalues and Schur verdict of a square matrix.
+    """Eigenvalues and Schur verdict of a square matrix, solved at once.
 
     The verdict is conservative: ``is_schur`` is True only when the spectral
     radius is strictly below ``1 - margin``.
@@ -293,18 +319,24 @@ def spectrum(M, margin: float = SCHUR_MARGIN) -> SpectrumReport:
     M = _as_2d(M)
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"spectrum needs a square matrix, got {M.shape}")
+    return _spectrum_report(_eigvals(M), margin)
+
+
+def _eigvals(M: np.ndarray) -> np.ndarray:
     try:
-        ev = np.linalg.eigvals(M)
+        return np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - very rare
         raise NumericalFailure(f"eigenvalue computation failed: {exc}") from exc
-    return _spectrum_report(ev, margin)
 
 
 def _spectrum_report(eigenvalues, margin: float) -> SpectrumReport:
     """`SpectrumReport` of already computed eigenvalues."""
-    ev = np.sort_complex(np.asarray(eigenvalues, dtype=complex))
-    radius = float(np.max(np.abs(ev))) if ev.size else 0.0
-    return SpectrumReport(ev, radius, radius < 1.0 - margin, margin)
+    return SpectrumReport(_radius(eigenvalues) < 1.0 - margin, margin,
+                          lambda: eigenvalues)
+
+
+def _radius(eigenvalues: np.ndarray) -> float:
+    return float(np.max(np.abs(eigenvalues))) if len(eigenvalues) else 0.0
 
 
 def eig_assignment_error(eigenvalues, targets) -> float:
@@ -473,7 +505,8 @@ def _finite(M: np.ndarray, what: str) -> np.ndarray:
     return M
 
 
-def _dare_doubling(Abar: np.ndarray, Cbar: np.ndarray) -> np.ndarray:
+def _dare_doubling(Abar: np.ndarray, Cbar: np.ndarray,
+                   margin: float = SCHUR_MARGIN) -> np.ndarray:
     """Stabilizing solution P of the unit-weight filter DARE, by doubling.
 
     The structure-preserving doubling algorithm (Chu, Fan, Lin & Wang 2004)
@@ -498,10 +531,23 @@ def _dare_doubling(Abar: np.ndarray, Cbar: np.ndarray) -> np.ndarray:
     the first rule, and it is not taken.  Either way P is accurate to a
     small multiple of n * eps * ||P|| (on the benchmark corpora, the P of
     the first rule alone is within 11.1 n * eps * ||P||).
+
+    The iterates grow monotonically, I = H_0 <= H_k <= H_k+1 <= P in the
+    Loewner order (Lin & Xu 2006), so max diag(H_k) <= lambda_max(P) <=
+    ||P||_1.  The first time max diag(H_k) reaches the bound of
+    `_no_mode_below_the_cut` (at ``margin``), P cannot pass that check, and
+    the staircase (`_refuse_undetectable`) runs at once: a refusal stops
+    there.  If it names no mode, the loop goes on from the same iterate, so
+    P is the same to the bit.  At return the check is made on ||P||_1
+    itself, and the staircase runs then if the diagonal never reached the
+    bound.  So a P that fails `_no_mode_below_the_cut` comes back only
+    after the staircase found no mode.
     """
     n = Abar.shape[0]
+    weight = _hidden_mode_weight(Abar, Cbar, margin)
     A, G, H = Abar.T, _finite(Cbar.T @ Cbar, "C' C"), np.eye(n)
     last = None
+    checked = False
     for _ in range(_MAX_DOUBLINGS):
         try:
             W_inv = np.linalg.inv(np.eye(n) + G @ H)
@@ -518,23 +564,30 @@ def _dare_doubling(Abar: np.ndarray, Cbar: np.ndarray) -> np.ndarray:
         G = (G + G.T) / 2
         A = A @ WA
         H = _finite(H + dH, "P")
+        if not checked and np.max(np.diag(H)) * weight >= 1.0:
+            checked = True
+            _refuse_undetectable(Abar, Cbar, margin)
         step, size = np.linalg.norm(dH, 1), np.linalg.norm(H, 1)
         if step <= n * _EPS * size:
-            return H
+            break
         # The next step would change H by about change^3 / last^2.
         change = step / size
         if last is not None and change < last and (
                 change ** 3 <= n * _EPS * last ** 2):
-            return H
+            break
         last = change
-    raise NumericalFailure(
-        f"Riccati doubling did not converge in {_MAX_DOUBLINGS} steps"
-    )
+    else:
+        raise NumericalFailure(
+            f"Riccati doubling did not converge in {_MAX_DOUBLINGS} steps"
+        )
+    if not checked and size * weight >= 1.0:
+        _refuse_undetectable(Abar, Cbar, margin)
+    return H
 
 
 def stabilizing_gain(
     Abar, Cbar, margin: float = SCHUR_MARGIN
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, SpectrumReport]:
     """Output-injection gain L making ``Abar + L @ Cbar`` Schur.
 
     Solves the filter-form discrete algebraic Riccati equation with unit
@@ -545,19 +598,23 @@ def stabilizing_gain(
     for its stabilizing solution by structure-preserving doubling
     (`_dare_doubling`), and returns
     ``L = -Abar P Cbar' (Cbar P Cbar' + I)^-1``, the closed loop
-    ``Abar + L @ Cbar`` and its verified eigenvalues.  Detectability of
-    (Abar, Cbar) guarantees that solution, and a verified Schur loop proves
-    detectability in turn: a mode Cbar cannot see stays an eigenvalue of
-    Abar + L Cbar for every L.  The staircase of `undetectable_modes`
-    decides detectability at its zero cut, though, and a large gain can
-    move a mode seen only below that cut.  `_no_mode_below_the_cut` rules
-    out every mode the staircase could report from the size of P alone.
-    So the staircase runs only when P is too large for that proof (before
-    the gain is formed), or when the doubling, the gain or the Schur
-    verdict fails: it tells an undetectable pair (`NotDetectable`, with its
-    modes) from a numerical failure, and a refusal thus pays for a
-    doubling first.  With no outputs (Cbar has no rows) the gain is empty
-    and the Schur verdict is on Abar itself.
+    ``Abar + L @ Cbar`` and the `SpectrumReport` of that loop.  The Schur
+    verdict comes from P itself when it can (`_stein_proves_schur`): then
+    no eigenvalue problem is solved until the report's eigenvalues are
+    read.  Otherwise the loop's eigenvalues decide, as in `spectrum`.
+
+    Detectability of (Abar, Cbar) guarantees that solution, and a verified
+    Schur loop proves detectability in turn: a mode Cbar cannot see stays
+    an eigenvalue of Abar + L Cbar for every L.  The staircase of
+    `undetectable_modes` decides detectability at its zero cut, though,
+    and a large gain can move a mode seen only below that cut.
+    `_no_mode_below_the_cut` rules out every mode the staircase could
+    report from the size of P alone.  So the staircase runs only to name
+    the modes of a refusal: inside the doubling, as soon as its iterates
+    are too large for that proof, or when the doubling, the gain or the
+    Schur verdict fails: it tells an undetectable pair (`NotDetectable`,
+    with its modes) from a numerical failure.  With no outputs (Cbar has
+    no rows) the gain is empty and the Schur verdict is on Abar itself.
 
     The doubling stops once a step changes P by at most n * eps relative
     (1-norm), or once quadratic convergence predicts that the next step
@@ -582,28 +639,28 @@ def stabilizing_gain(
     n = Abar.shape[0]
     q = Cbar.shape[0]
     if n == 0:
-        return np.zeros((0, q)), np.zeros((0, 0)), np.zeros(0, dtype=complex)
-    checked = False
+        return (np.zeros((0, q)), np.zeros((0, 0)),
+                _spectrum_report(np.zeros(0), margin))
+    P = closed = None
     try:
         if q:
             # Overflow anywhere from the Riccati solution to the closed loop
             # means the pair has no bounded stabilizing solution in float64.
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                P = _dare_doubling(Abar, Cbar)
-                if not _no_mode_below_the_cut(Abar, Cbar, P, margin):
-                    # Every mode the staircase can report makes P this
-                    # large, so only here can the pair be undetectable.
-                    checked = True
-                    _refuse_undetectable(Abar, Cbar, margin)
+                P = _dare_doubling(Abar, Cbar, margin)
                 S = _finite(Cbar @ P @ Cbar.T + np.eye(q), "C P C' + I")
                 L = _finite(-np.linalg.solve(S.T, (Abar @ P @ Cbar.T).T).T,
                             "the gain")
                 loop = _finite(Abar + L @ Cbar, "the closed loop")
+                if _stein_proves_schur(loop, P, margin):
+                    closed = SpectrumReport(True, margin,
+                                            lambda: _eigvals(loop))
         else:
             # Nothing to inject and no output to cut: the pair is detectable
             # iff Abar is Schur.
             L, loop = np.zeros((n, 0)), Abar.copy()
-        closed = spectrum(loop, margin)
+        if closed is None:
+            closed = spectrum(loop, margin)
         if not closed.is_schur:
             raise NumericalFailure(
                 "Riccati gain failed verification: spectral radius "
@@ -611,11 +668,12 @@ def stabilizing_gain(
             )
     except NumericalFailure:
         # A failure may be an undetectable pair: the staircase names its
-        # modes.
-        if not checked:
+        # modes.  The doubling has run it already for a P too large for
+        # `_no_mode_below_the_cut`.
+        if P is None or _no_mode_below_the_cut(Abar, Cbar, P, margin):
             _refuse_undetectable(Abar, Cbar, margin)
         raise
-    return L, loop, closed.eigenvalues
+    return L, loop, closed
 
 
 def _refuse_undetectable(Abar: np.ndarray, Cbar: np.ndarray,
@@ -629,7 +687,15 @@ def _refuse_undetectable(Abar: np.ndarray, Cbar: np.ndarray,
 def _no_mode_below_the_cut(Abar: np.ndarray, Cbar: np.ndarray, P: np.ndarray,
                            margin: float) -> bool:
     """Whether the Riccati solution P proves that `undetectable_modes` finds
-    no mode of (Abar, Cbar).
+    no mode of (Abar, Cbar): ||P||_1 * `_hidden_mode_weight` < 1."""
+    return bool(np.linalg.norm(P, 1) * _hidden_mode_weight(Abar, Cbar, margin)
+                < 1.0)
+
+
+def _hidden_mode_weight(Abar: np.ndarray, Cbar: np.ndarray,
+                        margin: float) -> float:
+    """2 / p(rho, eps): a P with ||P||_2 below p / 2 leaves (Abar, Cbar) no
+    mode that `undetectable_modes` can find.
 
     A mode z, |z| >= rho = 1 - margin, that the staircase keeps is an
     unobservable mode of a pair within its zero cut eps: each deflation
@@ -650,7 +716,73 @@ def _no_mode_below_the_cut(Abar: np.ndarray, Cbar: np.ndarray, P: np.ndarray,
     sigma = np.sqrt(np.linalg.norm(S, 1) * np.linalg.norm(S, np.inf))
     eps = RankTolerance(ZERO_CUT_RELATIVE).cutoff(S.shape, sigma)
     s = 1.0 - (1.0 - margin) ** 2 - eps ** 2
-    return bool(np.linalg.norm(P, 1) * (s + np.sqrt(s * s + 4 * eps * eps)) < 1.0)
+    return s + np.sqrt(s * s + 4 * eps * eps)
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), u = eps / 2: the relative error bound of
+    k floating-point operations in a row (Higham 2002, sec. 3.1)."""
+    return k * _EPS / 2 / (1.0 - k * _EPS / 2)
+
+
+def _stein_proves_schur(loop: np.ndarray, P: np.ndarray,
+                        margin: float) -> bool:
+    """Whether P proves that the filter-DARE loop is Schur at ``margin``.
+
+    The loop Lambda = Abar + L Cbar of the gain of `stabilizing_gain`
+    satisfies the Stein identity P - Lambda P Lambda' = I + L L'.  For a
+    left eigenvector v of Lambda with eigenvalue mu,
+    v' (P - Lambda P Lambda') v = (1 - |mu|^2) v' P v, so P > 0 and
+    R = P - Lambda P Lambda' >= I / 2 give
+    |mu|^2 <= 1 - 1 / (2 lambda_max(P)) <= 1 - 1 / (2 ||P||_1), which is
+    below (1 - margin)^2 whenever ||P||_1 margin (2 - margin) < 1/2.  R is
+    at least I in exact arithmetic, so it falls below I / 2 only when P is
+    not this loop's Riccati solution: the 1/2 is not a tolerance.
+
+    Both inequalities are proved in floating point, for the stored P and
+    loop.  R is computed as P - (Lambda P) Lambda'; its rounding error is
+    at most gamma_2n+1 |Lambda| |P| |Lambda|' + u |P| entrywise (Higham
+    2002, sec. 3.5), so in the 2-norm at most
+    delta = gamma_2n+2 ||P||_1 (||Lambda||_inf ||Lambda||_1 + 1), as P is
+    exactly symmetric (the doubling keeps it so).  `_proves_above` then
+    proves P > 0 and R > (1/2 + delta) I by floating-point Cholesky.  The
+    bounds take O(n^2) norms; the two products and two factorizations cost
+    less than the nonsymmetric eigenvalue solve they replace.  False means
+    only that nothing was proved.
+    """
+    n = len(P)
+    norm_P = np.linalg.norm(P, 1)
+    # The computed ||P||_1 can fall short of the exact one by gamma_n.
+    if not norm_P * margin * (2.0 - margin) * (1.0 + (n + 4) * _EPS) < 0.5:
+        return False
+    delta = _gamma(2 * n + 2) * norm_P * (
+        np.linalg.norm(loop, np.inf) * np.linalg.norm(loop, 1) + 1.0)
+    R = P - (loop @ P) @ loop.T
+    return _proves_above(P, 0.0) and _proves_above(R, 0.5 + delta)
+
+
+def _proves_above(M: np.ndarray, c: float) -> bool:
+    """Whether a floating-point Cholesky proves M > c I (Rump 2006).
+
+    M is read as the symmetric matrix of its lower triangle.  A Cholesky of
+    fl(M - t I) that runs to completion factors that matrix up to a
+    backward error of 2-norm at most gamma_n+1 / (1 - gamma_n+1) times its
+    trace (Demmel 1989), so it proves M - t I > -that.  The shift
+    t = c + 2 gamma_n+2 sum |m_ii| covers this error and the rounding of
+    the shift itself, and Rump's 4 n (2n + 2 + max |m_ii|) eta, eta the
+    smallest subnormal, covers underflow.  A non-finite shift proves
+    nothing.
+    """
+    n = len(M)
+    d = np.abs(np.diag(M))
+    t = c + 2 * _gamma(n + 2) * d.sum() + 4 * n * (2 * n + 2 + d.max()) * _ETA
+    if not np.isfinite(t):
+        return False
+    try:
+        np.linalg.cholesky(M - t * np.eye(n))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _ackermann(Abar: np.ndarray, c_row: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -726,7 +858,8 @@ def _knv_loop(At: np.ndarray, U: np.ndarray, k: int,
     return np.linalg.solve(X.T, (X * lam).T).T.real
 
 
-def place_poles(Abar, Cbar, poles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def place_poles(Abar, Cbar,
+                poles) -> tuple[np.ndarray, np.ndarray, SpectrumReport]:
     """Output-injection gain L placing the spectrum of ``Abar + L @ Cbar``.
 
     ``poles`` must be a conjugation-closed multiset of n values.  The gain
@@ -741,7 +874,8 @@ def place_poles(Abar, Cbar, poles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (defective) closed loop instead.  Whatever the route, the placed
     spectrum is verified against the request within `PLACEMENT_TOL`
     (optimal-assignment matching).  Returns L, the closed loop
-    ``Abar + L @ Cbar`` and its verified eigenvalues.
+    ``Abar + L @ Cbar`` and its `SpectrumReport`, with the eigenvalues
+    verified and the Schur verdict at `SCHUR_MARGIN`.
 
     Raises:
         NotObservable: if (Abar, Cbar) has unobservable modes, listed in
@@ -763,17 +897,19 @@ def place_poles(Abar, Cbar, poles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError("pole multiset must be closed under conjugation")
     coeffs = coeffs.real
     if n == 0:
-        return np.zeros((0, q)), np.zeros((0, 0)), np.zeros(0, dtype=complex)
+        return (np.zeros((0, q)), np.zeros((0, 0)),
+                _spectrum_report(np.zeros(0), SCHUR_MARGIN))
 
     def _placed(L: np.ndarray):
-        """(L, Abar + L Cbar, eigenvalues) if they match ``poles``, else None."""
+        """(L, Abar + L Cbar, its `SpectrumReport`) if its eigenvalues match
+        ``poles``, else None."""
         with np.errstate(over="ignore", invalid="ignore"):
             closed = Abar + L @ Cbar
         if not np.isfinite(closed).all():
             return None
         ev = np.linalg.eigvals(closed)
         if eig_assignment_error(ev, poles) <= PLACEMENT_TOL:
-            return L, closed, ev
+            return L, closed, _spectrum_report(ev, SCHUR_MARGIN)
         return None
 
     # L = 0 needs no observability at all; accept it whenever the spectrum

@@ -33,8 +33,8 @@ with A_bar + L @ C_bar Schur yields, via Omega = [I, L],
     D_y = -(Omega @ R_f),      B_y = A_uio @ D_y - Omega @ R_p
 
 In exact arithmetic A_uio = -(Omega @ V_p); the emitted A_uio is the
-negated closed-loop array the gain stage returned after verifying its
-spectrum, so the reported spectrum belongs to the emitted matrix itself,
+negated closed-loop array the gain stage returned after verifying that it
+is Schur, so the reported spectrum belongs to the emitted matrix itself,
 and the ``sign_identity`` residual max |Omega @ V_p - (A_bar + L @ C_bar)|
 guards the Omega-derived blocks.  Note the sign convention: the gain stage shapes the spectrum of
 A_bar + L @ C_bar, whose *negative* becomes A_uio — `synthesize` therefore
@@ -49,9 +49,11 @@ are built (`plant`, `datalog`), so no function here checks them again.
 
 `verify_acceptor` / `verify_uio` check candidate observers against a model
 through the three acceptor identities (unknown-input rejection, recursion
-consistency, known-input feedthrough) plus the Schur requirement.  The
-model route certifies its own designs with the acceptor identities and the
-spectrum the gain stage verified, so no eigenvalue problem is solved twice.
+consistency, known-input feedthrough) plus the Schur requirement, with an
+eigenvalue solve of their own.  The model route certifies its own designs
+with the acceptor identities and the Schur verdict the gain stage
+reached, so no eigenvalue problem is solved twice, and none at all when
+the Riccati solution proved the verdict and nobody reads the eigenvalues.
 """
 
 from __future__ import annotations
@@ -396,8 +398,13 @@ def model_kernel(
     So k = n + 2p - rho_N - rho_E rows, and rank(V_f) = n exactly when
     condition (b), rho_N = rank(F) + r, holds.
     """
+    return _kernel_from_ranks(model, _disturbance_ranks(model, tol))
+
+
+def _kernel_from_ranks(model: StateSpaceModel, ranks) -> KernelRep:
+    """`model_kernel` from the `_disturbance_ranks` of the model."""
     n, m, p, r = model.n, model.m, model.p, model.r
-    rank_F, (rho_n, U, s, Vt) = _disturbance_ranks(model, tol)
+    rank_F, (rho_n, U, s, Vt) = ranks
     rho_e = r + rank_F - rho_n
     EV = model.E @ Vt[:, :r].T  # [E, 0] V
     Z_v = np.eye(n)
@@ -441,8 +448,11 @@ def synthesize(
     modes refused; `place_poles` refuses every unobservable mode, whose
     unstable ones make the same NoUio.  A_uio is the negation
     of the closed-loop array A_bar + L @ C_bar that the gain stage returned
-    with its verified eigenvalues, and the reported spectrum is those
-    eigenvalues negated: the spectrum of the emitted A_uio, computed once.
+    with its verified `SpectrumReport`, and ``diag.spectrum`` carries that
+    report's Schur verdict.  Its eigenvalues are the loop's negated, the
+    spectrum of the emitted A_uio, solved once and only when first read (a
+    Riccati verdict proved from the Riccati solution solves none; the
+    place gain's are already solved).
 
     Raises:
         NoUio: with cause VF_RANK_DEFICIENT or NOT_DETECTABLE.
@@ -473,6 +483,8 @@ def synthesize(
             # place the negated set so the request is what comes out.
             L, loop, closed = place_poles(
                 A_bar, C_bar, -np.asarray(opt.poles, dtype=complex))
+            # Placement solved the eigenvalues; judge them at this margin.
+            closed = _spectrum_report(closed.eigenvalues, opt.schur_margin)
     except RepeatedPole as exc:
         # Name the pole of A_uio = -(A_bar + L C_bar) that the caller asked
         # for, not the negated one placed.
@@ -509,7 +521,8 @@ def synthesize(
         D_u=D_u,
         D_y=D_y,
     )
-    spec_report = _spectrum_report(-closed, opt.schur_margin)
+    spec_report = SpectrumReport(closed.is_schur, opt.schur_margin,
+                                 lambda: -closed.eigenvalues)
     residuals = {
         "sign_identity": float(
             np.abs(Omega @ ker.V_p - loop).max() if n else 0.0
@@ -523,15 +536,19 @@ def synthesize(
 
 
 def design_from_model(
-    model: StateSpaceModel, options: SynthesisOptions | None = None
+    model: StateSpaceModel, options: SynthesisOptions | None = None,
+    *, _ranks=None,
 ) -> tuple[UioRealization, SynthesisDiagnostics]:
     """Model route: `model_kernel` of the plant, then `synthesize`.
 
     The model is at hand, so the observer is certified against it before
     it is returned: by the three acceptor identities of `verify_acceptor`,
-    and by the Schur verdict of ``diag.spectrum``, which is the spectrum of
+    and by the Schur verdict of ``diag.spectrum``, which is the verdict on
     the emitted A_uio (see `synthesize`).  That is the `verify_uio` test,
-    with the same failure wording, without a second eigenvalue solve.
+    with the same failure wording; a Riccati design whose verdict was
+    proved from its Riccati solution solves no eigenvalue problem at all.
+    ``_ranks`` is `_disturbance_ranks` of the model at ``options.tol``,
+    when `existcheck.exists_uio` has decided them for condition (b).
 
     Raises:
         NumericalFailure: if the synthesized observer fails that test, with
@@ -540,7 +557,9 @@ def design_from_model(
             `synthesize`.
     """
     opt = options or SynthesisOptions()
-    uio, diag = synthesize(model_kernel(model, opt.tol), opt)
+    if _ranks is None:
+        _ranks = _disturbance_ranks(model, opt.tol)
+    uio, diag = synthesize(_kernel_from_ranks(model, _ranks), opt)
     failures = _failures(verify_acceptor(model, uio), diag.spectrum)
     if failures:
         raise NumericalFailure(

@@ -153,8 +153,10 @@ def test_disturbance_ranks_match_exact_ranks(seed):
 def test_exists_uio_reads_the_disturbance_structure_through_one_block(
         monkeypatch):
     # Condition (b) and the kernel decide two ranks, of F and of the
-    # 2p x 2r block N, at the scale of their entries.  Neither route takes
-    # an SVD or a norm of the (n + 2p) x 2r block [[E, 0], N], of C or of E.
+    # 2p x 2r block N, at the scale of their entries, once: the kernel
+    # reads the ranks condition (b) decided, so N is factored exactly once.
+    # Neither route takes an SVD or a norm of the (n + 2p) x 2r block
+    # [[E, 0], N], of C or of E.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
                                     / "perfbench"))
     workloads = importlib.import_module("workloads")
@@ -164,15 +166,16 @@ def test_exists_uio_reads_the_disturbance_structure_through_one_block(
     for name in ("svd", "norm"):
         original = getattr(np.linalg, name)
 
-        def spy(a, *args, _original=original, **kwargs):
-            seen.append(np.array(a))
+        def spy(a, *args, _original=original, _name=name, **kwargs):
+            seen.append((_name, np.array(a)))
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, spy)
     report = exists_uio(model)
     assert report.exists and report.agreement
-    assert any(a.shape == (2 * p, 2 * r) for a in seen)
-    for a in seen:
+    assert [name for name, a in seen if a.shape == (2 * p, 2 * r)].count(
+        "svd") == 1
+    for _, a in seen:
         assert a.shape != (n + 2 * p, 2 * r)
         assert not any(a.shape == M.shape and np.array_equal(a, M)
                        for M in (model.C, model.E))

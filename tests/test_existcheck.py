@@ -1,6 +1,8 @@
 """The two rank conditions for observer existence and their cross-check."""
 
+import importlib
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,11 +306,38 @@ def test_format_report_negative(no_uio_model):
     assert "FAILS" in text
 
 
+def test_exists_uio_solves_no_eigenproblem_until_the_detail_is_read(
+        monkeypatch):
+    # An n = 60 corpus plant with an observer: condition (a) deflates it to
+    # no state and the design proves its loop Schur from the Riccati
+    # solution, so the verdict solves no eigenvalue problem.  The detail of
+    # the constructive run, and so `format_report`, solves exactly one.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    model = workloads.corpus_model(60, 12, 20, 6, seed=1)
+    seen = []
+    eigvals = np.linalg.eigvals
+
+    def spy(M, *args, **kwargs):
+        seen.append(np.array(M))
+        return eigvals(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    report = exists_uio(model)
+    assert report.exists and report.agreement and seen == []
+    text = format_report(report)
+    assert len(seen) == 1 and np.array_equal(seen[0], -report.uio.A_uio)
+    assert f"constructive cross-check: {report.constructive_detail}" in text
+    assert report.constructive_detail.startswith("design succeeded")
+    assert len(seen) == 1
+
+
 def test_format_report_flags_disagreement():
     forged = ExistenceReport(
         condition_a=True, condition_b=True, exists=True,
         evidence={"a": {}, "b": {}},
-        constructive_succeeded=False, constructive_detail="design refused",
+        constructive_succeeded=False, refusal="design refused",
         agreement=False,
     )
     assert "INTERNAL-CONSISTENCY ALARM" in format_report(forged)

@@ -31,6 +31,7 @@ from uiokit.numkit import (
 )
 
 EPS = np.finfo(float).eps
+_SOLVE = np.linalg.solve
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -572,11 +573,11 @@ def test_stabilizing_gain_of_non_finite_pair_names_the_pencil(bad):
 
 def _gain(construct, A, C, *args):
     """L from a gain constructor, which also returns the loop A + L C it
-    verified and that loop's eigenvalues."""
-    L, loop, eigenvalues = construct(A, C, *args)
+    verified and that loop's `SpectrumReport`."""
+    L, loop, report = construct(A, C, *args)
     closed = np.asarray(A, dtype=float) + L @ np.asarray(C, dtype=float)
     assert_array_equal(loop, closed)
-    assert_array_equal(np.sort_complex(eigenvalues),
+    assert_array_equal(report.eigenvalues,
                        np.sort_complex(np.linalg.eigvals(loop)))
     return L
 
@@ -773,6 +774,200 @@ def test_stabilizing_gain_random_detectable_pairs(seed):
         C = rng.normal(size=(1 + seed % 2, n))
     L = _gain(stabilizing_gain, A, C)
     assert spectrum(A + L @ C).is_schur
+
+
+# ------------------------------------- Stein certificate and early refusal
+
+
+@pytest.fixture(scope="module")
+def corpus_pairs():
+    """(A_bar, C_bar) of every benchmark corpus plant whose kernel has
+    rank(V_f) = n, hidden-mode plants included.  Model route: `corpus_model`
+    at n = 8, 20, 40 (seeds 0-39) and n = 60 (seeds 0-29).  Data route: the
+    120 data-corpus recordings that pass the excitation check."""
+    from uiokit import datalog, synth
+    from uiokit.datalog import Uniform
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        workloads = importlib.import_module("workloads")
+    pairs = {"model": [], "data": []}
+
+    def add(route, ker):
+        if ker.rank_V_f == ker.n:
+            pairs[route].append((ker.V_p[:ker.n], ker.V_p[ker.n:]))
+
+    for n, seeds in ((8, 40), (20, 40), (40, 40), (60, 30)):
+        m, p, r = workloads.corpus_dims(n)
+        for seed in range(seeds):
+            model = workloads.corpus_model(n, m, p, r, seed=seed)
+            add("model", synth.model_kernel(model))
+            if n == 60:
+                continue
+            data = datalog.collect(
+                model, 3 * (n + 2 * m + 2 * r),
+                input_policy=Uniform(-4.0, 4.0),
+                disturbance_policy=Uniform(-3.0, 3.0),
+                x0=Uniform(-1.0, 1.0), seed=seed)
+            blocks = datalog.build_blocks(data)
+            if datalog.excitation_report(blocks).ok:
+                add("data", synth.kernel_representation(
+                    blocks.Phi, (n, m, p, r)))
+    return pairs
+
+
+def _stein_solution(loop):
+    """Symmetric P with P - loop P loop' = I, from its Kronecker form."""
+    n = len(loop)
+    P = np.linalg.solve(np.eye(n * n) - np.kron(loop, loop),
+                        np.eye(n).ravel()).reshape(n, n)
+    return (P + P.T) / 2
+
+
+def test_gain_stage_falls_back_to_eigenvalues_when_nothing_is_proved(
+        ref_intermediates, monkeypatch):
+    # A loop pushed to radius 1 - 1e-10 keeps P, but R = P - loop P loop'
+    # is then no longer >= I / 2, so nothing is proved, and eig's verdict
+    # (not Schur at the margin) stands.  The Stein solution of that radius
+    # is too large for the margin, and proves only radius < 1.
+    A, C = ref_intermediates["A_bar"], ref_intermediates["C_bar"]
+    L, loop, proved = stabilizing_gain(A, C)
+    P = _dare_doubling(A, C)
+    assert numkit._stein_proves_schur(loop, P, SCHUR_MARGIN)
+    near = loop * ((1 - 1e-10) / proved.spectral_radius)
+    assert not numkit._stein_proves_schur(near, P, SCHUR_MARGIN)
+    assert not spectrum(near).is_schur
+    slow = np.diag([1 - 1e-10, 0.5])
+    assert not numkit._stein_proves_schur(slow, _stein_solution(slow),
+                                          SCHUR_MARGIN)
+    assert numkit._stein_proves_schur(slow, _stein_solution(slow), 0.0)
+    # Without a proof the gain stage solves the loop's eigenvalues once,
+    # and returns the same gain, loop and spectrum.
+    solves = _eigvals_input(monkeypatch)
+    monkeypatch.setattr(np.linalg, "solve", _SOLVE)  # the gain takes one
+    monkeypatch.setattr(numkit, "_stein_proves_schur", lambda *args: False)
+    L_eig, loop_eig, fallback = stabilizing_gain(A, C)
+    assert len(solves) == 1 and solves[0] is loop_eig
+    assert_array_equal(L_eig, L)
+    assert_array_equal(loop_eig, loop)
+    assert fallback.is_schur
+    assert_array_equal(fallback.eigenvalues, proved.eigenvalues)
+    assert len(solves) == 1
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 12])
+def test_jordan_type_loop_gets_the_verdict_of_its_eigenvalues(n):
+    # Q (0.999 I + s N) Q' is far from normal: its computed eigenvalues
+    # scatter by about (eps s)^(1/n), and at n >= 8 eig calls it unstable.
+    # The certificate proves only what is true, so wherever it proves the
+    # margin, eig agrees; elsewhere eig's verdict stands.
+    Q, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))
+    outcomes = []
+    for s in (1e-3, 0.1, 1.0):
+        loop = Q @ (0.999 * np.eye(n) + s * np.eye(n, k=1)) @ Q.T
+        proved = numkit._stein_proves_schur(loop, _stein_solution(loop),
+                                            SCHUR_MARGIN)
+        eig = spectrum(loop).is_schur
+        assert (proved or eig) == eig
+        outcomes.append((proved, eig))
+    assert outcomes[0] == (True, True)
+    assert not outcomes[-1][0]
+
+
+def test_certificate_needs_a_positive_definite_p():
+    # P = diag(-1/3, 4/3) satisfies P - loop P loop' = I for the unstable
+    # loop diag(2, 1/2): R alone proves nothing.
+    loop = np.diag([2.0, 0.5])
+    P = np.diag([-1.0 / 3.0, 4.0 / 3.0])
+    assert numkit._proves_above(P - loop @ P @ loop.T, 0.5)
+    assert not numkit._stein_proves_schur(loop, P, SCHUR_MARGIN)
+    assert numkit._stein_proves_schur(loop[1:, 1:], P[1:, 1:], SCHUR_MARGIN)
+
+
+@pytest.mark.parametrize("route", ["model", "data"])
+def test_every_corpus_design_is_proved_schur_by_its_riccati_solution(
+        corpus_pairs, monkeypatch, route):
+    # Every corpus pair that gets a gain has its Schur verdict proved by
+    # the Stein certificate, and solves no eigenvalue problem.
+    verdicts = []
+    prove = numkit._stein_proves_schur
+
+    def recording(*args):
+        verdicts.append(prove(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(numkit, "_stein_proves_schur", recording)
+    solves = _eigvals_input(monkeypatch)
+    monkeypatch.setattr(np.linalg, "solve", _SOLVE)  # the gain takes one
+    designed = 0
+    for A, C in corpus_pairs[route]:
+        verdicts.clear()
+        solves.clear()
+        try:
+            _, loop, report = stabilizing_gain(A, C)
+        except NotDetectable:
+            continue
+        designed += 1
+        assert verdicts == [True] and report.is_schur
+        assert not any(M.shape == loop.shape for M in solves)
+    assert designed == {"model": 98, "data": 27}[route]
+
+
+def _refusal(monkeypatch, model):
+    """Inverses the design of ``model`` takes, and its NoUio refusal."""
+    from uiokit.synth import NoUio, design_from_model
+
+    inverses = []
+    inv = np.linalg.inv
+
+    def counting(M):
+        inverses.append(M.shape)
+        return inv(M)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(np.linalg, "inv", counting)
+        with pytest.raises(NoUio) as exc_info:
+            design_from_model(model)
+    exc = exc_info.value
+    return len(inverses), (exc.cause, str(exc), exc.evidence)
+
+
+@pytest.mark.parametrize("n", [20, 40, 60])
+def test_refusal_stops_the_doubling_once_its_diagonal_is_too_large(
+        monkeypatch, n):
+    # Every third corpus plant hides a mode at 1.3.  Its refusal stops by
+    # the fifth doubling step, and names the same modes with the same
+    # message as when the doubling runs to the end (the bound weight set
+    # to 0) and the failed loop sends the pair to the staircase.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    for seed in (0, 3, 6, 9):
+        model = workloads.corpus_model(n, *workloads.corpus_dims(n), seed=seed)
+        steps, refusal = _refusal(monkeypatch, model)
+        with monkeypatch.context() as mp:
+            mp.setattr(numkit, "_hidden_mode_weight", lambda *args: 0.0)
+            full_steps, full_refusal = _refusal(monkeypatch, model)
+        assert steps <= 5 < full_steps
+        assert refusal == full_refusal
+
+
+def test_early_refusal_check_fires_only_where_the_final_check_fails(
+        corpus_pairs, monkeypatch):
+    # The check on max diag(H_k) rests on the monotone growth of the
+    # doubling's iterates.  With the staircase silenced, the doubling runs
+    # to the end on every corpus pair; it must have called the staircase
+    # exactly where the final P fails `_no_mode_below_the_cut`.
+    calls = []
+    monkeypatch.setattr(numkit, "_refuse_undetectable",
+                        lambda *args: calls.append(args))
+    large = 0
+    for A, C in corpus_pairs["model"] + corpus_pairs["data"]:
+        calls.clear()
+        P = _dare_doubling(A, C)
+        fails = not numkit._no_mode_below_the_cut(A, C, P, SCHUR_MARGIN)
+        assert len(calls) == fails
+        large += fails
+    assert large > 0
 
 
 # ------------------------------------------------------ pole placement

@@ -415,9 +415,12 @@ def test_undetectable_modes_are_reported_as_the_plants_modes(
 def test_model_route_takes_the_closed_loop_spectrum_once(
     ref_model, options, monkeypatch
 ):
-    # The gain stage verifies the spectrum of A_bar + L C_bar and hands the
+    # The gain stage verifies that A_bar + L C_bar is Schur and hands the
     # loop back; A_uio is that very array negated, so the model route's
-    # certificate needs no second eigenvalue solve.
+    # certificate needs no second eigenvalue solve.  The Riccati gain
+    # proves the verdict from its Riccati solution and solves none in the
+    # design, and the first read of the spectrum solves one; placement
+    # solves it while placing, and a read solves nothing more.
     seen = []
 
     def recording(solver):
@@ -426,18 +429,77 @@ def test_model_route_takes_the_closed_loop_spectrum_once(
             return solver(M, *args, **kwargs)
         return solve
 
+    def loops():
+        return [M for M in seen if M.shape == uio.A_uio.shape
+                and min(np.abs(M - uio.A_uio).max(),
+                        np.abs(M + uio.A_uio).max()) < 1e-12]
+
     monkeypatch.setattr(np.linalg, "eigvals", recording(np.linalg.eigvals))
     monkeypatch.setattr(np.linalg, "eig", recording(np.linalg.eig))
     uio, diag = design_from_model(ref_model, options)
+    assert len(loops()) == (options.gain == "place")
+    eigenvalues = diag.spectrum.eigenvalues
+    assert diag.spectrum.spectral_radius == np.abs(eigenvalues).max()
+    assert diag.spectrum.eigenvalues is eigenvalues
     monkeypatch.undo()
-    loops = [M for M in seen if M.shape == uio.A_uio.shape
-             and min(np.abs(M - uio.A_uio).max(),
-                     np.abs(M + uio.A_uio).max()) < 1e-12]
-    assert len(loops) == 1
-    assert np.array_equal(uio.A_uio, -loops[0])
-    assert np.array_equal(diag.spectrum.eigenvalues,
-                          np.sort_complex(-np.linalg.eigvals(loops[0])))
+    assert len(loops()) == 1
+    assert np.array_equal(uio.A_uio, -loops()[0])
+    assert np.array_equal(eigenvalues,
+                          np.sort_complex(-np.linalg.eigvals(loops()[0])))
     assert diag.spectrum.is_schur
+
+
+def _eigenproblems(monkeypatch):
+    """The list of matrices `np.linalg.eigvals` and `eig` are given from
+    now on."""
+    seen = []
+    for name in ("eigvals", "eig"):
+        solver = getattr(np.linalg, name)
+
+        def spy(M, *args, _solver=solver, **kwargs):
+            seen.append(np.array(M))
+            return _solver(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("route, n, seed", [
+    ("model", 60, 1), ("model", 60, 2), ("data", 8, 1), ("data", 20, 31)])
+def test_designs_solve_no_eigenproblem_until_the_spectrum_is_read(
+        monkeypatch, route, n, seed):
+    # The Riccati verdict is proved from the Riccati solution, so neither
+    # route solves an eigenvalue problem while it designs.  The first read
+    # of the spectrum solves one, for the loop -A_uio, and gives
+    # sort_complex(-eigvals(loop)) to the bit; verify_uio solves its own.
+    # (One recording of an n = 60 corpus plant fails the excitation check,
+    # so the data route runs on recordings of the data corpus that design.)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    m, p, r = workloads.corpus_dims(n)
+    model = workloads.corpus_model(n, m, p, r, seed=seed)
+    if route == "data":
+        blocks = build_blocks(collect(
+            model, 3 * (n + 2 * m + 2 * r), input_policy=Uniform(-4.0, 4.0),
+            disturbance_policy=Uniform(-3.0, 3.0), x0=Uniform(-1.0, 1.0),
+            seed=seed))
+    seen = _eigenproblems(monkeypatch)
+    if route == "model":
+        uio, diag = design_from_model(model)
+    else:
+        uio, diag = design_from_data(blocks)
+    assert seen == [] and diag.spectrum.is_schur
+    eigenvalues = diag.spectrum.eigenvalues
+    radius = diag.spectrum.spectral_radius
+    assert len(seen) == 1 and np.array_equal(seen[0], -uio.A_uio)
+    assert np.array_equal(eigenvalues,
+                          np.sort_complex(-np.linalg.eigvals(seen[0])))
+    assert radius == np.abs(eigenvalues).max()
+    del seen[:]
+    verdict = verify_uio(model, uio)
+    assert len(seen) == 1 and np.array_equal(seen[0], uio.A_uio)
+    assert verdict.spectrum.spectral_radius == radius
 
 
 def _corpus_plant(n, seed, rotated_hidden_mode):
