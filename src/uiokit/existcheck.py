@@ -126,9 +126,13 @@ class ExistenceReport:
     @property
     def constructive_detail(self) -> str:
         """One line on the constructive run: its refusal, or the spectral
-        radius of the observer it designed."""
+        radius of the observer it designed (just the outcome, for a report
+        built without the run's diagnostics)."""
         if self.refusal is not None:
             return self.refusal
+        if self.diagnostics is None:
+            return ("design succeeded" if self.constructive_succeeded
+                    else "design refused")
         return ("design succeeded (spectral radius "
                 f"{self.diagnostics.spectrum.spectral_radius:.6g})")
 

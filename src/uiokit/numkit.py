@@ -48,8 +48,8 @@ array whose spectrum was checked.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -208,23 +208,29 @@ class SpectrumReport:
     eigenvalues (sorted by `np.sort_complex`) and ``spectral_radius`` are
     computed once, the first time either is read, by calling ``solve``: a
     verdict proved without them (see `stabilizing_gain`) solves no
-    eigenvalue problem unless someone reads them.
+    eigenvalue problem unless someone reads them.  Two reports are equal
+    when their verdicts, margins and eigenvalues are, so comparing them
+    solves both.
     """
 
     is_schur: bool
     margin: float
-    solve: InitVar[Callable[[], np.ndarray]]
-
-    def __post_init__(self, solve) -> None:
-        object.__setattr__(self, "_solve", solve)
+    solve: Callable[[], np.ndarray] = field(repr=False, compare=False)
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        return np.sort_complex(np.asarray(self._solve(), dtype=complex))
+        return np.sort_complex(np.asarray(self.solve(), dtype=complex))
 
     @cached_property
     def spectral_radius(self) -> float:
         return _radius(self.eigenvalues)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SpectrumReport):
+            return NotImplemented
+        return (self.is_schur == other.is_schur
+                and self.margin == other.margin
+                and np.array_equal(self.eigenvalues, other.eigenvalues))
 
     def moduli(self) -> np.ndarray:
         """Sorted eigenvalue moduli (ascending)."""
@@ -332,7 +338,7 @@ def _eigvals(M: np.ndarray) -> np.ndarray:
 def _spectrum_report(eigenvalues, margin: float) -> SpectrumReport:
     """`SpectrumReport` of already computed eigenvalues."""
     return SpectrumReport(_radius(eigenvalues) < 1.0 - margin, margin,
-                          lambda: eigenvalues)
+                          partial(np.asarray, eigenvalues))
 
 
 def _radius(eigenvalues: np.ndarray) -> float:
@@ -654,7 +660,7 @@ def stabilizing_gain(
                 loop = _finite(Abar + L @ Cbar, "the closed loop")
                 if _stein_proves_schur(loop, P, margin):
                     closed = SpectrumReport(True, margin,
-                                            lambda: _eigvals(loop))
+                                            partial(_eigvals, loop))
         else:
             # Nothing to inject and no output to cut: the pair is detectable
             # iff Abar is Schur.

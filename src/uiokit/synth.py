@@ -59,6 +59,7 @@ the Riccati solution proved the verdict and nobody reads the eigenvalues.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -448,8 +449,9 @@ def synthesize(
     modes refused; `place_poles` refuses every unobservable mode, whose
     unstable ones make the same NoUio.  A_uio is the negation
     of the closed-loop array A_bar + L @ C_bar that the gain stage returned
-    with its verified `SpectrumReport`, and ``diag.spectrum`` carries that
-    report's Schur verdict.  Its eigenvalues are the loop's negated, the
+    with its verified `SpectrumReport`.  ``diag.spectrum`` carries the
+    Riccati report's Schur verdict, or judges the placed eigenvalues at
+    ``schur_margin``.  Its eigenvalues are the loop's negated, the
     spectrum of the emitted A_uio, solved once and only when first read (a
     Riccati verdict proved from the Riccati solution solves none; the
     place gain's are already solved).
@@ -478,13 +480,18 @@ def synthesize(
         if opt.gain == "riccati":
             L, loop, closed = stabilizing_gain(A_bar, C_bar,
                                                margin=opt.schur_margin)
+            # A_uio = -loop: the loop's verdict, and its eigenvalues negated
+            # once someone reads them.
+            spec_report = SpectrumReport(
+                closed.is_schur, opt.schur_margin,
+                partial(_negated_eigenvalues, closed))
         else:
             # The caller requests eigenvalues of A_uio = -(A_bar + L C_bar);
             # place the negated set so the request is what comes out.
-            L, loop, closed = place_poles(
+            L, loop, placed = place_poles(
                 A_bar, C_bar, -np.asarray(opt.poles, dtype=complex))
-            # Placement solved the eigenvalues; judge them at this margin.
-            closed = _spectrum_report(closed.eigenvalues, opt.schur_margin)
+            spec_report = _spectrum_report(-placed.eigenvalues,
+                                           opt.schur_margin)
     except RepeatedPole as exc:
         # Name the pole of A_uio = -(A_bar + L C_bar) that the caller asked
         # for, not the negated one placed.
@@ -521,8 +528,6 @@ def synthesize(
         D_u=D_u,
         D_y=D_y,
     )
-    spec_report = SpectrumReport(closed.is_schur, opt.schur_margin,
-                                 lambda: -closed.eigenvalues)
     residuals = {
         "sign_identity": float(
             np.abs(Omega @ ker.V_p - loop).max() if n else 0.0
@@ -533,6 +538,11 @@ def synthesize(
         residuals=residuals,
     )
     return uio, diag
+
+
+def _negated_eigenvalues(report: SpectrumReport) -> np.ndarray:
+    """The eigenvalues of the report's matrix, negated."""
+    return -report.eigenvalues
 
 
 def design_from_model(
@@ -548,7 +558,8 @@ def design_from_model(
     with the same failure wording; a Riccati design whose verdict was
     proved from its Riccati solution solves no eigenvalue problem at all.
     ``_ranks`` is `_disturbance_ranks` of the model at ``options.tol``,
-    when `existcheck.exists_uio` has decided them for condition (b).
+    when `existcheck.exists_uio` has decided them for condition (b); they
+    are not checked against the model, so only that caller passes them.
 
     Raises:
         NumericalFailure: if the synthesized observer fails that test, with

@@ -250,7 +250,7 @@ def _same(a, b) -> bool:
         return np.array_equal(a, b)
     if hasattr(a, "__dataclass_fields__"):
         return all(_same(getattr(a, f.name), getattr(b, f.name))
-                   for f in fields(a))
+                   for f in fields(a) if f.compare)
     return a == b
 
 
@@ -264,6 +264,12 @@ def test_exists_uio_keeps_the_certified_observer(ref_model, options):
     assert report.constructive_succeeded
     assert _same(report.uio, uio)
     assert _same(report.diagnostics, diag)
+    # The eigenvalues are solved on read, not a dataclass field: compare
+    # the two spectra themselves.
+    kept, fresh = report.diagnostics.spectrum, diag.spectrum
+    assert np.array_equal(kept.eigenvalues, fresh.eigenvalues)
+    assert kept.spectral_radius == fresh.spectral_radius
+    assert kept == fresh
     assert synth.verify_uio(ref_model, report.uio).is_uio
 
 
@@ -341,3 +347,12 @@ def test_format_report_flags_disagreement():
         agreement=False,
     )
     assert "INTERNAL-CONSISTENCY ALARM" in format_report(forged)
+
+
+def test_format_report_renders_a_report_built_without_diagnostics():
+    built = ExistenceReport(
+        condition_a=True, condition_b=True, exists=True,
+        evidence={"a": {}, "b": {}},
+        constructive_succeeded=True, refusal=None, agreement=True,
+    )
+    assert "constructive cross-check: design succeeded" in format_report(built)

@@ -1,7 +1,10 @@
 """Rank/null-space primitives, spectra, and the two gain constructions."""
 
+import dataclasses
 import gc
 import importlib
+import pickle
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ from uiokit.numkit import (
     SCHUR_MARGIN,
     ZERO_CUT_RELATIVE,
     RankTolerance,
+    SpectrumReport,
     NotDetectable,
     NotObservable,
     NumericalFailure,
@@ -174,6 +178,21 @@ def test_spectrum_margin_excludes_near_unit_modes():
     # radius 1 - 1e-12 is inside the circle but inside the safety margin too
     assert not spectrum(np.diag([1.0 - 1e-12])).is_schur
     assert spectrum(np.diag([1.0 - 1e-6])).is_schur
+
+
+def test_spectrum_report_compares_pickles_and_replaces_by_its_spectrum():
+    # Same verdict and margin, different matrices: not equal.
+    half = spectrum(np.diag([0.5, 0.25]))
+    assert half != spectrum(np.diag([0.5, 0.125]))
+    assert half == spectrum(np.diag([0.25, 0.5]))
+    lazy = SpectrumReport(True, SCHUR_MARGIN,
+                          partial(np.linalg.eigvals, np.diag([0.25, 0.5])))
+    back = pickle.loads(pickle.dumps(lazy))
+    assert "eigenvalues" not in vars(back)  # still unsolved
+    assert back == half
+    moved = dataclasses.replace(lazy, margin=0.5)
+    assert moved.margin == 0.5
+    assert_array_equal(moved.eigenvalues, half.eigenvalues)
 
 
 def test_eig_assignment_error_is_permutation_invariant():
