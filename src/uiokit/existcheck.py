@@ -150,7 +150,11 @@ def exists_uio(
     which `design_from_model` applies before it returns; that observer and
     its diagnostics are kept in the report.  The disturbance ranks that
     decide condition (b) are decided once and handed to the design's
-    kernel.
+    kernel, and so is condition (a)'s verdict: by the existence theorem a
+    zero that fails (a) is an undetectable mode of the kernel's pair
+    (A_bar, C_bar), so a Riccati design then runs the zero staircase
+    before its Riccati doubling and refuses at once, with the same NoUio
+    it would raise after the doubling (see `synth.design_from_model`).
     """
     opt = options or SynthesisOptions()
     ranks = _disturbance_ranks(model, opt.tol)
@@ -159,7 +163,8 @@ def exists_uio(
     exists = a_ok and b_ok
     uio = diag = refusal = None
     try:
-        uio, diag = design_from_model(model, opt, _ranks=ranks)
+        uio, diag = design_from_model(model, opt, _ranks=ranks,
+                                      _condition_a=a_ok)
     except NoUio as exc:
         refusal = f"design refused: {exc}"
     except (numkit.NotObservable, NumericalFailure) as exc:

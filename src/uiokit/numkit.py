@@ -27,7 +27,9 @@ cut, so a successful Riccati design runs no reduction; a refusal runs it
 as soon as the doubling's iterates are too large for that proof.  The
 Riccati solution also proves the loop Schur, through its Stein identity,
 so a Riccati design solves no eigenvalue problem unless its eigenvalues
-are read (`SpectrumReport`).  The zeros are
+are read (`SpectrumReport`); a Stein solution built by Smith doubling
+proves the Schur verdict on any given matrix the same way
+(`_smith_spectrum`, which `synth.verify_uio` uses).  The zeros are
 the eigenvalues of one n x n matrix, K_x^-1 [A, E] K (see `invariant_zeros`),
 so no generalized eigenvalue solver is needed: numpy is the only runtime
 dependency.
@@ -512,7 +514,8 @@ def _finite(M: np.ndarray, what: str) -> np.ndarray:
 
 
 def _dare_doubling(Abar: np.ndarray, Cbar: np.ndarray,
-                   margin: float = SCHUR_MARGIN) -> np.ndarray:
+                   margin: float = SCHUR_MARGIN,
+                   refuse: Callable[[], None] | None = None) -> np.ndarray:
     """Stabilizing solution P of the unit-weight filter DARE, by doubling.
 
     The structure-preserving doubling algorithm (Chu, Fan, Lin & Wang 2004)
@@ -524,11 +527,14 @@ def _dare_doubling(Abar: np.ndarray, Cbar: np.ndarray,
     squares the closed loop hidden in A, so H converges quadratically to P.
     Each step inverts W once (one LU) and forms W^-1 A and W^-1 G by matrix
     products, which cost less than triangular solves with their 2n
-    right-hand sides; G and H are kept symmetric.  In exact arithmetic W
-    cannot be singular: G and H are symmetric positive semidefinite, so
-    every eigenvalue of W is at least 1.  In float64 it can be, once G H
-    is so large that the I in W rounds away.  A non-finite iterate or a
-    singular W raises a "diverged" `NumericalFailure`.
+    right-hand sides.  G and the increment dH of H are made exactly
+    symmetric by X += X', X *= 1/2, and W is G H with 1 added to its
+    diagonal, all in place, so a step builds no identity matrix.  In exact
+    arithmetic W cannot be singular: G and H are symmetric positive
+    semidefinite, so every eigenvalue of W is at least 1.  In float64 it
+    can be, once G H is so large that the I in W rounds away.  A
+    non-finite iterate or a singular W raises a "diverged"
+    `NumericalFailure`.
 
     With change_k = ||dH_k|| / ||H_k|| (1-norm) after step k, the iteration
     stops when change_k <= n * eps, or when change_k < change_k-1 and
@@ -542,21 +548,26 @@ def _dare_doubling(Abar: np.ndarray, Cbar: np.ndarray,
     Loewner order (Lin & Xu 2006), so max diag(H_k) <= lambda_max(P) <=
     ||P||_1.  The first time max diag(H_k) reaches the bound of
     `_no_mode_below_the_cut` (at ``margin``), P cannot pass that check, and
-    the staircase (`_refuse_undetectable`) runs at once: a refusal stops
-    there.  If it names no mode, the loop goes on from the same iterate, so
-    P is the same to the bit.  At return the check is made on ||P||_1
-    itself, and the staircase runs then if the diagonal never reached the
-    bound.  So a P that fails `_no_mode_below_the_cut` comes back only
-    after the staircase found no mode.
+    the staircase runs at once, by calling ``refuse`` (default:
+    `_refuse_undetectable` on the pair): a refusal stops there.  If it
+    names no mode, the loop goes on from the same iterate, so P is the same
+    to the bit.  At return the check is made on ||P||_1 itself, and the
+    staircase runs then if the diagonal never reached the bound.  So a P
+    that fails `_no_mode_below_the_cut` comes back only after the
+    staircase found no mode, and ``refuse`` is called at most once.
     """
     n = Abar.shape[0]
+    if refuse is None:
+        refuse = partial(_refuse_undetectable, Abar, Cbar, margin)
     weight = _hidden_mode_weight(Abar, Cbar, margin)
     A, G, H = Abar.T, _finite(Cbar.T @ Cbar, "C' C"), np.eye(n)
     last = None
     checked = False
     for _ in range(_MAX_DOUBLINGS):
+        W = G @ H
+        W.flat[::n + 1] += 1.0
         try:
-            W_inv = np.linalg.inv(np.eye(n) + G @ H)
+            W_inv = np.linalg.inv(W)
         except np.linalg.LinAlgError:
             raise NumericalFailure(
                 "Riccati equation diverged: I + G H is singular in float64, "
@@ -565,14 +576,18 @@ def _dare_doubling(Abar: np.ndarray, Cbar: np.ndarray,
             ) from None
         WA = W_inv @ A
         dH = A.T @ H @ WA
-        dH = (dH + dH.T) / 2
-        G = _finite(G + A @ (W_inv @ G) @ A.T, "the doubling iterate")
-        G = (G + G.T) / 2
+        dH += dH.T
+        dH *= 0.5
+        G += A @ (W_inv @ G) @ A.T
+        _finite(G, "the doubling iterate")
+        G += G.T
+        G *= 0.5
         A = A @ WA
-        H = _finite(H + dH, "P")
-        if not checked and np.max(np.diag(H)) * weight >= 1.0:
+        H += dH
+        _finite(H, "P")
+        if not checked and H.diagonal().max() * weight >= 1.0:
             checked = True
-            _refuse_undetectable(Abar, Cbar, margin)
+            refuse()
         step, size = np.linalg.norm(dH, 1), np.linalg.norm(H, 1)
         if step <= n * _EPS * size:
             break
@@ -587,7 +602,7 @@ def _dare_doubling(Abar: np.ndarray, Cbar: np.ndarray,
             f"Riccati doubling did not converge in {_MAX_DOUBLINGS} steps"
         )
     if not checked and size * weight >= 1.0:
-        _refuse_undetectable(Abar, Cbar, margin)
+        refuse()
     return H
 
 
@@ -647,26 +662,29 @@ def stabilizing_gain(
     if n == 0:
         return (np.zeros((0, q)), np.zeros((0, 0)),
                 _spectrum_report(np.zeros(0), margin))
-    P = closed = None
+    P = None
+    ran = []  # the staircase runs at most once per call
+
+    def refuse() -> None:
+        if not ran:
+            ran.append(True)
+            _refuse_undetectable(Abar, Cbar, margin)
+
     try:
-        if q:
-            # Overflow anywhere from the Riccati solution to the closed loop
-            # means the pair has no bounded stabilizing solution in float64.
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                P = _dare_doubling(Abar, Cbar, margin)
+        # Overflow anywhere from the Riccati solution to the closed loop
+        # means the pair has no bounded stabilizing solution in float64.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if q:
+                P = _dare_doubling(Abar, Cbar, margin, refuse)
                 S = _finite(Cbar @ P @ Cbar.T + np.eye(q), "C P C' + I")
                 L = _finite(-np.linalg.solve(S.T, (Abar @ P @ Cbar.T).T).T,
                             "the gain")
                 loop = _finite(Abar + L @ Cbar, "the closed loop")
-                if _stein_proves_schur(loop, P, margin):
-                    closed = SpectrumReport(True, margin,
-                                            partial(_eigvals, loop))
-        else:
-            # Nothing to inject and no output to cut: the pair is detectable
-            # iff Abar is Schur.
-            L, loop = np.zeros((n, 0)), Abar.copy()
-        if closed is None:
-            closed = spectrum(loop, margin)
+            else:
+                # Nothing to inject and no output to cut: the pair is
+                # detectable iff Abar is Schur.
+                L, loop = np.zeros((n, 0)), Abar.copy()
+            closed = _schur_report(loop, P, margin)
         if not closed.is_schur:
             raise NumericalFailure(
                 "Riccati gain failed verification: spectral radius "
@@ -675,9 +693,9 @@ def stabilizing_gain(
     except NumericalFailure:
         # A failure may be an undetectable pair: the staircase names its
         # modes.  The doubling has run it already for a P too large for
-        # `_no_mode_below_the_cut`.
+        # `_no_mode_below_the_cut`, and may have run it before failing.
         if P is None or _no_mode_below_the_cut(Abar, Cbar, P, margin):
-            _refuse_undetectable(Abar, Cbar, margin)
+            refuse()
         raise
     return L, loop, closed
 
@@ -731,26 +749,80 @@ def _gamma(k: int) -> float:
     return k * _EPS / 2 / (1.0 - k * _EPS / 2)
 
 
+def _schur_report(M: np.ndarray, P: np.ndarray | None,
+                  margin: float) -> SpectrumReport:
+    """`SpectrumReport` of M: unsolved if P proves M Schur at ``margin``
+    (`_stein_proves_schur`), else the `spectrum` of M."""
+    if P is not None and _stein_proves_schur(M, P, margin):
+        return SpectrumReport(True, margin, partial(_eigvals, M))
+    return spectrum(M, margin)
+
+
+def _smith_spectrum(M: np.ndarray, margin: float) -> SpectrumReport:
+    """`SpectrumReport` of M, unsolved when its own Stein solution proves M
+    Schur at ``margin``.
+
+    Smith doubling (Smith 1968) from P = I: each step P <- P + M P M' and
+    M <- M^2, so after k steps P = sum_{j < 2^k} M^j M^j' and
+    P - M P M' = I - M_k M_k', M_k = M^(2^k).  It stops once
+    ||M_k||_F^2 <= 1/4, where that R is at least 3/4 I, above the 1/2
+    `_stein_proves_schur` needs, and hands P to `_schur_report`; P is kept
+    exactly symmetric.  The P_k grow in the Loewner order, so
+    max diag(P_k) <= lambda_max(P) <= ||P||_1 for every later P: once that
+    diagonal is past the bound of `_stein_bound_holds` (or not finite), no
+    P of the loop can prove the margin, and the eigenvalues decide, as
+    they do after `_MAX_DOUBLINGS` steps.  With rho(M) >= 1 the trace of
+    P_k is at least 2^k, so at a margin above 0 the bound stops the loop
+    within log2(n / (4 margin)) + 1 steps.
+    """
+    n = len(M)
+    P, M_k = np.eye(n), M
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_MAX_DOUBLINGS):
+            if np.vdot(M_k, M_k) <= 0.25:
+                return _schur_report(M, P, margin)
+            P += (M_k @ P) @ M_k.T
+            P += P.T
+            P *= 0.5
+            if not _stein_bound_holds(P.diagonal().max(), n, margin):
+                break
+            M_k = M_k @ M_k
+    return spectrum(M, margin)
+
+
+def _stein_bound_holds(norm_P: float, n: int, margin: float) -> bool:
+    """Whether ||P||_1 = ``norm_P`` is small enough for `_stein_proves_schur`
+    to prove the margin: ||P||_1 margin (2 - margin) < 1/2, allowing for
+    the rounding of the computed norm.  False for a non-finite norm, whose
+    product is inf or NaN, at any margin."""
+    # The computed ||P||_1 can fall short of the exact one by gamma_n.
+    return (float(norm_P) * margin * (2.0 - margin) * (1.0 + (n + 4) * _EPS)
+            < 0.5)
+
+
 def _stein_proves_schur(loop: np.ndarray, P: np.ndarray,
                         margin: float) -> bool:
-    """Whether P proves that the filter-DARE loop is Schur at ``margin``.
+    """Whether P proves that the matrix ``loop`` is Schur at ``margin``.
 
     The loop Lambda = Abar + L Cbar of the gain of `stabilizing_gain`
-    satisfies the Stein identity P - Lambda P Lambda' = I + L L'.  For a
-    left eigenvector v of Lambda with eigenvalue mu,
-    v' (P - Lambda P Lambda') v = (1 - |mu|^2) v' P v, so P > 0 and
-    R = P - Lambda P Lambda' >= I / 2 give
-    |mu|^2 <= 1 - 1 / (2 lambda_max(P)) <= 1 - 1 / (2 ||P||_1), which is
-    below (1 - margin)^2 whenever ||P||_1 margin (2 - margin) < 1/2.  R is
-    at least I in exact arithmetic, so it falls below I / 2 only when P is
-    not this loop's Riccati solution: the 1/2 is not a tolerance.
+    satisfies the Stein identity P - Lambda P Lambda' = I + L L' for its
+    Riccati solution P, and any matrix Lambda satisfies
+    P - Lambda P Lambda' = I - Lambda_k Lambda_k', at least 3/4 I, for the
+    Smith-doubling P of `_smith_spectrum`.  For a left eigenvector v of
+    Lambda with eigenvalue mu, v' (P - Lambda P Lambda') v
+    = (1 - |mu|^2) v' P v, so P > 0 and R = P - Lambda P Lambda' >= I / 2
+    give |mu|^2 <= 1 - 1 / (2 lambda_max(P)) <= 1 - 1 / (2 ||P||_1),
+    which is below (1 - margin)^2 whenever ||P||_1 margin (2 - margin)
+    < 1/2 (`_stein_bound_holds`).  R is at least I (Riccati) or 3/4 I
+    (Smith) in exact arithmetic, so it falls below I / 2 only when P is
+    not such a solution for this loop: the 1/2 is not a tolerance.
 
     Both inequalities are proved in floating point, for the stored P and
     loop.  R is computed as P - (Lambda P) Lambda'; its rounding error is
     at most gamma_2n+1 |Lambda| |P| |Lambda|' + u |P| entrywise (Higham
     2002, sec. 3.5), so in the 2-norm at most
     delta = gamma_2n+2 ||P||_1 (||Lambda||_inf ||Lambda||_1 + 1), as P is
-    exactly symmetric (the doubling keeps it so).  `_proves_above` then
+    exactly symmetric (both doublings keep it so).  `_proves_above` then
     proves P > 0 and R > (1/2 + delta) I by floating-point Cholesky.  The
     bounds take O(n^2) norms; the two products and two factorizations cost
     less than the nonsymmetric eigenvalue solve they replace.  False means
@@ -758,8 +830,7 @@ def _stein_proves_schur(loop: np.ndarray, P: np.ndarray,
     """
     n = len(P)
     norm_P = np.linalg.norm(P, 1)
-    # The computed ||P||_1 can fall short of the exact one by gamma_n.
-    if not norm_P * margin * (2.0 - margin) * (1.0 + (n + 4) * _EPS) < 0.5:
+    if not _stein_bound_holds(norm_P, n, margin):
         return False
     delta = _gamma(2 * n + 2) * norm_P * (
         np.linalg.norm(loop, np.inf) * np.linalg.norm(loop, 1) + 1.0)
@@ -781,7 +852,8 @@ def _proves_above(M: np.ndarray, c: float) -> bool:
     """
     n = len(M)
     d = np.abs(np.diag(M))
-    t = c + 2 * _gamma(n + 2) * d.sum() + 4 * n * (2 * n + 2 + d.max()) * _ETA
+    t = (c + 2 * _gamma(n + 2) * d.sum()
+         + 4 * n * (2 * n + 2 + d.max(initial=0.0)) * _ETA)
     if not np.isfinite(t):
         return False
     try:

@@ -49,11 +49,13 @@ are built (`plant`, `datalog`), so no function here checks them again.
 
 `verify_acceptor` / `verify_uio` check candidate observers against a model
 through the three acceptor identities (unknown-input rejection, recursion
-consistency, known-input feedthrough) plus the Schur requirement, with an
-eigenvalue solve of their own.  The model route certifies its own designs
-with the acceptor identities and the Schur verdict the gain stage
-reached, so no eigenvalue problem is solved twice, and none at all when
-the Riccati solution proved the verdict and nobody reads the eigenvalues.
+consistency, known-input feedthrough) plus the Schur requirement, which
+`verify_uio` proves from A_uio's own Stein solution, solving A_uio's
+eigenvalues only when that proves nothing or they are read.  The model
+route certifies its own designs with the acceptor identities and the
+Schur verdict the gain stage reached, so no eigenvalue problem is solved
+twice, and none at all when the Riccati solution proved the verdict and
+nobody reads the eigenvalues.
 """
 
 from __future__ import annotations
@@ -75,12 +77,13 @@ from .numkit import (
     SpectrumReport,
     _left_null_svd,
     _rank_from_singular_values,
+    _smith_spectrum,
     _spectrum_report,
     balanced_rank,
     place_poles,
     rank,
-    spectrum,
     stabilizing_gain,
+    undetectable_modes,
 )
 # NoUio (from numkit) and the observer file format (from plant) are
 # re-exported, so `synth.NoUio` and `synth.load_uio` keep their names.
@@ -504,18 +507,7 @@ def synthesize(
         bad = [z for z in exc.modes if abs(z) >= 1.0 - opt.schur_margin]
         if not bad:
             raise
-        # An eigenvalue z of A_bar that C_bar cannot see stays in the error
-        # loop A_uio = -(A_bar + L C_bar) as -z: the plant's mode.  0j - z
-        # keeps the imaginary part of a real mode at +0, as the zeros of
-        # condition (a) have it, where -z would print 1.3-0j.
-        modes = [0j - z for z in bad]
-        raise NoUio(
-            NOT_DETECTABLE,
-            "undetectable unstable modes of the plant: "
-            + ", ".join(f"{z:.6g}" for z in modes),
-            evidence={"undetectable_modes": modes,
-                      "A_bar_eigenvalues": np.linalg.eigvals(A_bar).tolist()},
-        ) from exc
+        raise _not_detectable(bad, A_bar) from exc
 
     Omega = np.hstack([np.eye(n), L])
     A_uio = -loop
@@ -540,6 +532,39 @@ def synthesize(
     return uio, diag
 
 
+def _not_detectable(bad: list, A_bar: np.ndarray) -> NoUio:
+    """The NOT_DETECTABLE refusal of the unstable modes ``bad`` of A_bar
+    that C_bar cannot see."""
+    # An eigenvalue z of A_bar that C_bar cannot see stays in the error
+    # loop A_uio = -(A_bar + L C_bar) as -z: the plant's mode.  0j - z
+    # keeps the imaginary part of a real mode at +0, as the zeros of
+    # condition (a) have it, where -z would print 1.3-0j.
+    modes = [0j - z for z in bad]
+    return NoUio(
+        NOT_DETECTABLE,
+        "undetectable unstable modes of the plant: "
+        + ", ".join(f"{z:.6g}" for z in modes),
+        evidence={"undetectable_modes": modes,
+                  "A_bar_eigenvalues": np.linalg.eigvals(A_bar).tolist()},
+    )
+
+
+def _refuse_hidden_modes(ker: KernelRep, margin: float) -> None:
+    """Raise `synthesize`'s NOT_DETECTABLE refusal if the zero staircase
+    names undetectable modes of the kernel's (A_bar, C_bar), before any
+    gain is computed; return if it names none, or fails."""
+    A_bar, C_bar = ker.V_p[:ker.n], ker.V_p[ker.n:]
+    try:
+        # The errstate of the Riccati doubling, which runs this staircase
+        # when it is not run here.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            bad = undetectable_modes(A_bar, C_bar, margin)
+    except NumericalFailure:
+        return
+    if bad:
+        raise _not_detectable(bad, A_bar)
+
+
 def _negated_eigenvalues(report: SpectrumReport) -> np.ndarray:
     """The eigenvalues of the report's matrix, negated."""
     return -report.eigenvalues
@@ -547,7 +572,7 @@ def _negated_eigenvalues(report: SpectrumReport) -> np.ndarray:
 
 def design_from_model(
     model: StateSpaceModel, options: SynthesisOptions | None = None,
-    *, _ranks=None,
+    *, _ranks=None, _condition_a: bool = True,
 ) -> tuple[UioRealization, SynthesisDiagnostics]:
     """Model route: `model_kernel` of the plant, then `synthesize`.
 
@@ -560,6 +585,14 @@ def design_from_model(
     ``_ranks`` is `_disturbance_ranks` of the model at ``options.tol``,
     when `existcheck.exists_uio` has decided them for condition (b); they
     are not checked against the model, so only that caller passes them.
+    ``_condition_a`` is the verdict of condition (a), False when that
+    caller has found an invariant zero on or outside the circle of radius
+    1 - margin.  By the existence theorem such a zero is an undetectable
+    mode of (A_bar, C_bar), so with the Riccati gain the zero staircase
+    of `numkit.undetectable_modes` then runs on the kernel's pair before
+    any doubling step, and a mode it names is refused with the very NoUio
+    that `synthesize` raises after the doubling.  If it names none, the
+    design goes on as without the verdict.
 
     Raises:
         NumericalFailure: if the synthesized observer fails that test, with
@@ -570,7 +603,10 @@ def design_from_model(
     opt = options or SynthesisOptions()
     if _ranks is None:
         _ranks = _disturbance_ranks(model, opt.tol)
-    uio, diag = synthesize(_kernel_from_ranks(model, _ranks), opt)
+    ker = _kernel_from_ranks(model, _ranks)
+    if not _condition_a and opt.gain == "riccati" and ker.rank_V_f == ker.n:
+        _refuse_hidden_modes(ker, opt.schur_margin)
+    uio, diag = synthesize(ker, opt)
     failures = _failures(verify_acceptor(model, uio), diag.spectrum)
     if failures:
         raise NumericalFailure(
@@ -684,9 +720,18 @@ def verify_uio(
     tol: float = 1e-8,
     margin: float = SCHUR_MARGIN,
 ) -> UioVerification:
-    """Acceptor check plus Schur check; reports every failure by name."""
+    """Acceptor check plus Schur check; reports every failure by name.
+
+    The Schur verdict on A_uio is proved, when it can be, from A_uio's own
+    Stein solution P - A_uio P A_uio' = I - A_k A_k', built by Smith
+    doubling (`numkit._smith_spectrum`) and checked by
+    `numkit._stein_proves_schur`.  Then ``spectrum`` is a lazy
+    `SpectrumReport`, like a design's: A_uio's eigenvalues are solved only
+    when they are read, as a failure line does.  When nothing is proved,
+    the eigenvalues decide, as in `numkit.spectrum`.
+    """
     acc = verify_acceptor(model, uio, tol)
-    spec_report = spectrum(uio.A_uio, margin)
+    spec_report = _smith_spectrum(uio.A_uio, margin)
     failures = _failures(acc, spec_report)
     return UioVerification(
         acceptor=acc,

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uiokit import synth
+from uiokit import existcheck, numkit, synth
 from uiokit.existcheck import (
     ExistenceReport,
     condition_a,
@@ -271,6 +271,102 @@ def test_exists_uio_keeps_the_certified_observer(ref_model, options):
     assert kept.spectral_radius == fresh.spectral_radius
     assert kept == fresh
     assert synth.verify_uio(ref_model, report.uio).is_uio
+
+
+def _refusing_run(monkeypatch, model, hinted=True):
+    """exists_uio's report on ``model``, the (cause, message, evidence) of
+    the NoUio its design raised, and the inverses and zero staircases that
+    design took.  With ``hinted`` False the design does not get condition
+    (a)'s verdict, and refuses after its Riccati doubling, as it did before
+    the verdict was handed over."""
+    raised, inverses, staircases = [], [], []
+    design, inv = synth.design_from_model, np.linalg.inv
+
+    def recording(model, options=None, **kwargs):
+        if not hinted:
+            del kwargs["_condition_a"]
+        try:
+            return design(model, options, **kwargs)
+        except synth.NoUio as exc:
+            raised.append(exc)
+            raise
+
+    def counting_inv(M):
+        inverses.append(M.shape)
+        return inv(M)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(existcheck, "design_from_model", recording)
+        mp.setattr(np.linalg, "inv", counting_inv)
+        for module in (numkit, synth):
+            def counting(*args, _staircase=module.undetectable_modes, **kw):
+                staircases.append(args)
+                return _staircase(*args, **kw)
+
+            mp.setattr(module, "undetectable_modes", counting)
+        report = exists_uio(model)
+    (exc,) = raised
+    return (report, (exc.cause, str(exc), exc.evidence), len(inverses),
+            len(staircases))
+
+
+def _same_refusal(hinted, unhinted):
+    """The reports and NoUio refusals of two `_refusing_run` are equal."""
+    assert _same(hinted[0], unhinted[0])
+    assert format_report(hinted[0]) == format_report(unhinted[0])
+    assert hinted[1] == unhinted[1]
+
+
+@pytest.mark.parametrize("n", [20, 40, 60])
+def test_exists_uio_refuses_a_hidden_mode_before_the_riccati_doubling(
+        monkeypatch, n):
+    # Every third corpus plant hides a mode at 1.3, which condition (a)
+    # finds.  The design it hands that verdict to runs the zero staircase
+    # once, before any doubling step (no inverse), and refuses with the
+    # same report, message and evidence as a design that runs its doubling
+    # first.  When the staircase names no mode, the design goes on, runs
+    # its doubling, and reaches that same outcome.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for seed in (0, 3, 6, 9):
+        model = workloads.corpus_model(n, *workloads.corpus_dims(n), seed=seed)
+        hinted = _refusing_run(monkeypatch, model)
+        report, (cause, _, _), inverses, staircases = hinted
+        assert not report.condition_a and report.condition_b
+        assert report.refusal.startswith("design refused: NotDetectable")
+        assert cause == synth.NOT_DETECTABLE
+        assert (inverses, staircases) == (0, 1)
+        unhinted = _refusing_run(monkeypatch, model, hinted=False)
+        assert unhinted[2] > 0
+        _same_refusal(hinted, unhinted)
+        with monkeypatch.context() as mp:
+            mp.setattr(synth, "undetectable_modes", lambda *args: [])
+            silenced = _refusing_run(monkeypatch, model)
+        assert silenced[2] == unhinted[2] and silenced[3] == 2
+        _same_refusal(silenced, unhinted)
+
+
+def test_exists_uio_refuses_a_hidden_mode_of_a_pair_without_outputs(
+        monkeypatch):
+    # p = r and F invertible: N has full row rank 2p, so C_bar has no
+    # rows, and the zero 1.4 of A - E F^-1 C fails condition (a).  The
+    # staircase, run on A_bar alone, refuses as the unhinted design does.
+    model = StateSpaceModel(
+        A=np.array([[1.5, 0.0, 0.0], [0.0, 0.3, 0.0], [0.0, 0.0, 0.2]]),
+        B=np.zeros((3, 0)), C=np.array([[0.1, 1.0, 1.0]]),
+        D=np.zeros((1, 0)), E=np.array([[1.0], [0.0], [0.0]]),
+        F=np.array([[1.0]]),
+    )
+    hinted = _refusing_run(monkeypatch, model)
+    assert synth.model_kernel(model).k == model.n
+    assert not hinted[0].condition_a and hinted[0].condition_b
+    assert hinted[1][0] == synth.NOT_DETECTABLE
+    assert np.allclose(hinted[1][2]["undetectable_modes"], [1.4])
+    assert hinted[2:] == (0, 1)
+    unhinted = _refusing_run(monkeypatch, model, hinted=False)
+    assert unhinted[2:] == (0, 1)
+    _same_refusal(hinted, unhinted)
 
 
 def test_exists_uio_classical_detectable_case():

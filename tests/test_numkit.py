@@ -660,7 +660,8 @@ def test_stabilizing_gain_at_extreme_but_representable_scale():
     assert spectrum(A + L @ C).is_schur
 
 
-@pytest.mark.parametrize("seed, n, q, scale", [
+#: (seed, n, q, scale) of the seeded random ladder of detectable pairs.
+LADDER = [
     (0, 2, 1, 0.6), (1, 3, 1, 1.0), (2, 5, 2, 1.4), (3, 8, 4, 0.6),
     (4, 12, 1, 1.0), (5, 17, 8, 1.4), (6, 23, 3, 0.6), (7, 30, 15, 1.0),
     (8, 38, 5, 1.4), (9, 45, 22, 0.6), (10, 52, 1, 1.0), (11, 60, 30, 1.4),
@@ -669,14 +670,20 @@ def test_stabilizing_gain_at_extreme_but_representable_scale():
     # ||P|| ~ 2e12 through one output at n = 100; n = 200 with 20 and 3.
     (12, 100, 10, 1.0), (13, 100, 1, 1.4), (14, 200, 20, 1.4),
     (15, 200, 3, 0.6),
-])
+]
+
+
+def _ladder_pair(seed, n, q, scale):
+    rng = np.random.default_rng(seed)
+    return (scale * rng.standard_normal((n, n)) / np.sqrt(n),
+            rng.standard_normal((q, n)))
+
+
+@pytest.mark.parametrize("seed, n, q, scale", LADDER)
 def test_dare_doubling_matches_scipy_solver(seed, n, q, scale):
     # Seeded random detectable pairs against the generalized-eigenvalue
     # solver as an oracle.
-    rng = np.random.default_rng(seed)
-    A = scale * rng.standard_normal((n, n)) / np.sqrt(n)
-    C = rng.standard_normal((q, n))
-    _check_dare_solution(A, C)
+    _check_dare_solution(*_ladder_pair(seed, n, q, scale))
 
 
 def test_dare_doubling_inverts_once_per_step_and_solves_nothing(monkeypatch):
@@ -722,6 +729,91 @@ def _change_rule_doubling(A, C):
         if np.linalg.norm(dH, 1) <= n * EPS * np.linalg.norm(H, 1):
             return H, step
     raise AssertionError("the change rule never stopped")
+
+
+def _reference_doubling(Abar, Cbar, margin=SCHUR_MARGIN):
+    """The doubling loop of `_dare_doubling` written with a fresh array for
+    every intermediate, np.eye for W and (X + X') / 2 for symmetry: both
+    stop rules and the early staircase check, without the finiteness
+    checks."""
+    n = len(Abar)
+    weight = numkit._hidden_mode_weight(Abar, Cbar, margin)
+    A, G, H = Abar.T, Cbar.T @ Cbar, np.eye(n)
+    last = None
+    checked = False
+    for _ in range(numkit._MAX_DOUBLINGS):
+        W_inv = np.linalg.inv(np.eye(n) + G @ H)
+        WA = W_inv @ A
+        dH = A.T @ H @ WA
+        dH = (dH + dH.T) / 2
+        G = G + A @ (W_inv @ G) @ A.T
+        G = (G + G.T) / 2
+        A = A @ WA
+        H = H + dH
+        if not checked and np.max(np.diag(H)) * weight >= 1.0:
+            checked = True
+            numkit._refuse_undetectable(Abar, Cbar, margin)
+        step, size = np.linalg.norm(dH, 1), np.linalg.norm(H, 1)
+        if step <= n * EPS * size:
+            break
+        change = step / size
+        if last is not None and change < last and (
+                change ** 3 <= n * EPS * last ** 2):
+            break
+        last = change
+    else:
+        raise AssertionError("the reference doubling did not converge")
+    if not checked and size * weight >= 1.0:
+        numkit._refuse_undetectable(Abar, Cbar, margin)
+    return H
+
+
+def _doubling_outcome(doubling, A, C):
+    """P, or the modes of the refusal."""
+    try:
+        return doubling(A, C)
+    except NotDetectable as exc:
+        return exc.modes
+
+
+def test_dare_doubling_matches_its_reference_loop_bit_for_bit(corpus_pairs):
+    # In-place symmetrization, the in-place diagonal of W and the diagonal
+    # view change no bit of P, and no refusal.
+    pairs = corpus_pairs["model"] + corpus_pairs["data"]
+    pairs += [_ladder_pair(*case) for case in LADDER]
+    refused = 0
+    for A, C in pairs:
+        P = _doubling_outcome(_dare_doubling, A, C)
+        reference = _doubling_outcome(_reference_doubling, A, C)
+        if isinstance(P, list):
+            refused += 1
+            assert P == reference
+        else:
+            assert np.array_equal(P, reference)
+    assert 0 < refused < len(pairs)
+
+
+def test_staircase_runs_once_when_the_doubling_fails_after_its_early_check(
+        monkeypatch):
+    # A huge bound weight fires the early check at the first step, and one
+    # step is too few to converge: the staircase finds no mode, then the
+    # doubling fails, and that failure must not run the staircase again.
+    A, C = _ladder_pair(*LADDER[4])
+    calls = []
+    staircase = numkit.undetectable_modes
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return staircase(*args, **kwargs)
+
+    monkeypatch.setattr(numkit, "undetectable_modes", counting)
+    monkeypatch.setattr(numkit, "_hidden_mode_weight", lambda *args: 1e300)
+    monkeypatch.setattr(numkit, "_MAX_DOUBLINGS", 1)
+    with pytest.raises(NumericalFailure,
+                       match=r"^Riccati doubling did not converge in 1 "
+                             r"steps$"):
+        stabilizing_gain(A, C)
+    assert len(calls) == 1
 
 
 def test_dare_doubling_skips_the_step_quadratic_convergence_predicts(
@@ -987,6 +1079,126 @@ def test_early_refusal_check_fires_only_where_the_final_check_fails(
         assert len(calls) == fails
         large += fails
     assert large > 0
+
+
+# ------------------------------ verify_uio's proof, by Smith doubling
+
+
+def _smith_verdict(loop, margin=SCHUR_MARGIN):
+    """`numkit._smith_spectrum` of ``loop``, checked against `spectrum`: the
+    same verdict and eigenvalues, solved only when nothing was proved.
+    Returns the report, whether it was proved, and the Smith steps taken."""
+    steps, solves = [], []
+    bound, eigvals = numkit._stein_bound_holds, np.linalg.eigvals
+
+    def counting_bound(*args):
+        steps.append(args)
+        return bound(*args)
+
+    def counting_eigvals(M):
+        solves.append(M)
+        return eigvals(M)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numkit, "_stein_bound_holds", counting_bound)
+        mp.setattr(np.linalg, "eigvals", counting_eigvals)
+        report = numkit._smith_spectrum(loop, margin)
+        proved = not solves
+    eig = spectrum(loop, margin)
+    assert report.is_schur == eig.is_schur
+    assert_array_equal(report.eigenvalues, eig.eigenvalues)
+    assert report.spectral_radius == eig.spectral_radius
+    return report, proved, len(steps)
+
+
+def _rotated_diagonal(values, seed=0):
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal(
+        (len(values), len(values))))
+    return Q @ np.diag(values) @ Q.T
+
+
+def test_smith_proof_at_the_margin():
+    # Radius 1 - margin - 1e-12 is Schur at the margin, but its Stein
+    # solution (about 1 / (2 margin)) is too large to prove it: eig decides.
+    # At 1 - margin + 1e-12 nothing can be proved.  At margin 0 the same
+    # loops are proved, within the step cap.
+    below, above = (_rotated_diagonal([1 - SCHUR_MARGIN + d, 0.5, -0.3])
+                    for d in (-1e-12, 1e-12))
+    assert [_smith_verdict(M)[1] for M in (below, above)] == [False, False]
+    assert spectrum(below).is_schur and not spectrum(above).is_schur
+    for M in (below, above):
+        report, proved, steps = _smith_verdict(M, 0.0)
+        assert report.is_schur and proved
+        assert steps <= numkit._MAX_DOUBLINGS
+    assert _smith_verdict(_rotated_diagonal([0.9, -0.5, 0.1]))[1]
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 12])
+def test_smith_proof_of_a_jordan_type_loop_gets_the_verdict_of_eig(n):
+    # The loops of the certificate test: where the proof holds, eig agrees,
+    # and elsewhere eig's verdict stands.
+    Q, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))
+    proved = [_smith_verdict(Q @ (0.999 * np.eye(n) + s * np.eye(n, k=1))
+                             @ Q.T)[1] for s in (1e-3, 0.1, 1.0)]
+    assert proved[0] and not proved[-1]
+
+
+@pytest.mark.parametrize("loop", [
+    np.eye(3), np.array([[0.0, -1.0], [1.0, 0.0]]),
+    _rotated_diagonal([1.0, 1.0, 0.5, -1.0]), 1.5 * np.eye(2),
+    _rotated_diagonal([1.5, 0.2, 0.1])],
+    ids=["identity", "rotation", "orthogonal", "expanding", "unstable"])
+def test_smith_proof_gives_up_on_a_loop_on_or_outside_the_circle(loop):
+    # With rho >= 1 the trace of P_k is at least 2^k, so max diag(P_k)
+    # passes the bound 1 / (2 margin (2 - margin)) within
+    # log2(n / (4 margin)) + 1 steps, far below the cap.
+    report, proved, steps = _smith_verdict(loop)
+    assert not report.is_schur and not proved
+    assert steps <= np.log2(len(loop) / (4 * SCHUR_MARGIN)) + 1
+    assert steps < numkit._MAX_DOUBLINGS // 2
+
+
+@pytest.mark.parametrize("margin", [SCHUR_MARGIN, 0.0])
+def test_smith_proof_of_a_nilpotent_loop_with_huge_entries(margin):
+    # 1e8 on the superdiagonal: P ~ 1e48, so nothing is proved, and eig's
+    # exact zeros decide.
+    report, proved, _ = _smith_verdict(1e8 * np.eye(4, k=1), margin)
+    assert report.is_schur and not proved
+    assert report.spectral_radius == 0.0
+
+
+def test_smith_proof_of_an_empty_loop():
+    report, proved, _ = _smith_verdict(np.zeros((0, 0)))
+    assert report.is_schur and proved
+    assert report.eigenvalues.shape == (0,) and report.spectral_radius == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_smith_proof_of_a_non_finite_loop_fails_as_eig_does(bad):
+    loop = np.array([[bad, 0.0], [0.0, 0.5]])
+    with pytest.raises(NumericalFailure) as expected:
+        spectrum(loop)
+    with pytest.raises(NumericalFailure) as raised:
+        numkit._smith_spectrum(loop, SCHUR_MARGIN)
+    assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("route", ["model", "data"])
+def test_smith_proof_of_every_corpus_observer(corpus_pairs, route):
+    # verify_uio proves the Schur verdict of every corpus observer,
+    # A_uio = -loop, from its own Stein solution, at the margin and at 0.
+    proved = []
+    for A, C in corpus_pairs[route]:
+        try:
+            _, loop, _ = stabilizing_gain(A, C)
+        except NotDetectable:
+            continue
+        for margin in (SCHUR_MARGIN, 0.0):
+            report, ok, _ = _smith_verdict(-loop, margin)
+            assert report.is_schur
+            proved.append(ok)
+    assert len(proved) == 2 * {"model": 98, "data": 27}[route]
+    assert all(proved)
 
 
 # ------------------------------------------------------ pole placement

@@ -471,7 +471,9 @@ def test_designs_solve_no_eigenproblem_until_the_spectrum_is_read(
     # The Riccati verdict is proved from the Riccati solution, so neither
     # route solves an eigenvalue problem while it designs.  The first read
     # of the spectrum solves one, for the loop -A_uio, and gives
-    # sort_complex(-eigvals(loop)) to the bit; verify_uio solves its own.
+    # sort_complex(-eigvals(loop)) to the bit.  verify_uio proves its own
+    # verdict from A_uio's Stein solution, and solves A_uio only when its
+    # spectrum is read.
     # (One recording of an n = 60 corpus plant fails the excitation check,
     # so the data route runs on recordings of the data corpus that design.)
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
@@ -498,8 +500,9 @@ def test_designs_solve_no_eigenproblem_until_the_spectrum_is_read(
     assert radius == np.abs(eigenvalues).max()
     del seen[:]
     verdict = verify_uio(model, uio)
-    assert len(seen) == 1 and np.array_equal(seen[0], uio.A_uio)
+    assert seen == [] and verdict.spectrum.is_schur
     assert verdict.spectrum.spectral_radius == radius
+    assert len(seen) == 1 and np.array_equal(seen[0], uio.A_uio)
 
 
 def _corpus_plant(n, seed, rotated_hidden_mode):

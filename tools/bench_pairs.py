@@ -21,6 +21,12 @@ variable decides whether each fresh interpreter compiles the package from
 source or reads cached bytecode, which moves ``setup_s`` and each
 ``cli-session`` call by tens of milliseconds.
 
+After writing the JSON it prints one line per workload and metric to
+stdout: the parent median -> the change median, the change in percent,
+the parent's quartiles and the pairs the change won, e.g.
+
+    model-n60 ops_per_s: 171.8 -> 195.4 (+13.7%) [parent 170.9-173.0], 10/10
+
 Usage, from the root of a checkout:
 
     python tools/bench_pairs.py --out BENCH_N.json [--parent REV]
@@ -103,6 +109,20 @@ def compare(parent: list[dict], change: list[dict], better: dict) -> dict:
     return table
 
 
+def summary_lines(table: dict, pairs: int) -> list[str]:
+    """One line per workload and metric of a `compare` table."""
+    lines = []
+    for workload, metrics in table.items():
+        for metric, row in metrics.items():
+            old, new = row["parent"]["median"], row["change"]["median"]
+            change = f"{100 * (new - old) / old:+.1f}%" if old else "n/a"
+            lines.append(
+                f"{workload} {metric}: {old:.4g} -> {new:.4g} ({change}) "
+                f"[parent {row['parent']['q1']:.4g}-{row['parent']['q3']:.4g}]"
+                f", {row['change_wins']}/{pairs}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True,
@@ -151,6 +171,7 @@ def main(argv=None) -> int:
     }
     (ROOT / args.out).write_text(json.dumps(doc, indent=1) + "\n",
                                  encoding="utf-8")
+    print("\n".join(summary_lines(doc["workloads"], args.pairs)))
     return 0
 
 
