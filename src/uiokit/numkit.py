@@ -17,22 +17,24 @@ Schur/stability decisions carry their own margin: an eigenvalue is "stable"
 only if its modulus stays below 1 - margin.
 
 Where a pencil loses rank is decided once, by `invariant_zeros` with the
-fixed relative cutoff `ZERO_CUT_RELATIVE`: condition (a) of `existcheck`,
-and, with no disturbance, the unobservable modes (`undetectable_modes`)
-that decide observability for `place_poles` and name the modes of an
-undetectable pair when `stabilizing_gain` refuses it.  A gain whose
-verified closed loop is Schur proves detectability by itself, and the
-size of its Riccati solution proves that no mode is seen only below the
-cut, so a successful Riccati design runs no reduction; a refusal runs it
-as soon as the doubling's iterates are too large for that proof.  The
-Riccati solution also proves the loop Schur, through its Stein identity,
-so a Riccati design solves no eigenvalue problem unless its eigenvalues
-are read (`SpectrumReport`); a Stein solution built by Smith doubling
-proves the Schur verdict on any given matrix the same way
-(`_smith_spectrum`, which `synth.verify_uio` uses).  The zeros are
-the eigenvalues of one n x n matrix, K_x^-1 [A, E] K (see `invariant_zeros`),
-so no generalized eigenvalue solver is needed: numpy is the only runtime
-dependency.
+fixed relative cutoff `ZERO_CUT_RELATIVE` against sigma_1 of the pencil,
+which cheap norms bracket, so no SVD of the whole pencil is taken unless
+a rank falls inside the bracket (`_ZeroCut`): condition (a) of
+`existcheck`, and, with no disturbance, the unobservable modes
+(`undetectable_modes`) that decide observability for `place_poles` and
+name the modes of an undetectable pair when `stabilizing_gain` refuses
+it.  A gain whose verified closed loop is Schur proves detectability by
+itself, and the size of its Riccati solution proves that no mode is seen
+only below the cut, so a successful Riccati design runs no reduction; a
+refusal runs it as soon as the doubling's iterates are too large for
+that proof.  The Riccati solution also proves the loop Schur, through
+its Stein identity, so a Riccati design solves no eigenvalue problem
+unless its eigenvalues are read (`SpectrumReport`); a Stein solution
+built by Smith doubling proves the Schur verdict on any given matrix the
+same way (`_smith_spectrum`, which `synth.verify_uio` uses).  The zeros
+are the eigenvalues of one n x n matrix, K_x^-1 [A, E] K (see
+`invariant_zeros`), so no generalized eigenvalue solver is needed: numpy
+is the only runtime dependency.
 
 The gain constructors (`stabilizing_gain`, `place_poles`) build output
 injections L for a pair (Abar, Cbar), i.e. they shape the spectrum of
@@ -50,6 +52,7 @@ array whose spectrum was checked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable
@@ -89,10 +92,11 @@ _ETA = float(np.finfo(float).smallest_subnormal)
 #: treated as not (safely) stable.
 SCHUR_MARGIN = 1e-9
 
-#: Relative rank cutoff of the zero reduction, against the norm of
-#: S = [[A, E], [C, F]].  Every step leaves rounding residue in the blocks
-#: it rotates, and an eps-level cutoff counts that residue as rank, which
-#: couples a hidden mode back to the outputs and loses its zero.
+#: Relative rank cutoff of the zero reduction, against sigma_1 of
+#: S = [[A, E], [C, F]] (bracketed by cheap norms, see `_ZeroCut`).  Every
+#: step leaves rounding residue in the blocks it rotates, and an eps-level
+#: cutoff counts that residue as rank, which couples a hidden mode back to
+#: the outputs and loses its zero.
 ZERO_CUT_RELATIVE = 1e-9
 
 #: Doublings that shrink the slowest closed loop float64 can hold, spectral
@@ -127,30 +131,54 @@ class NoUio(Exception):
 
     Attributes:
         cause: one of `synth.VF_RANK_DEFICIENT`, `synth.NOT_DETECTABLE`.
-        evidence: the offending ranks / eigenvalues.
+        evidence: the offending ranks / eigenvalues, a dict.  An entry given
+            as a `_Deferred` is computed the first time ``evidence`` is read,
+            so a caller that keeps only the refusal's text pays nothing for
+            it; once read, it is a plain value like the others.
     """
 
     def __init__(self, cause: str, detail: str, evidence: dict | None = None):
         super().__init__(f"{cause}: {detail}")
         self.cause = cause
         self.detail = detail
-        self.evidence = dict(evidence or {})
+        self._evidence = dict(evidence or {})
+
+    @property
+    def evidence(self) -> dict:
+        for key, value in self._evidence.items():
+            if isinstance(value, _Deferred):
+                self._evidence[key] = value()
+        return self._evidence
+
+    def __reduce__(self):
+        return type(self), (self.cause, self.detail, self._evidence)
+
+
+class _Deferred(partial):
+    """A `NoUio` evidence entry, computed on first read: ``_Deferred(f,
+    *args)`` reads as ``f(*args)``."""
 
 
 class NotDetectable(ValueError):
     """(Abar, Cbar) has unstable modes invisible from Cbar, listed in ``modes``."""
 
     def __init__(self, modes):
-        super().__init__(f"undetectable unstable modes: {modes}")
         self.modes = list(modes)
+        super().__init__(f"undetectable unstable modes: {self.modes}")
+
+    def __reduce__(self):
+        return type(self), (self.modes,)
 
 
 class NotObservable(ValueError):
     """(Abar, Cbar) has unobservable modes, listed in ``modes``."""
 
     def __init__(self, modes):
-        super().__init__(f"unobservable modes: {modes}")
         self.modes = list(modes)
+        super().__init__(f"unobservable modes: {self.modes}")
+
+    def __reduce__(self):
+        return type(self), (self.modes,)
 
 
 class PlacementFailed(NumericalFailure):
@@ -167,7 +195,10 @@ class RepeatedPole(PlacementFailed):
         super().__init__(
             f"pole {pole:.6g} of {loop} is requested {count} times; a pole "
             f"has at most rank(Cbar) = {rank} eigenvectors")
-        self.pole, self.count, self.rank = pole, count, rank
+        self.pole, self.count, self.rank, self.loop = pole, count, rank, loop
+
+    def __reduce__(self):
+        return type(self), (self.pole, self.count, self.rank, self.loop)
 
 
 @dataclass(frozen=True)
@@ -400,10 +431,54 @@ def _min_cost_matching(cost: np.ndarray) -> np.ndarray:
     return owner[1:] - 1
 
 
-def _range_basis(M: np.ndarray, cut: float) -> tuple[np.ndarray, int]:
+def _range_basis(M: np.ndarray, cut: _ZeroCut) -> tuple[np.ndarray, int]:
     """Orthogonal U whose first k columns span the range of M, and k."""
     U, s, _ = np.linalg.svd(M)
-    return U, int(np.count_nonzero(s > cut))
+    return U, cut.rank(s)
+
+
+class _ZeroCut:
+    """The zero reduction's cut, `ZERO_CUT_RELATIVE` against sigma_1(S),
+    with no SVD of S unless a rank needs it.
+
+    sigma_1 lies between lo = max(max |s_ij|, ||S||_F / sqrt(min(shape)))
+    and hi = ||S||_F.  Both are computed on S scaled by a power of two, so
+    ||S||_F does not overflow where sigma_1 does not, and the bracket is
+    widened by gamma_k, k = size * max(shape): far more than the rounding
+    of ||S||_F (gamma_size) and of the SVD's sigma_1 (LAPACK Users' Guide,
+    sec. 4.9).  A rank is the number of singular values above the cut, and
+    it is the same at both ends of the bracket unless a singular value
+    lies between the two cuts.  Only then is sigma_1 computed, by one
+    values-only SVD per reduction, and that singular value is judged
+    against the cut it gives.  So every rank is the one the exact cut
+    gives, bit for bit.
+    """
+
+    def __init__(self, S: np.ndarray):
+        self.S, self.tol = S, RankTolerance(ZERO_CUT_RELATIVE)
+        lo = hi = 0.0
+        if S.size:
+            big = float(np.abs(S).max())
+            scale = min(max(math.frexp(big)[1] - 1, -1022), 1023)
+            fro = (float(np.linalg.norm(S * math.ldexp(1.0, -scale)))
+                   * math.ldexp(1.0, scale))
+            slack = _gamma(S.size * max(S.shape))
+            lo = max(big, fro / math.sqrt(min(S.shape))) * (1.0 - slack)
+            hi = fro * (1.0 + slack)
+        self.low = self.tol.cutoff(S.shape, lo)
+        self.high = self.tol.cutoff(S.shape, hi)
+
+    @cached_property
+    def exact(self) -> float:
+        sigma = float(np.linalg.svd(self.S, compute_uv=False)[0])
+        return self.tol.cutoff(self.S.shape, sigma)
+
+    def rank(self, s: np.ndarray) -> int:
+        """Singular values ``s`` (descending) above the cut."""
+        k = int(np.count_nonzero(s > self.high))
+        if k < len(s) and s[k] > self.low:
+            k = int(np.count_nonzero(s > self.exact))
+        return k
 
 
 def invariant_zeros(A, E, C, F) -> tuple[np.ndarray, int]:
@@ -412,8 +487,12 @@ def invariant_zeros(A, E, C, F) -> tuple[np.ndarray, int]:
     One orthogonal reduction (Emami-Naeini & Van Dooren 1982): the output
     rows F does not reach pin part of the state to zero, and that part and
     those rows are deflated until F has full row rank.  The rank cutoff is
-    `ZERO_CUT_RELATIVE` against S = [[A, E], [C, F]].  P has normal rank
-    n + rows; with rows below the r columns of F it is rank deficient
+    `ZERO_CUT_RELATIVE` against sigma_1 of S = [[A, E], [C, F]], which
+    `_ZeroCut` brackets by max |s_ij|, ||S||_F / sqrt(min(shape)) and
+    ||S||_F: one values-only SVD of S runs, at most once per call, only
+    when a singular value falls between the cuts the bracket's two ends
+    give, so every rank is the one the exact sigma_1 gives.  P has normal
+    rank n + rows; with rows below the r columns of F it is rank deficient
     everywhere and no zeros are returned.  With r = 0 the zeros are the
     unobservable modes of (A, C).
 
@@ -441,9 +520,7 @@ def invariant_zeros(A, E, C, F) -> tuple[np.ndarray, int]:
     S[:n, :n], S[:n, n:], S[n:, :n], S[n:, n:] = A, E, C, F
     if not np.isfinite(S).all():
         raise NumericalFailure("invariant zeros failed: the pencil is not finite")
-    # sigma_1(S), from one values-only SVD.
-    sigma = np.linalg.norm(S, 2) if S.size else 0.0
-    cut = RankTolerance(ZERO_CUT_RELATIVE).cutoff(S.shape, sigma)
+    cut = _ZeroCut(S)
     while True:
         # With r = 0 F has no columns: its SVD would return U = I and keep
         # no row, so neither that SVD nor the rotation by U is needed.
@@ -475,7 +552,7 @@ def invariant_zeros(A, E, C, F) -> tuple[np.ndarray, int]:
     # z * K_x - [A, E] @ K, where K_x, the state rows of K, is invertible.
     try:
         if r:
-            K = _range_basis(np.hstack([C, F]).T, cut)[0][:, rows:]
+            K = np.linalg.svd(np.hstack([C, F]).T)[0][:, rows:]
             A = np.linalg.solve(K[:A.shape[0]], np.hstack([A, E]) @ K)
         zeros = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:

@@ -75,6 +75,7 @@ from .numkit import (
     RankTolerance,
     RepeatedPole,
     SpectrumReport,
+    _Deferred,
     _left_null_svd,
     _rank_from_singular_values,
     _smith_spectrum,
@@ -540,13 +541,20 @@ def _not_detectable(bad: list, A_bar: np.ndarray) -> NoUio:
     # keeps the imaginary part of a real mode at +0, as the zeros of
     # condition (a) have it, where -z would print 1.3-0j.
     modes = [0j - z for z in bad]
+    # A_bar's eigenvalues are solved only if the evidence is read:
+    # `exists_uio` keeps just the refusal's text.
     return NoUio(
         NOT_DETECTABLE,
         "undetectable unstable modes of the plant: "
         + ", ".join(f"{z:.6g}" for z in modes),
         evidence={"undetectable_modes": modes,
-                  "A_bar_eigenvalues": np.linalg.eigvals(A_bar).tolist()},
+                  "A_bar_eigenvalues": _Deferred(_eigenvalue_list,
+                                                 A_bar.copy())},
     )
+
+
+def _eigenvalue_list(M: np.ndarray) -> list:
+    return np.linalg.eigvals(M).tolist()
 
 
 def _refuse_hidden_modes(ker: KernelRep, margin: float) -> None:

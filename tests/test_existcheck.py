@@ -275,12 +275,14 @@ def test_exists_uio_keeps_the_certified_observer(ref_model, options):
 
 def _refusing_run(monkeypatch, model, hinted=True):
     """exists_uio's report on ``model``, the (cause, message, evidence) of
-    the NoUio its design raised, and the inverses and zero staircases that
-    design took.  With ``hinted`` False the design does not get condition
-    (a)'s verdict, and refuses after its Riccati doubling, as it did before
-    the verdict was handed over."""
-    raised, inverses, staircases = [], [], []
-    design, inv = synth.design_from_model, np.linalg.inv
+    the NoUio its design raised, the inverses and zero staircases that
+    design took, and the n x n eigenvalue problems solved before and while
+    the evidence was first read.  With ``hinted`` False the design does not
+    get condition (a)'s verdict, and refuses after its Riccati doubling, as
+    it did before the verdict was handed over."""
+    raised, inverses, staircases, eigensolves = [], [], [], []
+    design, inv, eigvals = synth.design_from_model, np.linalg.inv, \
+        np.linalg.eigvals
 
     def recording(model, options=None, **kwargs):
         if not hinted:
@@ -295,9 +297,14 @@ def _refusing_run(monkeypatch, model, hinted=True):
         inverses.append(M.shape)
         return inv(M)
 
+    def counting_eigvals(M):
+        eigensolves.append(M.shape == (model.n, model.n))
+        return eigvals(M)
+
     with monkeypatch.context() as mp:
         mp.setattr(existcheck, "design_from_model", recording)
         mp.setattr(np.linalg, "inv", counting_inv)
+        mp.setattr(np.linalg, "eigvals", counting_eigvals)
         for module in (numkit, synth):
             def counting(*args, _staircase=module.undetectable_modes, **kw):
                 staircases.append(args)
@@ -305,9 +312,11 @@ def _refusing_run(monkeypatch, model, hinted=True):
 
             mp.setattr(module, "undetectable_modes", counting)
         report = exists_uio(model)
-    (exc,) = raised
-    return (report, (exc.cause, str(exc), exc.evidence), len(inverses),
-            len(staircases))
+        (exc,) = raised
+        before = sum(eigensolves)
+        evidence = exc.evidence
+    return (report, (exc.cause, str(exc), evidence), len(inverses),
+            len(staircases), (before, sum(eigensolves) - before))
 
 
 def _same_refusal(hinted, unhinted):
@@ -332,11 +341,13 @@ def test_exists_uio_refuses_a_hidden_mode_before_the_riccati_doubling(
     for seed in (0, 3, 6, 9):
         model = workloads.corpus_model(n, *workloads.corpus_dims(n), seed=seed)
         hinted = _refusing_run(monkeypatch, model)
-        report, (cause, _, _), inverses, staircases = hinted
+        report, (cause, _, _), inverses, staircases, eigensolves = hinted
         assert not report.condition_a and report.condition_b
         assert report.refusal.startswith("design refused: NotDetectable")
         assert cause == synth.NOT_DETECTABLE
         assert (inverses, staircases) == (0, 1)
+        # A_bar's eigenvalues are solved only when the evidence is read.
+        assert eigensolves == (0, 1)
         unhinted = _refusing_run(monkeypatch, model, hinted=False)
         assert unhinted[2] > 0
         _same_refusal(hinted, unhinted)
@@ -363,9 +374,9 @@ def test_exists_uio_refuses_a_hidden_mode_of_a_pair_without_outputs(
     assert not hinted[0].condition_a and hinted[0].condition_b
     assert hinted[1][0] == synth.NOT_DETECTABLE
     assert np.allclose(hinted[1][2]["undetectable_modes"], [1.4])
-    assert hinted[2:] == (0, 1)
+    assert hinted[2:4] == (0, 1) and hinted[4][1] == 1
     unhinted = _refusing_run(monkeypatch, model, hinted=False)
-    assert unhinted[2:] == (0, 1)
+    assert unhinted[2:4] == (0, 1) and unhinted[4][1] == 1
     _same_refusal(hinted, unhinted)
 
 

@@ -1,5 +1,6 @@
 """Rank/null-space primitives, spectra, and the two gain constructions."""
 
+import copy
 import dataclasses
 import gc
 import importlib
@@ -17,10 +18,12 @@ from uiokit.numkit import (
     ZERO_CUT_RELATIVE,
     RankTolerance,
     SpectrumReport,
+    NoUio,
     NotDetectable,
     NotObservable,
     NumericalFailure,
     PlacementFailed,
+    RepeatedPole,
     balanced_rank,
     eig_assignment_error,
     invariant_zeros,
@@ -228,6 +231,65 @@ def test_eig_assignment_error_rejects_non_finite_eigenvalues():
         eig_assignment_error(np.array([np.nan, 0.0]), np.array([0.0, 0.5]))
 
 
+# ------------------------------------------------------------ refusals
+
+
+def _not_detectable():
+    from uiokit.synth import _not_detectable
+
+    return _not_detectable([-1.3 + 0j], np.array([[-1.3, 1.0], [0.0, 0.4]]))
+
+
+REFUSALS = {
+    "NumericalFailure": lambda: NumericalFailure("Riccati equation diverged"),
+    "PlacementFailed": lambda: PlacementFailed("placement failed"),
+    "NoUio": lambda: NoUio("VfRankDeficient", "rank(V_f) = 2 < n = 3",
+                           evidence={"rank_V_f": 2, "n": 3, "k": 4}),
+    "NoUio deferred": _not_detectable,
+    "NotDetectable": lambda: NotDetectable([1.3 + 0j]),
+    "NotObservable": lambda: NotObservable([0.5, 1.3 + 0j]),
+    "RepeatedPole": lambda: RepeatedPole(-0.5, 3, 2, "A_uio"),
+}
+
+
+@pytest.mark.parametrize("round_trip", [
+    lambda exc: pickle.loads(pickle.dumps(exc)), copy.copy, copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+@pytest.mark.parametrize("make", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusals_survive_pickle_and_copy(make, round_trip):
+    # Same type, text and attributes; a NoUio's deferred evidence entry
+    # crosses unsolved and reads as the original's.
+    exc = make()
+    deferred = {key for key, value in vars(exc).get("_evidence", {}).items()
+                if isinstance(value, numkit._Deferred)}
+    twin = round_trip(exc)
+    assert type(twin) is type(exc)
+    assert str(twin) == str(exc) and twin.args == exc.args
+    if isinstance(exc, NoUio):
+        assert {key for key, value in twin._evidence.items()
+                if isinstance(value, numkit._Deferred)} == deferred
+        assert twin.evidence == exc.evidence
+        assert round_trip(exc).evidence == exc.evidence
+    assert vars(twin) == vars(exc)
+
+
+def test_deferred_evidence_is_solved_once_on_first_read(monkeypatch):
+    eigvals, solved = np.linalg.eigvals, []
+
+    def spy(M):
+        solved.append(M.shape)
+        return eigvals(M)
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    exc = _not_detectable()
+    assert solved == [] and str(exc).startswith("NotDetectable: ")
+    evidence = exc.evidence
+    assert type(evidence) is dict and solved == [(2, 2)]
+    assert evidence == {"undetectable_modes": [1.3 + 0j],
+                        "A_bar_eigenvalues": [-1.3, 0.4]}
+    assert exc.evidence is evidence and solved == [(2, 2)]
+
+
 # ------------------------------------------------------ invariant zeros
 
 
@@ -424,6 +486,192 @@ def test_invariant_zeros_failed_solve_is_numerical_failure(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", singular)
     with pytest.raises(NumericalFailure, match="Singular matrix"):
         invariant_zeros([[0.5]], [[1.0]], [[1.0]], [[1.0]])
+
+
+def _workloads():
+    """The benchmark's workloads module, for its corpus plants."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        return importlib.import_module("workloads")
+
+
+def _exact_cut_zeros(A, E, C, F):
+    """`invariant_zeros` as it was before its cut was bracketed: the cut is
+    set by sigma_1 of S from one values-only SVD, ``np.linalg.norm(S, 2)``.
+    Kept as the oracle of the bracketed cut, which must agree bit for bit."""
+    A, E, C, F = (np.asarray(M, dtype=float) for M in (A, E, C, F))
+    n, (q, r) = len(A), F.shape
+    S = np.empty((n + q, n + r))
+    S[:n, :n], S[:n, n:], S[n:, :n], S[n:, n:] = A, E, C, F
+    if not np.isfinite(S).all():
+        raise NumericalFailure("invariant zeros failed: the pencil is not finite")
+    sigma = np.linalg.norm(S, 2) if S.size else 0.0
+    cut = RankTolerance(ZERO_CUT_RELATIVE).cutoff(S.shape, sigma)
+
+    def range_basis(M):
+        U, s, _ = np.linalg.svd(M)
+        return U, int(np.count_nonzero(s > cut))
+
+    while True:
+        held = 0
+        if r:
+            U, held = range_basis(F)
+            C, F = U.T @ C, U.T @ F
+        if held == len(F) or not len(A):
+            break
+        V, k = range_basis(C[held:].T)
+        fixed, kept = V[:, :k], V[:, k:]
+        A, E, C, F = (
+            kept.T @ A @ kept,
+            kept.T @ E,
+            np.vstack([fixed.T @ A @ kept, C[:held] @ kept]),
+            np.vstack([fixed.T @ E, F[:held]]),
+        )
+    rows = held
+    if rows < r or not len(A):
+        return np.zeros(0, dtype=complex), rows
+    try:
+        if r:
+            K = range_basis(np.hstack([C, F]).T)[0][:, rows:]
+            A = np.linalg.solve(K[:A.shape[0]], np.hstack([A, E]) @ K)
+        zeros = np.linalg.eigvals(A)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"invariant zeros failed: {exc}") from exc
+    if not np.isfinite(zeros).all():
+        raise NumericalFailure("invariant zeros failed: a zero is not finite")
+    return zeros, rows
+
+
+def _zero_outcome(zeros_of, *pencil):
+    """(zeros, rows) of ``zeros_of`` on the pencil, or its NumericalFailure
+    message."""
+    try:
+        return zeros_of(*pencil)
+    except NumericalFailure as exc:
+        return str(exc)
+
+
+def _same_zero_outcome(*pencil):
+    """`invariant_zeros` and the exact-cut oracle agree bit for bit."""
+    new, old = (_zero_outcome(f, *pencil)
+                for f in (invariant_zeros, _exact_cut_zeros))
+    if isinstance(old, str):
+        assert new == old
+    else:
+        assert not isinstance(new, str), new
+        assert np.array_equal(new[0], old[0]) and new[1] == old[1]
+
+
+def _values_only_svds(monkeypatch):
+    """The list of matrices whose singular values alone are computed from
+    now on, by `np.linalg.svd` or by the 2-norm of `np.linalg.norm`."""
+    svd, norm, seen = np.linalg.svd, np.linalg.norm, []
+
+    def svd_spy(a, *args, compute_uv=True, **kwargs):
+        if not compute_uv:
+            seen.append(np.shape(a))
+        return svd(a, *args, compute_uv=compute_uv, **kwargs)
+
+    def norm_spy(x, ord=None, *args, **kwargs):
+        if ord in (2, -2):
+            seen.append(np.shape(x))
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd_spy)
+    monkeypatch.setattr(np.linalg, "norm", norm_spy)
+    return seen
+
+
+@pytest.mark.parametrize("n", [8, 20, 40, 60])
+@pytest.mark.parametrize("exponent", [0, 500, -500])
+def test_bracketed_zero_cut_matches_the_exact_cut_on_the_corpus(n, exponent):
+    # Condition (a)'s pencil and the plant's observability staircase on
+    # the corpus plants, as they are and scaled by 2**+-500: the bracket
+    # of sigma_1 gives every rank the exact cut gives, so the zeros are
+    # the same to the bit, and so are the rows F keeps.
+    workloads = _workloads()
+    dims = (12, 20, 6) if n == 60 else workloads.corpus_dims(n)
+    scale = np.ldexp(1.0, exponent)
+    for seed in range(40):
+        model = workloads.corpus_model(n, *dims, seed=seed)
+        A, E, C, F = (scale * M for M in (model.A, model.E, model.C, model.F))
+        _same_zero_outcome(A, E, C, F)
+        _same_zero_outcome(A, np.zeros((n, 0)), C, np.zeros((len(C), 0)))
+
+
+def test_bracketed_zero_cut_matches_the_exact_cut_on_corpus_kernels(
+        corpus_pairs):
+    # The gain stage's staircase, on every corpus kernel pair.
+    for A_bar, C_bar in corpus_pairs["model"] + corpus_pairs["data"]:
+        n = len(A_bar)
+        _same_zero_outcome(A_bar, np.zeros((n, 0)), C_bar,
+                           np.zeros((len(C_bar), 0)))
+
+
+@pytest.mark.parametrize("pencil", [
+    ([[0.0]], [[1e305]], [[1e305]], [[1e297]]),
+    ([[np.nan]], [[1.0]], [[1.0]], [[1.0]]),
+    ([[0.5]], np.zeros((1, 0)), [[np.inf]], np.zeros((1, 0))),
+    ([[1.5, 0.0], [1.0, 0.5]], np.zeros((2, 0)), [[0.0, 1.0]],
+     np.zeros((1, 0))),
+    (np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((2, 0)), [[1.0], [2.0]]),
+    (np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((1, 0)), np.zeros((1, 0))),
+    ([[1.3, 0.2], [0.0, 0.4]], [[1.0], [0.0]], [[1.0, 1.0]], [[0.0]]),
+    ([[2.0]], [[1.0]], [[0.0]], [[0.0]]),
+    (np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((1, 2)), np.zeros((1, 1))),
+], ids=["1e305", "nan", "inf", "r=0", "no state", "empty", "F=0",
+        "no rows kept", "zero pencil"])
+def test_bracketed_zero_cut_matches_the_exact_cut_on_edge_pencils(pencil):
+    _same_zero_outcome(*pencil)
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+@pytest.mark.parametrize("r", [0, 1])
+def test_singular_value_between_the_cuts_takes_one_svd_of_the_pencil(
+        monkeypatch, side, r):
+    # A mode at 1.5 is seen through an output of size v, planted between
+    # the bracket's two cuts, below or above the exact cut.  With r = 1
+    # the disturbance reaches that output through F = [[v]] as well, so
+    # with v below the exact cut two ranks fall between the cuts.  Each
+    # rank is the exact cut's, from one values-only SVD of the pencil.
+    def pencil(v):
+        E = [[0.0], [1.0]] if r else np.zeros((2, 0))
+        F = [[v]] if r else np.zeros((1, 0))
+        return [[1.5, 0.0], [0.0, 0.5]], E, [[v, 0.0]], F
+
+    def cuts(v):
+        A, E, C, F = (np.asarray(M, dtype=float) for M in pencil(v))
+        S = np.block([[A, E], [C, F]])
+        exact = RankTolerance(ZERO_CUT_RELATIVE).cutoff(
+            S.shape, np.linalg.norm(S, 2))
+        bracket = numkit._ZeroCut(S)
+        return bracket.low, exact, bracket.high
+
+    low, exact, high = cuts(0.0)
+    v = np.sqrt(low * exact) if side == "below" else np.sqrt(exact * high)
+    low, exact, high = cuts(v)
+    assert low < v < exact if side == "below" else exact < v < high
+    expected = _exact_cut_zeros(*pencil(v))
+    svds = _values_only_svds(monkeypatch)
+    zeros, rows = invariant_zeros(*pencil(v))
+    assert len(svds) == 1
+    assert np.array_equal(zeros, expected[0]) and rows == expected[1]
+    if r:
+        # Below the cut F counts as zero, so no row keeps the disturbance.
+        assert rows == (side == "above")
+    else:
+        # Below the cut the mode at 1.5 is a zero; above it, it is seen.
+        assert np.any(np.abs(zeros - 1.5) < 1e-9) == (side == "below")
+
+
+@pytest.mark.parametrize("seed", [0, 1], ids=["hidden mode", "observer"])
+def test_condition_a_at_n60_takes_no_svd_of_the_pencil(monkeypatch, seed):
+    from uiokit.existcheck import condition_a
+
+    model = _workloads().corpus_model(60, 12, 20, 6, seed=seed)
+    svds = _values_only_svds(monkeypatch)
+    ok, _ = condition_a(model)
+    assert ok == bool(seed % 3) and svds == []
 
 
 # --------------------------------------------------------------- PBH
