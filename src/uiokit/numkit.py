@@ -590,9 +590,8 @@ def _finite(M: np.ndarray, what: str) -> np.ndarray:
     return M
 
 
-def _dare_doubling(Abar: np.ndarray, Cbar: np.ndarray,
-                   margin: float = SCHUR_MARGIN,
-                   refuse: Callable[[], None] | None = None) -> np.ndarray:
+def _dare_doubling(Abar: np.ndarray, Cbar: np.ndarray, margin: float,
+                   refuse: Callable[[], None]) -> np.ndarray:
     """Stabilizing solution P of the unit-weight filter DARE, by doubling.
 
     The structure-preserving doubling algorithm (Chu, Fan, Lin & Wang 2004)
@@ -621,25 +620,18 @@ def _dare_doubling(Abar: np.ndarray, Cbar: np.ndarray,
     small multiple of n * eps * ||P|| (on the benchmark corpora, the P of
     the first rule alone is within 11.1 n * eps * ||P||).
 
-    The iterates grow monotonically, I = H_0 <= H_k <= H_k+1 <= P in the
-    Loewner order (Lin & Xu 2006), so max diag(H_k) <= lambda_max(P) <=
-    ||P||_1.  The first time max diag(H_k) reaches the bound of
-    `_no_mode_below_the_cut` (at ``margin``), P cannot pass that check, and
-    the staircase runs at once, by calling ``refuse`` (default:
-    `_refuse_undetectable` on the pair): a refusal stops there.  If it
-    names no mode, the loop goes on from the same iterate, so P is the same
-    to the bit.  At return the check is made on ||P||_1 itself, and the
-    staircase runs then if the diagonal never reached the bound.  So a P
-    that fails `_no_mode_below_the_cut` comes back only after the
-    staircase found no mode, and ``refuse`` is called at most once.
+    After every step, once ||H_k||_1, the norm the stop rule reads, times
+    `_hidden_mode_weight` at ``margin`` reaches 1, the loop calls
+    ``refuse``, the caller's once-only run of the staircase: a refusal
+    stops there.  If it names no mode, the loop goes on from the same
+    iterate, so P is the same to the bit.  The last iterate is P, so a P
+    too large for the proof of `_hidden_mode_weight` comes back only after
+    the staircase found no mode.
     """
     n = Abar.shape[0]
-    if refuse is None:
-        refuse = partial(_refuse_undetectable, Abar, Cbar, margin)
     weight = _hidden_mode_weight(Abar, Cbar, margin)
     A, G, H = Abar.T, _finite(Cbar.T @ Cbar, "C' C"), np.eye(n)
     last = None
-    checked = False
     for _ in range(_MAX_DOUBLINGS):
         W = G @ H
         W.flat[::n + 1] += 1.0
@@ -662,10 +654,9 @@ def _dare_doubling(Abar: np.ndarray, Cbar: np.ndarray,
         A = A @ WA
         H += dH
         _finite(H, "P")
-        if not checked and H.diagonal().max() * weight >= 1.0:
-            checked = True
-            refuse()
         step, size = np.linalg.norm(dH, 1), np.linalg.norm(H, 1)
+        if size * weight >= 1.0:
+            refuse()
         if step <= n * _EPS * size:
             break
         # The next step would change H by about change^3 / last^2.
@@ -678,8 +669,6 @@ def _dare_doubling(Abar: np.ndarray, Cbar: np.ndarray,
         raise NumericalFailure(
             f"Riccati doubling did not converge in {_MAX_DOUBLINGS} steps"
         )
-    if not checked and size * weight >= 1.0:
-        refuse()
     return H
 
 
@@ -706,13 +695,14 @@ def stabilizing_gain(
     an eigenvalue of Abar + L Cbar for every L.  The staircase of
     `undetectable_modes` decides detectability at its zero cut, though,
     and a large gain can move a mode seen only below that cut.
-    `_no_mode_below_the_cut` rules out every mode the staircase could
-    report from the size of P alone.  So the staircase runs only to name
-    the modes of a refusal: inside the doubling, as soon as its iterates
-    are too large for that proof, or when the doubling, the gain or the
-    Schur verdict fails: it tells an undetectable pair (`NotDetectable`,
-    with its modes) from a numerical failure.  With no outputs (Cbar has
-    no rows) the gain is empty and the Schur verdict is on Abar itself.
+    `_hidden_mode_weight` rules out every mode the staircase could report
+    from the size of P alone.  So the staircase runs only to name the
+    modes of a refusal, at most once per call: inside the doubling, as
+    soon as an iterate is too large for that proof, or when the doubling,
+    the gain or the Schur verdict fails: it tells an undetectable pair
+    (`NotDetectable`, with its modes) from a numerical failure.  With no
+    outputs (Cbar has no rows) the gain is empty and the Schur verdict is
+    on Abar itself.
 
     The doubling stops once a step changes P by at most n * eps relative
     (1-norm), or once quadratic convergence predicts that the next step
@@ -739,7 +729,6 @@ def stabilizing_gain(
     if n == 0:
         return (np.zeros((0, q)), np.zeros((0, 0)),
                 _spectrum_report(np.zeros(0), margin))
-    P = None
     ran = []  # the staircase runs at most once per call
 
     def refuse() -> None:
@@ -760,7 +749,7 @@ def stabilizing_gain(
             else:
                 # Nothing to inject and no output to cut: the pair is
                 # detectable iff Abar is Schur.
-                L, loop = np.zeros((n, 0)), Abar.copy()
+                P, L, loop = None, np.zeros((n, 0)), Abar.copy()
             closed = _schur_report(loop, P, margin)
         if not closed.is_schur:
             raise NumericalFailure(
@@ -769,10 +758,8 @@ def stabilizing_gain(
             )
     except NumericalFailure:
         # A failure may be an undetectable pair: the staircase names its
-        # modes.  The doubling has run it already for a P too large for
-        # `_no_mode_below_the_cut`, and may have run it before failing.
-        if P is None or _no_mode_below_the_cut(Abar, Cbar, P, margin):
-            refuse()
+        # modes, unless the doubling has run it already.
+        refuse()
         raise
     return L, loop, closed
 
@@ -783,14 +770,6 @@ def _refuse_undetectable(Abar: np.ndarray, Cbar: np.ndarray,
     bad = undetectable_modes(Abar, Cbar, margin=margin)
     if bad:
         raise NotDetectable(bad) from None
-
-
-def _no_mode_below_the_cut(Abar: np.ndarray, Cbar: np.ndarray, P: np.ndarray,
-                           margin: float) -> bool:
-    """Whether the Riccati solution P proves that `undetectable_modes` finds
-    no mode of (Abar, Cbar): ||P||_1 * `_hidden_mode_weight` < 1."""
-    return bool(np.linalg.norm(P, 1) * _hidden_mode_weight(Abar, Cbar, margin)
-                < 1.0)
 
 
 def _hidden_mode_weight(Abar: np.ndarray, Cbar: np.ndarray,
@@ -808,15 +787,13 @@ def _hidden_mode_weight(Abar: np.ndarray, Cbar: np.ndarray,
     scalar problem, the positive root of
     eps^2 p^2 + (1 - |z|^2 - eps^2) p = 1, which grows with |z|.  Hence
     ||P||_2 < p(rho, eps) / 2 leaves no such mode; ||P||_1 bounds ||P||_2,
-    and sqrt(||S||_1 ||S||_inf) bounds sigma_1 of S = [Abar; Cbar], so the
-    eps used is no smaller than the staircase's.  Near the unit circle
-    p(rho, eps) / 2 is about 1 / (2 eps): only a gain that leans on output
-    below the cut needs a P that large.
+    and the eps used is the upper cut of the staircase's own `_ZeroCut` of
+    S = [Abar; Cbar], no smaller than the cut it decides by.  Near the
+    unit circle p(rho, eps) / 2 is about 1 / (2 eps): only a gain that
+    leans on output below the cut needs a P that large.
     """
-    S = np.vstack([Abar, Cbar])
-    sigma = np.sqrt(np.linalg.norm(S, 1) * np.linalg.norm(S, np.inf))
-    eps = RankTolerance(ZERO_CUT_RELATIVE).cutoff(S.shape, sigma)
-    s = 1.0 - (1.0 - margin) ** 2 - eps ** 2
+    eps = _ZeroCut(np.vstack([Abar, Cbar])).high
+    s = 1.0 - (1.0 - margin) ** 2 - eps * eps
     return s + np.sqrt(s * s + 4 * eps * eps)
 
 

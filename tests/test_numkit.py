@@ -954,8 +954,8 @@ def test_dare_doubling_inverts_once_per_step_and_solves_nothing(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", no_solve)
     monkeypatch.setattr(numkit, "_finite", counting_finite)
     rng = np.random.default_rng(3)
-    _dare_doubling(1.4 * rng.standard_normal((20, 20)) / np.sqrt(20),
-                   rng.standard_normal((3, 20)))
+    _doubling(1.4 * rng.standard_normal((20, 20)) / np.sqrt(20),
+              rng.standard_normal((3, 20)))
     assert calls["steps"] > 1
     assert calls["inv"] == calls["steps"]
 
@@ -979,11 +979,19 @@ def _change_rule_doubling(A, C):
     raise AssertionError("the change rule never stopped")
 
 
-def _reference_doubling(Abar, Cbar, margin=SCHUR_MARGIN):
+def _doubling(A, C, doubling=_dare_doubling):
+    """P of ``doubling`` at the default margin, its rule calling the real
+    staircase."""
+    return doubling(A, C, SCHUR_MARGIN,
+                    partial(numkit._refuse_undetectable, A, C, SCHUR_MARGIN))
+
+
+def _reference_doubling(Abar, Cbar, margin, refuse):
     """The doubling loop of `_dare_doubling` written with a fresh array for
     every intermediate, np.eye for W and (X + X') / 2 for symmetry: both
-    stop rules and the early staircase check, without the finiteness
-    checks."""
+    stop rules, without the finiteness checks.  It calls ``refuse`` once,
+    the first time max diag(H_k) reaches the bound of `_hidden_mode_weight`
+    or else when the final ||P||_1 does."""
     n = len(Abar)
     weight = numkit._hidden_mode_weight(Abar, Cbar, margin)
     A, G, H = Abar.T, Cbar.T @ Cbar, np.eye(n)
@@ -1000,7 +1008,7 @@ def _reference_doubling(Abar, Cbar, margin=SCHUR_MARGIN):
         H = H + dH
         if not checked and np.max(np.diag(H)) * weight >= 1.0:
             checked = True
-            numkit._refuse_undetectable(Abar, Cbar, margin)
+            refuse()
         step, size = np.linalg.norm(dH, 1), np.linalg.norm(H, 1)
         if step <= n * EPS * size:
             break
@@ -1012,21 +1020,22 @@ def _reference_doubling(Abar, Cbar, margin=SCHUR_MARGIN):
     else:
         raise AssertionError("the reference doubling did not converge")
     if not checked and size * weight >= 1.0:
-        numkit._refuse_undetectable(Abar, Cbar, margin)
+        refuse()
     return H
 
 
 def _doubling_outcome(doubling, A, C):
     """P, or the modes of the refusal."""
     try:
-        return doubling(A, C)
+        return _doubling(A, C, doubling)
     except NotDetectable as exc:
         return exc.modes
 
 
 def test_dare_doubling_matches_its_reference_loop_bit_for_bit(corpus_pairs):
     # In-place symmetrization, the in-place diagonal of W and the diagonal
-    # view change no bit of P, and no refusal.
+    # view change no bit of P, and the rule on ||H_k||_1 changes no
+    # refusal.
     pairs = corpus_pairs["model"] + corpus_pairs["data"]
     pairs += [_ladder_pair(*case) for case in LADDER]
     refused = 0
@@ -1064,6 +1073,67 @@ def test_staircase_runs_once_when_the_doubling_fails_after_its_early_check(
     assert len(calls) == 1
 
 
+def _staircase_spy(monkeypatch):
+    """The calls to `numkit._refuse_undetectable`, which still runs."""
+    calls = []
+    refuse = numkit._refuse_undetectable
+
+    def spying(*args):
+        calls.append(args)
+        return refuse(*args)
+
+    monkeypatch.setattr(numkit, "_refuse_undetectable", spying)
+    return calls
+
+
+def test_staircase_runs_once_when_a_proved_p_gets_a_failed_verdict(
+        ref_intermediates, monkeypatch):
+    # The doubling returns a P small enough for the proof, so it never
+    # calls the staircase; a Schur verdict forced to fail sends the pair
+    # to it once, from the failure path.
+    A, C = ref_intermediates["A_bar"], ref_intermediates["C_bar"]
+    calls = _staircase_spy(monkeypatch)
+    P = _doubling(A, C)
+    assert np.linalg.norm(P, 1) * numkit._hidden_mode_weight(
+        A, C, SCHUR_MARGIN) < 1.0
+    assert not calls
+    monkeypatch.setattr(
+        numkit, "_schur_report",
+        lambda loop, P, margin: numkit._spectrum_report(np.array([2.0]),
+                                                        margin))
+    with pytest.raises(NumericalFailure,
+                       match=r"^Riccati gain failed verification: spectral "
+                             r"radius 2$"):
+        stabilizing_gain(A, C)
+    assert len(calls) == 1
+
+
+def test_staircase_runs_when_only_the_last_iterate_is_too_large(
+        monkeypatch):
+    # A weight at which ||P||_1 of the last iterate reaches the bound while
+    # every diagonal stays far below it: the rule must still call the
+    # staircase, or a P too large for the proof would come back unchecked.
+    A, C = _ladder_pair(*LADDER[4])
+    P = _doubling(A, C)
+    weight = np.nextafter(1.0 / np.linalg.norm(P, 1), np.inf)
+    assert (np.linalg.norm(P, 1) * weight >= 1.0
+            > 2 * P.diagonal().max() * weight)
+    monkeypatch.setattr(numkit, "_hidden_mode_weight", lambda *args: weight)
+    calls = _staircase_spy(monkeypatch)
+    assert np.array_equal(_doubling(A, C), P)
+    assert calls
+
+
+def test_staircase_runs_once_for_a_pair_with_no_outputs(monkeypatch):
+    # With no outputs there is no doubling: an Abar that is not Schur
+    # fails the verdict, and the staircase runs once and names its mode.
+    calls = _staircase_spy(monkeypatch)
+    with pytest.raises(NotDetectable) as exc_info:
+        stabilizing_gain(np.diag([1.5, 0.5]), np.zeros((0, 2)))
+    assert exc_info.value.modes == [1.5]
+    assert len(calls) == 1
+
+
 def test_dare_doubling_skips_the_step_quadratic_convergence_predicts(
         monkeypatch):
     # Once change_k^3 <= n eps change_{k-1}^2, the next step would change H
@@ -1080,7 +1150,7 @@ def test_dare_doubling_skips_the_step_quadratic_convergence_predicts(
         return inv(M)
 
     monkeypatch.setattr(np.linalg, "inv", counting_inv)
-    P = _dare_doubling(A, C)
+    P = _doubling(A, C)
     assert len(steps) == change_steps - 1
     assert (np.linalg.norm(P - P_change, 1)
             <= 20 * EPS * np.linalg.norm(P_change, 1))
@@ -1104,7 +1174,7 @@ def _check_dare_solution(A, C):
     from scipy.linalg import solve_discrete_are
 
     n, q = len(A), len(C)
-    P = _dare_doubling(A, C)
+    P = _doubling(A, C)
     oracle = solve_discrete_are(A.T, C.T, np.eye(n), np.eye(q))
     assert_allclose(P, P.T, rtol=0, atol=n * EPS * np.linalg.norm(P, 2))
     res, res_oracle = _dare_residual(A, C, P), _dare_residual(A, C, oracle)
@@ -1191,7 +1261,7 @@ def test_gain_stage_falls_back_to_eigenvalues_when_nothing_is_proved(
     # is too large for the margin, and proves only radius < 1.
     A, C = ref_intermediates["A_bar"], ref_intermediates["C_bar"]
     L, loop, proved = stabilizing_gain(A, C)
-    P = _dare_doubling(A, C)
+    P = _doubling(A, C)
     assert numkit._stein_proves_schur(loop, P, SCHUR_MARGIN)
     near = loop * ((1 - 1e-10) / proved.spectral_radius)
     assert not numkit._stein_proves_schur(near, P, SCHUR_MARGIN)
@@ -1292,7 +1362,7 @@ def _refusal(monkeypatch, model):
 
 
 @pytest.mark.parametrize("n", [20, 40, 60])
-def test_refusal_stops_the_doubling_once_its_diagonal_is_too_large(
+def test_refusal_stops_the_doubling_once_its_iterate_is_too_large(
         monkeypatch, n):
     # Every third corpus plant hides a mode at 1.3.  Its refusal stops by
     # the fifth doubling step, and names the same modes with the same
@@ -1310,23 +1380,43 @@ def test_refusal_stops_the_doubling_once_its_diagonal_is_too_large(
         assert refusal == full_refusal
 
 
+def _staircase_steps(doubling, A, C):
+    """P of ``doubling`` with a staircase that names no mode, and the
+    doubling step of each call to it."""
+    steps, calls = [], []
+    inv = np.linalg.inv
+
+    def counting(M):
+        steps.append(M)
+        return inv(M)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "inv", counting)
+        P = doubling(A, C, SCHUR_MARGIN, lambda: calls.append(len(steps)))
+    return P, calls
+
+
 def test_early_refusal_check_fires_only_where_the_final_check_fails(
-        corpus_pairs, monkeypatch):
-    # The check on max diag(H_k) rests on the monotone growth of the
-    # doubling's iterates.  With the staircase silenced, the doubling runs
-    # to the end on every corpus pair; it must have called the staircase
-    # exactly where the final P fails `_no_mode_below_the_cut`.
-    calls = []
-    monkeypatch.setattr(numkit, "_refuse_undetectable",
-                        lambda *args: calls.append(args))
-    large = 0
+        corpus_pairs):
+    # The rule reads ||H_k||_1 after every step; the reference loop reads
+    # max diag(H_k), which the Loewner growth of the iterates bounds by
+    # ||P||_1, and then ||P||_1 itself.  With a staircase that names no
+    # mode, both run to the end on every corpus pair.  The rule must call
+    # the staircase only on pairs where the reference calls it, never at a
+    # later step, and on every pair whose final P fails the proof.
+    fired = 0
     for A, C in corpus_pairs["model"] + corpus_pairs["data"]:
-        calls.clear()
-        P = _dare_doubling(A, C)
-        fails = not numkit._no_mode_below_the_cut(A, C, P, SCHUR_MARGIN)
-        assert len(calls) == fails
-        large += fails
-    assert large > 0
+        P, calls = _staircase_steps(_dare_doubling, A, C)
+        reference, reference_calls = _staircase_steps(_reference_doubling,
+                                                      A, C)
+        assert np.array_equal(P, reference)
+        weight = numkit._hidden_mode_weight(A, C, SCHUR_MARGIN)
+        if np.linalg.norm(P, 1) * weight >= 1.0:
+            assert calls
+        if calls:
+            assert reference_calls and calls[0] <= reference_calls[0]
+            fired += 1
+    assert fired > 0
 
 
 # ------------------------------ verify_uio's proof, by Smith doubling

@@ -7,8 +7,8 @@ in machine speed over the runs falls on both sides alike.  The parent
 checkout is extracted with ``git archive`` into a temporary directory,
 which leaves nothing registered in the repository, and is deleted at the
 end.  ``--workload NAME``, which may be repeated, runs only the named
-workloads, one ``run.py --workload NAME`` call each, so one workload can
-get more pairs without the time of all three.
+workloads of BENCHMARK.json, one ``run.py --workload NAME`` call each, so
+one workload can get more pairs without the time of all of them.
 
 The JSON written to ``--out`` holds, per workload and end-to-end metric of
 BENCHMARK.json: each side's runs, median and quartiles (inclusive method),
@@ -124,6 +124,7 @@ def summary_lines(table: dict, pairs: int) -> list[str]:
 
 
 def main(argv=None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True,
                         help="JSON file to write, relative to the checkout")
@@ -132,13 +133,12 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed0", type=int, default=0)
     parser.add_argument("--workload", action="append", default=[],
-                        choices=("model-n60", "data-corpus", "cli-session"),
-                        help="run only this workload (repeatable; default: "
-                             "all three)")
+                        choices=[w["name"] for w in spec["workloads"]],
+                        help="run only this workload of BENCHMARK.json "
+                             "(repeatable; default: all)")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs needs at least 2 for quartiles")
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     parent_rev = git("rev-parse", args.parent).decode().strip()
     seeds = [args.seed0 + i for i in range(args.pairs)]
