@@ -16,20 +16,34 @@ route.  When fewer than r rows of F survive the reduction, P(z) is rank
 deficient everywhere (always so for p < r), and the verdict is false, with
 the reason as its evidence.
 
+A zero z that fails (a) comes with a witness read off the same reduction:
+a null vector [x0; d0] of P(z).  Driven by u = 0 and d(t) = z^t d0 from
+x(0) = x0, the plant's output stays at 0 while its state follows z^t x0,
+which does not decay, so no observer can tell that trajectory from zero.
+That is the paper's behavioural "no": a trajectory anyone can replay.
+
 `exists_uio` combines both conditions and cross-checks them against the
 constructive design route; a disagreement is reported as an
-internal-consistency alarm rather than silently reconciled.
+internal-consistency alarm rather than silently reconciled.  It replays
+every witness on the plant with `plant._simulate`, which decides no rank,
+and when (b) holds, the gain is Riccati and every witness replays, that
+replay is the constructive run's refusal: no kernel, zero staircase or
+Riccati doubling is computed for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .numkit import (DEFAULT_TOL, SCHUR_MARGIN, NumericalFailure, RankTolerance,
-                     invariant_zeros)
-from .plant import StateSpaceModel, UioRealization
+import numpy as np
+
+from .numkit import (DEFAULT_TOL, SCHUR_MARGIN, ZERO_CUT_RELATIVE,
+                     NumericalFailure, RankTolerance, _EPS, _gamma,
+                     _zero_reduction)
+from .plant import StateSpaceModel, UioRealization, _simulate
 from .synth import (NoUio, SynthesisDiagnostics, SynthesisOptions,
-                    _disturbance_ranks, design_from_model)
+                    NOT_DETECTABLE, _disturbance_ranks,
+                    _undetectable_detail, design_from_model)
 from . import numkit
 
 __all__ = [
@@ -80,10 +94,18 @@ def condition_a(
     cutoff is `numkit.ZERO_CUT_RELATIVE`.  When P(z) is rank deficient at
     every z (a normal rank below n + r, which p < r implies) the verdict is
     false and the evidence is only a ``reason``.
+
+    Each dropped zero z also gets a ``witnesses`` entry: z with a unit null
+    vector (x0, d0) of P(z), as tuples of Python numbers (float for a real
+    z), read off the reduction that found z (see `numkit._zero_reduction`),
+    so nothing of the size of the pencil is factored again.  With u = 0,
+    x(0) = x0 and d(t) = z^t d0 the plant's output is 0 while its state
+    follows z^t x0: `exists_uio` replays that trajectory.  A verdict with
+    no drop has no ``witnesses`` entry and costs nothing extra.
     """
     n, r = model.n, model.r
     target = n + r
-    zeros, rows = invariant_zeros(model.A, model.E, model.C, model.F)
+    zeros, rows, witness = _zero_reduction(model.A, model.E, model.C, model.F)
     normal_rank = n + rows
     if rows < r:
         return False, {
@@ -91,13 +113,99 @@ def condition_a(
                       "the pencil is rank deficient everywhere",
         }
     drops = [complex(z) for z in zeros if abs(z) >= 1.0 - margin]
-    return not drops, {
+    evidence = {
         "normal_rank": normal_rank,
         "target_rank": target,
         "zeros": [complex(z) for z in zeros],
         "drops": drops,
         "boundary_drops": [z for z in drops if abs(abs(z) - 1.0) <= margin],
     }
+    if drops:
+        evidence["witnesses"] = [
+            {"zero": z, **{key: tuple(v.tolist()) for key, v in
+                           zip(("x0", "d0"), witness(z))}}
+            for z in drops]
+    return not drops, evidence
+
+
+def _replay(model: StateSpaceModel, witness: dict, margin: float) -> dict:
+    """Simulate condition (a)'s ``witness`` on the plant and measure it.
+
+    The trajectory is u = 0, x(0) = x0 and d(t) = z^t d0, its real part
+    for a complex z, with x0 and d0 first turned by the unit phase c that
+    puts x(T) on the long axis of the ellipse Re(c z^T x0), so that
+    ||x(T)|| >= |z|^T ||x(0)||.  It runs through `plant._simulate`:
+    nothing is factored and no rank is decided.
+
+    In exact arithmetic y = 0 and x(t) = z^t x0 (its real part).  In
+    float64 the witness leaves a residual in P(z) [x0; d0], and every step
+    rounds; both are at most delta = gamma_k s per unit of the
+    trajectory's size |z|^t, with s = ||S||_F, S = [[A, E], [C, F]] and
+    k = (n + 1)(n + p + r): at most n deflations of the reduction and one
+    replayed step, each rounding a row and a column of S.  An error grows
+    by at most ||A|| <= s per step, so for the unit witness
+
+        ||x(t) - z^t x0|| <= delta E(t),  E(t) = sum_{j<t} s^{t-1-j} |z|^j,
+        ||y(t)||          <= delta B(t),  B(t) = |z|^t + s E(t).
+
+    The horizon T is the longest with delta B(T) / |z|^T within the zero
+    reduction's own cut, so that the replay holds y to zero at least as
+    tightly as the reduction decided the zero; with |z|^T at most 1 / eps,
+    past which x(0) is lost in the rounding of x(T); and with T <= n, long
+    enough to observe any state.  It is 0 when not even one step fits.
+
+    The record holds z, T, max ||y|| / ||x(T)|| with its bound
+    delta B(T) max(1, |z|^-T) / ||x(T)|| (at least delta max_t B(t), as
+    B(t) / |z|^t grows), and ||x(T)|| / ||x(0)|| with its floor
+    (1 - margin)^T - delta E(T) / ||x(0)||, that of a state that does not
+    decay (`_replays` compares them), all as Python numbers, so reports
+    compare, copy and pickle like any other.
+    """
+    z = witness["zero"]
+    x0, d0 = np.array(witness["x0"]), np.array(witness["d0"])
+    n, p, r = model.n, model.p, model.r
+    s = float(np.sqrt(sum(np.linalg.norm(M) ** 2 for M in
+                          (model.A, model.E, model.C, model.F))))
+    mu = abs(z)
+    delta = _gamma((n + 1) * (n + p + r)) * s
+    cut = ZERO_CUT_RELATIVE * max(n + p, n + r) * s
+    # E(t) / |z|^t and B(t) / |z|^t, which grow with t, and |z|^t.
+    steps, e_rel, b_rel, grown = 0, 0.0, 1.0, 1.0
+    while steps < n and grown * mu <= 1.0 / _EPS:
+        e_next = (s * e_rel + 1.0) / mu
+        b_next = s * e_next + 1.0
+        if not delta * b_next <= cut:
+            break
+        steps, e_rel, b_rel, grown = steps + 1, e_next, b_next, grown * mu
+    t = np.arange(steps + 1)
+    if z.imag == 0:
+        weights = z.real ** t
+    else:
+        phase = np.exp(-1j * (steps * np.angle(z) + np.angle(x0 @ x0) / 2))
+        weights, x0 = phase * z ** t, (phase * x0).real
+    try:
+        x, y = _simulate(model, x0, np.zeros((steps + 1, model.m)),
+                         np.outer(weights, d0).real)
+    except ValueError:  # beyond the float64 range: the replay proves nothing
+        x, y = np.ones((1, 1)), np.full((1, 1), np.inf)
+    start, end = np.linalg.norm(x[0]), np.linalg.norm(x[-1])
+    return {
+        "zero": z,
+        "steps": steps,
+        "output": float(np.linalg.norm(y, axis=1).max() / end),
+        "output_bound": float(delta * b_rel * max(grown, 1.0) / end),
+        "growth": float(end / start),
+        "growth_floor": float((1.0 - margin) ** steps
+                              - delta * e_rel * grown / start),
+    }
+
+
+def _replays(record: dict) -> bool:
+    """A `_replay` record proves its zero: at least one step, y within its
+    bound, and x(T) no smaller than a state that does not decay."""
+    return (record["steps"] > 0
+            and record["output"] <= record["output_bound"]
+            and record["growth"] >= record["growth_floor"])
 
 
 @dataclass(frozen=True)
@@ -150,37 +258,62 @@ def exists_uio(
     which `design_from_model` applies before it returns; that observer and
     its diagnostics are kept in the report.  The disturbance ranks that
     decide condition (b) are decided once and handed to the design's
-    kernel, and so is condition (a)'s verdict: by the existence theorem a
-    zero that fails (a) is an undetectable mode of the kernel's pair
-    (A_bar, C_bar), so a Riccati design then runs the zero staircase
-    before its Riccati doubling and refuses at once, with the same NoUio
-    it would raise after the doubling (see `synth.design_from_model`).
+    kernel.
+
+    Every zero that fails condition (a) comes with a witness trajectory,
+    replayed on the plant (`_replay`) and kept in the evidence as
+    ``replays``.  When (b) holds, the gain is Riccati and every witness
+    replays, the plant has a trajectory with zero output whose state does
+    not decay, which no observer can tell from zero: the constructive run
+    is that refusal, the `NoUio` the Riccati design raises for the same
+    modes, and no kernel, staircase or doubling step is computed.
+    Otherwise `design_from_model` runs as for any caller.
     """
     opt = options or SynthesisOptions()
     ranks = _disturbance_ranks(model, opt.tol)
     b_ok, b_ev = _condition_b(model, ranks)
     a_ok, a_ev = condition_a(model, margin=opt.schur_margin)
+    evidence = {"a": a_ev, "b": b_ev}
+    witnesses = a_ev.get("witnesses", [])
+    if witnesses:
+        evidence["replays"] = [_replay(model, w, opt.schur_margin)
+                               for w in witnesses]
     exists = a_ok and b_ok
     uio = diag = refusal = None
-    try:
-        uio, diag = design_from_model(model, opt, _ranks=ranks,
-                                      _condition_a=a_ok)
-    except NoUio as exc:
-        refusal = f"design refused: {exc}"
-    except (numkit.NotObservable, NumericalFailure) as exc:
-        refusal = f"design failed numerically: {exc}"
+    if (witnesses and b_ok and opt.gain == "riccati"
+            and all(map(_replays, evidence["replays"]))):
+        detail = _undetectable_detail(a_ev["drops"])
+        refusal = f"design refused: {NoUio(NOT_DETECTABLE, detail)}"
+    else:
+        try:
+            uio, diag = design_from_model(model, opt, _ranks=ranks)
+        except NoUio as exc:
+            refusal = f"design refused: {exc}"
+        except (numkit.NotObservable, NumericalFailure) as exc:
+            refusal = f"design failed numerically: {exc}"
     constructive_ok = uio is not None
     return ExistenceReport(
         condition_a=a_ok,
         condition_b=b_ok,
         exists=exists,
-        evidence={"a": a_ev, "b": b_ev},
+        evidence=evidence,
         constructive_succeeded=constructive_ok,
         refusal=refusal,
         agreement=exists == constructive_ok,
         uio=uio,
         diagnostics=diag,
     )
+
+
+def _replay_line(record: dict) -> str:
+    """One line on a `_replay` record: the zero, the horizon, the output
+    against its bound and the state's growth against its floor."""
+    steps = record["steps"]
+    line = (f"    witness of {record['zero']:.6g} over {steps} steps with "
+            f"u = 0: max|y|/|x({steps})| = {record['output']:.2g} "
+            f"(bound {record['output_bound']:.2g}), |x({steps})|/|x(0)| = "
+            f"{record['growth']:.6g} (floor {record['growth_floor']:.6g})")
+    return line if _replays(record) else line + ": does not replay"
 
 
 def format_report(report: ExistenceReport) -> str:
@@ -203,7 +336,8 @@ def format_report(report: ExistenceReport) -> str:
     drops = a_ev.get("drops", [])
     if drops:
         pts = ", ".join(f"{z:.6g}" for z in sorted(drops, key=abs))
-        lines.insert(1, f"  rank drops on/outside the unit circle: {pts}")
+        lines[1:1] = [f"  rank drops on/outside the unit circle: {pts}",
+                      *map(_replay_line, report.evidence.get("replays", []))]
     if "reason" in a_ev:
         lines.insert(1, f"  {a_ev['reason']}")
     if not report.agreement:

@@ -23,7 +23,9 @@ a rank falls inside the bracket (`_ZeroCut`): condition (a) of
 `existcheck`, and, with no disturbance, the unobservable modes
 (`undetectable_modes`) that decide observability for `place_poles` and
 name the modes of an undetectable pair when `stabilizing_gain` refuses
-it.  A gain whose verified closed loop is Schur proves detectability by
+it.  The same reduction gives, on request, a null vector of the pencil at
+each zero it returns (`_zero_reduction`): condition (a)'s witness, with
+no further factorization of the pencil.  A gain whose verified closed loop is Schur proves detectability by
 itself, and the size of its Riccati solution proves that no mode is seen
 only below the cut, so a successful Riccati design runs no reduction; a
 refusal runs it as soon as the doubling's iterates are too large for
@@ -512,6 +514,21 @@ def invariant_zeros(A, E, C, F) -> tuple[np.ndarray, int]:
             last solve or eigenvalue step fails or yields a non-finite zero
             (one beyond the float64 range).
     """
+    return _zero_reduction(A, E, C, F)[:2]
+
+
+def _zero_reduction(A, E, C, F):
+    """`invariant_zeros` as (zeros, rows, witness).
+
+    ``witness(z)``, for a returned zero z, is a unit null vector (x, d) of
+    P(z), real for a real z, read off the reduction itself: the null
+    vector w of the small matrix M - z I whose eigenvalues are the zeros
+    (one SVD of M), then [x_k; d] = K w through the final kernel K of
+    [C, F] (no K with r = 0), and x = kept_1 ... kept_j x_k through the
+    state bases each deflation kept.  Each step keeps exactly the states
+    on which the deflated rows vanish, so P(z) [x; d] = 0 up to the
+    rounding of the reduction.  Nothing is computed until it is called.
+    """
     A, E, C, F = (_as_2d(M) for M in (A, E, C, F))
     n, (q, r) = len(A), F.shape
     if A.shape != (n, n) or E.shape != (n, r) or C.shape != (q, n):
@@ -521,6 +538,7 @@ def invariant_zeros(A, E, C, F) -> tuple[np.ndarray, int]:
     if not np.isfinite(S).all():
         raise NumericalFailure("invariant zeros failed: the pencil is not finite")
     cut = _ZeroCut(S)
+    bases = []
     while True:
         # With r = 0 F has no columns: its SVD would return U = I and keep
         # no row, so neither that SVD nor the rotation by U is needed.
@@ -537,6 +555,7 @@ def invariant_zeros(A, E, C, F) -> tuple[np.ndarray, int]:
         # part kept.
         V, k = _range_basis(C[held:].T, cut)
         fixed, kept = V[:, :k], V[:, k:]
+        bases.append(kept)
         A, E, C, F = (
             kept.T @ A @ kept,
             kept.T @ E,
@@ -545,21 +564,33 @@ def invariant_zeros(A, E, C, F) -> tuple[np.ndarray, int]:
         )
     rows = held
     if rows < r or not len(A):
-        return np.zeros(0, dtype=complex), rows
+        return np.zeros(0, dtype=complex), rows, None
     # With r = 0 the zeros are the eigenvalues of the reduced A.  Otherwise
     # F is square and invertible, so the pencil has r infinite zeros.
     # Deflate them: on the kernel K of [C, F] it reduces to
     # z * K_x - [A, E] @ K, where K_x, the state rows of K, is invertible.
+    n_k, K = len(A), None
     try:
         if r:
             K = np.linalg.svd(np.hstack([C, F]).T)[0][:, rows:]
-            A = np.linalg.solve(K[:A.shape[0]], np.hstack([A, E]) @ K)
+            A = np.linalg.solve(K[:n_k], np.hstack([A, E]) @ K)
         zeros = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"invariant zeros failed: {exc}") from exc
     if not np.isfinite(zeros).all():
         raise NumericalFailure("invariant zeros failed: a zero is not finite")
-    return zeros, rows
+
+    def witness(z: complex) -> tuple[np.ndarray, np.ndarray]:
+        z = z.real if z.imag == 0 else complex(z)
+        w = np.linalg.svd(A - z * np.eye(n_k))[2][-1].conj()
+        v = w if K is None else K @ w
+        x = v[:n_k]
+        for kept in reversed(bases):
+            x = kept @ x
+        scale = math.hypot(np.linalg.norm(x), np.linalg.norm(v[n_k:]))
+        return x / scale, v[n_k:] / scale
+
+    return zeros, rows, witness
 
 
 def undetectable_modes(

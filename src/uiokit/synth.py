@@ -84,7 +84,6 @@ from .numkit import (
     place_poles,
     rank,
     stabilizing_gain,
-    undetectable_modes,
 )
 # NoUio (from numkit) and the observer file format (from plant) are
 # re-exported, so `synth.NoUio` and `synth.load_uio` keep their names.
@@ -544,33 +543,21 @@ def _not_detectable(bad: list, A_bar: np.ndarray) -> NoUio:
     # A_bar's eigenvalues are solved only if the evidence is read:
     # `exists_uio` keeps just the refusal's text.
     return NoUio(
-        NOT_DETECTABLE,
-        "undetectable unstable modes of the plant: "
-        + ", ".join(f"{z:.6g}" for z in modes),
+        NOT_DETECTABLE, _undetectable_detail(modes),
         evidence={"undetectable_modes": modes,
                   "A_bar_eigenvalues": _Deferred(_eigenvalue_list,
                                                  A_bar.copy())},
     )
 
 
+def _undetectable_detail(modes: list) -> str:
+    """The detail of a NOT_DETECTABLE refusal of the plant's ``modes``."""
+    return ("undetectable unstable modes of the plant: "
+            + ", ".join(f"{z:.6g}" for z in modes))
+
+
 def _eigenvalue_list(M: np.ndarray) -> list:
     return np.linalg.eigvals(M).tolist()
-
-
-def _refuse_hidden_modes(ker: KernelRep, margin: float) -> None:
-    """Raise `synthesize`'s NOT_DETECTABLE refusal if the zero staircase
-    names undetectable modes of the kernel's (A_bar, C_bar), before any
-    gain is computed; return if it names none, or fails."""
-    A_bar, C_bar = ker.V_p[:ker.n], ker.V_p[ker.n:]
-    try:
-        # The errstate of the Riccati doubling, which runs this staircase
-        # when it is not run here.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            bad = undetectable_modes(A_bar, C_bar, margin)
-    except NumericalFailure:
-        return
-    if bad:
-        raise _not_detectable(bad, A_bar)
 
 
 def _negated_eigenvalues(report: SpectrumReport) -> np.ndarray:
@@ -580,7 +567,7 @@ def _negated_eigenvalues(report: SpectrumReport) -> np.ndarray:
 
 def design_from_model(
     model: StateSpaceModel, options: SynthesisOptions | None = None,
-    *, _ranks=None, _condition_a: bool = True,
+    *, _ranks=None,
 ) -> tuple[UioRealization, SynthesisDiagnostics]:
     """Model route: `model_kernel` of the plant, then `synthesize`.
 
@@ -593,14 +580,9 @@ def design_from_model(
     ``_ranks`` is `_disturbance_ranks` of the model at ``options.tol``,
     when `existcheck.exists_uio` has decided them for condition (b); they
     are not checked against the model, so only that caller passes them.
-    ``_condition_a`` is the verdict of condition (a), False when that
-    caller has found an invariant zero on or outside the circle of radius
-    1 - margin.  By the existence theorem such a zero is an undetectable
-    mode of (A_bar, C_bar), so with the Riccati gain the zero staircase
-    of `numkit.undetectable_modes` then runs on the kernel's pair before
-    any doubling step, and a mode it names is refused with the very NoUio
-    that `synthesize` raises after the doubling.  If it names none, the
-    design goes on as without the verdict.
+    A hidden mode is refused by the gain stage's own rule (see
+    `numkit.stabilizing_gain`); `existcheck.exists_uio` refuses one from
+    condition (a)'s replayed witness before it would call this.
 
     Raises:
         NumericalFailure: if the synthesized observer fails that test, with
@@ -611,10 +593,7 @@ def design_from_model(
     opt = options or SynthesisOptions()
     if _ranks is None:
         _ranks = _disturbance_ranks(model, opt.tol)
-    ker = _kernel_from_ranks(model, _ranks)
-    if not _condition_a and opt.gain == "riccati" and ker.rank_V_f == ker.n:
-        _refuse_hidden_modes(ker, opt.schur_margin)
-    uio, diag = synthesize(ker, opt)
+    uio, diag = synthesize(_kernel_from_ranks(model, _ranks), opt)
     failures = _failures(verify_acceptor(model, uio), diag.spectrum)
     if failures:
         raise NumericalFailure(

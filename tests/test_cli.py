@@ -94,12 +94,25 @@ def test_non_finite_model_exits_4_as_invalid(tmp_path, ref_model, command,
 
 def test_check_names_a_hidden_mode_with_one_sign(tmp_path, rotated_hidden_mode,
                                                 capsys):
-    # Condition (a) and the design refusal both name the plant's mode 1.3.
+    # Condition (a) and the design refusal both name the plant's mode 1.3,
+    # and the line under the rank drop gives the witness trajectory that
+    # refused it: its horizon, the output against the state, and the
+    # state's growth.
     path = tmp_path / "hidden.json"
     save_model(path, rotated_hidden_mode(4, 1, 2, 1, 1.3, 1))
     assert main(["check", "--from-model", str(path)]) == 2
     lines = capsys.readouterr().out.splitlines()
-    assert "  rank drops on/outside the unit circle: 1.3+0j" in lines
+    drop = lines.index("  rank drops on/outside the unit circle: 1.3+0j")
+    witness = re.fullmatch(
+        r"    witness of 1\.3\+0j over (\d+) steps with u = 0: "
+        r"max\|y\|/\|x\(\1\)\| = (\S+) \(bound (\S+)\), "
+        r"\|x\(\1\)\|/\|x\(0\)\| = (\S+) \(floor (\S+)\)",
+        lines[drop + 1])
+    assert witness is not None, lines[drop + 1]
+    steps, output, bound, growth, floor = witness.groups()
+    assert int(steps) >= 1 and float(output) <= float(bound) < 1e-6
+    assert float(growth) == pytest.approx(1.3 ** int(steps), rel=1e-5)
+    assert float(floor) <= 1.0
     assert ("constructive cross-check: design refused: NotDetectable: "
             "undetectable unstable modes of the plant: 1.3+0j") in lines
 

@@ -1,6 +1,8 @@
 """The two rank conditions for observer existence and their cross-check."""
 
+import copy
 import importlib
+import pickle
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -273,111 +275,247 @@ def test_exists_uio_keeps_the_certified_observer(ref_model, options):
     assert synth.verify_uio(ref_model, report.uio).is_uio
 
 
-def _refusing_run(monkeypatch, model, hinted=True):
-    """exists_uio's report on ``model``, the (cause, message, evidence) of
-    the NoUio its design raised, the inverses and zero staircases that
-    design took, and the n x n eigenvalue problems solved before and while
-    the evidence was first read.  With ``hinted`` False the design does not
-    get condition (a)'s verdict, and refuses after its Riccati doubling, as
-    it did before the verdict was handed over."""
-    raised, inverses, staircases, eigensolves = [], [], [], []
-    design, inv, eigvals = synth.design_from_model, np.linalg.inv, \
-        np.linalg.eigvals
+def _workloads(monkeypatch):
+    """The benchmark's workloads module, for its corpus plants."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "perfbench"))
+    return importlib.import_module("workloads")
 
-    def recording(model, options=None, **kwargs):
-        if not hinted:
-            del kwargs["_condition_a"]
-        try:
-            return design(model, options, **kwargs)
-        except synth.NoUio as exc:
-            raised.append(exc)
-            raise
 
-    def counting_inv(M):
-        inverses.append(M.shape)
-        return inv(M)
+def _refusing_run(monkeypatch, model, replayed=True):
+    """exists_uio's report on ``model`` and what it ran: the zero
+    reductions, zero staircases, model kernels, inverses and designs, and
+    the n x n eigenvalue problems solved.  With ``replayed`` False no
+    witness counts as replayed, so exists_uio designs as any caller does
+    and a Riccati design refuses by its doubling's rule."""
+    runs = {name: 0 for name in ("reductions", "staircases", "kernels",
+                                 "inverses", "designs", "eigensolves")}
 
-    def counting_eigvals(M):
-        eigensolves.append(M.shape == (model.n, model.n))
-        return eigvals(M)
+    def counting(name, original, shape=None):
+        def spy(*args, **kwargs):
+            if shape is None or np.shape(args[0]) == shape:
+                runs[name] += 1
+            return original(*args, **kwargs)
+        return spy
 
     with monkeypatch.context() as mp:
-        mp.setattr(existcheck, "design_from_model", recording)
-        mp.setattr(np.linalg, "inv", counting_inv)
-        mp.setattr(np.linalg, "eigvals", counting_eigvals)
-        for module in (numkit, synth):
-            def counting(*args, _staircase=module.undetectable_modes, **kw):
-                staircases.append(args)
-                return _staircase(*args, **kw)
-
-            mp.setattr(module, "undetectable_modes", counting)
+        for module, name, counter in (
+                (numkit, "_zero_reduction", "reductions"),
+                (existcheck, "_zero_reduction", "reductions"),
+                (numkit, "undetectable_modes", "staircases"),
+                (synth, "_kernel_from_ranks", "kernels"),
+                (existcheck, "design_from_model", "designs")):
+            mp.setattr(module, name, counting(counter, getattr(module, name)))
+        mp.setattr(np.linalg, "inv", counting("inverses", np.linalg.inv))
+        mp.setattr(np.linalg, "eigvals", counting(
+            "eigensolves", np.linalg.eigvals, (model.n, model.n)))
+        if not replayed:
+            mp.setattr(existcheck, "_replays", lambda record: False)
         report = exists_uio(model)
-        (exc,) = raised
-        before = sum(eigensolves)
-        evidence = exc.evidence
-    return (report, (exc.cause, str(exc), evidence), len(inverses),
-            len(staircases), (before, sum(eigensolves) - before))
+    return report, runs
 
 
-def _same_refusal(hinted, unhinted):
-    """The reports and NoUio refusals of two `_refusing_run` are equal."""
-    assert _same(hinted[0], unhinted[0])
-    assert format_report(hinted[0]) == format_report(unhinted[0])
-    assert hinted[1] == unhinted[1]
+def _refusal_line(report) -> str:
+    (line,) = [line for line in format_report(report).splitlines()
+               if line.startswith("constructive cross-check: ")]
+    return line
 
 
 @pytest.mark.parametrize("n", [20, 40, 60])
 def test_exists_uio_refuses_a_hidden_mode_before_the_riccati_doubling(
         monkeypatch, n):
     # Every third corpus plant hides a mode at 1.3, which condition (a)
-    # finds.  The design it hands that verdict to runs the zero staircase
-    # once, before any doubling step (no inverse), and refuses with the
-    # same report, message and evidence as a design that runs its doubling
-    # first.  When the staircase names no mode, the design goes on, runs
-    # its doubling, and reaches that same outcome.
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
-                                    / "perfbench"))
-    workloads = importlib.import_module("workloads")
+    # finds.  Its witness replays on the plant, so exists_uio refuses from
+    # it: one zero reduction, condition (a)'s, and no kernel, staircase,
+    # inverse (no doubling step) or n x n eigenvalue problem.  A run whose
+    # witness does not count as replayed designs instead, and its doubling
+    # refuses with the same report and the same refusal line.
+    workloads = _workloads(monkeypatch)
     for seed in (0, 3, 6, 9):
         model = workloads.corpus_model(n, *workloads.corpus_dims(n), seed=seed)
-        hinted = _refusing_run(monkeypatch, model)
-        report, (cause, _, _), inverses, staircases, eigensolves = hinted
+        report, runs = _refusing_run(monkeypatch, model)
         assert not report.condition_a and report.condition_b
-        assert report.refusal.startswith("design refused: NotDetectable")
-        assert cause == synth.NOT_DETECTABLE
-        assert (inverses, staircases) == (0, 1)
-        # A_bar's eigenvalues are solved only when the evidence is read.
-        assert eigensolves == (0, 1)
-        unhinted = _refusing_run(monkeypatch, model, hinted=False)
-        assert unhinted[2] > 0
-        _same_refusal(hinted, unhinted)
-        with monkeypatch.context() as mp:
-            mp.setattr(synth, "undetectable_modes", lambda *args: [])
-            silenced = _refusing_run(monkeypatch, model)
-        assert silenced[2] == unhinted[2] and silenced[3] == 2
-        _same_refusal(silenced, unhinted)
+        assert report.refusal == ("design refused: NotDetectable: "
+                                  "undetectable unstable modes of the plant: "
+                                  "1.3+0j")
+        assert all(map(existcheck._replays, report.evidence["replays"]))
+        assert runs == {"reductions": 1, "staircases": 0, "kernels": 0,
+                        "inverses": 0, "designs": 0, "eigensolves": 0}
+        doubled, doubled_runs = _refusing_run(monkeypatch, model,
+                                              replayed=False)
+        assert doubled_runs["designs"] == doubled_runs["kernels"] == 1
+        assert doubled_runs["staircases"] == 1
+        assert doubled_runs["inverses"] > 0
+        assert _same(report, doubled)
+        assert _refusal_line(report) == _refusal_line(doubled)
 
 
 def test_exists_uio_refuses_a_hidden_mode_of_a_pair_without_outputs(
         monkeypatch):
     # p = r and F invertible: N has full row rank 2p, so C_bar has no
-    # rows, and the zero 1.4 of A - E F^-1 C fails condition (a).  The
-    # staircase, run on A_bar alone, refuses as the unhinted design does.
+    # rows, and the zero 1.4 of A - E F^-1 C fails condition (a).  Its
+    # witness refuses as the design, which runs the staircase on A_bar
+    # alone, does.
     model = StateSpaceModel(
         A=np.array([[1.5, 0.0, 0.0], [0.0, 0.3, 0.0], [0.0, 0.0, 0.2]]),
         B=np.zeros((3, 0)), C=np.array([[0.1, 1.0, 1.0]]),
         D=np.zeros((1, 0)), E=np.array([[1.0], [0.0], [0.0]]),
         F=np.array([[1.0]]),
     )
-    hinted = _refusing_run(monkeypatch, model)
     assert synth.model_kernel(model).k == model.n
-    assert not hinted[0].condition_a and hinted[0].condition_b
-    assert hinted[1][0] == synth.NOT_DETECTABLE
-    assert np.allclose(hinted[1][2]["undetectable_modes"], [1.4])
-    assert hinted[2:4] == (0, 1) and hinted[4][1] == 1
-    unhinted = _refusing_run(monkeypatch, model, hinted=False)
-    assert unhinted[2:4] == (0, 1) and unhinted[4][1] == 1
-    _same_refusal(hinted, unhinted)
+    report, runs = _refusing_run(monkeypatch, model)
+    assert not report.condition_a and report.condition_b
+    (record,) = report.evidence["replays"]
+    assert existcheck._replays(record) and abs(record["zero"] - 1.4) < 1e-12
+    assert runs["reductions"] == 1 and runs["staircases"] == 0
+    doubled, doubled_runs = _refusing_run(monkeypatch, model, replayed=False)
+    assert doubled_runs["staircases"] == 1 and doubled_runs["inverses"] == 0
+    assert _same(report, doubled)
+    assert _refusal_line(report) == _refusal_line(doubled)
+
+
+def test_exists_uio_designs_as_any_caller_when_a_witness_does_not_replay(
+        monkeypatch, rotated_hidden_mode):
+    # A witness that fails its replay proves nothing: exists_uio then calls
+    # design_from_model as a direct caller does, and its Riccati doubling
+    # refuses with the NoUio of a direct call.
+    model = rotated_hidden_mode(6, 1, 3, 1, 1.3, 1)
+    calls = []
+    design = synth.design_from_model
+
+    def recording(*args, **kwargs):
+        calls.append(sorted(kwargs))
+        return design(*args, **kwargs)
+
+    monkeypatch.setattr(existcheck, "_replays", lambda record: False)
+    monkeypatch.setattr(existcheck, "design_from_model", recording)
+    report = exists_uio(model)
+    assert calls == [["_ranks"]]
+    with pytest.raises(synth.NoUio) as direct:
+        design(model)
+    assert report.refusal == f"design refused: {direct.value}"
+    assert report.agreement and not report.constructive_succeeded
+    assert "does not replay" in format_report(report)
+
+
+def test_refusing_report_survives_pickle_copy_and_comparison(monkeypatch):
+    workloads = _workloads(monkeypatch)
+    model = workloads.corpus_model(20, *workloads.corpus_dims(20), seed=0)
+    report = exists_uio(model)
+    assert not report.exists and report.evidence["replays"]
+    for witness in report.evidence["a"]["witnesses"]:
+        assert all(type(v) is float for v in witness["x0"] + witness["d0"])
+    assert report == exists_uio(model)
+    for twin in (pickle.loads(pickle.dumps(report)), copy.copy(report),
+                 copy.deepcopy(report)):
+        assert twin == report
+        assert format_report(twin) == format_report(report)
+
+
+def _refusing_corpus(monkeypatch):
+    """The corpus plants with a hidden mode: the model-n60 plants (seeds
+    0-299, every third) and the n = 8, 20, 40 corpus (seeds 0-39) whose
+    condition (a) drops a zero, as (model, witnesses)."""
+    workloads = _workloads(monkeypatch)
+    plants = [workloads.corpus_model(60, 12, 20, 6, seed=seed)
+              for seed in range(0, 300, 3)]
+    plants += [workloads.corpus_model(n, *workloads.corpus_dims(n), seed=seed)
+               for n in (8, 20, 40) for seed in range(40)]
+    found = []
+    for model in plants:
+        ok, evidence = condition_a(model)
+        if not ok:
+            found.append((model, evidence["witnesses"]))
+    return found
+
+
+def test_every_corpus_witness_replays_without_a_factorization(monkeypatch):
+    refusing = _refusing_corpus(monkeypatch)
+    assert len(refusing) == 142
+
+    def factorization(*args, **kwargs):
+        raise AssertionError("the replay factored a matrix")
+
+    with monkeypatch.context() as mp:
+        for name in ("svd", "qr", "eig", "eigvals", "eigh", "eigvalsh",
+                     "inv", "solve"):
+            mp.setattr(np.linalg, name, factorization)
+        records = [existcheck._replay(model, witness, numkit.SCHUR_MARGIN)
+                   for model, witnesses in refusing for witness in witnesses]
+    assert len(records) == 142
+    for record in records:
+        assert existcheck._replays(record), record
+        assert record["steps"] >= 3 and record["growth"] >= 1.3 ** 3 - 1e-9
+
+
+def test_every_not_detectable_refusal_carries_a_replaying_witness(
+        monkeypatch):
+    workloads = _workloads(monkeypatch)
+    refusals = 0
+    for n in (8, 20, 40):
+        for seed in range(40):
+            model = workloads.corpus_model(n, *workloads.corpus_dims(n),
+                                           seed=seed)
+            report = exists_uio(model)
+            if report.refusal and "NotDetectable" in report.refusal:
+                refusals += 1
+                replays = report.evidence["replays"]
+                assert replays and all(map(existcheck._replays, replays))
+    assert refusals == 42
+
+
+def _hidden_rotation(rho: float, theta: float, seed: int) -> StateSpaceModel:
+    """n = 6 plant hiding the pair rho e^(+-i theta) from C, in a random
+    orthogonal basis; F is random."""
+    rng = np.random.default_rng(seed)
+    n, m, p, r = 6, 1, 3, 1
+    A = 0.3 * rng.standard_normal((n, n))
+    C = rng.standard_normal((p, n))
+    A[:, :2] = 0.0
+    A[:2, :2] = rho * np.array([[np.cos(theta), -np.sin(theta)],
+                                [np.sin(theta), np.cos(theta)]])
+    C[:, :2] = 0.0
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return StateSpaceModel(
+        A=Q @ A @ Q.T, B=Q @ rng.standard_normal((n, m)), C=C @ Q.T,
+        D=rng.standard_normal((p, m)), E=Q @ rng.standard_normal((n, r)),
+        F=rng.standard_normal((p, r)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_hidden_conjugate_pair_replays_through_its_real_part(
+        monkeypatch, seed):
+    model = _hidden_rotation(1.2, 0.7, seed)
+    report, runs = _refusing_run(monkeypatch, model)
+    pair = 1.2 * np.exp(0.7j)
+    assert sorted(report.evidence["a"]["drops"], key=lambda z: z.imag) == \
+        pytest.approx([pair.conjugate(), pair], abs=1e-12)
+    for witness in report.evidence["a"]["witnesses"]:
+        assert all(type(v) is complex for v in witness["x0"])
+    for record in report.evidence["replays"]:
+        # The real part of the trajectory, turned so that x(T) lies on the
+        # long axis of its ellipse, grows at least as |z|^T.
+        assert existcheck._replays(record)
+        assert record["growth"] >= 1.2 ** record["steps"] * (1 - 1e-12)
+    assert report.refusal.startswith("design refused: NotDetectable: ")
+    assert runs["staircases"] == runs["designs"] == runs["inverses"] == 0
+
+
+@pytest.mark.parametrize("mode", [1.0, -1.0, 1.0 - 5e-10])
+def test_a_hidden_mode_on_the_unit_circle_is_refused_for_not_decaying(
+        monkeypatch, rotated_hidden_mode, mode):
+    # Within schur_margin of the circle the state does not grow, and need
+    # not: it keeps its size, above the floor (1 - margin)^T.
+    model = rotated_hidden_mode(4, 1, 2, 1, mode, 1)
+    report, runs = _refusing_run(monkeypatch, model)
+    (record,) = report.evidence["replays"]
+    assert existcheck._replays(record)
+    assert record["growth"] == pytest.approx(abs(mode) ** record["steps"],
+                                             abs=1e-12)
+    assert record["growth"] <= 1.0 + 1e-12
+    assert record["growth_floor"] < 1.0
+    assert report.refusal.startswith("design refused: NotDetectable: ")
+    assert runs["staircases"] == runs["designs"] == 0
 
 
 def test_exists_uio_classical_detectable_case():
@@ -425,10 +563,7 @@ def test_exists_uio_solves_no_eigenproblem_until_the_detail_is_read(
     # no state and the design proves its loop Schur from the Riccati
     # solution, so the verdict solves no eigenvalue problem.  The detail of
     # the constructive run, and so `format_report`, solves exactly one.
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
-                                    / "perfbench"))
-    workloads = importlib.import_module("workloads")
-    model = workloads.corpus_model(60, 12, 20, 6, seed=1)
+    model = _workloads(monkeypatch).corpus_model(60, 12, 20, 6, seed=1)
     seen = []
     eigvals = np.linalg.eigvals
 

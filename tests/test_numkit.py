@@ -463,6 +463,38 @@ def test_invariant_zeros_of_corpus_pencil_stop_with_no_state_left(
     assert rows == model.r and len(zeros) == 0
 
 
+@pytest.mark.parametrize("r", [0, 1, 2])
+@pytest.mark.parametrize("seed", range(4))
+def test_zero_reduction_witness_is_a_null_vector_of_the_pencil(seed, r):
+    # Hidden modes 1.3 and 1.1 e^(+-0.6i) in a random orthogonal basis:
+    # each zero's witness is a unit null vector of P(z), real for a real
+    # zero, to the rounding of the reduction.
+    rng = np.random.default_rng(seed)
+    n, p = 7, 3
+    A = 0.3 * rng.standard_normal((n, n))
+    A[:, :3] = 0.0
+    A[0, 0] = 1.3
+    A[1:3, 1:3] = 1.1 * np.array([[np.cos(0.6), -np.sin(0.6)],
+                                  [np.sin(0.6), np.cos(0.6)]])
+    C = rng.standard_normal((p, n))
+    C[:, :3] = 0.0
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A, C = Q @ A @ Q.T, C @ Q.T
+    E, F = Q @ rng.standard_normal((n, r)), rng.standard_normal((p, r))
+    zeros, rows, witness = numkit._zero_reduction(A, E, C, F)
+    assert_array_equal(zeros, invariant_zeros(A, E, C, F)[0])
+    scale = np.linalg.norm(np.block([[A, E], [C, F]]))
+    hidden = [z for z in zeros if abs(z) > 1.05]
+    assert len(hidden) == 3
+    for z in hidden:
+        x, d = witness(z)
+        assert np.isrealobj(x) == (z.imag == 0)
+        assert np.hypot(np.linalg.norm(x), np.linalg.norm(d)) == \
+            pytest.approx(1.0)
+        residual = np.hstack([z * x - A @ x - E @ d, C @ x + F @ d])
+        assert np.linalg.norm(residual) <= 1e3 * EPS * scale
+
+
 def test_invariant_zeros_beyond_float_range_raise_numerical_failure():
     # The one zero is A - E F^-1 C = -1e305 * 1e305 / 1e297 = -1e313: F is
     # above the cut, so K_x is invertible, but K_x^-1 [A, E] K overflows.

@@ -41,6 +41,25 @@ def test_parity_names_each_case_that_differs(tools):
     ]
 
 
+def test_parity_names_the_sub_fields_that_differ(tools):
+    parity, _ = tools
+    report = {"report": "r", "text": "t", "observer": None}
+    parent = {"a": _record("a", design={"refusal": "NoUio", "message": "m"},
+                           exists_uio=report)}
+    change = {"a": _record("a", design={"refusal": "NoUio", "message": "m"},
+                           exists_uio=dict(report, report="r2", text="t2"))}
+    assert parity.differences(parent, change) == [
+        "a: exists_uio.report, exists_uio.text differ"]
+    # A field that is a record on one side only differs as a whole.
+    change["a"]["design"] = "x"
+    assert parity.differences(parent, change) == [
+        "a: design, exists_uio.report, exists_uio.text differ"]
+    # So does a sub-field present on one side only.
+    change["a"]["design"] = {"refusal": "NoUio"}
+    assert parity.differences(parent, change) == [
+        "a: design.message, exists_uio.report, exists_uio.text differ"]
+
+
 def test_parity_finds_no_difference_between_equal_records(tools):
     parity, _ = tools
     records = {"a": _record("a", design={"observer": "0123"}),

@@ -15,8 +15,9 @@ child process each, and compares what they record:
   recorded as that workload records them), through `design_from_data` at
   both margins, recorded the same way.
 
-It prints each case whose records differ, with the fields that differ, and
-exits 1 if any do, 0 otherwise.  The parent checkout is extracted with
+It prints each case whose records differ, with the fields that differ, named
+down to the sub-field (``exists_uio.report``, ``design.message``), and exits
+1 if any do, 0 otherwise.  The parent checkout is extracted with
 ``git archive`` (`bench_pairs.extract`) into a temporary directory that is
 deleted at the end.  Each child gets its tree's ``src`` and ``perfbench``
 on PYTHONPATH and one BLAS thread, as the benchmark runs.
@@ -148,8 +149,19 @@ def records(tree: Path) -> dict:
     return {r["case"]: r for r in map(json.loads, out.splitlines())}
 
 
+def _differing(old, new, prefix: str = "") -> list[str]:
+    """The dotted names of the fields of two records that differ, down to
+    the sub-fields of a field that is a record in both."""
+    if not (isinstance(old, dict) and isinstance(new, dict)):
+        return [prefix[:-1]] if old != new else []
+    return [name for key in sorted(old.keys() | new.keys())
+            for name in _differing(old.get(key), new.get(key),
+                                   f"{prefix}{key}.")]
+
+
 def differences(parent: dict, change: dict) -> list[str]:
-    """One line per case whose records differ, naming the fields."""
+    """One line per case whose records differ, naming the fields and
+    sub-fields that differ (``exists_uio.text``)."""
     lines = []
     for case in sorted(parent.keys() | change.keys()):
         old, new = parent.get(case), change.get(case)
@@ -157,9 +169,7 @@ def differences(parent: dict, change: dict) -> list[str]:
             lines.append(f"{case}: only in the "
                          f"{'parent' if new is None else 'change'}")
         elif old != new:
-            fields = sorted(k for k in old.keys() | new.keys()
-                            if old.get(k) != new.get(k))
-            lines.append(f"{case}: {', '.join(fields)} differ")
+            lines.append(f"{case}: {', '.join(_differing(old, new))} differ")
     return lines
 
 
