@@ -42,8 +42,8 @@ from .numkit import (DEFAULT_TOL, SCHUR_MARGIN, ZERO_CUT_RELATIVE,
                      _zero_reduction)
 from .plant import StateSpaceModel, UioRealization, _simulate
 from .synth import (NoUio, SynthesisDiagnostics, SynthesisOptions,
-                    NOT_DETECTABLE, _disturbance_ranks,
-                    _undetectable_detail, design_from_model)
+                    NOT_DETECTABLE, _model_ranks, _undetectable_detail,
+                    design_from_model)
 from . import numkit
 
 __all__ = [
@@ -66,14 +66,12 @@ def condition_b(
     exactly-decoupled disturbance direction computes to ~eps |C| |E|
     rather than to zero, and against that scale it counts as zero, in any
     units.  So the verdict holds exactly when the design reads
-    rank(V_f) = n.
+    rank(V_f) = n.  The ranks are the model route's first stage (see
+    `synth._stage`), decided once per model and ``tol``: a later
+    `synth.model_kernel` or `synth.design_from_model` at the same ``tol``
+    reads them instead of deciding them again.
     """
-    return _condition_b(model, _disturbance_ranks(model, tol))
-
-
-def _condition_b(model: StateSpaceModel, ranks) -> tuple[bool, dict]:
-    """`condition_b` from the `_disturbance_ranks` of the model."""
-    rank_F, (block_rank, *_) = ranks
+    rank_F, (block_rank, *_) = _model_ranks(model, tol)
     required = rank_F + model.r
     return block_rank == required, {
         "block_rank": block_rank,
@@ -214,7 +212,10 @@ class ExistenceReport:
 
     ``uio`` and ``diagnostics`` are the certified observer and its synthesis
     diagnostics from the constructive run, None when that run refused, so a
-    caller that wants the verdict and the observer designs once.
+    caller that wants the verdict and the observer designs once.  When the
+    run designed, a later `synth.design_from_model` of the same model with
+    the same options returns these read-only objects, or raises the run's
+    refusal again, without a second design.
     ``refusal`` is the text of that run's refusal, None when it succeeded;
     `constructive_detail` renders the run on read, so a success solves its
     observer's eigenvalue problem only when the detail is read.
@@ -256,9 +257,13 @@ def exists_uio(
     ``agreement`` flags whether the two verdicts coincide.  The run counts
     as a success only for an observer that passes the `verify_uio` test,
     which `design_from_model` applies before it returns; that observer and
-    its diagnostics are kept in the report.  The disturbance ranks that
-    decide condition (b) are decided once and handed to the design's
-    kernel.
+    its diagnostics are kept in the report.  Condition (b) and the design
+    read the model route's stages (see `synth._stage`): the disturbance
+    ranks that decide (b) are the ones the design's kernel is built from,
+    and a later `design_from_model` of the same model with the same
+    options reads this run's certified observer, or raises its refusal
+    again, instead of designing a second time.  A refusal from replayed
+    witnesses (below) designs nothing, so a later design runs in full.
 
     Every zero that fails condition (a) comes with a witness trajectory,
     replayed on the plant (`_replay`) and kept in the evidence as
@@ -270,8 +275,7 @@ def exists_uio(
     Otherwise `design_from_model` runs as for any caller.
     """
     opt = options or SynthesisOptions()
-    ranks = _disturbance_ranks(model, opt.tol)
-    b_ok, b_ev = _condition_b(model, ranks)
+    b_ok, b_ev = condition_b(model, opt.tol)
     a_ok, a_ev = condition_a(model, margin=opt.schur_margin)
     evidence = {"a": a_ev, "b": b_ev}
     witnesses = a_ev.get("witnesses", [])
@@ -286,7 +290,7 @@ def exists_uio(
         refusal = f"design refused: {NoUio(NOT_DETECTABLE, detail)}"
     else:
         try:
-            uio, diag = design_from_model(model, opt, _ranks=ranks)
+            uio, diag = design_from_model(model, opt)
         except NoUio as exc:
             refusal = f"design refused: {exc}"
         except (numkit.NotObservable, NumericalFailure) as exc:

@@ -243,9 +243,9 @@ class SpectrumReport:
     eigenvalues (sorted by `np.sort_complex`) and ``spectral_radius`` are
     computed once, the first time either is read, by calling ``solve``: a
     verdict proved without them (see `stabilizing_gain`) solves no
-    eigenvalue problem unless someone reads them.  Two reports are equal
-    when their verdicts, margins and eigenvalues are, so comparing them
-    solves both.
+    eigenvalue problem unless someone reads them.  The eigenvalues are a
+    read-only array.  Two reports are equal when their verdicts, margins
+    and eigenvalues are, so comparing them solves both.
     """
 
     is_schur: bool
@@ -254,7 +254,9 @@ class SpectrumReport:
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        return np.sort_complex(np.asarray(self.solve(), dtype=complex))
+        values = np.sort_complex(np.asarray(self.solve(), dtype=complex))
+        values.setflags(write=False)
+        return values
 
     @cached_property
     def spectral_radius(self) -> float:

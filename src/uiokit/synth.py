@@ -47,6 +47,13 @@ repeats those checks; `numkit.place_poles` keeps the ones that need n.
 Models, observers and trajectories likewise check themselves when they
 are built (`plant`, `datalog`), so no function here checks them again.
 
+The model route runs in stages: the disturbance ranks, the kernel and the
+certified design, each run at most once per model and the options it
+reads, and kept for one model at a time (`_stage`).  So a
+`design_from_model` after `existcheck.exists_uio` reads the observer that
+call certified, and `existcheck.condition_b` reads the ranks the kernel
+is built from.
+
 `verify_acceptor` / `verify_uio` check candidate observers against a model
 through the three acceptor identities (unknown-input rejection, recursion
 consistency, known-input feedthrough) plus the Schur requirement, which
@@ -60,6 +67,8 @@ nobody reads the eigenvalues.
 
 from __future__ import annotations
 
+import copy
+import weakref
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -88,8 +97,8 @@ from .numkit import (
 # NoUio (from numkit) and the observer file format (from plant) are
 # re-exported, so `synth.NoUio` and `synth.load_uio` keep their names.
 from .plant import (StateSpaceModel, UioFormatError, UioRealization,
-                    _require_finite_entries, _require_same_dims, load_uio,
-                    save_uio, uio_from_dict, uio_to_dict)
+                    _frozen, _require_finite_entries, _require_same_dims,
+                    load_uio, save_uio, uio_from_dict, uio_to_dict)
 
 __all__ = [
     "NoUio",
@@ -129,8 +138,9 @@ class KernelRep:
     route (`model_kernel`), from an SVD of V_f for a bare basis
     (`from_matrix`).  Whenever it equals n the rows are in synthesis
     coordinates, V_f = [I; 0], which is what `synthesize` reads.
-    Construction refuses, with ValueError, a block with a non-finite entry,
-    named by block, row and column, and rank n with any other V_f.
+    Construction stores read-only float copies of the blocks and refuses,
+    with ValueError, a block with a non-finite entry, named by block, row
+    and column, and rank n with any other V_f.
     """
 
     V_p: np.ndarray
@@ -143,6 +153,7 @@ class KernelRep:
 
     def __post_init__(self) -> None:
         for name in ("V_p", "V_f", "W_p", "W_f", "R_p", "R_f"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
             _require_finite_entries(getattr(self, name), name,
                                     "row {}, column {}")
         if self.rank_V_f == self.n and not np.array_equal(
@@ -270,7 +281,10 @@ class SynthesisOptions:
 
 @dataclass(frozen=True)
 class SynthesisDiagnostics:
-    """Intermediate objects and self-check residuals from one synthesis run."""
+    """Intermediate objects and self-check residuals from one synthesis run.
+
+    Construction stores read-only float copies of A_bar, C_bar and L.
+    """
 
     A_bar: np.ndarray
     C_bar: np.ndarray
@@ -278,6 +292,10 @@ class SynthesisDiagnostics:
     gain: str
     spectrum: SpectrumReport
     residuals: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for name in ("A_bar", "C_bar", "L"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
 
 def kernel_representation(
@@ -349,6 +367,63 @@ def _disturbance_block(F: np.ndarray, CE: np.ndarray) -> np.ndarray:
     return N
 
 
+# --------------------------------------------------------------------------
+# The model route's stages: the disturbance ranks, the kernel and the
+# certified design, each run at most once per model and the options it reads.
+
+#: (a weak reference to the one model whose stage results are kept, those
+#: results by stage and options).  It is replaced whole, in one assignment,
+#: so concurrent callers need no lock: a caller holding another model
+#: misses.
+_record: tuple = (None, {})
+
+#: The refusals a stage's result can be, raised again on every later call
+#: (`NotObservable` is a ValueError).
+_REFUSALS = (NoUio, NumericalFailure, ValueError)
+
+
+def _forget(ref: weakref.ref) -> None:
+    """Drop the stage results of a model that died."""
+    global _record
+    if _record[0] is ref:
+        _record = (None, {})
+
+
+def _stage(model: StateSpaceModel, name: str, compute, option):
+    """``compute(model, option)``, run at most once per model and option.
+
+    The results of one model are kept at a time, through a weak reference
+    that drops them when the model dies, so no stage outlives its model and
+    a sequence of models keeps the stages of one.  The key is the model's
+    identity: a `StateSpaceModel` keeps read-only copies of its matrices,
+    and every array a stage returns is read-only, so one identity reads one
+    set of values.  A refusal in `_REFUSALS` is a result too: it is kept
+    as a copy, and each later call raises a fresh copy of it, with the
+    same type, message and evidence.  An option that does not hash (poles
+    in a list) keys nothing, and its stage runs every time.
+    """
+    global _record
+    ref, results = _record
+    if ref is None or ref() is not model:
+        results = {}
+        _record = (weakref.ref(model, _forget), results)
+    key = (name, option)
+    try:
+        kept = key in results
+    except TypeError:
+        return compute(model, option)
+    if not kept:
+        try:
+            results[key] = compute(model, option)
+        except _REFUSALS as exc:
+            results[key] = copy.deepcopy(exc)
+            raise
+    result = results[key]
+    if isinstance(result, Exception):
+        raise copy.deepcopy(result)
+    return result
+
+
 def _disturbance_ranks(model: StateSpaceModel, tol: RankTolerance):
     """rank(F) and the `numkit.balanced_rank` (rho_N, U, s, Vt) of N.
 
@@ -358,7 +433,15 @@ def _disturbance_ranks(model: StateSpaceModel, tol: RankTolerance):
     F, C, E = model.F, model.C, model.E
     rank_F = balanced_rank(F, np.abs(F), tol)[0]
     S = _disturbance_block(np.abs(F), np.abs(C) @ np.abs(E))
-    return rank_F, balanced_rank(_disturbance_block(F, C @ E), S, tol)
+    rho_n, *factors = balanced_rank(_disturbance_block(F, C @ E), S, tol)
+    for M in factors:
+        M.setflags(write=False)
+    return rank_F, (rho_n, *factors)
+
+
+def _model_ranks(model: StateSpaceModel, tol: RankTolerance):
+    """The ranks stage: `_disturbance_ranks`, run once per model and tol."""
+    return _stage(model, "ranks", _disturbance_ranks, tol)
 
 
 def model_kernel(
@@ -401,14 +484,19 @@ def model_kernel(
 
     So k = n + 2p - rho_N - rho_E rows, and rank(V_f) = n exactly when
     condition (b), rho_N = rank(F) + r, holds.
+
+    The kernel is a stage of the model route: it is built once per model
+    and ``tol``, from the ranks `existcheck.condition_b` reads, and a later
+    call, or a design at the same ``tol``, reads the same read-only
+    `KernelRep` (see `_stage`).
     """
-    return _kernel_from_ranks(model, _disturbance_ranks(model, tol))
+    return _stage(model, "kernel", _build_kernel, tol)
 
 
-def _kernel_from_ranks(model: StateSpaceModel, ranks) -> KernelRep:
-    """`model_kernel` from the `_disturbance_ranks` of the model."""
+def _build_kernel(model: StateSpaceModel, tol: RankTolerance) -> KernelRep:
+    """The kernel stage: `model_kernel` from the ranks stage."""
     n, m, p, r = model.n, model.m, model.p, model.r
-    rank_F, (rho_n, U, s, Vt) = ranks
+    rank_F, (rho_n, U, s, Vt) = _model_ranks(model, tol)
     rho_e = r + rank_F - rho_n
     EV = model.E @ Vt[:, :r].T  # [E, 0] V
     Z_v = np.eye(n)
@@ -536,10 +624,12 @@ def _not_detectable(bad: list, A_bar: np.ndarray) -> NoUio:
     """The NOT_DETECTABLE refusal of the unstable modes ``bad`` of A_bar
     that C_bar cannot see."""
     # An eigenvalue z of A_bar that C_bar cannot see stays in the error
-    # loop A_uio = -(A_bar + L C_bar) as -z: the plant's mode.  0j - z
-    # keeps the imaginary part of a real mode at +0, as the zeros of
-    # condition (a) have it, where -z would print 1.3-0j.
-    modes = [0j - z for z in bad]
+    # loop A_uio = -(A_bar + L C_bar) as -z: the plant's mode.  The modes
+    # come in LAPACK's order, each conjugate pair +j first, and listing
+    # -conj(z) in place of -z keeps that order, as condition (a) lists its
+    # zeros.  0j - conj(z) keeps the imaginary part of a real mode at +0,
+    # as the zeros of condition (a) have it, where -z would print 1.3-0j.
+    modes = [0j - z.conjugate() for z in bad]
     # A_bar's eigenvalues are solved only if the evidence is read:
     # `exists_uio` keeps just the refusal's text.
     return NoUio(
@@ -566,8 +656,7 @@ def _negated_eigenvalues(report: SpectrumReport) -> np.ndarray:
 
 
 def design_from_model(
-    model: StateSpaceModel, options: SynthesisOptions | None = None,
-    *, _ranks=None,
+    model: StateSpaceModel, options: SynthesisOptions | None = None
 ) -> tuple[UioRealization, SynthesisDiagnostics]:
     """Model route: `model_kernel` of the plant, then `synthesize`.
 
@@ -577,12 +666,17 @@ def design_from_model(
     the emitted A_uio (see `synthesize`).  That is the `verify_uio` test,
     with the same failure wording; a Riccati design whose verdict was
     proved from its Riccati solution solves no eigenvalue problem at all.
-    ``_ranks`` is `_disturbance_ranks` of the model at ``options.tol``,
-    when `existcheck.exists_uio` has decided them for condition (b); they
-    are not checked against the model, so only that caller passes them.
     A hidden mode is refused by the gain stage's own rule (see
     `numkit.stabilizing_gain`); `existcheck.exists_uio` refuses one from
     condition (a)'s replayed witness before it would call this.
+
+    The outcome is the last stage of the model route (see `_stage`): it is
+    decided once per model and options, from the kernel stage at
+    ``options.tol``.  A second call with equal options, such as a design
+    after `existcheck.exists_uio`, returns the same read-only observer and
+    diagnostics that call certified, or raises a fresh copy of its refusal,
+    with the same type, message and evidence.  An equal-valued copy of the
+    model designs afresh.
 
     Raises:
         NumericalFailure: if the synthesized observer fails that test, with
@@ -590,10 +684,14 @@ def design_from_model(
         NoUio / NotObservable / PlacementFailed / ValueError: as
             `synthesize`.
     """
-    opt = options or SynthesisOptions()
-    if _ranks is None:
-        _ranks = _disturbance_ranks(model, opt.tol)
-    uio, diag = synthesize(_kernel_from_ranks(model, _ranks), opt)
+    return _stage(model, "design", _certified_design,
+                  options or SynthesisOptions())
+
+
+def _certified_design(model: StateSpaceModel, opt: SynthesisOptions):
+    """The design stage: `design_from_model`, run once per model and
+    options."""
+    uio, diag = synthesize(model_kernel(model, opt.tol), opt)
     failures = _failures(verify_acceptor(model, uio), diag.spectrum)
     if failures:
         raise NumericalFailure(

@@ -11,7 +11,17 @@ from uiokit.demo import (
     reference_model,
     reference_uio,
 )
+from uiokit import synth
 from uiokit.plant import StateSpaceModel
+
+
+@pytest.fixture(autouse=True)
+def _no_kept_stages(monkeypatch):
+    """Each test starts with no model's stages kept (see `synth._stage`).
+
+    The session fixtures share model objects, so a stage one test ran with
+    a patched function would otherwise be what the next test reads."""
+    monkeypatch.setattr(synth, "_record", (None, {}))
 
 
 @pytest.fixture(scope="session")

@@ -303,7 +303,7 @@ def _refusing_run(monkeypatch, model, replayed=True):
                 (numkit, "_zero_reduction", "reductions"),
                 (existcheck, "_zero_reduction", "reductions"),
                 (numkit, "undetectable_modes", "staircases"),
-                (synth, "_kernel_from_ranks", "kernels"),
+                (synth, "_build_kernel", "kernels"),
                 (existcheck, "design_from_model", "designs")):
             mp.setattr(module, name, counting(counter, getattr(module, name)))
         mp.setattr(np.linalg, "inv", counting("inverses", np.linalg.inv))
@@ -377,8 +377,9 @@ def test_exists_uio_refuses_a_hidden_mode_of_a_pair_without_outputs(
 def test_exists_uio_designs_as_any_caller_when_a_witness_does_not_replay(
         monkeypatch, rotated_hidden_mode):
     # A witness that fails its replay proves nothing: exists_uio then calls
-    # design_from_model as a direct caller does, and its Riccati doubling
-    # refuses with the NoUio of a direct call.
+    # design_from_model as a direct caller does, with no keyword, and its
+    # Riccati doubling refuses with the NoUio of a direct call on a fresh
+    # copy of the model, which reads no stage of that run.
     model = rotated_hidden_mode(6, 1, 3, 1, 1.3, 1)
     calls = []
     design = synth.design_from_model
@@ -390,9 +391,9 @@ def test_exists_uio_designs_as_any_caller_when_a_witness_does_not_replay(
     monkeypatch.setattr(existcheck, "_replays", lambda record: False)
     monkeypatch.setattr(existcheck, "design_from_model", recording)
     report = exists_uio(model)
-    assert calls == [["_ranks"]]
+    assert calls == [[]]
     with pytest.raises(synth.NoUio) as direct:
-        design(model)
+        design(replace(model))
     assert report.refusal == f"design refused: {direct.value}"
     assert report.agreement and not report.constructive_succeeded
     assert "does not replay" in format_report(report)
@@ -499,6 +500,21 @@ def test_a_hidden_conjugate_pair_replays_through_its_real_part(
         assert record["growth"] >= 1.2 ** record["steps"] * (1 - 1e-12)
     assert report.refusal.startswith("design refused: NotDetectable: ")
     assert runs["staircases"] == runs["designs"] == runs["inverses"] == 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_check_and_a_direct_design_name_a_hidden_pair_in_one_order(seed):
+    # check refuses from condition (a)'s zeros, in LAPACK's order; a direct
+    # design, on a fresh copy that reads no stage of the check, names the
+    # staircase's modes of the plant.  Both list the pair +j first.
+    model = _hidden_rotation(1.2, 0.7, seed)
+    report = exists_uio(model)
+    with pytest.raises(synth.NoUio) as direct:
+        synth.design_from_model(replace(model))
+    assert _refusal_line(report) == (
+        f"constructive cross-check: design refused: {direct.value}")
+    first, second = direct.value.evidence["undetectable_modes"]
+    assert first.imag > 0 > second.imag and first == second.conjugate()
 
 
 @pytest.mark.parametrize("mode", [1.0, -1.0, 1.0 - 5e-10])

@@ -1375,7 +1375,8 @@ def test_every_corpus_design_is_proved_schur_by_its_riccati_solution(
 
 
 def _refusal(monkeypatch, model):
-    """Inverses the design of ``model`` takes, and its NoUio refusal."""
+    """Inverses the design of ``model`` takes, and its NoUio refusal.  It
+    designs a fresh copy, so that no stage of an earlier design is read."""
     from uiokit.synth import NoUio, design_from_model
 
     inverses = []
@@ -1388,7 +1389,7 @@ def _refusal(monkeypatch, model):
     with monkeypatch.context() as mp:
         mp.setattr(np.linalg, "inv", counting)
         with pytest.raises(NoUio) as exc_info:
-            design_from_model(model)
+            design_from_model(copy.copy(model))
     exc = exc_info.value
     return len(inverses), (exc.cause, str(exc), exc.evidence)
 

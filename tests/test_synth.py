@@ -1,6 +1,9 @@
 """Kernel representations, the synthesis pipeline, and the verifiers."""
 
+import gc
 import importlib
+import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,8 +11,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from uiokit import demo, numkit
+from uiokit import demo, numkit, synth
 from uiokit.datalog import Uniform, build_blocks, collect
+from uiokit.existcheck import exists_uio
 from uiokit.numkit import (
     NumericalFailure,
     eig_assignment_error,
@@ -23,6 +27,7 @@ from uiokit.synth import (
     VF_RANK_DEFICIENT,
     KernelRep,
     NoUio,
+    SynthesisDiagnostics,
     SynthesisOptions,
     UioFormatError,
     design_from_data,
@@ -246,7 +251,8 @@ def test_model_kernel_orthonormalizes_only_the_rows_without_x_plus(
         return qr(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "qr", spy)
-    design_from_model(model)
+    # A fresh copy, so that the design builds its kernel again.
+    design_from_model(replace(model))
     assert max(widths) == 2 * p - rank(N) == 28
 
 # ------------------------------------------------------------ synthesize
@@ -573,7 +579,8 @@ def test_model_route_factors_no_v_f_and_no_gamma_sized_matrix(
 
     k_by_n = model_kernel(ref_model).V_f.shape
     monkeypatch.setattr(np.linalg, "svd", recording)
-    design_from_model(ref_model, options)
+    # A fresh copy, so that the design builds its kernel again.
+    design_from_model(replace(ref_model), options)
     monkeypatch.undo()
     rows = 2 * (ref_model.n + ref_model.m + ref_model.p)
     assert seen and not [s for s in seen if s[0] == rows or s == k_by_n]
@@ -746,6 +753,208 @@ def test_spectra_invariant_under_subspace_rescaling(ref_model):
     diff = eig_assignment_error(diag_a.spectrum.eigenvalues,
                                 diag_b.spectrum.eigenvalues)
     assert diff < 1e-9
+
+
+# ------------------------------------------- the model route's stages
+
+
+def _spy(monkeypatch, counts, module, name):
+    """Count the calls of ``module.name`` in ``counts[name]``."""
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+
+
+def _stage_runs(monkeypatch):
+    """A dict that counts the runs of the ranks, kernel and gain stages."""
+    counts = {}
+    for name in ("_disturbance_ranks", "_build_kernel", "stabilizing_gain",
+                 "place_poles"):
+        _spy(monkeypatch, counts, synth, name)
+    return counts
+
+
+def test_a_design_after_exists_uio_reads_its_stages(monkeypatch):
+    # This test's own models: the stages are kept by the model's identity.
+    model = demo.reference_model()
+    runs = _stage_runs(monkeypatch)
+    report = exists_uio(model)
+    uio, diag = design_from_model(model)
+    assert runs == {"_disturbance_ranks": 1, "_build_kernel": 1,
+                    "stabilizing_gain": 1}
+    assert uio is report.uio and diag is report.diagnostics
+    assert model_kernel(model) is model_kernel(model)
+    # Other options run the gain again, on the same ranks and kernel.
+    design_from_model(model, PLACE)
+    design_from_model(model, PLACE)
+    assert runs == {"_disturbance_ranks": 1, "_build_kernel": 1,
+                    "stabilizing_gain": 1, "place_poles": 1}
+    # An equal-valued copy is another model: everything runs again.
+    fresh = replace(model)
+    exists_uio(fresh)
+    assert _design_record(design_from_model(fresh)) == _design_record(
+        (uio, diag))
+    assert runs == {"_disturbance_ranks": 2, "_build_kernel": 2,
+                    "stabilizing_gain": 2, "place_poles": 1}
+
+
+def test_a_refusal_is_decided_once_and_raised_as_a_fresh_copy(
+        monkeypatch):
+    model = demo.counterexample_model()
+    runs = _stage_runs(monkeypatch)
+    report = exists_uio(model)
+    raised = []
+    for _ in range(2):
+        with pytest.raises(NoUio) as exc_info:
+            design_from_model(model)
+        raised.append(exc_info.value)
+    assert runs == {"_disturbance_ranks": 1, "_build_kernel": 1}
+    first, second = raised
+    assert first is not second
+    assert report.refusal == f"design refused: {first}"
+    assert (second.cause, str(second), second.evidence) == (
+        first.cause, str(first), first.evidence)
+    # A caller that changes its copy's evidence changes no other copy.
+    first.evidence["n"] = -1
+    with pytest.raises(NoUio) as exc_info:
+        design_from_model(model)
+    assert exc_info.value.evidence == second.evidence
+
+
+def test_options_that_do_not_hash_design_every_time(monkeypatch):
+    # Poles given as a list make options that key nothing: each design runs
+    # the gain again, on the kept kernel, and equals the tuple request's.
+    model = demo.reference_model()
+    runs = _stage_runs(monkeypatch)
+    listed = SynthesisOptions(gain="place", poles=list(PLACE.poles))
+    outcomes = [_design_record(design_from_model(model, options))
+                for options in (listed, listed, PLACE)]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert runs == {"_disturbance_ranks": 1, "_build_kernel": 1,
+                    "place_poles": 3}
+
+
+def _design_record(outcome) -> tuple:
+    """The bytes of a design's observer and diagnostics."""
+    uio, diag = outcome
+    arrays = (uio.A_uio, uio.B_u, uio.B_y, uio.D_u, uio.D_y, diag.A_bar,
+              diag.C_bar, diag.L, diag.spectrum.eigenvalues)
+    return (tuple((M.shape, M.tobytes()) for M in arrays), diag.gain,
+            diag.spectrum.is_schur, diag.spectrum.margin, diag.residuals)
+
+
+def _outcome(model, options) -> tuple:
+    """`_design_record` of the design, or its refusal's type, text and
+    evidence as read."""
+    try:
+        return _design_record(design_from_model(model, options))
+    except (NoUio, NumericalFailure) as exc:
+        return (type(exc), str(exc), repr(getattr(exc, "evidence", None)))
+
+
+@pytest.mark.parametrize("margin", [numkit.SCHUR_MARGIN, 0.0])
+def test_a_kept_design_is_the_design_of_a_fresh_copy(monkeypatch, margin):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    options = SynthesisOptions(schur_margin=margin)
+    plants = [(n, workloads.corpus_dims(n)) for n in (8, 20)]
+    plants.append((60, (12, 20, 6)))
+    refusals = 0
+    for n, dims in plants:
+        for seed in range(12):
+            model = workloads.corpus_model(n, *dims, seed=seed)
+            exists_uio(model, options)
+            kept = _outcome(model, options)
+            assert kept == _outcome(replace(model), options)
+            refusals += isinstance(kept[0], type)
+    assert refusals == 12
+
+
+def _arrays(value) -> list:
+    """Every array of a dataclass, its spectrum's eigenvalues included."""
+    arrays = [v for v in vars(value).values() if isinstance(v, np.ndarray)]
+    if isinstance(value, SynthesisDiagnostics):
+        arrays.append(value.spectrum.eigenvalues)
+    return arrays
+
+
+@pytest.mark.parametrize("options", [SynthesisOptions(), PLACE],
+                         ids=["riccati", "place"])
+def test_every_array_a_stage_returns_is_read_only(options):
+    model = demo.reference_model()
+    uio, diag = design_from_model(model, options)
+    for value in (model_kernel(model), uio, diag):
+        arrays = _arrays(value)
+        assert arrays and not any(M.flags.writeable for M in arrays)
+        with pytest.raises(ValueError):
+            arrays[0][...] = 0.0
+
+
+def _design_and_drop(model, options=None) -> str:
+    """Design ``model``, keeping nothing of the call but its outcome's
+    text."""
+    try:
+        design_from_model(model, options)
+    except NoUio as exc:
+        return str(exc)
+    return "designed"
+
+
+def test_the_stages_of_one_model_are_kept_and_die_with_it():
+    model, other = demo.reference_model(), demo.counterexample_model()
+    assert _design_and_drop(model) == "designed"
+    assert synth._record[0]() is model and synth._record[1]
+    # A refusal is kept too, and the record holds one model at a time.
+    assert _design_and_drop(other).startswith(VF_RANK_DEFICIENT)
+    assert synth._record[0]() is other
+    assert [name for name, _ in synth._record[1]] == ["ranks", "kernel",
+                                                      "design"]
+    del other
+    gc.collect()
+    assert synth._record == (None, {})
+    _design_and_drop(model)
+    del model
+    gc.collect()
+    assert synth._record == (None, {})
+
+
+def test_threads_that_share_the_record_read_only_their_own_models():
+    # The record is replaced without a lock: a thread whose model is not
+    # the kept one misses, and never reads another model's stages.  Fresh
+    # copies die as the threads go, so the record is also dropped under
+    # them.
+    plants = [demo.reference_model(), demo.counterexample_model(),
+              demo.convergence_model()]
+    options = SynthesisOptions()
+    expected = [_outcome(replace(model), options) for model in plants]
+    wrong, done = [], []
+
+    def work(offset):
+        for i in range(60):
+            k = (i + offset) % len(plants)
+            model = plants[k] if i % 2 else replace(plants[k])
+            if _outcome(model, options) != expected[k]:
+                wrong.append((offset, i))
+        done.append(offset)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(offset,))
+                   for offset in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(done) == [0, 1, 2, 3] and not wrong
 
 
 # ------------------------------------------------------------ verifiers

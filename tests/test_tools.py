@@ -9,6 +9,7 @@ import importlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -67,6 +68,34 @@ def test_parity_finds_no_difference_between_equal_records(tools):
     same = json.loads(json.dumps(records))
     assert parity.differences(records, same) == []
     assert parity.differences({}, {}) == []
+
+
+def test_parity_designs_a_fresh_copy_of_each_model(tools, monkeypatch):
+    # exists_uio keeps the stages of its model, so a direct design of the
+    # same object would read them; parity compares a design of its own.
+    parity, _ = tools
+    from uiokit import existcheck, synth
+    from uiokit.numkit import SCHUR_MARGIN
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    seen = {}
+
+    def recording(name, original):
+        def spy(model, *args):
+            seen[name] = model
+            return original(model, *args)
+        return spy
+
+    for module, name in ((existcheck, "exists_uio"),
+                         (synth, "design_from_model")):
+        monkeypatch.setattr(module, name,
+                            recording(name, getattr(module, name)))
+    record = next(parity._model_records((SCHUR_MARGIN,)))
+    checked, designed = seen["exists_uio"], seen["design_from_model"]
+    assert record["case"] == f"model n=60 seed=0 margin={SCHUR_MARGIN}"
+    assert designed is not checked
+    assert all(np.array_equal(getattr(designed, key), getattr(checked, key))
+               for key in "ABCDEF")
 
 
 def _runs(values):

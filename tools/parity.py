@@ -10,7 +10,8 @@ child process each, and compares what they record:
   report (its fields, its evidence and `format_report` text) and a direct
   `design_from_model`: the observer's bytes, its spectrum and the
   `verify_uio` verdict, or the refusal's type, message and evidence as
-  read.
+  read.  The direct design runs on a fresh copy of the model, so that it
+  designs instead of reading the stages `exists_uio` kept for the model.
 - ``data``: the 120 ``data-corpus`` recordings (n = 8, 20, 40, seeds 0-39,
   recorded as that workload records them), through `design_from_data` at
   both margins, recorded the same way.
@@ -79,6 +80,7 @@ def _design(design, model, *args) -> dict:
 
 def _model_records(margins):
     from uiokit import existcheck, synth
+    from uiokit.plant import StateSpaceModel
     from workloads import corpus_dims, corpus_model
 
     plants = [(60, (12, 20, 6), seed) for seed in range(300)] + [
@@ -100,7 +102,9 @@ def _model_records(margins):
                         report.uio.A_uio, report.uio.B_u, report.uio.B_y,
                         report.uio.D_u, report.uio.D_y),
                 }
-            record["design"] = _design(synth.design_from_model, model, model,
+            fresh = StateSpaceModel(A=model.A, B=model.B, C=model.C,
+                                    D=model.D, E=model.E, F=model.F)
+            record["design"] = _design(synth.design_from_model, fresh, fresh,
                                        options)
             yield record
 
