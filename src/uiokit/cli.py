@@ -86,13 +86,9 @@ def _range(text: str):
 
 
 def _dims(text: str) -> tuple[int, ...]:
-    parts = text.split(",")
-    if len(parts) not in (3, 4):
-        raise ValueError(f"expects n,m,p or n,m,p,r, got {text!r}")
-    dims = tuple(int(p) for p in parts)
-    if any(v < 0 for v in dims):
-        raise ValueError(f"entries must be nonnegative, got {text!r}")
-    return dims
+    from .datalog import _declared_dims
+
+    return _declared_dims(int(part) for part in text.split(","))
 
 
 def _poles(text: str) -> tuple[complex, ...]:

@@ -280,6 +280,16 @@ def _count(name: str, value) -> int:
     return int(value)
 
 
+def _declared_dims(dims) -> tuple[int, ...]:
+    """Declared (n, m, p) or (n, m, p, r) as ints; ValueError for another
+    length, or naming an entry that is not a count (`_count`)."""
+    dims = tuple(dims)
+    if len(dims) not in (3, 4):
+        raise ValueError(f"dims must be (n, m, p) or (n, m, p, r), "
+                         f"got {dims!r}")
+    return tuple(_count(name, v) for name, v in zip("nmpr", dims))
+
+
 def build_blocks(data: HistoricalData, dims=None) -> DataBlocks:
     """Slice a trajectory into past/future blocks.
 
@@ -292,11 +302,7 @@ def build_blocks(data: HistoricalData, dims=None) -> DataBlocks:
     if data.T < 2:
         raise ValueError("need at least 2 samples to form one window")
     if dims is not None:
-        dims = tuple(dims)
-        if len(dims) not in (3, 4):
-            raise ValueError(f"dims must be (n, m, p) or (n, m, p, r), "
-                             f"got {dims!r}")
-        dims = tuple(_count(name, v) for name, v in zip("nmpr", dims))
+        dims = _declared_dims(dims)
         have = (data.x.shape[1], data.u.shape[1], data.y.shape[1])
         have_r = data.d.shape[1] if data.d is not None else None
         if dims[:3] != have:

@@ -66,10 +66,10 @@ def condition_b(
     exactly-decoupled disturbance direction computes to ~eps |C| |E|
     rather than to zero, and against that scale it counts as zero, in any
     units.  So the verdict holds exactly when the design reads
-    rank(V_f) = n.  The ranks are the model route's first stage (see
-    `synth._stage`), decided once per model and ``tol``: a later
-    `synth.model_kernel` or `synth.design_from_model` at the same ``tol``
-    reads them instead of deciding them again.
+    rank(V_f) = n.  The ranks are a kept stage of the model route (see
+    `synth._stage`), decided once per model and ``tol``: the kernel of a
+    later `synth.model_kernel` or `synth.design_from_model` at the same
+    ``tol`` reads them instead of deciding them again.
     """
     rank_F, (block_rank, *_) = _model_ranks(model, tol)
     required = rank_F + model.r
@@ -214,8 +214,8 @@ class ExistenceReport:
     diagnostics from the constructive run, None when that run refused, so a
     caller that wants the verdict and the observer designs once.  When the
     run designed, a later `synth.design_from_model` of the same model with
-    the same options returns these read-only objects, or raises the run's
-    refusal again, without a second design.
+    the same options returns these read-only objects without a second
+    design.  A refusal is not kept: a later design decides it again.
     ``refusal`` is the text of that run's refusal, None when it succeeded;
     `constructive_detail` renders the run on read, so a success solves its
     observer's eigenvalue problem only when the detail is read.
@@ -258,12 +258,13 @@ def exists_uio(
     as a success only for an observer that passes the `verify_uio` test,
     which `design_from_model` applies before it returns; that observer and
     its diagnostics are kept in the report.  Condition (b) and the design
-    read the model route's stages (see `synth._stage`): the disturbance
-    ranks that decide (b) are the ones the design's kernel is built from,
-    and a later `design_from_model` of the same model with the same
-    options reads this run's certified observer, or raises its refusal
-    again, instead of designing a second time.  A refusal from replayed
-    witnesses (below) designs nothing, so a later design runs in full.
+    read the model route's kept stages (see `synth._stage`): the
+    disturbance ranks that decide (b) are the ones the design's kernel is
+    built from, and a later `design_from_model` of the same model with the
+    same options reads this run's certified observer instead of designing
+    a second time.  No refusal is kept, neither the design's nor the one
+    from replayed witnesses (below), so a later design after a refusal
+    runs in full.
 
     Every zero that fails condition (a) comes with a witness trajectory,
     replayed on the plant (`_replay`) and kept in the evidence as

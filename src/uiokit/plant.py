@@ -435,7 +435,7 @@ def uio_to_dict(uio: UioRealization, diagnostics=None) -> dict:
             ],
             "spectral_radius": float(diagnostics.spectrum.spectral_radius),
             "schur": bool(diagnostics.spectrum.is_schur),
-            "residuals": {k: float(v) for k, v in diagnostics.residuals.items()},
+            "residuals": {"sign_identity": float(diagnostics.sign_identity)},
         }
     return doc
 

@@ -47,12 +47,12 @@ repeats those checks; `numkit.place_poles` keeps the ones that need n.
 Models, observers and trajectories likewise check themselves when they
 are built (`plant`, `datalog`), so no function here checks them again.
 
-The model route runs in stages: the disturbance ranks, the kernel and the
-certified design, each run at most once per model and the options it
-reads, and kept for one model at a time (`_stage`).  So a
-`design_from_model` after `existcheck.exists_uio` reads the observer that
-call certified, and `existcheck.condition_b` reads the ranks the kernel
-is built from.
+The model route keeps two stage results, for one model at a time
+(`_stage`): the disturbance ranks per ``tol``, which
+`existcheck.condition_b` and the kernel both read, and the certified
+design per `SynthesisOptions`, so a `design_from_model` after
+`existcheck.exists_uio` reads the observer that call certified.  A
+refusal and a kernel are not kept: a later call decides them again.
 
 `verify_acceptor` / `verify_uio` check candidate observers against a model
 through the three acceptor identities (unknown-input rejection, recursion
@@ -67,9 +67,8 @@ nobody reads the eigenvalues.
 
 from __future__ import annotations
 
-import copy
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -250,7 +249,12 @@ class SynthesisOptions:
         (NoUio) and stable ones.
 
     Construction refuses, with ValueError, every request that breaks one
-    of these rules, so a design never starts from an invalid request.
+    of these rules, poles that are not a flat sequence, and a ``tol`` that
+    is not a `RankTolerance`, so a design never starts from an invalid
+    request.  It stores ``poles`` as a
+    tuple, so equal requests given as a list, a tuple or an array compare
+    equal and hash alike: they key one kept design (see
+    `design_from_model`).
     """
 
     gain: str = "riccati"
@@ -277,13 +281,24 @@ class SynthesisOptions:
                 "requested poles must have modulus below 1 - schur_margin = "
                 f"{1.0 - self.schur_margin:.12g}"
             )
+        if self.poles is not None:
+            if np.ndim(self.poles) > 1:
+                raise ValueError("poles must be a flat sequence, got shape "
+                                 f"{np.shape(self.poles)}")
+            object.__setattr__(self, "poles",
+                               tuple(np.atleast_1d(self.poles).tolist()))
+        if not isinstance(self.tol, RankTolerance):
+            raise ValueError(f"tol must be a RankTolerance, got {self.tol!r}")
 
 
 @dataclass(frozen=True)
 class SynthesisDiagnostics:
-    """Intermediate objects and self-check residuals from one synthesis run.
+    """Intermediate objects and the self-check residual of one synthesis run.
 
-    Construction stores read-only float copies of A_bar, C_bar and L.
+    ``sign_identity`` is max |Omega @ V_p - (A_bar + L @ C_bar)| (see the
+    module docstring).  Construction stores read-only float copies of
+    A_bar, C_bar and L, and the fields cannot be assigned, so a kept
+    design reads the same to every caller.
     """
 
     A_bar: np.ndarray
@@ -291,7 +306,7 @@ class SynthesisDiagnostics:
     L: np.ndarray
     gain: str
     spectrum: SpectrumReport
-    residuals: dict = field(default_factory=dict)
+    sign_identity: float
 
     def __post_init__(self) -> None:
         for name in ("A_bar", "C_bar", "L"):
@@ -368,18 +383,14 @@ def _disturbance_block(F: np.ndarray, CE: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# The model route's stages: the disturbance ranks, the kernel and the
-# certified design, each run at most once per model and the options it reads.
+# The model route's kept stages: the disturbance ranks per tol and the
+# certified design per options.
 
 #: (a weak reference to the one model whose stage results are kept, those
 #: results by stage and options).  It is replaced whole, in one assignment,
 #: so concurrent callers need no lock: a caller holding another model
 #: misses.
 _record: tuple = (None, {})
-
-#: The refusals a stage's result can be, raised again on every later call
-#: (`NotObservable` is a ValueError).
-_REFUSALS = (NoUio, NumericalFailure, ValueError)
 
 
 def _forget(ref: weakref.ref) -> None:
@@ -397,10 +408,8 @@ def _stage(model: StateSpaceModel, name: str, compute, option):
     a sequence of models keeps the stages of one.  The key is the model's
     identity: a `StateSpaceModel` keeps read-only copies of its matrices,
     and every array a stage returns is read-only, so one identity reads one
-    set of values.  A refusal in `_REFUSALS` is a result too: it is kept
-    as a copy, and each later call raises a fresh copy of it, with the
-    same type, message and evidence.  An option that does not hash (poles
-    in a list) keys nothing, and its stage runs every time.
+    set of values.  A refusal is not a result: it propagates as any
+    exception does, keeps nothing, and a later call decides it again.
     """
     global _record
     ref, results = _record
@@ -408,20 +417,9 @@ def _stage(model: StateSpaceModel, name: str, compute, option):
         results = {}
         _record = (weakref.ref(model, _forget), results)
     key = (name, option)
-    try:
-        kept = key in results
-    except TypeError:
-        return compute(model, option)
-    if not kept:
-        try:
-            results[key] = compute(model, option)
-        except _REFUSALS as exc:
-            results[key] = copy.deepcopy(exc)
-            raise
-    result = results[key]
-    if isinstance(result, Exception):
-        raise copy.deepcopy(result)
-    return result
+    if key not in results:
+        results[key] = compute(model, option)
+    return results[key]
 
 
 def _disturbance_ranks(model: StateSpaceModel, tol: RankTolerance):
@@ -485,16 +483,10 @@ def model_kernel(
     So k = n + 2p - rho_N - rho_E rows, and rank(V_f) = n exactly when
     condition (b), rho_N = rank(F) + r, holds.
 
-    The kernel is a stage of the model route: it is built once per model
-    and ``tol``, from the ranks `existcheck.condition_b` reads, and a later
-    call, or a design at the same ``tol``, reads the same read-only
-    `KernelRep` (see `_stage`).
+    The two ranks are the model route's kept ranks stage (see `_stage`),
+    the ones `existcheck.condition_b` decides; the kernel itself is built
+    on every call, once per design.
     """
-    return _stage(model, "kernel", _build_kernel, tol)
-
-
-def _build_kernel(model: StateSpaceModel, tol: RankTolerance) -> KernelRep:
-    """The kernel stage: `model_kernel` from the ranks stage."""
     n, m, p, r = model.n, model.m, model.p, model.r
     rank_F, (rho_n, U, s, Vt) = _model_ranks(model, tol)
     rho_e = r + rank_F - rho_n
@@ -608,14 +600,10 @@ def synthesize(
         D_u=D_u,
         D_y=D_y,
     )
-    residuals = {
-        "sign_identity": float(
-            np.abs(Omega @ ker.V_p - loop).max() if n else 0.0
-        ),
-    }
     diag = SynthesisDiagnostics(
         A_bar=A_bar, C_bar=C_bar, L=L, gain=opt.gain, spectrum=spec_report,
-        residuals=residuals,
+        sign_identity=float(
+            np.abs(Omega @ ker.V_p - loop).max() if n else 0.0),
     )
     return uio, diag
 
@@ -670,13 +658,13 @@ def design_from_model(
     `numkit.stabilizing_gain`); `existcheck.exists_uio` refuses one from
     condition (a)'s replayed witness before it would call this.
 
-    The outcome is the last stage of the model route (see `_stage`): it is
-    decided once per model and options, from the kernel stage at
-    ``options.tol``.  A second call with equal options, such as a design
-    after `existcheck.exists_uio`, returns the same read-only observer and
-    diagnostics that call certified, or raises a fresh copy of its refusal,
-    with the same type, message and evidence.  An equal-valued copy of the
-    model designs afresh.
+    The certified design is a kept stage of the model route (see
+    `_stage`): it is decided once per model and options, from
+    `model_kernel` at ``options.tol``.  A second call with equal options,
+    such as a design after `existcheck.exists_uio`, returns the same
+    read-only observer and diagnostics that call certified.  A refusal is
+    not kept, so a second call decides it again, as does an equal-valued
+    copy of the model.
 
     Raises:
         NumericalFailure: if the synthesized observer fails that test, with
@@ -690,7 +678,7 @@ def design_from_model(
 
 def _certified_design(model: StateSpaceModel, opt: SynthesisOptions):
     """The design stage: `design_from_model`, run once per model and
-    options."""
+    options, on a kernel built for it."""
     uio, diag = synthesize(model_kernel(model, opt.tol), opt)
     failures = _failures(verify_acceptor(model, uio), diag.spectrum)
     if failures:

@@ -332,6 +332,15 @@ def test_design_refuses_bad_dims_even_on_the_model_route(model_file, capsys):
     assert capsys.readouterr().err.startswith("error: argument --dims: ")
 
 
+def test_design_dims_make_the_library_check(model_file, capsys):
+    # --dims is checked by the same rule as build_blocks' dims, which
+    # names the entry it refuses.
+    assert main(["design", "--from-model", model_file, "--dims",
+                 "3,-1,2"]) == 4
+    assert capsys.readouterr().err == ("error: argument --dims: declared "
+                                       "m = -1 is not a nonnegative integer\n")
+
+
 def test_design_rejects_unstable_poles(model_file, capsys):
     assert main(["design", "--from-model", model_file, "--gain", "place",
                  "--poles", "0,0,1.5"]) == 4

@@ -303,7 +303,7 @@ def _refusing_run(monkeypatch, model, replayed=True):
                 (numkit, "_zero_reduction", "reductions"),
                 (existcheck, "_zero_reduction", "reductions"),
                 (numkit, "undetectable_modes", "staircases"),
-                (synth, "_build_kernel", "kernels"),
+                (synth, "model_kernel", "kernels"),
                 (existcheck, "design_from_model", "designs")):
             mp.setattr(module, name, counting(counter, getattr(module, name)))
         mp.setattr(np.linalg, "inv", counting("inverses", np.linalg.inv))

@@ -4,7 +4,7 @@ import gc
 import importlib
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -266,7 +266,7 @@ def test_synthesize_bundled_kernel_with_placement(ref_model, ref_kernel):
     assert err < 1e-6
     assert verify_uio(ref_model, uio).is_uio
     assert np.array_equal(ker.V_f, np.eye(ker.k, 3))
-    assert diag.residuals["sign_identity"] < 1e-10
+    assert diag.sign_identity < 1e-10
 
 
 def test_synthesize_intermediates_match_printed_values(
@@ -328,8 +328,12 @@ def test_riccati_gain_refuses_a_pole_request(ref_kernel):
     ({"gain": "place", "poles": (0.0, 0.0, 1.5)}, "modulus below"),
     ({"gain": "place", "poles": (0.0, 0.0, 0.6), "schur_margin": 0.5},
      "modulus below 1 - schur_margin = 0.5"),
+    ({"gain": "place", "poles": np.zeros((3, 1))},
+     r"poles must be a flat sequence, got shape \(3, 1\)"),
+    ({"tol": 1e-10}, "^tol must be a RankTolerance, got 1e-10$"),
 ], ids=["margin-1", "margin-nan", "margin1", "bogus-gain", "riccati-poles",
-        "place-no-poles", "pole1.5", "pole-past-margin"])
+        "place-no-poles", "pole1.5", "pole-past-margin", "poles-column",
+        "tol-float"])
 def test_synthesis_options_refuse_an_invalid_request(kwargs, message):
     with pytest.raises(ValueError, match=message):
         SynthesisOptions(**kwargs)
@@ -770,9 +774,10 @@ def _spy(monkeypatch, counts, module, name):
 
 
 def _stage_runs(monkeypatch):
-    """A dict that counts the runs of the ranks, kernel and gain stages."""
+    """A dict that counts the runs of the ranks stage, the kernel and the
+    gains."""
     counts = {}
-    for name in ("_disturbance_ranks", "_build_kernel", "stabilizing_gain",
+    for name in ("_disturbance_ranks", "model_kernel", "stabilizing_gain",
                  "place_poles"):
         _spy(monkeypatch, counts, synth, name)
     return counts
@@ -784,58 +789,73 @@ def test_a_design_after_exists_uio_reads_its_stages(monkeypatch):
     runs = _stage_runs(monkeypatch)
     report = exists_uio(model)
     uio, diag = design_from_model(model)
-    assert runs == {"_disturbance_ranks": 1, "_build_kernel": 1,
+    assert runs == {"_disturbance_ranks": 1, "model_kernel": 1,
                     "stabilizing_gain": 1}
     assert uio is report.uio and diag is report.diagnostics
-    assert model_kernel(model) is model_kernel(model)
-    # Other options run the gain again, on the same ranks and kernel.
+    # Other options read the kept ranks, but build the kernel again.
     design_from_model(model, PLACE)
     design_from_model(model, PLACE)
-    assert runs == {"_disturbance_ranks": 1, "_build_kernel": 1,
+    assert runs == {"_disturbance_ranks": 1, "model_kernel": 2,
                     "stabilizing_gain": 1, "place_poles": 1}
     # An equal-valued copy is another model: everything runs again.
     fresh = replace(model)
     exists_uio(fresh)
     assert _design_record(design_from_model(fresh)) == _design_record(
         (uio, diag))
-    assert runs == {"_disturbance_ranks": 2, "_build_kernel": 2,
+    assert runs == {"_disturbance_ranks": 2, "model_kernel": 3,
                     "stabilizing_gain": 2, "place_poles": 1}
 
 
-def test_a_refusal_is_decided_once_and_raised_as_a_fresh_copy(
-        monkeypatch):
+def test_a_refusal_is_not_kept(monkeypatch):
+    # A refused design keeps nothing but the ranks it read: each call
+    # decides the refusal again, with the same type, text and evidence.
     model = demo.counterexample_model()
+    options = SynthesisOptions()
     runs = _stage_runs(monkeypatch)
-    report = exists_uio(model)
+    report = exists_uio(model, options)
     raised = []
     for _ in range(2):
         with pytest.raises(NoUio) as exc_info:
-            design_from_model(model)
+            design_from_model(model, options)
         raised.append(exc_info.value)
-    assert runs == {"_disturbance_ranks": 1, "_build_kernel": 1}
+    assert runs == {"_disturbance_ranks": 1, "model_kernel": 3}
+    assert synth._record[0]() is model
+    assert synth._record[1].keys() == {("ranks", options.tol)}
+    assert not any(isinstance(value, BaseException)
+                   for value in synth._record[1].values())
     first, second = raised
     assert first is not second
     assert report.refusal == f"design refused: {first}"
-    assert (second.cause, str(second), second.evidence) == (
-        first.cause, str(first), first.evidence)
-    # A caller that changes its copy's evidence changes no other copy.
-    first.evidence["n"] = -1
-    with pytest.raises(NoUio) as exc_info:
-        design_from_model(model)
-    assert exc_info.value.evidence == second.evidence
+    assert (type(second), str(second), second.evidence) == (
+        type(first), str(first), first.evidence)
 
 
-def test_options_that_do_not_hash_design_every_time(monkeypatch):
-    # Poles given as a list make options that key nothing: each design runs
-    # the gain again, on the kept kernel, and equals the tuple request's.
+def test_list_tuple_and_array_poles_key_one_design(monkeypatch):
+    # Options store poles as a tuple, so a list, a tuple and an array of
+    # the same poles are one key: after exists_uio, the place gain runs
+    # once, and every request reads its design.
     model = demo.reference_model()
     runs = _stage_runs(monkeypatch)
-    listed = SynthesisOptions(gain="place", poles=list(PLACE.poles))
+    exists_uio(model, PLACE)
+    requests = [SynthesisOptions(gain="place", poles=poles) for poles in
+                (list(PLACE.poles), PLACE.poles, np.array(PLACE.poles))]
     outcomes = [_design_record(design_from_model(model, options))
-                for options in (listed, listed, PLACE)]
+                for options in requests]
     assert outcomes[0] == outcomes[1] == outcomes[2]
-    assert runs == {"_disturbance_ranks": 1, "_build_kernel": 1,
-                    "place_poles": 3}
+    assert runs == {"_disturbance_ranks": 1, "model_kernel": 1,
+                    "place_poles": 1}
+    assert len(set(requests)) == 1
+    assert all(type(options.poles) is tuple for options in requests)
+
+
+def test_kept_diagnostics_cannot_be_assigned():
+    # Every caller of a kept design reads one diagnostics value.
+    model = demo.reference_model()
+    diag = exists_uio(model).diagnostics
+    with pytest.raises(FrozenInstanceError):
+        diag.sign_identity = 1.0
+    assert design_from_model(model)[1] is diag
+    assert diag.sign_identity < 1e-10
 
 
 def _design_record(outcome) -> tuple:
@@ -844,7 +864,7 @@ def _design_record(outcome) -> tuple:
     arrays = (uio.A_uio, uio.B_u, uio.B_y, uio.D_u, uio.D_y, diag.A_bar,
               diag.C_bar, diag.L, diag.spectrum.eigenvalues)
     return (tuple((M.shape, M.tobytes()) for M in arrays), diag.gain,
-            diag.spectrum.is_schur, diag.spectrum.margin, diag.residuals)
+            diag.spectrum.is_schur, diag.spectrum.margin, diag.sign_identity)
 
 
 def _outcome(model, options) -> tuple:
@@ -909,11 +929,10 @@ def test_the_stages_of_one_model_are_kept_and_die_with_it():
     model, other = demo.reference_model(), demo.counterexample_model()
     assert _design_and_drop(model) == "designed"
     assert synth._record[0]() is model and synth._record[1]
-    # A refusal is kept too, and the record holds one model at a time.
+    # A refusal is not kept, and the record holds one model at a time.
     assert _design_and_drop(other).startswith(VF_RANK_DEFICIENT)
     assert synth._record[0]() is other
-    assert [name for name, _ in synth._record[1]] == ["ranks", "kernel",
-                                                      "design"]
+    assert [name for name, _ in synth._record[1]] == ["ranks"]
     del other
     gc.collect()
     assert synth._record == (None, {})

@@ -70,20 +70,23 @@ def test_parity_finds_no_difference_between_equal_records(tools):
     assert parity.differences({}, {}) == []
 
 
-def test_parity_designs_a_fresh_copy_of_each_model(tools, monkeypatch):
-    # exists_uio keeps the stages of its model, so a direct design of the
-    # same object would read them; parity compares a design of its own.
+def test_parity_designs_a_fresh_copy_a_lookup_and_a_place_gain(
+        tools, monkeypatch):
+    # exists_uio keeps the stages of its model, so parity's direct design
+    # runs on a fresh copy, its lookup on the checked object right after
+    # exists_uio, and its place design after an exists_uio with the same
+    # list poles, on that object too.
     parity, _ = tools
     from uiokit import existcheck, synth
     from uiokit.numkit import SCHUR_MARGIN
 
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    seen = {}
+    calls = []
 
     def recording(name, original):
-        def spy(model, *args):
-            seen[name] = model
-            return original(model, *args)
+        def spy(model, options):
+            calls.append((name, model, options))
+            return original(model, options)
         return spy
 
     for module, name in ((existcheck, "exists_uio"),
@@ -91,11 +94,23 @@ def test_parity_designs_a_fresh_copy_of_each_model(tools, monkeypatch):
         monkeypatch.setattr(module, name,
                             recording(name, getattr(module, name)))
     record = next(parity._model_records((SCHUR_MARGIN,)))
-    checked, designed = seen["exists_uio"], seen["design_from_model"]
     assert record["case"] == f"model n=60 seed=0 margin={SCHUR_MARGIN}"
-    assert designed is not checked
-    assert all(np.array_equal(getattr(designed, key), getattr(checked, key))
+    assert {"exists_uio", "design", "lookup", "place"} <= record.keys()
+    assert record["place"].keys() == {"exists_uio", "design"}
+    assert [name for name, _, _ in calls] == [
+        "exists_uio", "design_from_model", "design_from_model", "exists_uio",
+        "design_from_model"]
+    (_, checked, options), (_, fresh, _), (_, looked_up, again) = calls[:3]
+    assert fresh is not checked
+    assert all(np.array_equal(getattr(fresh, key), getattr(checked, key))
                for key in "ABCDEF")
+    assert looked_up is checked and again == options
+    (_, placed_on, place), (_, designed, request) = calls[3:]
+    assert placed_on is designed is checked and request == place
+    poles = np.array(place.poles)
+    assert place.gain == "place" and len(poles) == checked.n
+    assert np.isrealobj(poles) and len(set(poles)) == checked.n
+    assert (np.abs(poles) < 0.5).all()
 
 
 def _runs(values):

@@ -7,11 +7,17 @@ child process each, and compares what they record:
 - ``model``: `corpus_model` at n = 60 with the ``model-n60`` dimensions
   (seeds 0-299) and at n = 8, 20, 40 with `corpus_dims` (seeds 0-39), at
   the default Schur margin and at margin 0.  For each, the `exists_uio`
-  report (its fields, its evidence and `format_report` text) and a direct
-  `design_from_model`: the observer's bytes, its spectrum and the
-  `verify_uio` verdict, or the refusal's type, message and evidence as
-  read.  The direct design runs on a fresh copy of the model, so that it
-  designs instead of reading the stages `exists_uio` kept for the model.
+  report (its fields, its evidence and `format_report` text) and three
+  designs by `design_from_model`, each recorded as the observer's bytes,
+  its spectrum and the `verify_uio` verdict, or the refusal's type,
+  message and evidence as read:
+  - ``design``, on a fresh copy of the model, so that it designs instead
+    of reading the stages `exists_uio` kept for the model;
+  - ``lookup``, on the same model object right after `exists_uio`, which
+    reads the design that call kept;
+  - ``place``, the `exists_uio` report and then the design of the place
+    gain on that one object, with its poles given as a Python list of n
+    distinct real values in (-0.5, 0.5).
 - ``data``: the 120 ``data-corpus`` recordings (n = 8, 20, 40, seeds 0-39,
   recorded as that workload records them), through `design_from_data` at
   both margins, recorded the same way.
@@ -78,8 +84,27 @@ def _design(design, model, *args) -> dict:
     }
 
 
+def _report(model, options) -> dict:
+    """The `exists_uio` report on ``model``: its fields, its text and the
+    observer's bytes, or the refusal."""
+    from uiokit import existcheck
+
+    try:
+        report = existcheck.exists_uio(model, options)
+    except Exception as exc:  # a refusal is an answer to compare
+        return _refusal(exc)
+    return {
+        "report": repr(report),
+        "text": existcheck.format_report(report),
+        "observer": None if report.uio is None else _digest(
+            report.uio.A_uio, report.uio.B_u, report.uio.B_y,
+            report.uio.D_u, report.uio.D_y),
+    }
+
+
 def _model_records(margins):
-    from uiokit import existcheck, synth
+    import numpy as np
+    from uiokit import synth
     from uiokit.plant import StateSpaceModel
     from workloads import corpus_dims, corpus_model
 
@@ -87,25 +112,23 @@ def _model_records(margins):
         (n, corpus_dims(n), seed) for n in (8, 20, 40) for seed in range(40)]
     for n, dims, seed in plants:
         model = corpus_model(n, *dims, seed=seed)
+        poles = np.linspace(-0.45, 0.45, n).tolist()
         for margin in margins:
             options = synth.SynthesisOptions(schur_margin=margin)
-            record = {"case": f"model n={n} seed={seed} margin={margin}"}
-            try:
-                report = existcheck.exists_uio(model, options)
-            except Exception as exc:  # a refusal is an answer to compare
-                record["exists_uio"] = _refusal(exc)
-            else:
-                record["exists_uio"] = {
-                    "report": repr(report),
-                    "text": existcheck.format_report(report),
-                    "observer": None if report.uio is None else _digest(
-                        report.uio.A_uio, report.uio.B_u, report.uio.B_y,
-                        report.uio.D_u, report.uio.D_y),
-                }
+            place = synth.SynthesisOptions(gain="place", poles=poles,
+                                           schur_margin=margin)
+            record = {"case": f"model n={n} seed={seed} margin={margin}",
+                      "exists_uio": _report(model, options)}
             fresh = StateSpaceModel(A=model.A, B=model.B, C=model.C,
                                     D=model.D, E=model.E, F=model.F)
             record["design"] = _design(synth.design_from_model, fresh, fresh,
                                        options)
+            record["lookup"] = _design(synth.design_from_model, model, model,
+                                       options)
+            record["place"] = {
+                "exists_uio": _report(model, place),
+                "design": _design(synth.design_from_model, model, model,
+                                  place)}
             yield record
 
 
